@@ -20,6 +20,7 @@ import (
 	"lamb/internal/faultinject"
 	"lamb/internal/mat"
 	"lamb/internal/outcomes"
+	"lamb/internal/router"
 )
 
 // cmdServe runs the selection engine behind an HTTP JSON endpoint: the
@@ -336,14 +337,10 @@ type batchResponse struct {
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	api := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, deprecatedAlias(path, h))
-	}
-	api("GET", "/expressions", func(w http.ResponseWriter, r *http.Request) {
+	router.RegisterAPI(mux, "GET", "/expressions", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.eng.ListExpressions())
 	})
-	api("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
+	router.RegisterAPI(mux, "GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, serveStats{
 			Stats: s.eng.Stats(),
 			Server: serverStats{
@@ -356,24 +353,13 @@ func (s *server) handler() http.Handler {
 			},
 		})
 	})
-	api("GET", "/outcomes", s.handleOutcomes)
-	api("POST", "/query", s.handleQuery)
-	api("POST", "/batch", s.handleBatch)
-	api("POST", "/feedback", s.handleFeedback)
-	api("POST", "/admin/reload", s.handleReload)
-	api("POST", "/admin/merge", s.handleMerge)
+	router.RegisterAPI(mux, "GET", "/outcomes", s.handleOutcomes)
+	router.RegisterAPI(mux, "POST", "/query", s.handleQuery)
+	router.RegisterAPI(mux, "POST", "/batch", s.handleBatch)
+	router.RegisterAPI(mux, "POST", "/feedback", s.handleFeedback)
+	router.RegisterAPI(mux, "POST", "/admin/reload", s.handleReload)
+	router.RegisterAPI(mux, "POST", "/admin/merge", s.handleMerge)
 	return s.recoverPanics(mux)
-}
-
-// deprecatedAlias wraps a handler for the legacy unversioned route:
-// the same body, plus RFC 8594-style headers steering clients to the
-// versioned successor.
-func deprecatedAlias(path string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
-		h(w, r)
-	}
 }
 
 // recoverPanics turns a handler panic into a 500 and a counter instead

@@ -19,7 +19,7 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 	qa := Query{Expr: "aatb", Instance: expr.Instance{16, 8, 8}}
 	qb := Query{Expr: "aatb", Instance: expr.Instance{32, 8, 8}}
 	qc := Query{Expr: "chain", Instance: expr.Instance{8, 8, 8, 8, 8}}
-	res := e.QueryBatch([]Query{qa, qb, qa, qa, qb, qc})
+	res := e.Do(context.Background(), Request{Queries: []Query{qa, qb, qa, qa, qb, qc}})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -45,7 +45,7 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 	// Differing strategies must NOT coalesce.
 	qo := qa
 	qo.Strategy = "min-flops" // explicit default == implicit default: coalesces
-	res = e.QueryBatch([]Query{qa, qo})
+	res = e.Do(context.Background(), Request{Queries: []Query{qa, qo}})
 	if res[1].Record != res[0].Record {
 		t.Error("explicit default strategy did not coalesce with implicit")
 	}
@@ -58,7 +58,7 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 func TestQueryBatchFusedMeasurement(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
-	res := e.QueryBatch([]Query{q, q, q})
+	res := e.Do(context.Background(), Request{Queries: []Query{q, q, q}})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -82,7 +82,7 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 		t.Error("no batch plans were compiled for a fused measurement")
 	}
 	// The fused record's candidates agree with the per-instance path.
-	direct, err := e.Query(q)
+	direct, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,22 +115,27 @@ func (s slowBatchExecutor) TimeAlgorithmBatch(alg *expr.Algorithm, count int, re
 }
 
 // TestQueryBatchFusedDeadlineDegrades pins that the degradation ladder
-// survives the fused path: a batch oracle query whose deadline expires
-// mid-fused-measurement answers min-flops with the degradation stamped,
-// exactly like the per-instance path.
+// survives the fused path: batch oracle queries whose deadline expires
+// mid-fused-measurement answer min-flops with the degradation stamped,
+// exactly like the per-instance path. Two distinct queries make the
+// request a batch, so it takes the fused measurement path.
 func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 	me := exec.NewMeasured()
 	me.FlushBytes = 1 << 20
 	e := New(Config{Executor: slowBatchExecutor{me, 30 * time.Millisecond}, Reps: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	res := e.QueryBatchCtx(ctx, []Query{{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}})
-	if res[0].Err != nil {
-		t.Fatalf("deadline mid-measurement should degrade, got error %v", res[0].Err)
-	}
-	rec := res[0].Record
-	if rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
-		t.Fatalf("degraded record not stamped: %+v", rec)
+	res := e.Do(ctx, Request{Queries: []Query{
+		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"},
+		{Expr: "aatb", Instance: expr.Instance{16, 12, 8}, Strategy: "oracle"},
+	}})
+	for i, r := range res {
+		if r.Err != nil {
+			t.Fatalf("query %d: deadline mid-measurement should degrade, got error %v", i, r.Err)
+		}
+		if rec := r.Record; rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
+			t.Fatalf("query %d: degraded record not stamped: %+v", i, rec)
+		}
 	}
 	if s := e.Stats(); s.FusedQueries != 0 {
 		t.Errorf("fused_queries = %d, want 0 (degraded answer is not fused)", s.FusedQueries)

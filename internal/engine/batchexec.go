@@ -1,6 +1,6 @@
 package engine
 
-// Fused result execution: QueryBatchExecCtx answers a batch of queries
+// Fused result execution: Do with Compute answers a batch of queries
 // AND computes each query's result, routing same-algorithm queries of
 // similar shape through one fused batch plan. Selection goes through
 // the ordinary batched pipeline (coalescing, singleflight, fused timed
@@ -8,12 +8,11 @@ package engine
 // (expression, selected algorithm index, shape octave) so that
 //
 //   - a bucket whose queries bound the exact same algorithm instance
-//     executes through the homogeneous BatchPlan (cached in the plan
-//     LRU), and
+//     executes through a BatchPlan bound to the batched drivers (cached
+//     in the plan LRU), and
 //   - a bucket of mixed instances — same expression, same algorithm
 //     family, shapes within one power-of-two octave per dimension —
-//     executes through a heterogeneous MixedBatchPlan, padded to a
-//     common stride,
+//     executes through a mixed BatchPlan, padded to a common stride,
 //
 // both amortising the per-dispatch fixed costs that dominate the
 // small-instance regime. Buckets that cannot fuse (no batched executor,
@@ -57,15 +56,6 @@ type BatchExecResult struct {
 	// Fused reports whether this result was computed through a fused
 	// batch plan shared with other queries of the same bucket.
 	Fused bool
-}
-
-// fusedPlan is the common surface of the homogeneous BatchPlan and the
-// heterogeneous MixedBatchPlan the execution step drives.
-type fusedPlan interface {
-	FillInputs(*xrand.Rand)
-	SetInput(inst int, id string, src *mat.Dense)
-	Execute()
-	Output(inst int) *mat.Dense
 }
 
 // queryBatchExecCtx answers the queries (through queryBatchCtx: within-
@@ -152,23 +142,21 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
 	}
-	width, minChunk, maxChunk := 0, 0, 0
+	// One fused plan spans up to MaxFusedChunks chunks of the bucket's
+	// narrowest chunk width.
+	minChunk, maxChunk := 0, 0
 	for _, i := range idxs {
-		w, c := be.FuseWidth(algOf[i]), be.FuseChunk(algOf[i])
-		if w < 2 || c < 1 {
-			width = 0
+		c := be.FuseChunk(algOf[i])
+		if c < 1 {
+			minChunk = 0
 			break
-		}
-		if width == 0 || w < width {
-			width = w
 		}
 		if minChunk == 0 || c < minChunk {
 			minChunk = c
 		}
-		if c > maxChunk {
-			maxChunk = c
-		}
+		maxChunk = max(maxChunk, c)
 	}
+	width := minChunk * exec.MaxFusedChunks
 	if width < 2 {
 		e.rejTooBig.Add(uint64(len(idxs)))
 		e.execUnfused(idxs, inputs, algOf, out)
@@ -202,35 +190,23 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
 func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
-	var p fusedPlan
-	if homog {
-		alg := algOf[idxs[0]]
-		if e.plans != nil {
-			bp, err := e.plans.BatchPlan(alg, len(idxs))
-			if err != nil {
-				e.execUnfused(idxs, inputs, algOf, out)
-				return
-			}
-			p = bp
-		} else {
-			bp, err := exec.CompileBatchPlan(alg, len(idxs))
-			if err != nil {
-				e.execUnfused(idxs, inputs, algOf, out)
-				return
-			}
-			p = bp
-		}
-	} else {
+	var p *exec.BatchPlan
+	var err error
+	switch alg := algOf[idxs[0]]; {
+	case homog && e.plans != nil:
+		p, err = e.plans.BatchPlan(alg, len(idxs))
+	case homog:
+		p, err = exec.CompileBatchPlan(alg, len(idxs))
+	default:
 		algs := make([]*expr.Algorithm, len(idxs))
 		for k, i := range idxs {
 			algs[k] = algOf[i]
 		}
-		mp, err := exec.CompileBatchPlanMixed(algs)
-		if err != nil {
-			e.execUnfused(idxs, inputs, algOf, out)
-			return
-		}
-		p = mp
+		p, err = exec.CompileBatchPlanMixed(algs)
+	}
+	if err != nil {
+		e.execUnfused(idxs, inputs, algOf, out)
+		return
 	}
 	// Fill, override, execute, and copy outputs under the execution
 	// lock: cached batch plans are shared and not safe for concurrent
@@ -257,7 +233,7 @@ func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat
 
 // runFused drives one fused plan execution, converting kernel panics
 // (shape mismatches, non-SPD operands) into an error.
-func runFused(p fusedPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm) (failed error) {
+func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
 			failed = fmt.Errorf("engine: fused execution failed: %v", r)

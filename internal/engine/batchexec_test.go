@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"lamb/internal/exec"
@@ -42,7 +43,7 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	for i := range inputs {
 		inputs[i] = randomInputs(&algs[0], rng)
 	}
-	res := e.QueryBatchExec(qs, inputs)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
 	if len(res) != n {
 		t.Fatalf("got %d results, want %d", len(res), n)
 	}
@@ -97,7 +98,7 @@ func TestQueryBatchExecFusedMixed(t *testing.T) {
 		sels[i] = algs
 		inputs[i] = randomInputs(&algs[0], rng)
 	}
-	res := e.QueryBatchExec(qs, inputs)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
 	sameIdx := true
 	for _, r := range res[1:] {
 		if r.Err == nil && r.Record.Selected.Index != res[0].Record.Selected.Index {
@@ -138,8 +139,8 @@ func TestQueryBatchExecDefaultFillDeterministic(t *testing.T) {
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 	}
-	a := e.QueryBatchExec(qs, nil)
-	b := e.QueryBatchExec(qs, nil)
+	a := e.Do(context.Background(), Request{Queries: qs, Compute: true})
+	b := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i := range a {
 		if a[i].Err != nil || b[i].Err != nil {
 			t.Fatalf("query %d: %v / %v", i, a[i].Err, b[i].Err)
@@ -159,7 +160,7 @@ func TestQueryBatchExecRejectUnregistered(t *testing.T) {
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
 	}
-	res := e.QueryBatchExec(qs, nil)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -200,7 +201,7 @@ func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
 		{Expr: "aatb", Instance: inst},
 		{Expr: "aatb", Instance: inst},
 	}
-	res := e.QueryBatchExec(qs, nil)
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)

@@ -1,10 +1,8 @@
 package engine
 
-// Do is the engine's single entry point, replacing the six historical
-// Query* methods: one request struct selects the per-instance path, the
-// batched path, or batched execution, and the deadline is whatever the
-// caller's context carries. The old names remain below as thin
-// deprecated wrappers so existing call sites migrate incrementally.
+// Do is the engine's single entry point: one request struct selects the
+// per-instance path, the batched path, or batched execution, and the
+// deadline is whatever the caller's context carries.
 
 import (
 	"context"
@@ -68,51 +66,4 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		}
 		return out
 	}
-}
-
-// Query answers one selection request with no deadline.
-//
-// Deprecated: use Do.
-func (e *Engine) Query(q Query) (*Record, error) {
-	return e.QueryCtx(context.Background(), q)
-}
-
-// QueryCtx answers one selection request under the caller's context.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryCtx(ctx context.Context, q Query) (*Record, error) {
-	return e.queryCtx(ctx, q, false)
-}
-
-// QueryBatch answers the queries concurrently with no deadline.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryBatch(qs []Query) []BatchResult {
-	return e.QueryBatchCtx(context.Background(), qs)
-}
-
-// QueryBatchCtx answers the queries concurrently under one shared
-// context. Note the historical single-element semantics this wrapper
-// preserves: a one-query batch still runs with fused measurement
-// enabled, unlike a one-query Do request.
-//
-// Deprecated: use Do.
-func (e *Engine) QueryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
-	return e.queryBatchCtx(ctx, qs)
-}
-
-// QueryBatchExec answers the queries and computes their results with no
-// deadline.
-//
-// Deprecated: use Do with Compute set.
-func (e *Engine) QueryBatchExec(qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	return e.QueryBatchExecCtx(context.Background(), qs, inputs)
-}
-
-// QueryBatchExecCtx answers the queries and computes each query's
-// result under the caller's context.
-//
-// Deprecated: use Do with Compute set.
-func (e *Engine) QueryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	return e.queryBatchExecCtx(ctx, qs, inputs)
 }

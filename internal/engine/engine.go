@@ -16,7 +16,7 @@
 //     (lamb/internal/exec.PlanCache) shared with the measured executor,
 //     keyed by the bound algorithm, so timing-based strategies never
 //     recompile a plan for a cached (algorithm, instance) pair.
-//   - serving layer: Query and QueryBatch apply a selection strategy
+//   - serving layer: Do applies a selection strategy
 //     (lamb/internal/selection) and deduplicate concurrent identical
 //     queries with a singleflight, producing the machine-readable
 //     Record that both `lamb select -json` and `lamb serve` emit.
@@ -198,7 +198,7 @@ type Stats struct {
 	// BatchPlans counts execution-layer fused batch-plan lookups
 	// (measured backend only; zero-valued on the simulated backend).
 	BatchPlans cache.Stats `json:"batch_plans"`
-	// Queries counts Query calls; Deduped counts those answered by an
+	// Queries counts answered queries; Deduped counts those answered by an
 	// in-flight identical query (singleflight hits).
 	Queries uint64 `json:"queries"`
 	Deduped uint64 `json:"deduped"`
@@ -208,7 +208,7 @@ type Stats struct {
 	// FusedQueries counts queries that went through a fused batched
 	// path: timed batch queries measured through fused plans, and batch
 	// queries whose result was computed through a shared fused plan
-	// (QueryBatchExecCtx).
+	// (Do with Compute).
 	FusedQueries uint64 `json:"fused_queries"`
 	// FuseRejected counts queries that could not take a fused path, by
 	// reason.
@@ -872,7 +872,7 @@ func (e *Engine) chooseTimedFused(ctx context.Context, algs []expr.Algorithm, wi
 	return best, nil
 }
 
-// batchWorkers bounds QueryBatch's concurrency.
+// batchWorkers bounds a batch request's concurrency.
 func batchWorkers(n int) int {
 	w := runtime.GOMAXPROCS(0) * 2
 	if w < 4 {

@@ -13,6 +13,12 @@ import (
 	"lamb/internal/xrand"
 )
 
+// ask answers one query through Do, returning its record and error.
+func ask(ctx context.Context, e *Engine, q Query) (*Record, error) {
+	r := e.Do(ctx, Request{Queries: []Query{q}})[0]
+	return r.Record, r.Err
+}
+
 // TestEngineCachedSetsMatchDirectProperty asserts the binding layer is
 // transparent: for every registered expression and randomized
 // instances, the engine-cached algorithm set is identical — index,
@@ -57,14 +63,14 @@ func TestEngineRepeatQueriesHitAllCacheLayers(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
 
-	first, err := e.Query(q)
+	first, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := e.Stats()
 	enums := ir.Enumerations()
 
-	second, err := e.Query(q)
+	second, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,7 @@ func TestEngineRepeatQueriesHitAllCacheLayers(t *testing.T) {
 // minimum and the lowest index wins.
 func TestEngineQueryRecordMinFlops(t *testing.T) {
 	e := New(Config{})
-	rec, err := e.Query(Query{Expr: "AATB", Instance: expr.Instance{80, 514, 768}})
+	rec, err := ask(context.Background(), e, Query{Expr: "AATB", Instance: expr.Instance{80, 514, 768}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,21 +135,21 @@ func TestEngineQueryRecordMinFlops(t *testing.T) {
 // bad instance, unknown strategy.
 func TestEngineQueryErrors(t *testing.T) {
 	e := New(Config{})
-	if _, err := e.Query(Query{Expr: "nope", Instance: expr.Instance{1, 2, 3}}); err == nil {
+	if _, err := ask(context.Background(), e, Query{Expr: "nope", Instance: expr.Instance{1, 2, 3}}); err == nil {
 		t.Error("unknown expression accepted")
 	}
-	if _, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{1, 2}}); err == nil {
+	if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{1, 2}}); err == nil {
 		t.Error("wrong arity accepted")
 	}
-	if _, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{0, 2, 3}}); err == nil {
+	if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{0, 2, 3}}); err == nil {
 		t.Error("non-positive dimension accepted")
 	}
-	if _, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{4, 5, 6}, Strategy: "magic"}); err == nil {
+	if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{4, 5, 6}, Strategy: "magic"}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 	// min-predicted requires profiles: without them the answer degrades
 	// to min-flops with the record stamped, rather than erroring.
-	rec, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{4, 5, 6}, Strategy: "min-predicted"})
+	rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{4, 5, 6}, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatalf("min-predicted without profiles: %v", err)
 	}
@@ -171,7 +177,7 @@ func TestEngineRegisterCustomExpression(t *testing.T) {
 	if err := e.Register(g); err == nil {
 		t.Fatal("duplicate registration accepted")
 	}
-	rec, err := e.Query(Query{Expr: "Custom-AB", Instance: expr.Instance{3, 4, 5}})
+	rec, err := ask(context.Background(), e, Query{Expr: "Custom-AB", Instance: expr.Instance{3, 4, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +249,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 				for d := range inst {
 					inst[d] = rng.IntRange(2, 200)
 				}
-				rec, err := e.Query(Query{Expr: name, Instance: inst})
+				rec, err := ask(context.Background(), e, Query{Expr: name, Instance: inst})
 				if err != nil {
 					t.Errorf("%s %v: %v", name, inst, err)
 					return
@@ -272,7 +278,7 @@ func TestEngineConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestEngineConcurrentBatch exercises QueryBatch under -race, mixing
+// TestEngineConcurrentBatch exercises batch Do requests under -race, mixing
 // valid and invalid queries and checking order preservation.
 func TestEngineConcurrentBatch(t *testing.T) {
 	e := New(Config{})
@@ -287,7 +293,7 @@ func TestEngineConcurrentBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res := e.QueryBatch(qs)
+			res := e.Do(context.Background(), Request{Queries: qs})
 			if len(res) != len(qs) {
 				t.Errorf("got %d results", len(res))
 				return
@@ -327,7 +333,7 @@ func TestEngineSingleflightDedup(t *testing.T) {
 
 	done := make(chan *Record, 1)
 	go func() {
-		rec, err := e.Query(q)
+		rec, err := ask(context.Background(), e, q)
 		if err != nil {
 			t.Error(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -34,11 +35,11 @@ func TestEngineAdaptiveSwitchesAfterContradictingFeedback(t *testing.T) {
 	inst := expr.Instance{80, 514, 768}
 	adaptive := Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"}
 
-	base, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+	base, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Query(adaptive)
+	first, err := ask(context.Background(), e, adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestEngineAdaptiveSwitchesAfterContradictingFeedback(t *testing.T) {
 			}
 		}
 	}
-	second, err := e.Query(adaptive)
+	second, err := ask(context.Background(), e, adaptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestEngineAdaptiveSwitchesAfterContradictingFeedback(t *testing.T) {
 		t.Fatalf("adaptive ignored contradicting feedback, still picks %d", second.Selected.Index)
 	}
 	// Other strategies are unaffected by feedback.
-	after, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+	after, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestEngineAdaptiveNearestNeighbour(t *testing.T) {
 	near := expr.Instance{84, 530, 750} // a few percent away per dim
 	far := expr.Instance{400, 100, 160} // several log-units away
 
-	base, err := e.Query(Query{Expr: "aatb", Instance: fed, Strategy: "adaptive"})
+	base, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: fed, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,18 +116,18 @@ func TestEngineAdaptiveNearestNeighbour(t *testing.T) {
 			}
 		}
 	}
-	nearRec, err := e.Query(Query{Expr: "aatb", Instance: near, Strategy: "adaptive"})
+	nearRec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: near, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if nearRec.Selected.Index == base.Selected.Index {
 		t.Fatal("nearby instance did not reuse recorded outcomes")
 	}
-	farBase, err := e.Query(Query{Expr: "aatb", Instance: far, Strategy: "min-predicted"})
+	farBase, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: far, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	farRec, err := e.Query(Query{Expr: "aatb", Instance: far, Strategy: "adaptive"})
+	farRec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: far, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestEngineFeedbackValidation(t *testing.T) {
 
 func TestEngineAdaptiveUnavailableWithoutProfiles(t *testing.T) {
 	e := New(Config{})
-	rec, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{10, 20, 30}, Strategy: "adaptive"})
+	rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{10, 20, 30}, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestEngineFeedbackQueryTouchPreventsEviction(t *testing.T) {
 	}
 	for i := 0; i < 12; i++ {
 		// The adaptive query touches the hot record...
-		if _, err := e.Query(Query{Expr: "aatb", Instance: hot, Strategy: "adaptive"}); err != nil {
+		if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: hot, Strategy: "adaptive"}); err != nil {
 			t.Fatal(err)
 		}
 		// ...so churning feedback on distant throwaway instances evicts
@@ -286,7 +287,7 @@ func TestEngineFeedbackQueryConcurrentRace(t *testing.T) {
 						errs <- err
 					}
 				case 1:
-					if _, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"}); err != nil {
+					if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"}); err != nil {
 						errs <- err
 					}
 				default:

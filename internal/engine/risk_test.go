@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -42,7 +43,7 @@ func checkRanking(t *testing.T, rec *Record) {
 // nothing is anomalous.
 func TestEngineRecordCarriesRanking(t *testing.T) {
 	e := New(Config{})
-	rec, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{80, 514, 768}})
+	rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{80, 514, 768}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestEngineRecordCarriesRanking(t *testing.T) {
 // queries against identical evidence produce identical rankings, the
 // property the dedup layers and the serve round-trip test rely on.
 func TestEngineRankingDeterministic(t *testing.T) {
-	a, err := New(Config{}).Query(Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
+	a, err := ask(context.Background(), New(Config{}), Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(Config{}).Query(Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
+	b, err := ask(context.Background(), New(Config{}), Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestEngineAnomalyOctaveFlip(t *testing.T) {
 	inst := expr.Instance{80, 514, 768}
 	octaveUp := expr.Instance{160, 1028, 1536}
 
-	base, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
+	base, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestEngineAnomalyOctaveFlip(t *testing.T) {
 			}
 		}
 	}
-	flipped, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	flipped, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestEngineAnomalyOctaveFlip(t *testing.T) {
 	// The flag is evidence-driven, not strategy-driven: a min-flops query
 	// at the same instance still *selects* by FLOPs but reports the same
 	// contradiction.
-	minRec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
+	minRec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestEngineAnomalyOctaveFlip(t *testing.T) {
 	}
 	// An octave away the evidence is out of range: no anomaly, and the
 	// prediction-backed ranking stays confidently with its own pick.
-	farRec, err := e.Query(Query{Expr: "aatb", Instance: octaveUp, Strategy: "adaptive"})
+	farRec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: octaveUp, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestEngineThompsonExplorationFeedsBack(t *testing.T) {
 	e := profiledEngine(t, Config{ExploreRate: 1}) // every eligible answer explores
 	inst := expr.Instance{80, 514, 768}
 
-	base, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
+	base, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestEngineThompsonExplorationFeedsBack(t *testing.T) {
 	// prior's pick — the draws are seeded, so this loop is deterministic.
 	explored := 0
 	for i := 0; i < 500; i++ {
-		rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+		rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +201,7 @@ func TestEngineThompsonExplorationFeedsBack(t *testing.T) {
 	// explored algorithm first, so the ranking head — and, with the
 	// evidence this lopsided, the Thompson draw itself — lands on a
 	// non-min-FLOPs algorithm.
-	rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestEngineExplorationDisabledByDefault(t *testing.T) {
 	e := profiledEngine(t, Config{})
 	inst := expr.Instance{80, 514, 768}
 	for i := 0; i < 20; i++ {
-		rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+		rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,7 +240,7 @@ func TestEngineExplorationNeverUnderDegradation(t *testing.T) {
 	e := New(Config{ExploreRate: 1}) // no profiles: adaptive degrades
 	inst := expr.Instance{80, 514, 768}
 	for i := 0; i < 10; i++ {
-		rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+		rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,14 +278,14 @@ func TestEngineRiskConcurrentRace(t *testing.T) {
 						errs <- err
 					}
 				case 1:
-					rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+					rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 					if err != nil {
 						errs <- err
 					} else if len(rec.Ranking) != rec.NumAlgorithms {
 						errs <- fmt.Errorf("ranking %d entries for %d algorithms", len(rec.Ranking), rec.NumAlgorithms)
 					}
 				default:
-					rec, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
+					rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-flops"})
 					if err != nil {
 						errs <- err
 					} else if rec.Confidence < 0 || rec.Confidence > 1 {

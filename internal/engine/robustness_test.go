@@ -20,7 +20,7 @@ import (
 func TestEngineReloadProfilesSwapsProvenance(t *testing.T) {
 	e := profiledEngine(t, Config{})
 	inst := expr.Instance{80, 514, 768}
-	before, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+	before, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestEngineReloadProfilesSwapsProvenance(t *testing.T) {
 	if gen != 2 {
 		t.Fatalf("reload returned generation %d, want 2", gen)
 	}
-	after, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+	after, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestEngineReloadProfilesEnablesStrategies(t *testing.T) {
 	e := New(Config{})
 	inst := expr.Instance{80, 514, 768}
 	q := Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"}
-	rec, err := e.Query(q)
+	rec, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestEngineReloadProfilesEnablesStrategies(t *testing.T) {
 	timer := exec.NewTimer(exec.NewDefaultSimulated())
 	timer.Reps = 2
 	e.ReloadProfiles(profile.MeasureSet(timer, 3), profile.Meta{Source: "p.json"})
-	rec, err = e.Query(q)
+	rec, err = ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestEngineQueryCtxExpiredFailsFast(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := e.QueryCtx(ctx, Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}, Strategy: "oracle"})
+	_, err := ask(ctx, e, Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}, Strategy: "oracle"})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -125,7 +125,7 @@ func TestEngineDeadlineDegradesTimedStrategy(t *testing.T) {
 	e := New(Config{Executor: slowExecutor{exec.NewDefaultSimulated(), 30 * time.Millisecond}, Reps: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
-	rec, err := e.QueryCtx(ctx, Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}, Strategy: "oracle"})
+	rec, err := ask(ctx, e, Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}, Strategy: "oracle"})
 	if err != nil {
 		t.Fatalf("deadline mid-measurement should degrade, got error %v", err)
 	}
@@ -133,7 +133,7 @@ func TestEngineDeadlineDegradesTimedStrategy(t *testing.T) {
 		t.Fatalf("degraded record not stamped: %+v", rec)
 	}
 	// The degraded answer is the min-flops answer.
-	want, err := e.Query(Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}})
+	want, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: expr.Instance{40, 50, 60}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestEngineQueryCtxWaiterAbandonsSlowLeader(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := e.QueryCtx(ctx, q)
+	_, err := ask(ctx, e, q)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -182,7 +182,7 @@ func TestEngineQueryCtxWaiterAbandonsSlowLeader(t *testing.T) {
 func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 	e := profiledEngine(t, Config{})
 	inst := expr.Instance{80, 514, 768}
-	base, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	base, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 			}
 		}
 	}
-	steered, err := e.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	steered, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 	if s.FeedbackRestored != uint64(base.NumAlgorithms) || s.FeedbackInstances != 1 {
 		t.Fatalf("restore counters %+v", s)
 	}
-	rec, err := e2.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	rec, err := ask(context.Background(), e2, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 func TestEngineMergeOutcomes(t *testing.T) {
 	a := profiledEngine(t, Config{})
 	inst := expr.Instance{80, 514, 768}
-	base, err := a.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	base, err := ask(context.Background(), a, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestEngineMergeOutcomes(t *testing.T) {
 			}
 		}
 	}
-	steered, err := a.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	steered, err := ask(context.Background(), a, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestEngineMergeOutcomes(t *testing.T) {
 	if merged != base.NumAlgorithms || skipped != 0 {
 		t.Fatalf("merged %d skipped %d, want %d/0", merged, skipped, base.NumAlgorithms)
 	}
-	rec, err := b.Query(Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
+	rec, err := ask(context.Background(), b, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}

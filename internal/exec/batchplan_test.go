@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"lamb/internal/blas"
@@ -13,12 +14,13 @@ import (
 
 // TestBatchPlanMatchesSequential pins the tentpole equivalence: a fused
 // batch execution produces bitwise-identical results to running the
-// single-instance plan once per instance from the same fill stream, for
-// every algorithm of every registered expression at a random small
-// instance — at blas worker caps 1, 2, and 4, so the parallel batched
-// drivers are held to the same bitwise standard as the serial ones, and
-// at a batch wider than one fused chunk (72 > 64), so the chunked
-// regime is covered too.
+// single-instance plan once per instance from the same fill stream —
+// for a batch of one (serial kernels) and a homogeneous batch (batched
+// drivers) — for every algorithm of every registered expression at a
+// random small instance. It runs at blas worker caps 1, 2, and 4, so
+// the parallel batched drivers are held to the same bitwise standard as
+// the serial ones, and with a batch wider than one fused chunk
+// (72 > 64), so the chunked regime is covered too.
 func TestBatchPlanMatchesSequential(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(0))
 	for _, workers := range []int{1, 2, 4} {
@@ -29,36 +31,23 @@ func TestBatchPlanMatchesSequential(t *testing.T) {
 			count = 72 // wider than one chunk: exercises partitioning + chunk sweep
 		}
 		for _, name := range expr.Names() {
-			ex, err := expr.Lookup(name)
-			if err != nil {
-				t.Fatalf("lookup %q: %v", name, err)
-			}
-			inst := make(expr.Instance, ex.Arity())
-			for i := range inst {
-				inst[i] = 5 + rng.Intn(28)
-			}
-			algs := ex.Algorithms(inst)
-			for i := range algs {
-				alg := &algs[i]
-				bp, err := CompileBatchPlan(alg, count)
+			algs := randomAlgorithmSets(t, rng, name, 1)[0]
+			for ai := range algs {
+				alg := &algs[ai]
+				homog := make([]*expr.Algorithm, count)
+				for k := range homog {
+					homog[k] = alg
+				}
+				label := fmt.Sprintf("%s/%s workers=%d", name, alg.Name, workers)
+				bp, err := CompileBatchPlan(alg, 1)
 				if err != nil {
-					t.Fatalf("%s/%s %v: CompileBatchPlan: %v", name, alg.Name, inst, err)
+					t.Fatalf("%s single: CompileBatchPlan: %v", label, err)
 				}
-				sp, err := CompilePlan(alg)
-				if err != nil {
-					t.Fatalf("%s/%s: CompilePlan: %v", name, alg.Name, err)
+				checkBatchMatchesSequential(t, label+" single", bp, homog[:1])
+				if bp, err = CompileBatchPlan(alg, count); err != nil {
+					t.Fatalf("%s homogeneous: CompileBatchPlan: %v", label, err)
 				}
-				fused, seq := xrand.New(0xf111), xrand.New(0xf111)
-				bp.FillInputs(fused)
-				bp.Execute()
-				for inst := 0; inst < count; inst++ {
-					sp.FillInputs(seq)
-					sp.Execute()
-					if !mat.Equal(sp.Output(), bp.Output(inst)) {
-						t.Errorf("%s/%s %v workers=%d: fused instance %d differs from sequential execution",
-							name, alg.Name, inst, workers, inst)
-					}
-				}
+				checkBatchMatchesSequential(t, label+" homogeneous", bp, homog)
 			}
 		}
 	}
@@ -69,50 +58,74 @@ func TestBatchPlanMatchesSequential(t *testing.T) {
 // family, instances of different shapes padded to a common stride)
 // produces bitwise-identical per-instance results to compiling and
 // executing each instance's single plan from the same fill stream, for
-// every algorithm of every registered expression.
+// every algorithm of every registered expression, at blas worker caps
+// 1, 2, and 4.
 func TestMixedBatchPlanMatchesSequential(t *testing.T) {
-	rng := xrand.New(0x3417ed)
 	const count = 5
-	for _, name := range expr.Names() {
-		ex, err := expr.Lookup(name)
-		if err != nil {
-			t.Fatalf("lookup %q: %v", name, err)
-		}
-		// Bind the same expression at count different small instances.
-		sets := make([][]expr.Algorithm, count)
-		for j := range sets {
-			inst := make(expr.Instance, ex.Arity())
-			for i := range inst {
-				inst[i] = 5 + rng.Intn(28)
-			}
-			sets[j] = ex.Algorithms(inst)
-		}
-		for ai := range sets[0] {
-			mixed := make([]*expr.Algorithm, count)
-			for j := range mixed {
-				mixed[j] = &sets[j][ai]
-			}
-			mp, err := CompileBatchPlanMixed(mixed)
-			if err != nil {
-				t.Fatalf("%s alg %d: CompileBatchPlanMixed: %v", name, ai, err)
-			}
-			if mp.Stride()%batchAlign != 0 {
-				t.Errorf("%s alg %d: mixed stride %d not %d-aligned", name, ai, mp.Stride(), batchAlign)
-			}
-			fused, seq := xrand.New(0x5eed5), xrand.New(0x5eed5)
-			mp.FillInputs(fused)
-			mp.Execute()
-			for j := 0; j < count; j++ {
-				sp, err := CompilePlan(mixed[j])
+	defer blas.SetMaxWorkers(blas.SetMaxWorkers(0))
+	for _, workers := range []int{1, 2, 4} {
+		blas.SetMaxWorkers(workers)
+		rng := xrand.New(0x3417ed)
+		for _, name := range expr.Names() {
+			sets := randomAlgorithmSets(t, rng, name, count)
+			for ai := range sets[0] {
+				mixed := make([]*expr.Algorithm, count)
+				for j := range mixed {
+					mixed[j] = &sets[j][ai]
+				}
+				label := fmt.Sprintf("%s/%s mixed workers=%d", name, sets[0][ai].Name, workers)
+				mp, err := CompileBatchPlanMixed(mixed)
 				if err != nil {
-					t.Fatalf("%s alg %d inst %d: CompilePlan: %v", name, ai, j, err)
+					t.Fatalf("%s: CompileBatchPlanMixed: %v", label, err)
 				}
-				sp.FillInputs(seq)
-				sp.Execute()
-				if !mat.Equal(sp.Output(), mp.Output(j)) {
-					t.Errorf("%s alg %d: mixed instance %d differs from sequential execution", name, ai, j)
+				if mp.Stride()%batchAlign != 0 {
+					t.Errorf("%s: stride %d not %d-aligned", label, mp.Stride(), batchAlign)
 				}
+				checkBatchMatchesSequential(t, label, mp, mixed)
 			}
+		}
+	}
+}
+
+// randomAlgorithmSets binds the named expression at n random small
+// instances and returns each instance's algorithm set.
+func randomAlgorithmSets(t *testing.T, rng *xrand.Rand, name string, n int) [][]expr.Algorithm {
+	t.Helper()
+	ex, err := expr.Lookup(name)
+	if err != nil {
+		t.Fatalf("lookup %q: %v", name, err)
+	}
+	sets := make([][]expr.Algorithm, n)
+	for j := range sets {
+		inst := make(expr.Instance, ex.Arity())
+		for i := range inst {
+			inst[i] = 5 + rng.Intn(28)
+		}
+		sets[j] = ex.Algorithms(inst)
+	}
+	return sets
+}
+
+// checkBatchMatchesSequential fills and executes bp, then replays each
+// instance of algs through its single-instance plan from the same fill
+// stream and requires bitwise-identical outputs.
+func checkBatchMatchesSequential(t *testing.T, label string, bp *BatchPlan, algs []*expr.Algorithm) {
+	t.Helper()
+	fused, seq := xrand.New(0xf111), xrand.New(0xf111)
+	bp.FillInputs(fused)
+	bp.Execute()
+	var sp *Plan
+	for k, a := range algs {
+		if sp == nil || a != algs[k-1] {
+			var err error
+			if sp, err = CompilePlan(a); err != nil {
+				t.Fatalf("%s: CompilePlan: %v", label, err)
+			}
+		}
+		sp.FillInputs(seq)
+		sp.Execute()
+		if !mat.Equal(sp.Output(), bp.Output(k)) {
+			t.Errorf("%s: instance %d differs from sequential execution", label, k)
 		}
 	}
 }
@@ -198,11 +211,13 @@ func TestBatchPlanArenaLayout(t *testing.T) {
 }
 
 // TestMeasuredTimeAlgorithmBatchZeroAllocs extends the zero-alloc
-// guarantee to the fused batched path: after the batch plan is compiled
-// (first repetition), a fused batch repetition — refill all instances,
-// flush, execute every batched call — performs zero heap allocations,
-// serial and through the parallel tier alike (the persistent workers
-// and pooled job descriptors keep the parallel dispatch alloc-free).
+// guarantee to the fused batched paths: after the batch plan is
+// compiled (first repetition), a fused batch repetition — refill all
+// instances, flush, execute every batched call — performs zero heap
+// allocations, serial and through the parallel tier alike (the
+// persistent workers and pooled job descriptors keep the parallel
+// dispatch alloc-free). A mixed plan's fill and Execute are held to the
+// same standard.
 func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
@@ -210,27 +225,46 @@ func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20
+	type allocCase struct {
+		label string
+		rep   func()
+	}
+	var cases []allocCase
+	for _, tc := range []struct {
+		name      string
+		algs, alt []expr.Algorithm
+		count     int
+	}{
+		{"chain", expr.NewChainABCD().Algorithms(expr.Instance{24, 16, 20, 12, 8}),
+			expr.NewChainABCD().Algorithms(expr.Instance{20, 18, 16, 10, 12}), 8},
+		{"aatb", expr.NewAATB().Algorithms(expr.Instance{24, 16, 8}),
+			expr.NewAATB().Algorithms(expr.Instance{20, 12, 8}), 16},
+		{"lstsq", expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8}),
+			expr.NewLstSq().Algorithms(expr.Instance{28, 12, 8}), 8},
+	} {
+		for i := range tc.algs {
+			alg, count := &tc.algs[i], tc.count
+			cases = append(cases, allocCase{
+				fmt.Sprintf("%s algorithm %d (%s)", tc.name, alg.Index, alg.Name),
+				func() { e.TimeAlgorithmBatch(alg, count, 1) },
+			})
+			mp, err := CompileBatchPlanMixed([]*expr.Algorithm{alg, &tc.alt[i], alg})
+			if err != nil {
+				t.Fatalf("%s algorithm %d: CompileBatchPlanMixed: %v", tc.name, alg.Index, err)
+			}
+			rng := xrand.New(0x3417ed)
+			cases = append(cases, allocCase{
+				fmt.Sprintf("%s algorithm %d (%s) mixed fill+execute", tc.name, alg.Index, alg.Name),
+				func() { mp.FillInputs(rng); mp.Execute() },
+			})
+		}
+	}
 	for _, workers := range []int{1, 2} {
 		blas.SetMaxWorkers(workers)
-		for _, tc := range []struct {
-			name  string
-			algs  []expr.Algorithm
-			count int
-		}{
-			{"chain", expr.NewChainABCD().Algorithms(expr.Instance{24, 16, 20, 12, 8}), 8},
-			{"aatb", expr.NewAATB().Algorithms(expr.Instance{24, 16, 8}), 16},
-			{"lstsq", expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8}), 8},
-		} {
-			for i := range tc.algs {
-				alg := &tc.algs[i]
-				e.TimeAlgorithmBatch(alg, tc.count, 0) // compile the plan, warm pools + workers
-				allocs := testing.AllocsPerRun(10, func() {
-					e.TimeAlgorithmBatch(alg, tc.count, 1)
-				})
-				if allocs != 0 {
-					t.Errorf("workers=%d %s algorithm %d (%s): %v allocs per fused batch repetition, want 0",
-						workers, tc.name, alg.Index, alg.Name, allocs)
-				}
+		for _, c := range cases {
+			c.rep() // compile the plan, warm pools + workers
+			if allocs := testing.AllocsPerRun(10, c.rep); allocs != 0 {
+				t.Errorf("workers=%d %s: %v allocs per fused batch repetition, want 0", workers, c.label, allocs)
 			}
 		}
 	}
@@ -246,8 +280,8 @@ func TestMeasuredFuseWidth(t *testing.T) {
 	if w := e.FuseChunk(&small[0]); w != 64 {
 		t.Errorf("FuseChunk(8-dim aatb) = %d, want the 64 chunk cap", w)
 	}
-	if w := e.FuseWidth(&small[0]); w != 64*maxFusedChunks {
-		t.Errorf("FuseWidth(8-dim aatb) = %d, want chunk·maxFusedChunks = %d", w, 64*maxFusedChunks)
+	if w := e.FuseWidth(&small[0]); w != 64*MaxFusedChunks {
+		t.Errorf("FuseWidth(8-dim aatb) = %d, want chunk·MaxFusedChunks = %d", w, 64*MaxFusedChunks)
 	}
 	big := expr.NewAATB().Algorithms(expr.Instance{1200, 1200, 1200})
 	if w := e.FuseChunk(&big[0]); w != 0 {
@@ -273,6 +307,9 @@ func TestMeasureAlgorithmBatchCtx(t *testing.T) {
 	}
 	if m.Total <= 0 || len(m.PerCall) != len(alg.Calls) {
 		t.Errorf("measurement %+v malformed", m)
+	}
+	if _, err := timer.MeasureAlgorithmBatchCtx(context.Background(), alg, 0); err == nil {
+		t.Error("zero-instance fused measurement accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

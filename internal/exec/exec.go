@@ -53,14 +53,11 @@ type Executor interface {
 // costs to amortise — so callers type-assert and fall back to the
 // per-instance path.
 type BatchExecutor interface {
-	// FuseWidth reports the total number of instances of alg one fused
-	// batch plan may carry (possibly spanning several chunks), or 0 if
-	// the algorithm is outside the fused regime.
-	FuseWidth(alg *expr.Algorithm) int
 	// FuseChunk reports the chunk width: how many instances one packed
 	// sweep — and one fused measurement repetition — should execute
 	// together, so the chunk's working set stays within the slab budget.
-	// 0 means out of the fused regime.
+	// 0 means out of the fused regime. One fused plan may span up to
+	// MaxFusedChunks chunks.
 	FuseChunk(alg *expr.Algorithm) int
 	// TimeAlgorithmBatch runs one fused repetition of the algorithm over
 	// count instances after a cache flush and returns per-call times
@@ -91,25 +88,7 @@ func NewTimer(e Executor) *Timer { return &Timer{Exec: e, Reps: 10} }
 // MeasureAlgorithm times the algorithm, returning the median total and
 // median per-call times.
 func (t *Timer) MeasureAlgorithm(alg *expr.Algorithm) Measurement {
-	reps := t.reps()
-	totals := make([]float64, reps)
-	perCall := make([][]float64, len(alg.Calls))
-	for i := range perCall {
-		perCall[i] = make([]float64, reps)
-	}
-	for r := 0; r < reps; r++ {
-		times := t.Exec.TimeAlgorithm(alg, uint64(r))
-		var sum float64
-		for i, ct := range times {
-			perCall[i][r] = ct
-			sum += ct
-		}
-		totals[r] = sum
-	}
-	m := Measurement{Total: stats.Median(totals), PerCall: make([]float64, len(alg.Calls))}
-	for i := range perCall {
-		m.PerCall[i] = stats.Median(perCall[i])
-	}
+	m, _ := t.MeasureAlgorithmCtx(context.Background(), alg) // never cancelled
 	return m
 }
 
@@ -120,29 +99,9 @@ func (t *Timer) MeasureAlgorithm(alg *expr.Algorithm) Measurement {
 // within one repetition's duration. On cancellation the partial
 // measurement is discarded and ctx.Err() returned.
 func (t *Timer) MeasureAlgorithmCtx(ctx context.Context, alg *expr.Algorithm) (Measurement, error) {
-	reps := t.reps()
-	totals := make([]float64, reps)
-	perCall := make([][]float64, len(alg.Calls))
-	for i := range perCall {
-		perCall[i] = make([]float64, reps)
-	}
-	for r := 0; r < reps; r++ {
-		if err := ctx.Err(); err != nil {
-			return Measurement{}, err
-		}
-		times := t.Exec.TimeAlgorithm(alg, uint64(r))
-		var sum float64
-		for i, ct := range times {
-			perCall[i][r] = ct
-			sum += ct
-		}
-		totals[r] = sum
-	}
-	m := Measurement{Total: stats.Median(totals), PerCall: make([]float64, len(alg.Calls))}
-	for i := range perCall {
-		m.PerCall[i] = stats.Median(perCall[i])
-	}
-	return m, nil
+	return t.measure(ctx, alg, 1, func(r int) []float64 {
+		return t.Exec.TimeAlgorithm(alg, uint64(r))
+	})
 }
 
 // MeasureAlgorithmBatchCtx measures the algorithm through the fused
@@ -150,13 +109,27 @@ func (t *Timer) MeasureAlgorithmCtx(ctx context.Context, alg *expr.Algorithm) (M
 // plan, and the reported measurement is per instance (batch totals
 // divided by count), so it is directly comparable to MeasureAlgorithm.
 // The context is checked between repetitions, like MeasureAlgorithmCtx.
-// The executor must implement BatchExecutor and count must be within
-// its fuse width; callers check FuseWidth first.
+// The executor must implement BatchExecutor, count must be at least 1,
+// and count should be within one fused plan's width (FuseChunk ×
+// MaxFusedChunks).
 func (t *Timer) MeasureAlgorithmBatchCtx(ctx context.Context, alg *expr.Algorithm, count int) (Measurement, error) {
 	be, ok := t.Exec.(BatchExecutor)
 	if !ok {
 		return Measurement{}, fmt.Errorf("exec: %s cannot execute fused batches", t.Exec.Name())
 	}
+	if count < 1 {
+		return Measurement{}, fmt.Errorf("exec: fused measurement needs count >= 1, got %d", count)
+	}
+	return t.measure(ctx, alg, count, func(r int) []float64 {
+		return be.TimeAlgorithmBatch(alg, count, uint64(r))
+	})
+}
+
+// measure is the paper's protocol over one repetition function: Reps
+// repetitions, each returning per-call times covering count instances,
+// reduced to per-instance medians. The context is checked between
+// repetitions.
+func (t *Timer) measure(ctx context.Context, alg *expr.Algorithm, count int, rep func(r int) []float64) (Measurement, error) {
 	reps := t.reps()
 	totals := make([]float64, reps)
 	perCall := make([][]float64, len(alg.Calls))
@@ -168,9 +141,8 @@ func (t *Timer) MeasureAlgorithmBatchCtx(ctx context.Context, alg *expr.Algorith
 		if err := ctx.Err(); err != nil {
 			return Measurement{}, err
 		}
-		times := be.TimeAlgorithmBatch(alg, count, uint64(r))
 		var sum float64
-		for i, ct := range times {
+		for i, ct := range rep(r) {
 			perCall[i][r] = ct * inv
 			sum += ct * inv
 		}

@@ -154,12 +154,12 @@ func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 // least two slabs in the budget are not fused at all.
 const batchSlabFloats = (4 << 20) / 8
 
-// maxFusedChunks bounds how many chunk widths one fused batch plan may
+// MaxFusedChunks bounds how many chunk widths one fused batch plan may
 // span: N instances execute as ⌈N/chunk⌉ chunks, so the total fusable
-// width is FuseChunk × maxFusedChunks (up to 512 instances for the
+// width is FuseChunk × MaxFusedChunks (up to 512 instances for the
 // smallest strides). The cap keeps one plan's arena bounded (≤ 8 slab
 // budgets) so the batch-plan LRU stays cheap.
-const maxFusedChunks = 8
+const MaxFusedChunks = 8
 
 // FuseChunk implements BatchExecutor: the chunk width for alg — how
 // many instances one packed sweep (and one fused measurement
@@ -172,26 +172,18 @@ func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
 	if err != nil {
 		return 0
 	}
-	stride := (lay.arenaLen + batchAlign - 1) &^ (batchAlign - 1)
-	if stride == 0 {
-		stride = batchAlign
-	}
-	w := batchSlabFloats / stride
+	w := batchSlabFloats / slabStride(lay.arenaLen)
 	if w < 2 {
 		return 0
 	}
 	return min(w, 64)
 }
 
-// FuseWidth implements BatchExecutor: the total number of instances of
-// alg one fused batch plan may carry — the chunk width times the chunk
-// cap. 0 means the algorithm is out of the fused regime.
+// FuseWidth returns the total number of instances of alg one fused
+// batch plan may carry — the chunk width times MaxFusedChunks. 0 means
+// the algorithm is out of the fused regime.
 func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
-	w := e.FuseChunk(alg)
-	if w == 0 {
-		return 0
-	}
-	return w * maxFusedChunks
+	return e.FuseChunk(alg) * MaxFusedChunks
 }
 
 // TimeAlgorithmBatch implements BatchExecutor: one fused repetition over

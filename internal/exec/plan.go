@@ -1,18 +1,17 @@
 package exec
 
-// This file implements compiled execution plans: an expr.Algorithm is
-// lowered once into a Plan — operand IDs resolved to indices into a flat
-// operand table, each call bound to a closure over its concrete
-// matrices, and every temporary placed into a single arena buffer with
-// liveness-based slot reuse — so that running a repetition performs no
-// map lookups, no dispatch switches, and no heap allocations. The
-// Measured executor, the isolated-call benchmark, EvaluateAlgorithm, and
-// the bench harness all execute through plans.
+// This file implements the per-instance stage of plan compilation: an
+// expr.Algorithm's layout — operand IDs resolved to indices into a flat
+// operand table, and every temporary placed into one arena buffer with
+// liveness-based slot reuse — and the binding of each call to a closure
+// over its concrete matrices, so that running a repetition performs no
+// map lookups, no dispatch switches, and no heap allocations. Plan, the
+// single-instance BatchPlan, is what the Measured executor, the
+// isolated-call benchmark, and EvaluateAlgorithm execute through.
 
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"lamb/internal/blas"
 	"lamb/internal/expr"
@@ -21,30 +20,11 @@ import (
 	"lamb/internal/xrand"
 )
 
-// Plan is a compiled algorithm: a bound call sequence over arena-backed
-// operands. Compile once, execute many times. A Plan is not safe for
-// concurrent use (its operands and timing buffer are shared state).
-type Plan struct {
-	alg   *expr.Algorithm
-	ops   []*mat.Dense
-	index map[string]int
-	steps []planStep
-	fills []planFill
-	arena []float64
-	// operandLen is what the arena would hold without slot reuse:
-	// the sum of all operand sizes.
-	operandLen int
-	spdScratch []float64
-	times      []float64
-	output     int
-}
-
-// planStep is one bound kernel invocation: the original call (kept for
-// reporting) and a closure with every operand already resolved.
-type planStep struct {
-	call kernels.Call
-	run  func()
-}
+// Plan is a compiled algorithm over one instance: a BatchPlan of one,
+// bound to the serial kernels, with instance-free accessors. Compile
+// once, execute many times; like BatchPlan it is not safe for
+// concurrent use.
+type Plan struct{ BatchPlan }
 
 // planFill records how one input slot is refilled before a repetition.
 type planFill struct {
@@ -178,41 +158,10 @@ func compileLayout(alg *expr.Algorithm) (*planLayout, error) {
 // validated first; compilation allocates everything an execution will
 // ever need, so Execute and ExecuteTimed are allocation-free afterwards.
 func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
-	lay, err := compileLayout(alg)
-	if err != nil {
+	p := &Plan{}
+	if err := p.compile([]*expr.Algorithm{alg}); err != nil {
 		return nil, err
 	}
-	p := &Plan{
-		alg:        alg,
-		index:      lay.index,
-		operandLen: lay.operandLen,
-		output:     lay.output,
-		fills:      lay.fills,
-	}
-	p.arena = make([]float64, lay.arenaLen)
-	p.ops = make([]*mat.Dense, len(lay.order))
-	for i, id := range lay.order {
-		sh := alg.Shapes[id]
-		p.ops[i] = &mat.Dense{
-			Rows:   sh.Rows,
-			Cols:   sh.Cols,
-			Stride: max(sh.Rows, 1),
-			Data:   p.arena[lay.offsets[i] : lay.offsets[i]+lay.sizes[i]],
-		}
-	}
-	p.spdScratch = make([]float64, lay.scratchLen)
-
-	// Bind every call to a closure over its resolved operands.
-	nsteps := len(alg.Calls)
-	p.steps = make([]planStep, nsteps)
-	for s, c := range alg.Calls {
-		run, err := bindCall(c, func(id string) *mat.Dense { return p.ops[p.index[id]] })
-		if err != nil {
-			return nil, err
-		}
-		p.steps[s] = planStep{call: c, run: run}
-	}
-	p.times = make([]float64, nsteps)
 	return p, nil
 }
 
@@ -248,13 +197,14 @@ func CompileCallPlan(call kernels.Call) (*Plan, error) {
 	}
 	// Patch in the fill kinds the shape table can't express (the
 	// diagonally dominant triangular factor of TRSM).
+	lay := p.insts[0].lay
 	for _, sp := range specs {
 		if sp.Fill != kernels.FillDiagDominant {
 			continue
 		}
-		for fi := range p.fills {
-			if p.fills[fi].idx == p.index[sp.ID] {
-				p.fills[fi].kind = kernels.FillDiagDominant
+		for fi := range lay.fills {
+			if lay.fills[fi].idx == lay.index[sp.ID] {
+				lay.fills[fi].kind = kernels.FillDiagDominant
 			}
 		}
 	}
@@ -378,70 +328,18 @@ func fillOperand(m *mat.Dense, kind kernels.FillKind, spdScratch []float64, rng 
 	}
 }
 
-// FillInputs refills every input operand in place from the deterministic
-// stream. It performs no heap allocations: the SPD scratch buffer was
-// sized at compile time.
-func (p *Plan) FillInputs(rng *xrand.Rand) {
-	for _, f := range p.fills {
-		fillOperand(p.ops[f.idx], f.kind, p.spdScratch, rng)
-	}
-}
-
 // SetInput copies src into the named operand slot. It panics if the
 // operand is unknown or the shapes disagree.
-func (p *Plan) SetInput(id string, src *mat.Dense) {
-	i, ok := p.index[id]
-	if !ok {
-		panic(fmt.Sprintf("exec: plan has no operand %q", id))
-	}
-	dst := p.ops[i]
-	if src.Rows != dst.Rows || src.Cols != dst.Cols {
-		panic(fmt.Sprintf("exec: input %q is %dx%d, algorithm expects %dx%d",
-			id, src.Rows, src.Cols, dst.Rows, dst.Cols))
-	}
-	mat.Copy(dst, src)
-}
-
-// Execute runs the bound call sequence once. It performs no heap
-// allocations (the kernels' packing buffers are pooled; parallel kernel
-// paths may still spawn goroutines on multi-core hosts).
-func (p *Plan) Execute() {
-	for i := range p.steps {
-		p.steps[i].run()
-	}
-}
-
-// ExecuteTimed runs the sequence, timing each call with the monotonic
-// clock. The returned slice is owned by the plan and reused by the next
-// ExecuteTimed; it performs no heap allocations.
-func (p *Plan) ExecuteTimed() []float64 {
-	for i := range p.steps {
-		start := time.Now()
-		p.steps[i].run()
-		p.times[i] = time.Since(start).Seconds()
-	}
-	return p.times
-}
-
-// Alg returns the algorithm this plan was compiled from.
-func (p *Plan) Alg() *expr.Algorithm { return p.alg }
+func (p *Plan) SetInput(id string, src *mat.Dense) { p.BatchPlan.SetInput(0, id, src) }
 
 // Operand returns the arena-backed matrix for the given operand ID, or
 // nil if the plan has no such operand.
-func (p *Plan) Operand(id string) *mat.Dense {
-	if i, ok := p.index[id]; ok {
-		return p.ops[i]
-	}
-	return nil
-}
+func (p *Plan) Operand(id string) *mat.Dense { return p.BatchPlan.Operand(0, id) }
 
 // Output returns the arena-backed result operand.
-func (p *Plan) Output() *mat.Dense { return p.ops[p.output] }
-
-// ArenaLen returns the length in float64s of the shared backing buffer.
-func (p *Plan) ArenaLen() int { return len(p.arena) }
+func (p *Plan) Output() *mat.Dense { return p.BatchPlan.Output(0) }
 
 // OperandLen returns the summed operand sizes — the arena length a
 // layout without liveness-based slot reuse would need. ArenaLen smaller
 // than OperandLen is slot reuse at work.
-func (p *Plan) OperandLen() int { return p.operandLen }
+func (p *Plan) OperandLen() int { return p.insts[0].lay.operandLen }

@@ -24,22 +24,28 @@ import (
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	api := func(method, path string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /api/v1"+path, h)
-		mux.HandleFunc(method+" /api"+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
-			h(w, r)
-		})
-	}
-	api("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
+	RegisterAPI(mux, "GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rt.Stats())
 	})
-	api("GET", "/expressions", rt.handleExpressions)
-	api("POST", "/query", rt.handleQuery)
-	api("POST", "/batch", rt.handleBatch)
-	api("POST", "/feedback", rt.handleFeedback)
+	RegisterAPI(mux, "GET", "/expressions", rt.handleExpressions)
+	RegisterAPI(mux, "POST", "/query", rt.handleQuery)
+	RegisterAPI(mux, "POST", "/batch", rt.handleBatch)
+	RegisterAPI(mux, "POST", "/feedback", rt.handleFeedback)
 	return mux
+}
+
+// RegisterAPI registers h for method at the versioned /api/v1 path and
+// at the legacy /api path as a deprecated alias: the same body, plus
+// RFC 8594-style headers steering clients to the versioned successor.
+// Both the serve API and the router's mirror of it register through
+// here.
+func RegisterAPI(mux *http.ServeMux, method, path string, h http.HandlerFunc) {
+	mux.HandleFunc(method+" /api/v1"+path, h)
+	mux.HandleFunc(method+" /api"+path, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Deprecation", "true")
+		w.Header().Set("Link", `</api/v1`+path+`>; rel="successor-version"`)
+		h(w, r)
+	})
 }
 
 // handleHealthz: the router is live while it answers at all, and ready
