@@ -9,8 +9,8 @@ package blas
 // exactly the same data — so results stay bitwise identical to
 // sequential execution at any worker count and any schedule.
 //
-// The machinery deliberately avoids the per-call goroutine fan-out of
-// parallelTasks: batched drivers sit on the engine's measured path,
+// The machinery deliberately avoids par.For, which spawns goroutines
+// on every call: batched drivers sit on the engine's measured path,
 // whose contract is zero heap allocations per steady-state repetition.
 // Workers here are persistent goroutines parked on a channel, jobs are
 // pooled descriptors holding value copies of the driver arguments, and

@@ -28,9 +28,9 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"lamb/internal/mat"
+	"lamb/internal/par"
 )
 
 // Blocking parameters for the packed GEMM. Chosen for typical x86-64
@@ -120,34 +120,6 @@ func Gemm(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *
 	gemmSerial(transA, transB, alpha, a, b, beta, c)
 }
 
-// parallelTasks runs f(0), …, f(ntasks-1) on at most nw goroutines.
-// Tasks are handed out dynamically, so uneven task costs still balance.
-func parallelTasks(nw, ntasks int, f func(task int)) {
-	ng := min(nw, ntasks)
-	if ng <= 1 {
-		for t := 0; t < ntasks; t++ {
-			f(t)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(ng)
-	for w := 0; w < ng; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(next.Add(1)) - 1
-				if t >= ntasks {
-					return
-				}
-				f(t)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // parallelCols splits [0, n) into roughly equal stripes aligned to the
 // micro-kernel width and runs f over them on at most nw goroutines.
 func parallelCols(nw, n int, f func(lo, hi int)) {
@@ -160,7 +132,7 @@ func parallelCols(nw, n int, f func(lo, hi int)) {
 		chunk += nr - rem
 	}
 	nstripes := (n + chunk - 1) / chunk
-	parallelTasks(nw, nstripes, func(s int) {
+	par.For(nstripes, nw, func(s int) {
 		lo := s * chunk
 		f(lo, min(lo+chunk, n))
 	})
@@ -196,7 +168,7 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 				betaEff = beta
 			}
 			if nblkA > 1 {
-				parallelTasks(nw, nblkA, func(blk int) {
+				par.For(nblkA, nw, func(blk int) {
 					ic := blk * mc
 					mcb := min(mc, m-ic)
 					bufAp := bufAPool.Get().(*[]float64)

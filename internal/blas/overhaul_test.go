@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lamb/internal/mat"
+	"lamb/internal/par"
 	"lamb/internal/xrand"
 )
 
@@ -190,16 +191,31 @@ func TestGemmSerialZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestParallelTasksBoundsGoroutines checks the worker cap is respected
-// even when the task count exceeds it, and that every task runs once.
+// TestParallelTasksBoundsGoroutines checks the block drivers' task
+// dispatch (par.For, worker count first from workers()): the worker cap is
+// respected even when the task count exceeds it, and every task runs once.
 func TestParallelTasksBoundsGoroutines(t *testing.T) {
 	for _, tc := range []struct{ nw, ntasks int }{{1, 7}, {3, 10}, {8, 2}, {4, 0}} {
-		hits := make([]int32, tc.ntasks)
-		parallelTasks(tc.nw, tc.ntasks, func(task int) { hits[task]++ })
-		for i, h := range hits {
-			if h != 1 {
+		hits := make([]atomic.Int32, tc.ntasks)
+		var live, peak atomic.Int32
+		par.For(tc.ntasks, tc.nw, func(task int) {
+			cur := live.Add(1)
+			for {
+				p := peak.Load()
+				if cur <= p || peak.CompareAndSwap(p, cur) {
+					break
+				}
+			}
+			hits[task].Add(1)
+			live.Add(-1)
+		})
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
 				t.Fatalf("nw=%d ntasks=%d: task %d ran %d times", tc.nw, tc.ntasks, i, h)
 			}
+		}
+		if peak.Load() > int32(tc.nw) {
+			t.Fatalf("nw=%d ntasks=%d: %d tasks in flight", tc.nw, tc.ntasks, peak.Load())
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lamb/internal/mat"
+	"lamb/internal/par"
 )
 
 // Symm computes C := alpha·A·B + beta·C where A is m×m symmetric with
@@ -56,7 +57,7 @@ func Symm(uplo mat.Uplo, alpha float64, a, b *mat.Dense, beta float64, c *mat.De
 	// parameters don't leak (see gemmParallel).
 	av, bv, cv := *a, *b, *c
 	ap, bp, cp := &av, &bv, &cv
-	parallelTasks(nw, npanels, func(t int) {
+	par.For(npanels, nw, func(t int) {
 		scratch := syrkScratchPool.Get().(*mat.Dense)
 		symmPanelTask(uplo, alpha, ap, bp, beta, cp, t*syrkBlock, scratch, true)
 		syrkScratchPool.Put(scratch)

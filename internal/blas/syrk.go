@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"lamb/internal/mat"
+	"lamb/internal/par"
 )
 
 // syrkBlock is the block size for the SYRK and SYMM drivers.
@@ -85,7 +86,7 @@ func syrkDriver(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, beta flo
 	// parameters don't leak (see gemmParallel).
 	av, cv := *a, *c
 	ap, cp := &av, &cv
-	parallelTasks(nw, len(tasks), func(t int) {
+	par.For(len(tasks), nw, func(t int) {
 		scratch := syrkScratchPool.Get().(*mat.Dense)
 		syrkBlockTask(uplo, trans, alpha, ap, beta, cp, tasks[t], scratch, true)
 		syrkScratchPool.Put(scratch)

@@ -6,6 +6,7 @@ import (
 
 	"lamb/internal/expr"
 	"lamb/internal/kernels"
+	"lamb/internal/par"
 )
 
 // The experiments are embarrassingly parallel: instance evaluations are
@@ -30,32 +31,6 @@ func resolveWorkers(w int) int {
 		return n * 4
 	}
 	return w
-}
-
-// parallelMap evaluates f for every index in [0, n) on w workers.
-func parallelMap(n, w int, f func(i int)) {
-	if w <= 1 || n <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for g := 0; g < w; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				f(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 }
 
 // RunExp1Parallel is RunExp1 with instance evaluations spread over
@@ -92,7 +67,7 @@ func RunExp1Parallel(r *Runner, cfg Exp1Config, workers int) Exp1Result {
 		for len(insts) < batch && out.Samples+len(insts) < maxSamples {
 			insts = append(insts, cfg.Box.Sample(rng))
 		}
-		parallelMap(len(insts), w, func(i int) {
+		par.For(len(insts), w, func(i int) {
 			results[i] = r.Evaluate(insts[i])
 		})
 		for i := range insts {
@@ -137,12 +112,12 @@ func RunExp2Parallel(r *Runner, anomalies []expr.Instance, cfg Exp2Config, worke
 	arity := r.Expr.Arity()
 	lines := make([]Line, len(anomalies)*arity)
 	originRes := make([]InstanceResult, len(anomalies))
-	parallelMap(len(anomalies), w, func(i int) {
+	par.For(len(anomalies), w, func(i int) {
 		originRes[i] = r.Evaluate(anomalies[i])
 	})
 	done := 0
 	var mu sync.Mutex
-	parallelMap(len(lines), w, func(li int) {
+	par.For(len(lines), w, func(li int) {
 		ai, dim := li/arity, li%arity
 		lines[li] = traverseLine(r, anomalies[ai], originRes[ai], dim, cfg)
 		if cfg.Progress != nil {
@@ -196,7 +171,7 @@ func RunExp3Parallel(r *Runner, exp2 Exp2Result, cfg Exp3Config, workers int) Ex
 	}
 	// Phase 2: benchmark them concurrently.
 	times := make([]float64, len(entries))
-	parallelMap(len(entries), w, func(i int) {
+	par.For(len(entries), w, func(i int) {
 		times[i] = r.Timer.MeasureCallCold(entries[i].call)
 	})
 	// Phase 3: classify every sample.

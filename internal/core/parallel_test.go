@@ -1,10 +1,12 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
+	"lamb/internal/par"
 )
 
 // simRunner returns a runner on the (concurrency-safe) simulated machine.
@@ -99,18 +101,26 @@ func TestExp3ParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestParallelMapCoversAllIndices checks the experiment drivers' fan-out
+// (par.For over resolveWorkers) evaluates every index exactly once,
+// including the empty range and the single-worker fallback.
 func TestParallelMapCoversAllIndices(t *testing.T) {
 	hits := make([]int32, 100)
-	parallelMap(100, 8, func(i int) { hits[i]++ })
+	var mu sync.Mutex
+	par.For(100, resolveWorkers(8), func(i int) {
+		mu.Lock()
+		hits[i]++
+		mu.Unlock()
+	})
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d hit %d times", i, h)
 		}
 	}
 	// Degenerate cases.
-	parallelMap(0, 4, func(i int) { t.Fatal("should not be called") })
+	par.For(0, resolveWorkers(4), func(i int) { t.Error("should not be called") })
 	called := 0
-	parallelMap(3, 1, func(i int) { called++ })
+	par.For(3, resolveWorkers(1), func(i int) { called++ })
 	if called != 3 {
 		t.Fatalf("sequential fallback called %d times", called)
 	}

@@ -102,6 +102,46 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 	}
 }
 
+// TestEngineDoFusedRule pins the rule Do uses to choose the measurement
+// protocol for timed strategies: a request measures fused when it
+// carries two or more queries or asks for Compute, so a single query
+// without Compute measures per instance while a Compute batch of one
+// still measures fused. Distinct queries on a fresh engine, so nothing
+// is coalesced or deduplicated.
+func TestEngineDoFusedRule(t *testing.T) {
+	qa := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
+	qb := Query{Expr: "aatb", Instance: expr.Instance{16, 12, 8}, Strategy: "oracle"}
+	for _, tc := range []struct {
+		name  string
+		req   Request
+		fused uint64
+	}{
+		{"single query", Request{Queries: []Query{qa}}, 0},
+		{"two distinct queries", Request{Queries: []Query{qa, qb}}, 2},
+		// The measurement is fused; executing a bucket of one is not.
+		{"compute batch of one", Request{Queries: []Query{qa}, Compute: true}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
+			for i, r := range e.Do(context.Background(), tc.req) {
+				if r.Err != nil {
+					t.Fatalf("query %d: %v", i, r.Err)
+				}
+				if r.Record.Strategy != "oracle" || r.Record.Degraded != "" {
+					t.Fatalf("query %d: record %+v, want an undegraded oracle answer", i, r.Record)
+				}
+			}
+			s := e.Stats()
+			if s.FusedQueries != tc.fused {
+				t.Errorf("fused_queries = %d, want %d", s.FusedQueries, tc.fused)
+			}
+			if s.Coalesced != 0 || s.Deduped != 0 {
+				t.Errorf("coalesced = %d, deduped = %d, want 0 and 0", s.Coalesced, s.Deduped)
+			}
+		})
+	}
+}
+
 // slowBatchExecutor delays every fused repetition, so tests can make a
 // deadline expire mid-fused-measurement.
 type slowBatchExecutor struct {

@@ -3,7 +3,7 @@ package engine
 // Fused result execution: Do with Compute answers a batch of queries
 // AND computes each query's result, routing same-algorithm queries of
 // similar shape through one fused batch plan. Selection goes through
-// the ordinary batched pipeline (coalescing, singleflight, fused timed
+// Do's one query path (coalescing, singleflight, fused timed
 // measurement); the execution step then buckets the answered queries by
 // (expression, selected algorithm index, shape octave) so that
 //
@@ -21,7 +21,6 @@ package engine
 // Stats.FuseRejected.
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 	"strconv"
@@ -45,40 +44,22 @@ const batchFillSeed = 0x5ab5
 // count as HeteroPrepadding rejects.
 const heteroPaddingMax = 4
 
-// BatchExecResult pairs one query's selection record with the computed
-// result of running the selected algorithm on that query's inputs.
-type BatchExecResult struct {
-	Record *Record
-	// Output is the selected algorithm's result (caller-owned copy);
-	// nil when Err is set.
-	Output *mat.Dense
-	Err    error
-	// Fused reports whether this result was computed through a fused
-	// batch plan shared with other queries of the same bucket.
-	Fused bool
-}
-
-// queryBatchExecCtx answers the queries (through queryBatchCtx: within-
-// batch coalescing, singleflight, fused timed measurement) and then
-// executes each query's selected algorithm, returning records and
-// results in request order. inputs[i], when present, supplies query i's
-// input operands by ID (shapes must match the instance); missing
-// operands are filled from a deterministic stream. Queries that
-// selected the same algorithm of the same expression at shapes within
-// one power-of-two octave per dimension are executed through one fused
-// batch plan — identical instances through the cached homogeneous plan,
-// mixed instances through a padded heterogeneous plan — and marked
-// Fused; each fused-executed query counts in Stats.FusedQueries.
-// Buckets outside the fused regime execute per query and count in
-// Stats.FuseRejected by reason.
-func (e *Engine) queryBatchExecCtx(ctx context.Context, qs []Query, inputs []map[string]*mat.Dense) []BatchExecResult {
-	out := make([]BatchExecResult, len(qs))
-	recs := e.queryBatchCtx(ctx, qs)
+// compute executes each answered query's selected algorithm and stores
+// its output in out, in request order. inputs[i], when present,
+// supplies query i's input operands by ID (shapes must match the
+// instance); missing operands are filled from a deterministic stream.
+// Queries that selected the same algorithm of the same expression at
+// shapes within one power-of-two octave per dimension are executed
+// through one fused batch plan — identical instances through the cached
+// homogeneous plan, mixed instances through a padded heterogeneous
+// plan — and marked Fused; each fused-executed query counts in
+// Stats.FusedQueries. Buckets outside the fused regime execute per
+// query and count in Stats.FuseRejected by reason.
+func (e *Engine) compute(qs []Query, inputs []map[string]*mat.Dense, out []Result) {
 	algOf := make([]*expr.Algorithm, len(qs))
 	buckets := make(map[string][]int)
 	var order []string
-	for i := range recs {
-		out[i].Record, out[i].Err = recs[i].Record, recs[i].Err
+	for i := range out {
 		if out[i].Err != nil || out[i].Record == nil {
 			continue
 		}
@@ -106,7 +87,6 @@ func (e *Engine) queryBatchExecCtx(ctx context.Context, qs []Query, inputs []map
 	for _, key := range order {
 		e.execBucket(buckets[key], inputs, algOf, out)
 	}
-	return out
 }
 
 // shapeOctaves renders the instance's per-dimension power-of-two octave
@@ -131,7 +111,7 @@ func shapeOctaves(inst expr.Instance) string {
 // execBucket executes one bucket of answered queries, fused when the
 // executor and the regime allow, per query otherwise (with the reject
 // reason counted).
-func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	if len(idxs) < 2 {
 		e.execUnfused(idxs, inputs, algOf, out)
 		return
@@ -189,7 +169,7 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 // a Cholesky-based algorithm poisoning the whole batched factorisation)
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	var p *exec.BatchPlan
 	var err error
 	switch alg := algOf[idxs[0]]; {
@@ -252,7 +232,7 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, alg
 }
 
 // execUnfused executes each query through its own single-instance plan.
-func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []BatchExecResult) {
+func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	for _, i := range idxs {
 		out[i].Output, out[i].Err = execOne(algOf[i], inputMap(inputs, i))
 		out[i].Fused = false

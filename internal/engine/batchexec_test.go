@@ -236,7 +236,7 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	if wa < 2 || wb < 2 || wa <= heteroPaddingMax*wb {
 		t.Skipf("chunk widths %d/%d do not exercise the padding gate", wa, wb)
 	}
-	out := make([]BatchExecResult, 2)
+	out := make([]Result, 2)
 	e.execBucket([]int{0, 1}, nil, []*expr.Algorithm{a, b}, out)
 	for i, r := range out {
 		if r.Err != nil {

@@ -1,26 +1,27 @@
 package engine
 
-// Do is the engine's single entry point: one request struct selects the
-// per-instance path, the batched path, or batched execution, and the
-// deadline is whatever the caller's context carries.
+// Do is the engine's single entry point and its only query path: every
+// request — one query or many, with or without Compute — is answered
+// as a batch, and the deadline is whatever the caller's context carries.
 
 import (
 	"context"
+	"runtime"
+	"strings"
 
 	"lamb/internal/mat"
+	"lamb/internal/par"
 )
 
 // Request describes one Do call: which queries to answer and how.
 type Request struct {
-	// Queries are the selection requests. A single query takes the
-	// per-instance path; two or more take the batched path — within-batch
-	// coalescing, fused timed measurement, and (with Compute) fused
-	// result execution.
+	// Queries are the selection requests; a query that names no
+	// strategy uses DefaultStrategy, the paper's min-FLOPs discriminant.
+	// Identical queries of one request are coalesced. A request of two
+	// or more queries, or any Compute request, measures timed strategies
+	// fused (see Stats.FusedQueries); a single query without Compute
+	// measures per instance.
 	Queries []Query
-	// Strategy, when non-empty, fills in any query that names no strategy
-	// of its own. Queries that still name none after that use
-	// DefaultStrategy, the paper's min-FLOPs discriminant.
-	Strategy string
 	// Compute additionally executes each query's selected algorithm and
 	// returns its output, fusing same-bucket executions into shared batch
 	// plans where the regime allows.
@@ -34,36 +35,112 @@ type Request struct {
 
 // Result is one query's answer: its record, and — for Compute requests
 // — the computed output.
-type Result = BatchExecResult
+type Result struct {
+	Record *Record
+	// Output is the selected algorithm's result (caller-owned copy);
+	// nil without Compute or when Err is set.
+	Output *mat.Dense
+	Err    error
+	// Fused reports whether Output was computed through a fused batch
+	// plan shared with other queries of the same bucket.
+	Fused bool
+}
 
 // Do answers the request under the caller's context and returns one
 // Result per query, in request order. The context's deadline governs
 // everything downstream: timed strategies degrade to a FLOPs-only
 // answer when it expires mid-measurement, and an already-expired
 // context fails the queries immediately.
+//
+// Identical (expression, instance, strategy) queries within the request
+// are coalesced before dispatch: the first occurrence answers,
+// duplicates share its record without entering the pipeline (counted in
+// Stats.Coalesced; cross-request duplicates are still deduplicated by
+// the singleflight in query). Distinct queries are answered
+// concurrently. With Compute, the answered queries are then executed
+// (see compute).
 func (e *Engine) Do(ctx context.Context, req Request) []Result {
 	qs := req.Queries
-	if req.Strategy != "" {
-		qs = make([]Query, len(req.Queries))
-		copy(qs, req.Queries)
-		for i := range qs {
-			if qs[i].Strategy == "" {
-				qs[i].Strategy = req.Strategy
-			}
+	out := make([]Result, len(qs))
+	fused := req.Compute || len(qs) > 1
+	strats := make([]string, len(qs))
+	keys := make([]string, len(qs))
+	rep := make([]int, len(qs)) // rep[i] = index of i's representative
+	uniq := make([]int, 0, len(qs))
+	firstOf := make(map[string]int, len(qs))
+	for i, q := range qs {
+		strats[i] = q.Strategy
+		if strats[i] == "" {
+			strats[i] = DefaultStrategy
+		}
+		keys[i] = strings.ToLower(q.Expr) + "|" + q.Instance.String() + "|" + strats[i]
+		if fused {
+			keys[i] += "|fused"
+		}
+		if j, ok := firstOf[keys[i]]; ok {
+			rep[i] = j
+			continue
+		}
+		firstOf[keys[i]] = i
+		rep[i] = i
+		uniq = append(uniq, i)
+	}
+	par.For(len(uniq), max(2*runtime.GOMAXPROCS(0), 4), func(k int) {
+		i := uniq[k]
+		out[i].Record, out[i].Err = e.query(ctx, qs[i], strats[i], keys[i], fused)
+	})
+	for i := range qs {
+		if rep[i] != i {
+			e.queries.Add(1) // a coalesced query is still an answered query
+			e.coalesced.Add(1)
+			out[i] = out[rep[i]]
 		}
 	}
-	switch {
-	case req.Compute:
-		return e.queryBatchExecCtx(ctx, qs, req.Inputs)
-	case len(qs) == 1:
-		rec, err := e.queryCtx(ctx, qs[0], false)
-		return []Result{{Record: rec, Err: err}}
-	default:
-		rs := e.queryBatchCtx(ctx, qs)
-		out := make([]Result, len(rs))
-		for i, r := range rs {
-			out[i] = Result{Record: r.Record, Err: r.Err}
-		}
-		return out
+	if req.Compute {
+		e.compute(qs, req.Inputs, out)
 	}
+	return out
+}
+
+// query answers one distinct query under the caller's context; strat is
+// its normalised strategy and key its singleflight key. Concurrent
+// identical queries are deduplicated: one computes, the rest wait and
+// share its record — but each waiter honours its own context, so one
+// slow leader cannot hold a cancelled request hostage. A context that
+// expires mid-measurement degrades timed strategies to a FLOPs-only
+// answer (see answer); a context that is already done fails
+// immediately.
+//
+// fused lets timed strategies measure through the fused batched path
+// (see answer). Fused and per-instance flights are kept apart in the
+// singleflight table by the key's "|fused" suffix — they follow
+// different measurement protocols, and a record must reflect the
+// protocol that produced it.
+func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bool) (*Record, error) {
+	e.queries.Add(1)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	e.sfMu.Lock()
+	if f, ok := e.inflight[key]; ok {
+		e.sfMu.Unlock()
+		e.deduped.Add(1)
+		select {
+		case <-f.done:
+			return f.rec, f.err
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	f := &flight{done: make(chan struct{})}
+	e.inflight[key] = f
+	e.sfMu.Unlock()
+
+	f.rec, f.err = e.answer(ctx, q, strat, fused)
+
+	e.sfMu.Lock()
+	delete(e.inflight, key)
+	e.sfMu.Unlock()
+	close(f.done)
+	return f.rec, f.err
 }

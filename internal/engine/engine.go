@@ -29,7 +29,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -177,12 +176,6 @@ type Record struct {
 	Explore bool `json:"explore,omitempty"`
 }
 
-// BatchResult pairs one query's record with its error.
-type BatchResult struct {
-	Record *Record
-	Err    error
-}
-
 // Stats exposes the engine's per-layer cache counters.
 type Stats struct {
 	// Expressions counts symbolic-layer lookups: a hit means the
@@ -202,13 +195,14 @@ type Stats struct {
 	// in-flight identical query (singleflight hits).
 	Queries uint64 `json:"queries"`
 	Deduped uint64 `json:"deduped"`
-	// Coalesced counts batch queries answered by an identical query in
-	// the same batch (within-batch dedup, before the singleflight layer).
+	// Coalesced counts queries answered by an identical query of the
+	// same Do request (within-request dedup, before the singleflight
+	// layer).
 	Coalesced uint64 `json:"coalesced"`
-	// FusedQueries counts queries that went through a fused batched
-	// path: timed batch queries measured through fused plans, and batch
-	// queries whose result was computed through a shared fused plan
-	// (Do with Compute).
+	// FusedQueries counts queries that went through a fused plan: timed
+	// queries measured through fused plans (requests of two or more
+	// queries, or with Compute), and queries whose result was computed
+	// through a shared fused plan (Do with Compute).
 	FusedQueries uint64 `json:"fused_queries"`
 	// FuseRejected counts queries that could not take a fused path, by
 	// reason.
@@ -579,57 +573,6 @@ func (e *Engine) algorithmsFor(x expr.Expression, inst expr.Instance) ([]expr.Al
 	return algs, nil
 }
 
-// queryCtx answers one selection request under the caller's context.
-// Concurrent identical queries (same expression, instance, and
-// strategy) are deduplicated: one computes, the rest wait and share its
-// record — but each waiter honours its own context, so one slow leader
-// cannot hold a cancelled request hostage. A context that expires
-// mid-measurement degrades timed strategies to a FLOPs-only answer (see
-// answer); a context that is already done fails immediately.
-//
-// fusedOK is the flag batch queries set: fused queries may answer timed
-// strategies through the fused batched measurement path (see answer).
-// Fused and per-instance flights are kept apart in the singleflight
-// table — they follow different measurement protocols, and a record
-// must reflect the protocol that produced it.
-func (e *Engine) queryCtx(ctx context.Context, q Query, fusedOK bool) (*Record, error) {
-	e.queries.Add(1)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	strat := q.Strategy
-	if strat == "" {
-		strat = DefaultStrategy
-	}
-	key := strings.ToLower(q.Expr) + "|" + q.Instance.String() + "|" + strat
-	if fusedOK {
-		key += "|fused"
-	}
-
-	e.sfMu.Lock()
-	if f, ok := e.inflight[key]; ok {
-		e.sfMu.Unlock()
-		e.deduped.Add(1)
-		select {
-		case <-f.done:
-			return f.rec, f.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	e.inflight[key] = f
-	e.sfMu.Unlock()
-
-	f.rec, f.err = e.answer(ctx, q, strat, fusedOK)
-
-	e.sfMu.Lock()
-	delete(e.inflight, key)
-	e.sfMu.Unlock()
-	close(f.done)
-	return f.rec, f.err
-}
-
 // resolveStrategy maps a strategy name to its runnable form against the
 // given profile state, walking the degradation ladder when the state
 // cannot support the request: a profile-backed strategy without a
@@ -705,7 +648,7 @@ func (e *Engine) degradeRun(run strategyRun, reason string) strategyRun {
 // algorithm set, apply the strategy, render the record. The profile
 // state is loaded once at entry — a concurrent ReloadProfiles swaps the
 // pointer without affecting this query.
-func (e *Engine) answer(ctx context.Context, q Query, strat string, fusedOK bool) (rec *Record, err error) {
+func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, err error) {
 	defer func() {
 		// The expression layer panics on malformed custom expressions;
 		// a serving engine turns that into a query error instead of
@@ -736,7 +679,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fusedOK bool
 	explored := false
 	if run.timed {
 		width := 0
-		if fusedOK {
+		if fused {
 			width = e.fuseWidth(algs)
 		}
 		e.execMu.Lock()
@@ -870,76 +813,6 @@ func (e *Engine) chooseTimedFused(ctx context.Context, algs []expr.Algorithm, wi
 		}
 	}
 	return best, nil
-}
-
-// batchWorkers bounds a batch request's concurrency.
-func batchWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0) * 2
-	if w < 4 {
-		w = 4
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
-// queryBatchCtx answers the queries concurrently under one shared
-// context and returns the results in request order. Identical
-// (expression, instance, strategy) queries within the batch are
-// coalesced before dispatch: one representative computes, duplicates
-// share its record without ever entering the pipeline (counted in
-// Stats.Coalesced; cross-request duplicates are still deduplicated by
-// the singleflight layer underneath). Batch queries run with fused
-// execution enabled: timed strategies in the small-instance regime
-// measure through fused batch plans (Stats.FusedQueries). A context
-// that expires mid-batch fails the not-yet-answered queries with its
-// error.
-func (e *Engine) queryBatchCtx(ctx context.Context, qs []Query) []BatchResult {
-	out := make([]BatchResult, len(qs))
-	if len(qs) == 0 {
-		return out
-	}
-	// Within-batch coalescing: first occurrence of each key computes,
-	// duplicates copy its result after the wait.
-	firstOf := make(map[string]int, len(qs))
-	dup := make([]int, len(qs)) // dup[i] = index of i's representative
-	uniq := make([]int, 0, len(qs))
-	for i := range qs {
-		strat := qs[i].Strategy
-		if strat == "" {
-			strat = DefaultStrategy
-		}
-		key := strings.ToLower(qs[i].Expr) + "|" + qs[i].Instance.String() + "|" + strat
-		if j, ok := firstOf[key]; ok {
-			dup[i] = j
-			continue
-		}
-		firstOf[key] = i
-		dup[i] = i
-		uniq = append(uniq, i)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, batchWorkers(len(uniq)))
-	for _, i := range uniq {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			rec, err := e.queryCtx(ctx, qs[i], true)
-			out[i] = BatchResult{Record: rec, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	for i := range qs {
-		if dup[i] != i {
-			e.queries.Add(1) // a coalesced query is still an answered query
-			e.coalesced.Add(1)
-			out[i] = out[dup[i]]
-		}
-	}
-	return out
 }
 
 // Stats returns the per-layer cache counters.

@@ -1,8 +1,9 @@
 package exec
 
 // This file is the benchmark harness for the measured backend: a fixed
-// kernel/shape grid timed through the same Dispatch path the experiments
-// use, with GFLOP/s and allocation counts recorded per point. The
+// kernel/shape grid, each point timed through a compiled single-call
+// plan (CompileCallPlan), with GFLOP/s and allocation counts recorded
+// per point. The
 // `lamb bench` subcommand persists the report as BENCH_<n>.json so
 // successive PRs have a performance trajectory to regress against, and
 // Measured.Peak reuses BenchCall for its attainable-rate estimate.
