@@ -448,3 +448,38 @@ func TestServeBatchCompute(t *testing.T) {
 		t.Errorf("fused_queries = %d, want >= %d", s.FusedQueries, 2*len(req.Queries))
 	}
 }
+
+// TestServeMemoisedRecordMatchesSelectJSON pins the rank memo across
+// transports: a repeated served query (answered from the bound set's
+// memoised ranking) is byte-identical to the first one and to the
+// record `lamb select -json` prints from a fresh process.
+func TestServeMemoisedRecordMatchesSelectJSON(t *testing.T) {
+	fixture := filepath.Join("..", "..", "testdata", "profile-ci.json")
+	set, meta, err := profile.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(serveMux(engine.New(engine.Config{Profiles: set, ProfileMeta: meta})))
+	t.Cleanup(srv.Close)
+	q := engine.Query{Expr: "gls", Instance: []int{40, 30, 20, 10}, Strategy: "min-predicted"}
+	_, first := postJSON(t, srv.URL+"/api/v1/query", q)
+	_, again := postJSON(t, srv.URL+"/api/v1/query", q)
+	if !bytes.Equal(first, again) {
+		t.Fatalf("memoised record differs:\n%s\n%s", first, again)
+	}
+
+	old := stdoutCapture(t)
+	err = cmdSelect([]string{"-expr", "gls", "-instance", "40,30,20,10",
+		"-strategy", "min-predicted", "-profile", fixture, "-json"})
+	cli := old()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, cli); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(compact.Bytes(), bytes.TrimSpace(first)) {
+		t.Fatalf("served record differs from select -json:\n%s\n%s", first, compact.Bytes())
+	}
+}

@@ -11,7 +11,9 @@
 //   - binding layer: bound algorithm sets are memoised per
 //     (expression, instance) in a bounded LRU, so repeated instances
 //     skip even the cheap bind step — and, crucially, yield
-//     pointer-stable algorithms for the layer below.
+//     pointer-stable algorithms for the layer below. Each entry also
+//     memoises its last ranking, reused while the posterior is
+//     unchanged.
 //   - execution layer: compiled execution plans live in a bounded LRU
 //     (lamb/internal/exec.PlanCache) shared with the measured executor,
 //     keyed by the bound algorithm, so timing-based strategies never
@@ -323,7 +325,7 @@ type Engine struct {
 	exprs    map[string]expr.Expression
 	exprHits uint64
 	exprMiss uint64
-	bind     *cache.LRU[bindKey, []expr.Algorithm]
+	bind     *cache.LRU[bindKey, *boundSet]
 
 	// execMu serialises timing-based strategies: executors measure wall
 	// time, so concurrent measurement would contend for the cores being
@@ -382,6 +384,16 @@ type bindKey struct {
 	inst string
 }
 
+// boundSet is one binding-LRU entry: the algorithm set bound for an
+// (expression, instance), plus the last ranking rendered from it. The
+// ranking is a pure function of the set and its posterior, so the memo
+// is valid exactly while the posterior is unchanged — a profile reload
+// or nearby feedback changes the posterior and so invalidates it.
+type boundSet struct {
+	algs []expr.Algorithm
+	memo atomic.Pointer[rankMemo]
+}
+
 // New returns an Engine for the given configuration.
 func New(cfg Config) *Engine {
 	ex := cfg.Executor
@@ -403,7 +415,7 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		timer:    timer,
 		exprs:    make(map[string]expr.Expression),
-		bind:     cache.NewLRU[bindKey, []expr.Algorithm](bindEntries),
+		bind:     cache.NewLRU[bindKey, *boundSet](bindEntries),
 		inflight: make(map[string]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
 	}
@@ -542,35 +554,39 @@ func (e *Engine) Algorithms(name string, inst expr.Instance) ([]expr.Algorithm, 
 	if err != nil {
 		return nil, err
 	}
-	return e.algorithmsFor(x, inst)
+	b, err := e.bound(x, inst)
+	if err != nil {
+		return nil, err
+	}
+	return b.algs, nil
 }
 
-// algorithmsFor is the binding layer: memoised bound sets per
-// (expression, instance). Binding runs outside the lock — a builder's
-// first touch enumerates its symbolic set, which can be slow for large
-// chains and must not stall unrelated queries. Concurrent misses of
-// the same key may both bind, but the double-check keeps one winner in
-// the cache and everyone returns it, so the sets stay pointer-stable —
-// the plan cache below keys by those pointers.
-func (e *Engine) algorithmsFor(x expr.Expression, inst expr.Instance) ([]expr.Algorithm, error) {
+// bound is the binding layer: memoised bound sets per (expression,
+// instance). Binding runs outside the lock — an expression's first bind
+// enumerates its symbolic set, which can be slow for large chains and
+// must not stall unrelated queries. Concurrent misses of the same key
+// may both bind, but the double-check keeps one winner in the cache and
+// everyone returns it, so the sets stay pointer-stable — the plan cache
+// below keys by those pointers.
+func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error) {
 	if err := x.Validate(inst); err != nil {
 		return nil, err
 	}
 	key := bindKey{expr: x.Name(), inst: inst.String()}
 	e.mu.Lock()
-	if algs, ok := e.bind.Get(key); ok {
+	if b, ok := e.bind.Get(key); ok {
 		e.mu.Unlock()
-		return algs, nil
+		return b, nil
 	}
 	e.mu.Unlock()
-	algs := x.Algorithms(inst)
+	b := &boundSet{algs: x.Algorithms(inst)}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if cached, ok := e.bind.Peek(key); ok {
 		return cached, nil // a concurrent bind won; use its pointers
 	}
-	e.bind.Put(key, algs)
-	return algs, nil
+	e.bind.Put(key, b)
+	return b, nil
 }
 
 // resolveStrategy maps a strategy name to its runnable form against the
@@ -670,10 +686,11 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	if err != nil {
 		return nil, err
 	}
-	algs, err := e.algorithmsFor(x, q.Instance)
+	b, err := e.bound(x, q.Instance)
 	if err != nil {
 		return nil, err
 	}
+	algs := b.algs
 	var pick int
 	var post []selection.AlgPosterior
 	explored := false
@@ -730,7 +747,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	for i := range algs {
 		cands[i] = Candidate{Index: algs[i].Index, Name: algs[i].Name, Flops: algs[i].Flops()}
 	}
-	ranking, confidence, anomaly := rank(x.Name(), q.Instance, algs, post)
+	ranking, confidence, anomaly := b.rank(post)
 	if anomaly {
 		e.anomalous.Add(1)
 	}
@@ -914,9 +931,9 @@ func (c cachedExpr) Validate(inst expr.Instance) error { return c.x.Validate(ins
 // Algorithms implements expr.Expression through the binding cache. The
 // returned set is shared: treat it as read-only.
 func (c cachedExpr) Algorithms(inst expr.Instance) []expr.Algorithm {
-	algs, err := c.eng.algorithmsFor(c.x, inst)
+	b, err := c.eng.bound(c.x, inst)
 	if err != nil {
 		panic(err)
 	}
-	return algs
+	return b.algs
 }

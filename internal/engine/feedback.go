@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 
 	"lamb/internal/expr"
 )
@@ -37,22 +36,21 @@ func (e *Engine) Feedback(fb Feedback) error {
 	if e.prof.Load() == nil {
 		return fmt.Errorf("engine: feedback has no consumer: the adaptive strategy needs a profile store (serve with -profile)")
 	}
-	if fb.Seconds <= 0 || math.IsNaN(fb.Seconds) || math.IsInf(fb.Seconds, 0) {
-		return fmt.Errorf("engine: feedback seconds %v is not a positive duration", fb.Seconds)
-	}
 	x, err := e.lookup(fb.Expr, false)
 	if err != nil {
 		return err
 	}
-	algs, err := e.algorithmsFor(x, fb.Instance)
+	b, err := e.bound(x, fb.Instance)
 	if err != nil {
 		return err
 	}
-	if fb.Algorithm < 1 || fb.Algorithm > len(algs) {
+	if fb.Algorithm < 1 || fb.Algorithm > len(b.algs) {
 		return fmt.Errorf("engine: feedback algorithm %d out of range [1, %d] for %s%v",
-			fb.Algorithm, len(algs), x.Name(), fb.Instance)
+			fb.Algorithm, len(b.algs), x.Name(), fb.Instance)
 	}
-	e.outcomes.Add(x.Name(), fb.Instance, fb.Algorithm, fb.Seconds)
+	if err := e.outcomes.Add(x.Name(), fb.Instance, fb.Algorithm, fb.Seconds); err != nil {
+		return fmt.Errorf("engine: feedback: %w", err)
+	}
 	e.feedback.Add(1)
 	return nil
 }

@@ -44,8 +44,8 @@ func (e *Engine) resolveOutcome(name string, inst expr.Instance, alg int) (strin
 	if err != nil {
 		return "", false
 	}
-	algs, err := e.algorithmsFor(x, inst)
-	if err != nil || alg < 1 || alg > len(algs) {
+	b, err := e.bound(x, inst)
+	if err != nil || alg < 1 || alg > len(b.algs) {
 		return "", false
 	}
 	return x.Name(), true

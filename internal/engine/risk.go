@@ -4,9 +4,10 @@ package engine
 // record renders the engine's current evidence as a ranking with win
 // probabilities, a top-2 confidence, and an anomaly flag where the
 // evidence contradicts the min-FLOPs discriminant. Everything here is
-// deterministic for a given store state — the Monte Carlo sampler is
-// seeded from the query itself — so identical queries produce identical
-// records, which the dedup layers and the serve tests rely on.
+// deterministic for a given store state — win probabilities come from
+// quadrature, not sampling — so identical queries produce identical
+// records, which the dedup layers and the serve tests rely on, and a
+// bound set can memoise its last ranking.
 
 import (
 	"math"
@@ -14,18 +15,11 @@ import (
 
 	"lamb/internal/expr"
 	"lamb/internal/selection"
-	"lamb/internal/xrand"
 )
 
-// Fixed seed labels for the two derived random streams: the ranking's
-// Monte Carlo sampler (labelled further by expression and instance, so
-// every query point gets an independent but reproducible stream) and
-// the Thompson exploration draws (labelled by the exploration event
-// ordinal).
-const (
-	rankSeed    uint64 = 0x5e1ec7_4a2b
-	exploreSeed uint64 = 0x740_0b5e12
-)
+// exploreSeed is the fixed seed of the Thompson exploration draws,
+// labelled further by the exploration event ordinal.
+const exploreSeed uint64 = 0x740_0b5e12
 
 // RankEntry is one row of a record's ranking: an algorithm, its
 // posterior summary, and the probability it is actually the fastest.
@@ -93,17 +87,56 @@ func (e *Engine) riskPosterior(exprName string, inst expr.Instance, algs []expr.
 	return ad.Posterior(inst, algs)
 }
 
+// rankMemo is a bound set's last rendered ranking and the posterior it
+// was rendered from. It is immutable once published.
+type rankMemo struct {
+	post       []selection.AlgPosterior
+	ranking    []RankEntry
+	confidence float64
+	anomaly    bool
+}
+
+// rank renders a posterior into the record's ranking block, reusing the
+// set's memoised ranking when post is bitwise equal to the one it was
+// rendered from. A hit shares the memo's entries: records treat their
+// ranking as read-only.
+func (b *boundSet) rank(post []selection.AlgPosterior) (entries []RankEntry, confidence float64, anomaly bool) {
+	if m := b.memo.Load(); m != nil && samePosterior(m.post, post) {
+		return m.ranking, m.confidence, m.anomaly
+	}
+	entries, confidence, anomaly = rank(b.algs, post)
+	b.memo.Store(&rankMemo{post: post, ranking: entries, confidence: confidence, anomaly: anomaly})
+	return entries, confidence, anomaly
+}
+
+// samePosterior reports whether two posteriors are bitwise equal, so a
+// memo hit can never change a record's bytes (not even 0 against −0).
+func samePosterior(a, b []selection.AlgPosterior) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Algorithm != y.Algorithm || x.Informed != y.Informed ||
+			math.Float64bits(x.Mean) != math.Float64bits(y.Mean) ||
+			math.Float64bits(x.StdErr) != math.Float64bits(y.StdErr) ||
+			math.Float64bits(x.Weight) != math.Float64bits(y.Weight) {
+			return false
+		}
+	}
+	return true
+}
+
 // rank renders a posterior into the record's ranking block: entries
-// ordered fastest-first by posterior mean, win probabilities from the
-// seeded Monte Carlo sampler, the closed-form top-2 gap as the record's
-// confidence, and the discriminant test itself — the answer is
-// anomalous when the posterior-best algorithm differs from the
-// min-FLOPs pick AND the min-FLOPs pick's probability of beating it has
-// dropped below the threshold. Requiring both keeps near-tied FLOP sets
-// with no feedback (beat probability ≈ ½) from flagging.
-func rank(exprName string, inst expr.Instance, algs []expr.Algorithm, post []selection.AlgPosterior) (entries []RankEntry, confidence float64, anomaly bool) {
-	rng := xrand.NewLabeled(rankSeed, exprName+"|"+inst.String())
-	pb := selection.WinProbabilities(post, rng, 0)
+// ordered fastest-first by posterior mean, win probabilities by
+// quadrature, the closed-form top-2 gap as the record's confidence, and
+// the discriminant test itself — the answer is anomalous when the
+// posterior-best algorithm differs from the min-FLOPs pick AND the
+// min-FLOPs pick's probability of beating it has dropped below the
+// threshold. Requiring both keeps near-tied FLOP sets with no feedback
+// (beat probability ≈ ½) from flagging.
+func rank(algs []expr.Algorithm, post []selection.AlgPosterior) (entries []RankEntry, confidence float64, anomaly bool) {
+	pb := selection.WinProbabilities(post, nil, 0)
 	order := make([]int, len(post))
 	for i := range order {
 		order[i] = i

@@ -1,14 +1,18 @@
 package engine
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
 	"testing"
 
+	"lamb/internal/exec"
 	"lamb/internal/expr"
+	"lamb/internal/profile"
 )
 
 // checkRanking asserts the structural invariants every record's ranking
@@ -60,9 +64,10 @@ func TestEngineRecordCarriesRanking(t *testing.T) {
 	}
 }
 
-// TestEngineRankingDeterministic pins the seeded sampler: identical
-// queries against identical evidence produce identical rankings, the
-// property the dedup layers and the serve round-trip test rely on.
+// TestEngineRankingDeterministic pins that ranking is a function of the
+// evidence: identical queries against identical evidence produce
+// identical rankings, the property the dedup layers, the rank memo and
+// the serve round-trip test rely on.
 func TestEngineRankingDeterministic(t *testing.T) {
 	a, err := ask(context.Background(), New(Config{}), Query{Expr: "gls", Instance: expr.Instance{40, 30, 20, 10}})
 	if err != nil {
@@ -302,5 +307,167 @@ func TestEngineRiskConcurrentRace(t *testing.T) {
 	}
 	if s := e.Stats(); s.AdaptiveQueries == 0 || s.Feedback == 0 {
 		t.Fatalf("counters did not move: %+v", s)
+	}
+}
+
+// memoFor returns the bound set the engine holds for (name, inst).
+func memoFor(t *testing.T, e *Engine, name string, inst expr.Instance) *boundSet {
+	t.Helper()
+	x, err := e.lookup(name, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := e.bound(x, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// rankingBytes is the record's ranking block as served.
+func rankingBytes(t *testing.T, rec *Record) []byte {
+	t.Helper()
+	out, err := json.Marshal(struct {
+		Ranking    []RankEntry
+		Confidence float64
+		Anomaly    bool
+	}{rec.Ranking, rec.Confidence, rec.Anomaly})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRankMemoHitEqualsFreshRank pins the memo's contract: a repeated
+// query reuses the bound set's last ranking, and that ranking is
+// bitwise what a fresh rank of the same posterior renders.
+func TestRankMemoHitEqualsFreshRank(t *testing.T) {
+	e := profiledEngine(t, Config{})
+	inst := expr.Instance{80, 514, 768}
+	for _, strat := range []string{"min-flops", "min-predicted", "adaptive"} {
+		first, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := memoFor(t, e, "aatb", inst)
+		m := b.memo.Load()
+		if m == nil {
+			t.Fatalf("%s: no memo after a query", strat)
+		}
+		again, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: strat})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.memo.Load() != m || &again.Ranking[0] != &m.ranking[0] {
+			t.Fatalf("%s: repeated query did not reuse the memo", strat)
+		}
+		fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+		want := rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})
+		for _, rec := range []*Record{first, again} {
+			if got := rankingBytes(t, rec); !bytes.Equal(got, want) {
+				t.Fatalf("%s: memoised ranking differs from a fresh rank:\n%s\n%s", strat, got, want)
+			}
+		}
+	}
+}
+
+// TestRankMemoRecomputesAfterReloadAndFeedback pins the memo's
+// invalidation: it needs none of its own, because a profile reload and
+// feedback near the instance both change the posterior, and a changed
+// posterior never hits.
+func TestRankMemoRecomputesAfterReloadAndFeedback(t *testing.T) {
+	e := profiledEngine(t, Config{})
+	inst := expr.Instance{80, 514, 768}
+	q := Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"}
+	before, err := ask(context.Background(), e, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := memoFor(t, e, "aatb", inst)
+	stale := b.memo.Load()
+
+	check := func(step string) *Record {
+		t.Helper()
+		rec, err := ask(context.Background(), e, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := b.memo.Load()
+		if m == stale {
+			t.Fatalf("%s: the stale memo answered", step)
+		}
+		fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+		want := rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})
+		if got := rankingBytes(t, rec); !bytes.Equal(got, want) {
+			t.Fatalf("%s: ranking differs from a fresh rank:\n%s\n%s", step, got, want)
+		}
+		if bytes.Equal(rankingBytes(t, rec), rankingBytes(t, before)) {
+			t.Fatalf("%s: ranking unchanged", step)
+		}
+		stale = m
+		return rec
+	}
+
+	// A reload with a different profile store moves every prior mean.
+	timer := exec.NewTimer(exec.NewDefaultSimulated())
+	timer.Reps = 2
+	e.ReloadProfiles(profile.MeasureSet(timer, 2), profile.Meta{Source: "other-profile.json"})
+	before = check("reload")
+
+	// Feedback near the instance informs the posterior.
+	if err := e.Feedback(Feedback{Expr: "aatb", Instance: inst, Algorithm: 2, Seconds: 1e-3}); err != nil {
+		t.Fatal(err)
+	}
+	check("feedback")
+}
+
+// TestRankMemoConcurrentRace shares one bound set's memo between
+// concurrent queries while feedback keeps changing its posterior; run
+// under -race. Every answer must carry a valid ranking, and once the
+// feedback stops, a repeated query must equal a fresh rank.
+func TestRankMemoConcurrentRace(t *testing.T) {
+	e := profiledEngine(t, Config{})
+	inst := expr.Instance{80, 514, 768}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*20)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if w == 0 {
+					if err := e.Feedback(Feedback{Expr: "aatb", Instance: inst, Algorithm: 1 + i%5, Seconds: 1e-4 * float64(1+i)}); err != nil {
+						errs <- err
+					}
+					continue
+				}
+				rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+				if err != nil {
+					errs <- err
+					continue
+				}
+				sum := 0.0
+				for _, r := range rec.Ranking {
+					sum += r.PBest
+				}
+				if len(rec.Ranking) != rec.NumAlgorithms || sum != 1 {
+					errs <- fmt.Errorf("ranking %v sums to %g", rec.Ranking, sum)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	rec, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := memoFor(t, e, "aatb", inst)
+	fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+	if !bytes.Equal(rankingBytes(t, rec), rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})) {
+		t.Fatal("settled ranking differs from a fresh rank")
 	}
 }

@@ -270,7 +270,7 @@ func layoutArena(nsteps int, first, last, sizes []int) (offsets []int, arenaLen 
 
 // bindCall resolves the call's operands through get and returns a
 // closure that executes it on the pure-Go BLAS kernels. Semantics match
-// Dispatch exactly.
+// the map-based oracle the plan tests pin it against.
 func bindCall(c kernels.Call, get func(string) *mat.Dense) (func(), error) {
 	switch c.Kind {
 	case kernels.Gemm:

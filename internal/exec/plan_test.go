@@ -6,6 +6,7 @@ package exec
 // layout.
 
 import (
+	"fmt"
 	"testing"
 
 	"lamb/internal/blas"
@@ -16,7 +17,7 @@ import (
 )
 
 // evaluateWithMap is the pre-plan evaluation path: operands in a string-
-// keyed map, every call routed through the Dispatch switch. Kept as the
+// keyed map, every call routed through the dispatch switch. Kept as the
 // reference the plan path is pinned against.
 func evaluateWithMap(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.Dense {
 	ops := make(map[string]*mat.Dense, len(alg.Shapes))
@@ -28,9 +29,40 @@ func evaluateWithMap(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.Den
 		ops[id] = mat.New(sh.Rows, sh.Cols)
 	}
 	for _, call := range alg.Calls {
-		Dispatch(call, ops)
+		dispatch(call, ops)
 	}
 	return ops[alg.Output]
+}
+
+// dispatch executes a single call on the operand map using the pure-Go
+// BLAS kernels. Symmetric kernels use the lower triangle, matching the
+// SYRK outputs produced here. It shares no code with the compiled plans
+// (bindCall), so it is their independent oracle.
+func dispatch(call kernels.Call, ops map[string]*mat.Dense) {
+	switch call.Kind {
+	case kernels.Gemm:
+		blas.Gemm(call.TransA, call.TransB, 1, ops[call.In[0]], ops[call.In[1]], 0, ops[call.Out])
+	case kernels.Syrk:
+		if call.TransA {
+			blas.SyrkT(mat.Lower, 1, ops[call.In[0]], 0, ops[call.Out])
+		} else {
+			blas.Syrk(mat.Lower, 1, ops[call.In[0]], 0, ops[call.Out])
+		}
+	case kernels.Symm:
+		blas.Symm(mat.Lower, 1, ops[call.In[0]], ops[call.In[1]], 0, ops[call.Out])
+	case kernels.Tri2Full:
+		blas.Tri2Full(mat.Lower, ops[call.Out])
+	case kernels.Potrf:
+		if err := blas.Potrf(ops[call.Out]); err != nil {
+			panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, call.Out))
+		}
+	case kernels.Trsm:
+		blas.Trsm(mat.Lower, call.TransA, 1, ops[call.In[0]], ops[call.Out])
+	case kernels.AddSym:
+		blas.AddSym(mat.Lower, ops[call.Out], ops[call.In[1]])
+	default:
+		panic(fmt.Sprintf("exec: dispatch of unknown kind %v", call.Kind))
+	}
 }
 
 // testInstance builds a small, well-formed instance for an expression.

@@ -14,6 +14,7 @@
 package outcomes
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -132,8 +133,13 @@ func logDistance(a, b []float64) float64 {
 
 // Add records one measurement, evicting the least-recently-touched
 // record when the store is at capacity. Direct feedback is always
-// local evidence (the empty source).
-func (st *Store) Add(exprName string, inst expr.Instance, alg int, seconds float64) {
+// local evidence (the empty source). A time that is not a positive,
+// finite duration is rejected: one NaN or infinity would poison the
+// stream's mean and every posterior built from it.
+func (st *Store) Add(exprName string, inst expr.Instance, alg int, seconds float64) error {
+	if !(seconds > 0) || math.IsInf(seconds, 1) {
+		return fmt.Errorf("outcomes: seconds %v is not a positive duration", seconds)
+	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	o := st.touch(exprName, inst)
@@ -152,6 +158,7 @@ func (st *Store) Add(exprName string, inst expr.Instance, alg int, seconds float
 	delta := seconds - ao.mean
 	ao.mean += delta / ao.weight
 	ao.m2 += delta * (seconds - ao.mean)
+	return nil
 }
 
 // restore installs one snapshot outcome verbatim (weight, mean, count,

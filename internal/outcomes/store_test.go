@@ -135,3 +135,34 @@ func TestStoreBoundedEviction(t *testing.T) {
 		t.Fatal("recent record missing")
 	}
 }
+
+// TestStoreAddRejectsInvalidSeconds pins Add's own guard: a time that is
+// not a positive, finite duration is an error and leaves the store
+// untouched, so no caller can poison a stream's mean.
+func TestStoreAddRejectsInvalidSeconds(t *testing.T) {
+	inst := expr.Instance{80, 514, 768}
+	for name, sec := range map[string]float64{
+		"zero":          0,
+		"negative zero": math.Copysign(0, -1),
+		"negative":      -1,
+		"NaN":           math.NaN(),
+		"+Inf":          math.Inf(1),
+		"-Inf":          math.Inf(-1),
+	} {
+		t.Run(name, func(t *testing.T) {
+			st, _ := frozenStore(16, 0)
+			if err := st.Add("AATB", inst, 1, sec); err == nil {
+				t.Fatalf("Add accepted %v seconds", sec)
+			}
+			if st.Size() != 0 {
+				t.Fatalf("rejected add left %d records", st.Size())
+			}
+			if err := st.Add("AATB", inst, 1, 0.5); err != nil {
+				t.Fatal(err)
+			}
+			if obs := st.Near("AATB", inst, 0.01); len(obs) != 1 || obs[0].Seconds != 0.5 {
+				t.Fatalf("observations after a rejected add %+v", obs)
+			}
+		})
+	}
+}
