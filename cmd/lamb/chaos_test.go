@@ -86,6 +86,7 @@ func tryStartServeProc(t *testing.T, extraEnv []string, args ...string) (*serveP
 		serveHelperEnv+"=1",
 		serveArgsEnv+"="+strings.Join(args, serveArgsSep))
 	cmd.Env = append(cmd.Env, extraEnv...)
+	dieWithTestBinary(cmd)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return nil, err

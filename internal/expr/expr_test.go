@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -297,10 +298,17 @@ func TestAlgorithmValidateCatchesCorruption(t *testing.T) {
 }
 
 func TestInstanceStringAndClone(t *testing.T) {
-	inst := Instance{1, 2, 3}
-	if inst.String() != "(1,2,3)" {
-		t.Fatalf("String = %q", inst.String())
+	for want, inst := range map[string]Instance{
+		"(1,2,3)": {1, 2, 3},
+		"()":      {},
+		"(0,-3)":  {0, -3},
+		"(9223372036854775807,-9223372036854775808,7,8,9,10,11,12,13)": {math.MaxInt64, math.MinInt64, 7, 8, 9, 10, 11, 12, 13},
+	} {
+		if got := inst.String(); got != want {
+			t.Fatalf("String = %q, want %q", got, want)
+		}
 	}
+	inst := Instance{1, 2, 3}
 	c := inst.Clone()
 	c[0] = 99
 	if inst[0] == 99 {

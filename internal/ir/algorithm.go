@@ -2,7 +2,7 @@ package ir
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 
 	"lamb/internal/kernels"
 )
@@ -11,13 +11,19 @@ import (
 // (d0, d1, ... in the paper's notation).
 type Instance []int
 
-// String renders the instance as "(d0,d1,...)".
+// String renders the instance as "(d0,d1,...)". It keys the bind LRU
+// and the outcome store, so it formats into a stack buffer and
+// allocates only the result.
 func (in Instance) String() string {
-	parts := make([]string, len(in))
+	var buf [64]byte
+	b := append(buf[:0], '(')
 	for i, d := range in {
-		parts[i] = fmt.Sprint(d)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
-	return "(" + strings.Join(parts, ",") + ")"
+	return string(append(b, ')'))
 }
 
 // Clone returns an independent copy of the instance.

@@ -35,13 +35,15 @@
 package outcomes
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"lamb/internal/expr"
@@ -123,47 +125,59 @@ func (st *Store) SnapshotLocal(profileID string) *Snapshot {
 }
 
 func (st *Store) snapshot(profileID string, localOnly bool) *Snapshot {
+	// Under the lock, only decay and copy the evidence; records keep
+	// their instance and key for life, so sorting and cloning happen
+	// after the lock is released, off every Near's and Add's path.
+	type entry struct {
+		key string
+		rec SnapshotRecord
+	}
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	now := st.now()
+	now, halfLife := st.now(), st.halfLife
+	entries := make([]entry, 0, st.points)
+	for rec := st.lru.next; rec != &st.lru; rec = rec.next {
+		var outs []SnapshotOutcome
+		for i := range rec.algs {
+			s := &rec.algs[i]
+			if localOnly && s.source != "" {
+				continue
+			}
+			s.decayTo(now, halfLife)
+			outs = append(outs, SnapshotOutcome{
+				Algorithm: s.alg, Count: s.count, Weight: s.weight, Mean: s.mean, M2: s.m2, Source: s.source,
+			})
+		}
+		if len(outs) == 0 {
+			continue // a record holding only merged evidence, exported local-only
+		}
+		entries = append(entries, entry{key: rec.key, rec: SnapshotRecord{Expr: rec.ex.name, Instance: rec.inst, Outcomes: outs}})
+	}
+	st.mu.Unlock()
+
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.rec.Expr != b.rec.Expr {
+			return strings.Compare(a.rec.Expr, b.rec.Expr)
+		}
+		return strings.Compare(a.key, b.key)
+	})
 	snap := &Snapshot{
 		SchemaVersion:   SchemaVersion,
 		CreatedAt:       time.Unix(0, int64(now*1e9)).UTC().Format(time.RFC3339),
 		CreatedUnix:     now,
-		HalfLifeSeconds: st.halfLife,
+		HalfLifeSeconds: halfLife,
 		Profile:         profileID,
-		Records:         []SnapshotRecord{},
+		Records:         make([]SnapshotRecord, len(entries)),
 	}
-	for exprName, insts := range st.byExpr {
-		for _, rec := range insts {
-			sr := SnapshotRecord{Expr: exprName, Instance: rec.inst.Clone()}
-			for key, ao := range rec.algs {
-				if localOnly && key.source != "" {
-					continue
-				}
-				ao.decayTo(now, st.halfLife)
-				sr.Outcomes = append(sr.Outcomes, SnapshotOutcome{
-					Algorithm: key.alg, Count: ao.count, Weight: ao.weight, Mean: ao.mean, M2: ao.m2, Source: key.source,
-				})
+	for i, e := range entries {
+		slices.SortFunc(e.rec.Outcomes, func(a, b SnapshotOutcome) int {
+			if a.Algorithm != b.Algorithm {
+				return cmp.Compare(a.Algorithm, b.Algorithm)
 			}
-			if len(sr.Outcomes) == 0 {
-				continue // a record holding only merged evidence, exported local-only
-			}
-			sort.Slice(sr.Outcomes, func(i, j int) bool {
-				if sr.Outcomes[i].Algorithm != sr.Outcomes[j].Algorithm {
-					return sr.Outcomes[i].Algorithm < sr.Outcomes[j].Algorithm
-				}
-				return sr.Outcomes[i].Source < sr.Outcomes[j].Source
-			})
-			snap.Records = append(snap.Records, sr)
-		}
+			return strings.Compare(a.Source, b.Source)
+		})
+		e.rec.Instance = e.rec.Instance.Clone()
+		snap.Records[i] = e.rec
 	}
-	sort.Slice(snap.Records, func(i, j int) bool {
-		if snap.Records[i].Expr != snap.Records[j].Expr {
-			return snap.Records[i].Expr < snap.Records[j].Expr
-		}
-		return snap.Records[i].Instance.String() < snap.Records[j].Instance.String()
-	})
 	return snap
 }
 
@@ -299,24 +313,16 @@ func (st *Store) Merge(source string, s *Snapshot, scale float64, resolve func(e
 }
 
 // dropSource removes every outcome tagged with source, and any record
-// (and expression map) left empty by the removal. Callers hold the
-// write lock.
+// (and expression) left empty by the removal. Callers hold the write
+// lock.
 func (st *Store) dropSource(source string) {
-	for exprName, insts := range st.byExpr {
-		for instKey, rec := range insts {
-			for key := range rec.algs {
-				if key.source == source {
-					delete(rec.algs, key)
-				}
-			}
-			if len(rec.algs) == 0 {
-				delete(insts, instKey)
-				st.points--
-			}
+	for rec := st.lru.next; rec != &st.lru; {
+		next := rec.next
+		rec.algs = slices.DeleteFunc(rec.algs, func(s stream) bool { return s.source == source })
+		if len(rec.algs) == 0 {
+			st.remove(rec)
 		}
-		if len(insts) == 0 {
-			delete(st.byExpr, exprName)
-		}
+		rec = next
 	}
 }
 

@@ -14,9 +14,11 @@
 package outcomes
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -27,30 +29,65 @@ import (
 // Store is the concurrency-safe feedback store. Like the engine's cache
 // layers it is bounded — maxPoints distinct (expression, instance)
 // records, least-recently-touched evicted — so abusive or merely
-// long-lived feedback traffic cannot grow it without limit. The bound
-// also caps Near's linear scan.
+// long-lived feedback traffic cannot grow it without limit.
+//
+// Two structures index the records. Per expression, records are
+// bucketed into log-shape cells, so Near visits only the cells its
+// radius can reach. Across expressions, one intrusive LRU list orders
+// every record by its last touch, so eviction pops the list's back in
+// O(1). Every touch happens in an order fixed by the request sequence,
+// so the store's state — contents and eviction order alike — is a
+// deterministic function of that sequence.
 type Store struct {
-	mu        sync.Mutex
-	byExpr    map[string]map[string]*record
+	mu     sync.Mutex
+	byExpr map[string]*exprRecords
+	// lru is the sentinel of the circular list of every record: lru.next
+	// is the most recently touched record, lru.prev the next victim.
+	lru       record
 	points    int // distinct (expression, instance) records
 	maxPoints int
-	seq       uint64
 	// halfLife is the weight half-life in seconds; <= 0 disables decay.
 	halfLife float64
 	// now supplies wall time as unix seconds; tests inject a frozen
 	// clock to pin decay arithmetic exactly.
 	now func() float64
+	// hits and streams are Near's scratch, reused under mu so a query
+	// allocates only the slice it returns.
+	hits    []hit
+	streams []nearStream
+}
+
+// exprRecords holds one expression's records, keyed by instance and
+// bucketed by log-shape cell.
+type exprRecords struct {
+	name   string
+	byInst map[string]*record
+	cells  map[uint64][]*record
+	// unindexed counts the records no cell holds (see cellKey); while
+	// any exist, Near scans the expression instead of visiting cells.
+	unindexed int
 }
 
 // record is everything recorded at one (expression, instance) point.
 type record struct {
+	key    string        // inst.String(): the byInst key and snapshot sort key
 	inst   expr.Instance // retained for snapshots
-	coords []float64     // log-shape coordinates, precomputed
-	algs   map[outcomeKey]*algOutcome
-	// seq is the store's counter value at the last touch — feedback
-	// recorded or evidence served to an adaptive query — the eviction
-	// order once the store is full.
-	seq uint64
+	coords []float64     // log-shape coordinates, precomputed (in pt up to maxIndexedArity)
+	pt     [maxIndexedArity]float64
+	algs   []stream
+	ex     *exprRecords
+	// cell is the record's cell key and slot its index in that cell's
+	// slice (-1 when unindexed), so it leaves the cell by swap-remove.
+	cell uint64
+	slot int
+	// prev and next link the store's LRU list.
+	prev, next *record
+}
+
+// stream is one evidence stream at a record.
+type stream struct {
+	outcomeKey
+	algOutcome
 }
 
 // outcomeKey identifies one evidence stream at a record: an algorithm
@@ -88,14 +125,26 @@ func (a *algOutcome) decayTo(now, halfLife float64) {
 	a.last = now
 }
 
+// find returns the record's stream for key, or nil.
+func (rec *record) find(key outcomeKey) *stream {
+	for i := range rec.algs {
+		if rec.algs[i].outcomeKey == key {
+			return &rec.algs[i]
+		}
+	}
+	return nil
+}
+
 // NewStore returns a bounded store. halfLife <= 0 disables decay.
 func NewStore(maxPoints int, halfLife time.Duration) *Store {
-	return &Store{
-		byExpr:    make(map[string]map[string]*record),
+	st := &Store{
+		byExpr:    make(map[string]*exprRecords),
 		maxPoints: maxPoints,
 		halfLife:  halfLife.Seconds(),
 		now:       func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
 	}
+	st.lru.prev, st.lru.next = &st.lru, &st.lru
+	return st
 }
 
 // SetClock replaces the store's wall-time source (unix seconds) for
@@ -108,11 +157,12 @@ func (st *Store) SetClock(now func() float64) {
 
 // logCoords maps an instance into log-shape space, where the adaptive
 // neighbourhood is defined: ratios of sizes, not absolute differences,
-// determine whether two instances behave alike.
-func logCoords(inst expr.Instance) []float64 {
-	out := make([]float64, len(inst))
-	for i, d := range inst {
-		out[i] = math.Log(float64(d))
+// determine whether two instances behave alike. The coordinates go in
+// buf when it is long enough.
+func logCoords(buf []float64, inst expr.Instance) []float64 {
+	out := buf[:0]
+	for _, d := range inst {
+		out = append(out, math.Log(float64(d)))
 	}
 	return out
 }
@@ -131,6 +181,173 @@ func logDistance(a, b []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// The cell index. A cell is a cube of side cellSide in log-shape space:
+// twice selection.DefaultAdaptiveRadius, so a default-radius query
+// spans two cells per dimension (32 for the 5-dimensional chain), three
+// only when its span ends within cellSlack of a cell edge. A cell key packs ⌊cᵢ/cellSide⌋ into one byte per dimension;
+// ln of any int is below 44, so every index of a dimension ≥ 1 fits,
+// for up to maxIndexedArity dimensions.
+const (
+	cellSide        = 2 * selection.DefaultAdaptiveRadius
+	maxIndexedArity = 8
+	// cellSlack widens a query's cell span, so rounding in a distance
+	// computed near the radius can never hide a record on a cell edge.
+	cellSlack = 1e-9
+)
+
+// cellKey returns the cell holding a point, or ok false for a point no
+// cell holds: an arity above maxIndexedArity, or a dimension below 1
+// (a coordinate that is negative or not finite).
+func cellKey(coords []float64) (key uint64, ok bool) {
+	if len(coords) > maxIndexedArity {
+		return 0, false
+	}
+	for i, c := range coords {
+		x := math.Floor(c / cellSide)
+		if !(x >= 0 && x < 256) {
+			return 0, false
+		}
+		key |= uint64(x) << (8 * i)
+	}
+	return key, true
+}
+
+// insert adds rec to the expression's instance map and its cell.
+func (ex *exprRecords) insert(rec *record) {
+	ex.byInst[rec.key] = rec
+	cell, ok := cellKey(rec.coords)
+	if !ok {
+		rec.slot = -1
+		ex.unindexed++
+		return
+	}
+	rec.cell, rec.slot = cell, len(ex.cells[cell])
+	ex.cells[cell] = append(ex.cells[cell], rec)
+}
+
+// delete removes rec from the expression's instance map and its cell,
+// moving the cell's last record into rec's slot.
+func (ex *exprRecords) delete(rec *record) {
+	delete(ex.byInst, rec.key)
+	if rec.slot < 0 {
+		ex.unindexed--
+		return
+	}
+	c := ex.cells[rec.cell]
+	last := len(c) - 1
+	moved := c[last]
+	c[rec.slot], moved.slot = moved, rec.slot
+	c[last] = nil
+	if last == 0 {
+		delete(ex.cells, rec.cell)
+	} else {
+		ex.cells[rec.cell] = c[:last]
+	}
+}
+
+// cellSpan sets lo and hi to the per-dimension cell indices a ball of
+// radius around coords can reach, and reports whether visiting those
+// cells answers the query. It reports false — scan the expression
+// instead — for an arity above maxIndexedArity, a coordinate or radius
+// that is not a finite non-negative number, an expression holding
+// unindexed records, or a span of more cells than the expression has
+// records.
+func (ex *exprRecords) cellSpan(coords []float64, radius float64, lo, hi *[maxIndexedArity]int) bool {
+	if len(coords) > maxIndexedArity || !(radius >= 0) || math.IsInf(radius, 1) || ex.unindexed > 0 {
+		return false
+	}
+	cells := 1
+	for i, c := range coords {
+		if !(c >= 0) || math.IsInf(c, 1) {
+			return false
+		}
+		l := max(math.Floor((c-radius-cellSlack)/cellSide), 0)
+		h := min(math.Floor((c+radius+cellSlack)/cellSide), 255)
+		if cells *= int(h-l) + 1; cells > len(ex.byInst) {
+			return false
+		}
+		lo[i], hi[i] = int(l), int(h)
+	}
+	return true
+}
+
+// near appends to hits every record of the expression within radius of
+// coords, visiting only the cells the radius reaches when cellSpan
+// allows and scanning every record otherwise. Both find the same
+// records; their order is the caller's to fix.
+func (ex *exprRecords) near(hits []hit, coords []float64, radius float64) []hit {
+	var lo, hi [maxIndexedArity]int
+	if !ex.cellSpan(coords, radius, &lo, &hi) {
+		for _, rec := range ex.byInst {
+			hits = appendHit(hits, rec, coords, radius)
+		}
+		return hits
+	}
+	idx := lo
+	for {
+		var key uint64
+		for i := range coords {
+			key |= uint64(idx[i]) << (8 * i)
+		}
+		for _, rec := range ex.cells[key] {
+			hits = appendHit(hits, rec, coords, radius)
+		}
+		// Advance the per-dimension odometer; done once every digit wraps.
+		i := 0
+		for ; i < len(coords) && idx[i] == hi[i]; i++ {
+			idx[i] = lo[i]
+		}
+		if i == len(coords) {
+			return hits
+		}
+		idx[i]++
+	}
+}
+
+// hit is one record Near matched, at its distance from the query.
+type hit struct {
+	rec *record
+	d   float64
+}
+
+func appendHit(hits []hit, rec *record, coords []float64, radius float64) []hit {
+	d := logDistance(coords, rec.coords)
+	if d > radius {
+		return hits
+	}
+	return append(hits, hit{rec: rec, d: d})
+}
+
+// The LRU list. Callers hold the lock.
+
+func (st *Store) pushFront(rec *record) {
+	rec.prev, rec.next = &st.lru, st.lru.next
+	st.lru.next.prev = rec
+	st.lru.next = rec
+}
+
+func unlink(rec *record) {
+	rec.prev.next, rec.next.prev = rec.next, rec.prev
+	rec.prev, rec.next = nil, nil
+}
+
+func (st *Store) moveToFront(rec *record) {
+	if st.lru.next != rec {
+		unlink(rec)
+		st.pushFront(rec)
+	}
+}
+
+// remove deletes rec from the store, and its expression once empty.
+func (st *Store) remove(rec *record) {
+	unlink(rec)
+	rec.ex.delete(rec)
+	if len(rec.ex.byInst) == 0 {
+		delete(st.byExpr, rec.ex.name)
+	}
+	st.points--
+}
+
 // Add records one measurement, evicting the least-recently-touched
 // record when the store is at capacity. Direct feedback is always
 // local evidence (the empty source). A time that is not a positive,
@@ -142,22 +359,22 @@ func (st *Store) Add(exprName string, inst expr.Instance, alg int, seconds float
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	o := st.touch(exprName, inst)
-	key := outcomeKey{alg: alg}
-	ao := o.algs[key]
-	if ao == nil {
-		ao = &algOutcome{last: st.now()}
-		o.algs[key] = ao
+	rec := st.touch(exprName, inst)
+	now := st.now()
+	s := rec.find(outcomeKey{alg: alg})
+	if s == nil {
+		rec.algs = append(rec.algs, stream{outcomeKey: outcomeKey{alg: alg}, algOutcome: algOutcome{last: now}})
+		s = &rec.algs[len(rec.algs)-1]
 	}
-	ao.decayTo(st.now(), st.halfLife)
+	s.decayTo(now, st.halfLife)
 	// Weighted Welford update with a unit-mass increment: the mean
 	// matches the plain running mean exactly, and m2 accumulates the
 	// weighted squared deviations that back the posterior's variance.
-	ao.count++
-	ao.weight++
-	delta := seconds - ao.mean
-	ao.mean += delta / ao.weight
-	ao.m2 += delta * (seconds - ao.mean)
+	s.count++
+	s.weight++
+	delta := seconds - s.mean
+	s.mean += delta / s.weight
+	s.m2 += delta * (seconds - s.mean)
 	return nil
 }
 
@@ -173,7 +390,8 @@ func (st *Store) restore(exprName string, inst expr.Instance, o SnapshotOutcome,
 // creating the record as needed. Callers hold the write lock.
 func (st *Store) install(exprName string, inst expr.Instance, o SnapshotOutcome, source string, scale, last float64) {
 	rec := st.touch(exprName, inst)
-	rec.algs[outcomeKey{alg: o.Algorithm, source: source}] = &algOutcome{
+	key := outcomeKey{alg: o.Algorithm, source: source}
+	ao := algOutcome{
 		count:  o.Count,
 		weight: o.Weight * scale,
 		mean:   o.Mean,
@@ -183,125 +401,131 @@ func (st *Store) install(exprName string, inst expr.Instance, o SnapshotOutcome,
 		m2:   o.M2 * scale,
 		last: last,
 	}
+	if s := rec.find(key); s != nil {
+		s.algOutcome = ao
+	} else {
+		rec.algs = append(rec.algs, stream{outcomeKey: key, algOutcome: ao})
+	}
 }
 
 // touch returns the record for (exprName, inst), creating (and if
-// necessary evicting) under the held lock, and refreshes its eviction
-// sequence.
+// necessary evicting) under the held lock, and moves it to the front
+// of the LRU list.
 func (st *Store) touch(exprName string, inst expr.Instance) *record {
 	key := inst.String()
-	insts := st.byExpr[exprName]
-	if insts == nil {
-		insts = make(map[string]*record)
-		st.byExpr[exprName] = insts
-	}
-	o := insts[key]
-	if o == nil {
-		if st.points >= st.maxPoints {
-			// Eviction may remove this expression's last record and with
-			// it the per-expression map itself — re-fetch so the insert
-			// below never lands in an orphaned map.
-			st.evictOldest()
-			if insts = st.byExpr[exprName]; insts == nil {
-				insts = make(map[string]*record)
-				st.byExpr[exprName] = insts
-			}
+	ex := st.byExpr[exprName]
+	if ex != nil {
+		if rec := ex.byInst[key]; rec != nil {
+			st.moveToFront(rec)
+			return rec
 		}
-		o = &record{inst: inst.Clone(), coords: logCoords(inst), algs: make(map[outcomeKey]*algOutcome)}
-		insts[key] = o
-		st.points++
 	}
-	st.seq++
-	o.seq = st.seq
-	return o
+	if st.points >= st.maxPoints && st.lru.prev != &st.lru {
+		// Eviction may remove this expression's last record and with it
+		// the expression itself — re-fetch so the insert below never
+		// lands in an orphaned index.
+		st.remove(st.lru.prev)
+		ex = st.byExpr[exprName]
+	}
+	if ex == nil {
+		ex = &exprRecords{name: exprName, byInst: make(map[string]*record), cells: make(map[uint64][]*record)}
+		st.byExpr[exprName] = ex
+	}
+	rec := &record{key: key, inst: inst.Clone(), ex: ex}
+	rec.coords = logCoords(rec.pt[:], inst)
+	ex.insert(rec)
+	st.pushFront(rec)
+	st.points++
+	return rec
 }
 
-// evictOldest drops the record with the smallest touch sequence. A
-// linear scan is fine: it runs only when the store is full, over at
-// most maxPoints records. Callers hold the write lock.
-func (st *Store) evictOldest() {
-	var (
-		oldExpr, oldKey string
-		oldSeq          uint64
-		found           bool
-	)
-	for exprName, insts := range st.byExpr {
-		for key, o := range insts {
-			if !found || o.seq < oldSeq {
-				oldExpr, oldKey, oldSeq, found = exprName, key, o.seq, true
-			}
-		}
-	}
-	if found {
-		delete(st.byExpr[oldExpr], oldKey)
-		if len(st.byExpr[oldExpr]) == 0 {
-			delete(st.byExpr, oldExpr)
-		}
-		st.points--
-	}
+// nearStream is one evidence stream Near serves, at its record's
+// distance from the query.
+type nearStream struct {
+	s   *stream
+	rec *record
+	d   float64
 }
 
 // Near returns the aggregated observations recorded within radius of
 // inst in log-shape space — the adaptive strategy's evidence, with
 // decayed weights. Serving a record counts as a touch: evidence that is
 // actively informing queries must not be evicted in favour of stale,
-// never-queried records, so matches have their eviction seq refreshed —
-// reads mutate, which is why the store uses a plain mutex.
+// never-queried records, so Near moves its matches to the front of the
+// LRU list, leaving them in (distance, instance) order with the nearest
+// first. Reads therefore mutate the store, which is why it uses a plain
+// mutex.
 func (st *Store) Near(exprName string, inst expr.Instance, radius float64) []selection.Observation {
-	coords := logCoords(inst)
+	var buf [maxIndexedArity]float64
+	coords := logCoords(buf[:], inst)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	now := st.now()
-	type stream struct {
-		src string
-		o   selection.Observation
+	ex := st.byExpr[exprName]
+	if ex == nil {
+		return nil
 	}
-	var matches []stream
-	for _, o := range st.byExpr[exprName] {
-		d := logDistance(coords, o.coords)
-		if d > radius {
-			continue
+	hits := ex.near(st.hits[:0], coords, radius)
+	// The index and the map visit records in no fixed order; sorting
+	// before the touches makes the LRU order a function of the request
+	// sequence.
+	slices.SortFunc(hits, func(a, b hit) int {
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		st.seq++
-		o.seq = st.seq
+		return strings.Compare(a.rec.key, b.rec.key)
+	})
+	for i := len(hits) - 1; i >= 0; i-- {
+		st.moveToFront(hits[i].rec)
+	}
+	now := st.now()
+	streams := st.streams[:0]
+	for _, h := range hits {
 		// One observation per (algorithm, source) stream: the adaptive
 		// blend sums weights per algorithm, so local and merged evidence
 		// combine without the store pre-aggregating them.
-		for key, ao := range o.algs {
-			ao.decayTo(now, st.halfLife)
-			matches = append(matches, stream{src: key.source, o: selection.Observation{
-				Algorithm: key.alg,
-				Seconds:   ao.mean,
-				Count:     ao.count,
-				Weight:    ao.weight,
-				Distance:  d,
-				M2:        ao.m2,
-			}})
+		for i := range h.rec.algs {
+			s := &h.rec.algs[i]
+			s.decayTo(now, st.halfLife)
+			streams = append(streams, nearStream{s: s, rec: h.rec, d: h.d})
 		}
 	}
-	// Map iteration order is random; the posterior accumulates these in
-	// floating point, so identical store states must serve identically
-	// ordered evidence or repeated queries would drift in the last bits.
-	sort.Slice(matches, func(i, j int) bool {
-		a, b := matches[i], matches[j]
-		if a.o.Algorithm != b.o.Algorithm {
-			return a.o.Algorithm < b.o.Algorithm
+	// The posterior accumulates these in floating point, so identical
+	// store states must serve identically ordered evidence or repeated
+	// queries would drift in the last bits. The instance key breaks the
+	// last ties.
+	slices.SortFunc(streams, func(a, b nearStream) int {
+		if a.s.alg != b.s.alg {
+			return cmp.Compare(a.s.alg, b.s.alg)
 		}
-		if a.src != b.src {
-			return a.src < b.src
+		if a.s.source != b.s.source {
+			return strings.Compare(a.s.source, b.s.source)
 		}
-		if a.o.Distance != b.o.Distance {
-			return a.o.Distance < b.o.Distance
+		if c := cmp.Compare(a.d, b.d); c != 0 {
+			return c
 		}
-		return a.o.Seconds < b.o.Seconds
+		if c := cmp.Compare(a.s.mean, b.s.mean); c != 0 {
+			return c
+		}
+		return strings.Compare(a.rec.key, b.rec.key)
 	})
-	if len(matches) == 0 {
-		return nil
+	var out []selection.Observation
+	if len(streams) > 0 {
+		out = make([]selection.Observation, len(streams))
+		for i, n := range streams {
+			out[i] = selection.Observation{
+				Algorithm: n.s.alg,
+				Seconds:   n.s.mean,
+				Count:     n.s.count,
+				Weight:    n.s.weight,
+				Distance:  n.d,
+				M2:        n.s.m2,
+			}
+		}
 	}
-	out := make([]selection.Observation, len(matches))
-	for i, m := range matches {
-		out[i] = m.o
-	}
+	// Clear the scratch so it never keeps an evicted record alive.
+	clear(hits)
+	clear(streams)
+	st.hits, st.streams = hits[:0], streams[:0]
 	return out
 }
 
