@@ -450,36 +450,43 @@ func TestServeBatchCompute(t *testing.T) {
 }
 
 // TestServeMemoisedRecordMatchesSelectJSON pins the rank memo across
-// transports: a repeated served query (answered from the bound set's
-// memoised ranking) is byte-identical to the first one and to the
-// record `lamb select -json` prints from a fresh process.
+// transports, for every strategy: a repeated served query (answered
+// from the bound set's memoised ranking) is byte-identical to the first
+// one and to the record `lamb select -json` prints from a fresh
+// process. Oracle measurements on the simulated backend are
+// deterministic at equal repetition counts, so both engines use the
+// CLI's default of 10.
 func TestServeMemoisedRecordMatchesSelectJSON(t *testing.T) {
 	fixture := filepath.Join("..", "..", "testdata", "profile-ci.json")
 	set, meta, err := profile.ReadFile(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(serveMux(engine.New(engine.Config{Profiles: set, ProfileMeta: meta})))
-	t.Cleanup(srv.Close)
-	q := engine.Query{Expr: "gls", Instance: []int{40, 30, 20, 10}, Strategy: "min-predicted"}
-	_, first := postJSON(t, srv.URL+"/api/v1/query", q)
-	_, again := postJSON(t, srv.URL+"/api/v1/query", q)
-	if !bytes.Equal(first, again) {
-		t.Fatalf("memoised record differs:\n%s\n%s", first, again)
-	}
+	for _, strat := range []string{"min-flops", "min-predicted", "adaptive", "oracle"} {
+		t.Run(strat, func(t *testing.T) {
+			srv := httptest.NewServer(serveMux(engine.New(engine.Config{Profiles: set, ProfileMeta: meta, Reps: 10})))
+			t.Cleanup(srv.Close)
+			q := engine.Query{Expr: "gls", Instance: []int{40, 30, 20, 10}, Strategy: strat}
+			_, first := postJSON(t, srv.URL+"/api/v1/query", q)
+			_, again := postJSON(t, srv.URL+"/api/v1/query", q)
+			if !bytes.Equal(first, again) {
+				t.Fatalf("memoised record differs:\n%s\n%s", first, again)
+			}
 
-	old := stdoutCapture(t)
-	err = cmdSelect([]string{"-expr", "gls", "-instance", "40,30,20,10",
-		"-strategy", "min-predicted", "-profile", fixture, "-json"})
-	cli := old()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, cli); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(compact.Bytes(), bytes.TrimSpace(first)) {
-		t.Fatalf("served record differs from select -json:\n%s\n%s", first, compact.Bytes())
+			old := stdoutCapture(t)
+			err := cmdSelect([]string{"-expr", "gls", "-instance", "40,30,20,10",
+				"-strategy", strat, "-profile", fixture, "-reps", "10", "-json"})
+			cli := old()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, cli); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(compact.Bytes(), bytes.TrimSpace(first)) {
+				t.Fatalf("served record differs from select -json:\n%s\n%s", first, compact.Bytes())
+			}
+		})
 	}
 }

@@ -18,10 +18,12 @@
 //     (lamb/internal/exec.PlanCache) shared with the measured executor,
 //     keyed by the bound algorithm, so timing-based strategies never
 //     recompile a plan for a cached (algorithm, instance) pair.
-//   - serving layer: Do applies a selection strategy
-//     (lamb/internal/selection) and deduplicate concurrent identical
-//     queries with a singleflight, producing the machine-readable
-//     Record that both `lamb select -json` and `lamb serve` emit.
+//   - serving layer: Do deduplicates concurrent identical queries with
+//     a singleflight and answers each from one posterior — prior
+//     predictions blended with nearby feedback (lamb/internal/selection)
+//     — from which the strategy picks and the ranking is rendered,
+//     producing the machine-readable Record that both
+//     `lamb select -json` and `lamb serve` emit.
 //
 // The CLI experiment pipeline, strategy evaluation, and the HTTP server
 // all route through one Engine, so there is one pipeline rather than
@@ -60,8 +62,7 @@ const (
 	// Records are small (an instance, its log coordinates, a few
 	// per-algorithm running means), so the store can hold many instance
 	// regions, but unlike an LRU cache an unbounded store would grow
-	// with abusive feedback traffic — and its nearest-neighbour scan is
-	// linear in the record count.
+	// with abusive feedback traffic.
 	DefaultFeedbackEntries = 4096
 )
 
@@ -124,8 +125,8 @@ type Query struct {
 	// Instance assigns the expression's dimensions.
 	Instance expr.Instance `json:"instance"`
 	// Strategy selects the discriminant: "min-flops" (default),
-	// "min-predicted" (needs profiles), or "oracle" (measures every
-	// algorithm).
+	// "min-predicted" or "adaptive" (need profiles), or "oracle"
+	// (measures every algorithm).
 	Strategy string `json:"strategy,omitempty"`
 }
 
@@ -288,20 +289,14 @@ type profileState struct {
 	predicted selection.MinPredicted
 }
 
-// strategyRun is one query's resolved strategy: what was requested,
-// what actually answers (after walking the degradation ladder), and how
-// to run it. The adaptive strategy supplies adaptive instead of s: it
-// is built per query, because the outcome lookup needs the resolved
-// expression name.
+// strategyRun is one query's resolved strategy: what was requested and
+// what actually answers after walking the degradation ladder.
 type strategyRun struct {
 	// name is the strategy that answers; requested differs from name
 	// (and degraded holds the reason) when the ladder was walked.
 	name      string
 	requested string
 	degraded  string
-	s         selection.Strategy
-	adaptive  func(exprName string) selection.Adaptive
-	timed     bool
 	profileID string
 }
 
@@ -589,7 +584,7 @@ func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error)
 	return b, nil
 }
 
-// resolveStrategy maps a strategy name to its runnable form against the
+// resolveStrategy names the strategy that answers strat against the
 // given profile state, walking the degradation ladder when the state
 // cannot support the request: a profile-backed strategy without a
 // loaded profile store answers as min-flops with the record stamped
@@ -598,39 +593,13 @@ func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error)
 func (e *Engine) resolveStrategy(strat string, st *profileState) (strategyRun, error) {
 	run := strategyRun{name: strat, requested: strat}
 	switch strat {
-	case "min-flops":
-		run.s = selection.MinFlops{}
-	case "oracle":
-		run.s = selection.Oracle{Timer: e.timer}
-		run.timed = true
-	case "min-predicted":
+	case "min-flops", "oracle":
+		// Always available: neither needs a profile store.
+	case "min-predicted", "adaptive":
 		if st == nil {
-			return e.degradeRun(run, DegradedNoProfile), nil
-		}
-		run.s = st.predicted
-		run.profileID = st.info.ID
-	case "adaptive":
-		if st == nil {
-			return e.degradeRun(run, DegradedNoProfile), nil
+			return run.degrade(DegradedNoProfile), nil
 		}
 		run.profileID = st.info.ID
-		// Adaptive is built per query: the outcome lookup needs the
-		// resolved expression name, and counting informed choices at the
-		// point of observation keeps the stats honest under concurrency.
-		run.adaptive = func(exprName string) selection.Adaptive {
-			e.adaptiveQueries.Add(1)
-			return selection.Adaptive{
-				Prior:  st.predicted,
-				Radius: e.adaptiveRadius,
-				Observe: func(inst expr.Instance) []selection.Observation {
-					obs := e.outcomes.Near(exprName, inst, e.adaptiveRadius)
-					if len(obs) > 0 {
-						e.adaptiveInformed.Add(1)
-					}
-					return obs
-				},
-			}
-		}
 	default:
 		return strategyRun{}, fmt.Errorf("engine: unknown strategy %q (registered: %s)", strat, strings.Join(e.Strategies(), ", "))
 	}
@@ -648,22 +617,20 @@ const (
 	DegradedDeadline = "deadline"
 )
 
-// degradeRun drops a run to the bottom of the ladder (min-flops: always
+// degrade drops a run to the bottom of the ladder (min-flops: always
 // available, never measures) and records why.
-func (e *Engine) degradeRun(run strategyRun, reason string) strategyRun {
+func (run strategyRun) degrade(reason string) strategyRun {
 	run.name = "min-flops"
 	run.degraded = reason
-	run.s = selection.MinFlops{}
-	run.adaptive = nil
-	run.timed = false
 	run.profileID = ""
 	return run
 }
 
 // answer runs the cached pipeline for one query: bind (or fetch) the
-// algorithm set, apply the strategy, render the record. The profile
-// state is loaded once at entry — a concurrent ReloadProfiles swaps the
-// pointer without affecting this query.
+// algorithm set, build the evidence, apply the strategy, render the
+// record. The profile state is loaded once at entry — a concurrent
+// ReloadProfiles swaps the pointer without affecting this query, so the
+// record's profile tag, pick and ranking all come from one store.
 func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, err error) {
 	defer func() {
 		// The expression layer panics on malformed custom expressions;
@@ -678,7 +645,8 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	if err := faultinject.FireCtx(ctx, "engine.query"); err != nil {
 		return nil, err
 	}
-	run, err := e.resolveStrategy(strat, e.prof.Load())
+	st := e.prof.Load()
+	run, err := e.resolveStrategy(strat, st)
 	if err != nil {
 		return nil, err
 	}
@@ -691,37 +659,33 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 		return nil, err
 	}
 	algs := b.algs
+	// The evidence, built once: one prediction per algorithm (the profile
+	// prior when a store is loaded, FLOP counts otherwise — wrong scale,
+	// same order), the feedback recorded near the instance, and their
+	// blend. Every strategy picks from it, and every record's ranking
+	// renders the same posterior — the discriminant test, whatever
+	// strategy made the pick.
+	var predictor selection.Predictor = selection.FlopsPredictor{}
+	if st != nil {
+		predictor = st.predicted
+	}
+	prior := selection.Predict(predictor, algs)
+	obs := e.outcomes.Near(x.Name(), q.Instance, e.adaptiveRadius)
+	post := selection.Adaptive{Radius: e.adaptiveRadius}.Blend(prior, obs, algs)
 	var pick int
-	var post []selection.AlgPosterior
 	explored := false
-	if run.timed {
-		width := 0
-		if fused {
-			width = e.fuseWidth(algs)
+	switch run.name {
+	case "min-flops":
+		pick = selection.MinFlops{}.Choose(algs)
+	case "min-predicted":
+		pick = selection.ArgMin(prior)
+	case "adaptive":
+		e.adaptiveQueries.Add(1)
+		if len(obs) > 0 {
+			e.adaptiveInformed.Add(1)
 		}
-		e.execMu.Lock()
-		if width >= 2 {
-			pick, err = e.chooseTimedFused(ctx, algs, width)
-		} else {
-			pick, err = chooseTimed(ctx, run.s, algs)
-		}
-		e.execMu.Unlock()
-		if err == nil && width >= 2 {
-			e.fused.Add(1)
-		}
-		if err != nil {
-			if ctx.Err() == nil {
-				return nil, err
-			}
-			// The deadline expired mid-measurement: a FLOPs-only answer
-			// now beats a measured answer never.
-			run = e.degradeRun(run, DegradedDeadline)
-			pick = run.s.Choose(algs)
-		}
-	} else if run.adaptive != nil {
-		post = run.adaptive(x.Name()).Posterior(q.Instance, algs)
 		pick = selection.BestIndex(post)
-		if n, ok := e.exploreTick(run); ok {
+		if n, ok := e.exploreTick(); ok {
 			// Thompson sampling: one posterior draw per algorithm, take
 			// the argmin. Seeded per exploration event so the sequence is
 			// reproducible without any shared mutable RNG state.
@@ -729,19 +693,21 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 			e.explored.Add(1)
 			explored = true
 		}
-	} else {
-		if is, ok := run.s.(selection.InstanceStrategy); ok {
-			pick = is.ChooseFor(q.Instance, algs)
-		} else {
-			pick = run.s.Choose(algs)
+	case "oracle":
+		width := 0
+		if fused {
+			width = e.fuseWidth(algs)
 		}
-	}
-	// Every answer carries the discriminant test, whatever strategy made
-	// the pick: the posterior over the engine's full current evidence
-	// (profile prior when loaded, FLOPs otherwise, plus any feedback),
-	// rendered as a ranking with win probabilities.
-	if post == nil {
-		post = e.riskPosterior(x.Name(), q.Instance, algs)
+		pick, err = e.chooseMeasured(ctx, algs, width)
+		if err != nil {
+			if ctx.Err() == nil {
+				return nil, err
+			}
+			// The deadline expired mid-measurement: a FLOPs-only answer
+			// now beats a measured answer never.
+			run = run.degrade(DegradedDeadline)
+			pick = selection.MinFlops{}.Choose(algs)
+		}
 	}
 	cands := make([]Candidate, len(algs))
 	for i := range algs {
@@ -773,15 +739,6 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	return rec, nil
 }
 
-// chooseTimed runs a timed strategy under the context when it supports
-// cancellation, so a deadline aborts within one measurement repetition.
-func chooseTimed(ctx context.Context, s selection.Strategy, algs []expr.Algorithm) (int, error) {
-	if cs, ok := s.(selection.ContextStrategy); ok && ctx.Done() != nil {
-		return cs.ChooseCtx(ctx, algs)
-	}
-	return s.Choose(algs), nil
-}
-
 // fuseWidth returns the common fused measurement width for the set: the
 // smallest FuseChunk over its algorithms — one measurement repetition
 // executes one chunk, the packed-sweep width whose working set fits the
@@ -810,26 +767,34 @@ func (e *Engine) fuseWidth(algs []expr.Algorithm) int {
 	return width
 }
 
-// chooseTimedFused is the oracle choice over fused batched measurement:
-// every algorithm is timed by executing width instances through one
-// fused plan per repetition (amortising the cache flush and per-dispatch
-// fixed costs), and the per-instance medians are compared exactly as the
-// per-instance oracle compares its measurements. The context is honoured
-// between repetitions, so the deadline degradation ladder behaves
-// identically to the per-instance path.
-func (e *Engine) chooseTimedFused(ctx context.Context, algs []expr.Algorithm, width int) (int, error) {
-	best := -1
-	bestT := 0.0
+// chooseMeasured is the oracle's pick: every algorithm is measured and
+// the lowest per-instance median wins (first on ties). At width 2 or
+// more each repetition executes width instances through one fused plan
+// (amortising the cache flush and per-dispatch fixed costs); below 2
+// each repetition runs one instance. Measurement is serialised on
+// execMu, and the context is honoured between repetitions on both
+// paths, so a deadline aborts within one repetition.
+func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm, width int) (int, error) {
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	totals := make([]float64, len(algs))
 	for i := range algs {
-		m, err := e.timer.MeasureAlgorithmBatchCtx(ctx, &algs[i], width)
+		var m exec.Measurement
+		var err error
+		if width >= 2 {
+			m, err = e.timer.MeasureAlgorithmBatchCtx(ctx, &algs[i], width)
+		} else {
+			m, err = e.timer.MeasureAlgorithmCtx(ctx, &algs[i])
+		}
 		if err != nil {
 			return -1, err
 		}
-		if best < 0 || m.Total < bestT {
-			best, bestT = i, m.Total
-		}
+		totals[i] = m.Total
 	}
-	return best, nil
+	if width >= 2 {
+		e.fused.Add(1)
+	}
+	return selection.ArgMin(totals), nil
 }
 
 // Stats returns the per-layer cache counters.

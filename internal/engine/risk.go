@@ -54,37 +54,15 @@ func exploreInterval(rate float64) int {
 }
 
 // exploreTick decides whether this adaptive answer explores, returning
-// the exploration-stream ordinal that seeds its draws. Degraded answers
-// never explore — under load shedding or a missing profile the engine
-// must serve its safest answer, not an experiment.
-func (e *Engine) exploreTick(run strategyRun) (uint64, bool) {
-	if e.exploreEvery <= 0 || run.degraded != "" {
+// the exploration-stream ordinal that seeds its draws. Only undegraded
+// adaptive answers reach it — under load shedding or a missing profile
+// the engine must serve its safest answer, not an experiment.
+func (e *Engine) exploreTick() (uint64, bool) {
+	if e.exploreEvery <= 0 {
 		return 0, false
 	}
 	n := e.exploreSeen.Add(1)
 	return n, n%uint64(e.exploreEvery) == 0
-}
-
-// riskPosterior builds the posterior the record's ranking derives from
-// for answers the adaptive strategy did not make: the same blend the
-// adaptive strategy uses — profile prior plus decayed feedback near the
-// instance — falling back to FLOP counts as the prior when no profile
-// store is loaded. It deliberately bypasses the adaptive stats
-// counters: a min-flops query that happens to have feedback nearby is
-// not an "adaptive query".
-func (e *Engine) riskPosterior(exprName string, inst expr.Instance, algs []expr.Algorithm) []selection.AlgPosterior {
-	var prior selection.Predictor = selection.FlopsPredictor{}
-	if st := e.prof.Load(); st != nil {
-		prior = st.predicted
-	}
-	ad := selection.Adaptive{
-		Prior:  prior,
-		Radius: e.adaptiveRadius,
-		Observe: func(inst expr.Instance) []selection.Observation {
-			return e.outcomes.Near(exprName, inst, e.adaptiveRadius)
-		},
-	}
-	return ad.Posterior(inst, algs)
 }
 
 // rankMemo is a bound set's last rendered ranking and the posterior it

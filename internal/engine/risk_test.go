@@ -13,6 +13,7 @@ import (
 	"lamb/internal/exec"
 	"lamb/internal/expr"
 	"lamb/internal/profile"
+	"lamb/internal/selection"
 )
 
 // checkRanking asserts the structural invariants every record's ranking
@@ -324,6 +325,69 @@ func memoFor(t *testing.T, e *Engine, name string, inst expr.Instance) *boundSet
 	return b
 }
 
+// referencePosterior is the posterior a record's ranking must render,
+// built independently of answer through the public Adaptive.Posterior:
+// the loaded profile prior (FLOP counts without one) blended with the
+// feedback recorded near inst.
+func referencePosterior(e *Engine, exprName string, inst expr.Instance, algs []expr.Algorithm) []selection.AlgPosterior {
+	var prior selection.Predictor = selection.FlopsPredictor{}
+	if st := e.prof.Load(); st != nil {
+		prior = selection.MinPredicted{Profiles: st.set}
+	}
+	return selection.Adaptive{
+		Prior:  prior,
+		Radius: e.adaptiveRadius,
+		Observe: func(inst expr.Instance) []selection.Observation {
+			return e.outcomes.Near(exprName, inst, e.adaptiveRadius)
+		},
+	}.Posterior(inst, algs)
+}
+
+// TestMinPredictedHeadsItsRanking pins the min-predicted tie-break:
+// without feedback the posterior means are the predictions themselves,
+// so for every registered expression over a grid of instances the
+// min-predicted pick, MinPredicted.Choose, and the ranking's head (a
+// stable sort by mean) must all name the same algorithm.
+func TestMinPredictedHeadsItsRanking(t *testing.T) {
+	e := profiledEngine(t, Config{})
+	mp := selection.MinPredicted{Profiles: e.prof.Load().set}
+	sizes := []int{8, 64, 300}
+	for _, name := range expr.Names() {
+		x, err := expr.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := make(expr.Instance, x.Arity())
+		var walk func(d int)
+		walk = func(d int) {
+			if d < len(inst) {
+				for _, n := range sizes {
+					inst[d] = n
+					walk(d + 1)
+				}
+				return
+			}
+			if x.Validate(inst) != nil {
+				return
+			}
+			rec, err := ask(context.Background(), e, Query{Expr: name, Instance: inst, Strategy: "min-predicted"})
+			if err != nil {
+				t.Fatalf("%s %v: %v", name, inst, err)
+			}
+			algs, err := e.Algorithms(name, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := algs[mp.Choose(algs)].Index
+			if rec.Selected.Index != want || rec.Ranking[0].Alg != want {
+				t.Fatalf("%s %v: selected %d, ranking head %d, MinPredicted.Choose %d",
+					name, inst, rec.Selected.Index, rec.Ranking[0].Alg, want)
+			}
+		}
+		walk(0)
+	}
+}
+
 // rankingBytes is the record's ranking block as served.
 func rankingBytes(t *testing.T, rec *Record) []byte {
 	t.Helper()
@@ -361,7 +425,7 @@ func TestRankMemoHitEqualsFreshRank(t *testing.T) {
 		if b.memo.Load() != m || &again.Ranking[0] != &m.ranking[0] {
 			t.Fatalf("%s: repeated query did not reuse the memo", strat)
 		}
-		fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+		fresh, confidence, anomaly := rank(b.algs, referencePosterior(e, "AATB", inst, b.algs))
 		want := rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})
 		for _, rec := range []*Record{first, again} {
 			if got := rankingBytes(t, rec); !bytes.Equal(got, want) {
@@ -396,7 +460,7 @@ func TestRankMemoRecomputesAfterReloadAndFeedback(t *testing.T) {
 		if m == stale {
 			t.Fatalf("%s: the stale memo answered", step)
 		}
-		fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+		fresh, confidence, anomaly := rank(b.algs, referencePosterior(e, "AATB", inst, b.algs))
 		want := rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})
 		if got := rankingBytes(t, rec); !bytes.Equal(got, want) {
 			t.Fatalf("%s: ranking differs from a fresh rank:\n%s\n%s", step, got, want)
@@ -466,7 +530,7 @@ func TestRankMemoConcurrentRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := memoFor(t, e, "aatb", inst)
-	fresh, confidence, anomaly := rank(b.algs, e.riskPosterior("AATB", inst, b.algs))
+	fresh, confidence, anomaly := rank(b.algs, referencePosterior(e, "AATB", inst, b.algs))
 	if !bytes.Equal(rankingBytes(t, rec), rankingBytes(t, &Record{Ranking: fresh, Confidence: confidence, Anomaly: anomaly})) {
 		t.Fatal("settled ranking differs from a fresh rank")
 	}

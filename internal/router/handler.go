@@ -110,33 +110,45 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	rt.localQuery(w, ctx, q)
 }
 
-// localQuery is the bottom of the ladder: no backend answered, so the
+// localAnswer is the bottom of the ladder: no backend answered, so the
 // local profile-less engine selects by min-flops — the paper's
-// always-available discriminant — and the record says so.
-func (rt *Router) localQuery(w http.ResponseWriter, ctx context.Context, q queryBody) {
+// always-available discriminant — and the record says so. Without a
+// local engine the error is errNoBackend.
+func (rt *Router) localAnswer(ctx context.Context, q queryBody) (*engine.Record, error) {
 	if rt.cfg.Local == nil {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, errNoBackend)
-		return
+		return nil, errNoBackend
 	}
 	res := rt.cfg.Local.Do(ctx, engine.Request{Queries: []engine.Query{
 		{Expr: q.Expr, Instance: expr.Instance(q.Instance), Strategy: "min-flops"},
 	}})
-	rec, err := res[0].Record, res[0].Err
-	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			writeError(w, http.StatusGatewayTimeout, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
-		return
+	if res[0].Err != nil {
+		return nil, res[0].Err
 	}
+	// Stamp a copy: the engine may share the record with concurrent
+	// identical queries.
+	rec := *res[0].Record
 	if q.Strategy != "" && q.Strategy != "min-flops" {
 		rec.Requested = q.Strategy
 	}
 	rec.Degraded = DegradedNoBackend
 	rt.degraded.Add(1)
-	writeJSON(w, http.StatusOK, rec)
+	return &rec, nil
+}
+
+// localQuery answers a single query from the local engine.
+func (rt *Router) localQuery(w http.ResponseWriter, ctx context.Context, q queryBody) {
+	rec, err := rt.localAnswer(ctx, q)
+	switch {
+	case errors.Is(err, errNoBackend):
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable, err)
+	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
+		writeError(w, http.StatusGatewayTimeout, err)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, err)
+	default:
+		writeJSON(w, http.StatusOK, rec)
+	}
 }
 
 // localBatchItem answers one batch entry from the local engine,
@@ -146,21 +158,10 @@ func (rt *Router) localBatchItem(ctx context.Context, raw json.RawMessage) json.
 	if err := json.Unmarshal(raw, &q); err != nil {
 		return errorItem(err)
 	}
-	if rt.cfg.Local == nil {
-		return errorItem(errNoBackend)
-	}
-	res := rt.cfg.Local.Do(ctx, engine.Request{Queries: []engine.Query{
-		{Expr: q.Expr, Instance: expr.Instance(q.Instance), Strategy: "min-flops"},
-	}})
-	rec, err := res[0].Record, res[0].Err
+	rec, err := rt.localAnswer(ctx, q)
 	if err != nil {
 		return errorItem(err)
 	}
-	if q.Strategy != "" && q.Strategy != "min-flops" {
-		rec.Requested = q.Strategy
-	}
-	rec.Degraded = DegradedNoBackend
-	rt.degraded.Add(1)
 	out, err := json.Marshal(rec)
 	if err != nil {
 		return errorItem(err)

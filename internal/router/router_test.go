@@ -267,28 +267,58 @@ func TestRouterBreakerOpensUnderFailureRate(t *testing.T) {
 }
 
 func TestRouterDegradesToLocalWhenAllDown(t *testing.T) {
-	rt := testRouter(t, Config{
-		// Nothing listens here: connection refused, instantly.
-		Backends:    []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
-		BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
-	})
-	h := rt.Handler()
-	resp, body := postQuery(t, h, `{"expr":"aatb","instance":[80,514,768],"strategy":"adaptive"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	const q = `{"expr":"aatb","instance":[80,514,768],"strategy":"adaptive"}`
+	records := map[string][]byte{}
+	for _, c := range []struct {
+		name, path, body string
+		record           func(t *testing.T, body []byte) []byte
+	}{
+		{"query", "/api/v1/query", q, func(t *testing.T, body []byte) []byte { return body }},
+		{"batch", "/api/v1/batch", `{"queries":[` + q + `]}`, func(t *testing.T, body []byte) []byte {
+			var out struct {
+				Results []json.RawMessage `json:"results"`
+			}
+			if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 1 {
+				t.Fatalf("batch body %s: %v", body, err)
+			}
+			return out.Results[0]
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := testRouter(t, Config{
+				// Nothing listens here: connection refused, instantly.
+				Backends:    []string{"http://127.0.0.1:9", "http://127.0.0.1:10"},
+				BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond,
+			})
+			req := httptest.NewRequest(http.MethodPost, c.path, bytes.NewReader([]byte(c.body)))
+			w := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(w, req)
+			if w.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+			raw := c.record(t, w.Body.Bytes())
+			var rec engine.Record
+			if err := json.Unmarshal(raw, &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.Degraded != DegradedNoBackend || rec.Requested != "adaptive" || rec.Strategy != "min-flops" {
+				t.Fatalf("degraded record %+v", rec)
+			}
+			if rec.Selected.Index == 0 {
+				t.Fatalf("no selection in degraded record %+v", rec)
+			}
+			if s := rt.Stats(); s.DegradedQueries != 1 {
+				t.Fatalf("degraded counter %+v", s)
+			}
+			var compact bytes.Buffer
+			if err := json.Compact(&compact, raw); err != nil {
+				t.Fatal(err)
+			}
+			records[c.name] = compact.Bytes()
+		})
 	}
-	var rec engine.Record
-	if err := json.Unmarshal(body, &rec); err != nil {
-		t.Fatal(err)
-	}
-	if rec.Degraded != DegradedNoBackend || rec.Requested != "adaptive" || rec.Strategy != "min-flops" {
-		t.Fatalf("degraded record %+v", rec)
-	}
-	if rec.Selected.Index == 0 {
-		t.Fatalf("no selection in degraded record %+v", rec)
-	}
-	if s := rt.Stats(); s.DegradedQueries != 1 {
-		t.Fatalf("degraded counter %+v", s)
+	if a, b := records["query"], records["batch"]; !bytes.Equal(a, b) {
+		t.Fatalf("query and batch fallbacks differ:\n%s\n%s", a, b)
 	}
 }
 

@@ -19,13 +19,14 @@ type Predictor interface {
 	PredictAlgorithm(a *expr.Algorithm) float64
 }
 
-// InstanceStrategy is a Strategy that can use the queried instance
-// itself (not just the bound algorithm set) when choosing — e.g. to
-// look up measured outcomes recorded near that instance. The engine
-// prefers ChooseFor when a strategy implements it.
-type InstanceStrategy interface {
-	Strategy
-	ChooseFor(inst expr.Instance, algs []expr.Algorithm) int
+// Predict returns p's predicted time for each algorithm, in order: the
+// prior vector Blend starts from.
+func Predict(p Predictor, algs []expr.Algorithm) []float64 {
+	out := make([]float64, len(algs))
+	for i := range algs {
+		out[i] = p.PredictAlgorithm(&algs[i])
+	}
+	return out
 }
 
 // Observation is one aggregated measured outcome: algorithm Algorithm
@@ -84,8 +85,7 @@ type Adaptive struct {
 	// Prior supplies the starting prediction (typically MinPredicted
 	// over a persisted profile store).
 	Prior Predictor
-	// Observe returns outcomes recorded near the instance. The engine
-	// backs it with its concurrency-safe outcome store; nil means no
+	// Observe returns outcomes recorded near the instance; nil means no
 	// feedback source, i.e. the prior alone.
 	Observe func(inst expr.Instance) []Observation
 	// Radius is the distance scale (default DefaultAdaptiveRadius).
@@ -107,24 +107,35 @@ func (s Adaptive) Choose(algs []expr.Algorithm) int {
 	return s.ChooseFor(nil, algs)
 }
 
-// ChooseFor implements InstanceStrategy: the posterior-mean argmin.
+// ChooseFor is the posterior-mean argmin at inst.
 func (s Adaptive) ChooseFor(inst expr.Instance, algs []expr.Algorithm) int {
 	return BestIndex(s.Posterior(inst, algs))
 }
 
-// Posterior computes the per-algorithm time posterior at inst: each
-// algorithm's virtual prior observation (mass PriorWeight at the
-// predicted time, spread PriorRelStd·predicted) pooled with its
-// distance-weighted measured outcomes. The pooled mean reproduces the
-// blend formula above exactly; the pooled variance mixes each stream's
-// own spread with the spread *between* stream means, so disagreeing
-// evidence widens the posterior instead of silently averaging away.
+// Posterior computes the per-algorithm time posterior at inst: the
+// prior's predictions blended with the outcomes observed near inst.
 func (s Adaptive) Posterior(inst expr.Instance, algs []expr.Algorithm) []AlgPosterior {
-	if len(algs) == 0 {
-		panic("selection: choose from empty set")
-	}
 	if s.Prior == nil {
 		panic("selection: Adaptive needs a Prior predictor (e.g. MinPredicted over a profile set)")
+	}
+	var obs []Observation
+	if s.Observe != nil && inst != nil {
+		obs = s.Observe(inst)
+	}
+	return s.Blend(Predict(s.Prior, algs), obs, algs)
+}
+
+// Blend pools precomputed evidence into the per-algorithm posterior:
+// each algorithm's virtual prior observation (mass PriorWeight at its
+// predicted time prior[i], spread PriorRelStd·prior[i]) with its
+// distance-weighted observations. The pooled mean reproduces the blend
+// formula above exactly; the pooled variance mixes each stream's own
+// spread with the spread *between* stream means, so disagreeing
+// evidence widens the posterior instead of silently averaging away.
+// Prior and Observe are not consulted.
+func (s Adaptive) Blend(prior []float64, obs []Observation, algs []expr.Algorithm) []AlgPosterior {
+	if len(algs) == 0 {
+		panic("selection: choose from empty set")
 	}
 	radius := s.Radius
 	if radius <= 0 {
@@ -147,12 +158,12 @@ func (s Adaptive) Posterior(inst expr.Instance, algs []expr.Algorithm) []AlgPost
 	sumWM := make([]float64, len(algs))
 	sumWS := make([]float64, len(algs))
 	informed := make([]bool, len(algs))
-	if s.Observe != nil && inst != nil {
+	if len(obs) > 0 {
 		pos := make(map[int]int, len(algs))
 		for i := range algs {
 			pos[algs[i].Index] = i
 		}
-		for _, o := range s.Observe(inst) {
+		for _, o := range obs {
 			i, ok := pos[o.Algorithm]
 			if !ok || o.weight() <= 0 || o.Seconds <= 0 {
 				continue
@@ -171,7 +182,7 @@ func (s Adaptive) Posterior(inst expr.Instance, algs []expr.Algorithm) []AlgPost
 	}
 	post := make([]AlgPosterior, len(algs))
 	for i := range algs {
-		p := s.Prior.PredictAlgorithm(&algs[i])
+		p := prior[i]
 		v0 := relStd * p * relStd * p
 		mass := w0 + sumW[i]
 		mean := (w0*p + sumWM[i]) / mass

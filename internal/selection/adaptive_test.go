@@ -1,10 +1,12 @@
 package selection
 
 import (
+	"math"
 	"testing"
 
 	"lamb/internal/expr"
 	"lamb/internal/kernels"
+	"lamb/internal/xrand"
 )
 
 // stubPredictor predicts a fixed time per algorithm position (keyed by
@@ -153,7 +155,94 @@ func TestAdaptiveName(t *testing.T) {
 	if (Adaptive{}).Name() != "adaptive" {
 		t.Fatal("name")
 	}
-	// Adaptive must satisfy both strategy interfaces.
+	// Adaptive must stay usable in the Evaluate harness.
 	var _ Strategy = Adaptive{}
-	var _ InstanceStrategy = Adaptive{}
+}
+
+// TestBlendEqualsPosteriorProperty pins the split the engine relies on:
+// blending precomputed predictions with precomputed observations is
+// bitwise the posterior Adaptive builds from its Prior and Observe
+// source, over random priors, observations (valid and invalid), blend
+// parameters, and filtered, reordered algorithm sets.
+func TestBlendEqualsPosteriorProperty(t *testing.T) {
+	rng := xrand.New(0xb1e4d)
+	bits := math.Float64bits
+	for trial := 0; trial < 500; trial++ {
+		n := rng.IntRange(1, 8)
+		prior := stubPredictor{}
+		for i := 1; i <= n; i++ {
+			prior[i] = math.Exp(rng.Float64()*20 - 14)
+			if i > 1 && rng.Intn(5) == 0 {
+				prior[i] = prior[i-1] // ties
+			}
+		}
+		// A random nonempty subset of the set, in random order.
+		var algs []expr.Algorithm
+		for _, a := range stubAlgs(n) {
+			if rng.Intn(3) > 0 {
+				algs = append(algs, a)
+			}
+		}
+		if len(algs) == 0 {
+			algs = stubAlgs(n)[n-1:]
+		}
+		for i := len(algs) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			algs[i], algs[j] = algs[j], algs[i]
+		}
+		obs := make([]Observation, rng.Intn(12))
+		for i := range obs {
+			obs[i] = Observation{
+				Algorithm: rng.IntRange(0, n+1),
+				Seconds:   rng.Float64()*2 - 0.2,
+				Count:     rng.IntRange(-1, 5),
+				Distance:  rng.Float64(),
+			}
+			if rng.Intn(2) == 0 {
+				obs[i].Weight = rng.Float64() * 3
+			}
+			if rng.Intn(2) == 0 {
+				obs[i].M2 = rng.Float64() * 0.1
+			}
+		}
+		s := Adaptive{
+			Prior:   prior,
+			Observe: func(expr.Instance) []Observation { return obs },
+		}
+		if rng.Intn(2) == 0 {
+			s.Radius = rng.Float64()
+			s.PriorWeight = rng.Float64() * 4
+			s.PriorRelStd = rng.Float64()
+		}
+		want := s.Posterior(expr.Instance{100, 200}, algs)
+		got := s.Blend(Predict(prior, algs), obs, algs)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: Blend has %d entries, Posterior %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			w, g := want[i], got[i]
+			if g.Algorithm != w.Algorithm || g.Informed != w.Informed ||
+				bits(g.Mean) != bits(w.Mean) || bits(g.StdErr) != bits(w.StdErr) || bits(g.Weight) != bits(w.Weight) {
+				t.Fatalf("trial %d position %d: Blend %+v, Posterior %+v", trial, i, g, w)
+			}
+		}
+	}
+}
+
+// TestArgMinFirstStrictMinimum pins the tie-break MinPredicted and the
+// engine share: the first position of the strict minimum.
+func TestArgMinFirstStrictMinimum(t *testing.T) {
+	for _, c := range []struct {
+		xs   []float64
+		want int
+	}{
+		{[]float64{3}, 0},
+		{[]float64{2, 1, 1}, 1},
+		{[]float64{1, 1, 1}, 0},
+		{[]float64{5, 4, 3, 3, 4}, 2},
+	} {
+		if got := ArgMin(c.xs); got != c.want {
+			t.Fatalf("ArgMin(%v) = %d, want %d", c.xs, got, c.want)
+		}
+	}
 }

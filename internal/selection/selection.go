@@ -13,7 +13,6 @@
 package selection
 
 import (
-	"context"
 	"fmt"
 
 	"lamb/internal/exec"
@@ -70,11 +69,19 @@ func (s MinPredicted) Choose(algs []expr.Algorithm) int {
 	if len(algs) == 0 {
 		panic("selection: choose from empty set")
 	}
+	return ArgMin(Predict(s, algs))
+}
+
+// ArgMin returns the position of the strict minimum of xs, first wins:
+// the deterministic tie-break every strategy in this package uses.
+func ArgMin(xs []float64) int {
+	if len(xs) == 0 {
+		panic("selection: choose from empty set")
+	}
 	best := 0
-	bestT := s.PredictAlgorithm(&algs[0])
-	for i := 1; i < len(algs); i++ {
-		if t := s.PredictAlgorithm(&algs[i]); t < bestT {
-			best, bestT = i, t
+	for i := 1; i < len(xs); i++ {
+		if xs[i] < xs[best] {
+			best = i
 		}
 	}
 	return best
@@ -113,37 +120,6 @@ func (s Oracle) Choose(algs []expr.Algorithm) int {
 		}
 	}
 	return best
-}
-
-// ContextStrategy is a Strategy whose choice can be cancelled: timed
-// strategies measure real wall time, so a serving engine with request
-// deadlines needs a way to abort mid-selection. ChooseCtx returns the
-// context's error when cancelled; the engine then degrades to a
-// FLOPs-only answer instead of blocking past the deadline.
-type ContextStrategy interface {
-	Strategy
-	ChooseCtx(ctx context.Context, algs []expr.Algorithm) (int, error)
-}
-
-// ChooseCtx implements ContextStrategy: each algorithm is measured
-// through the cancellable timer path, so a deadline aborts within one
-// repetition.
-func (s Oracle) ChooseCtx(ctx context.Context, algs []expr.Algorithm) (int, error) {
-	if len(algs) == 0 {
-		panic("selection: choose from empty set")
-	}
-	best := -1
-	bestT := 0.0
-	for i := range algs {
-		m, err := s.Timer.MeasureAlgorithmCtx(ctx, &algs[i])
-		if err != nil {
-			return -1, err
-		}
-		if best < 0 || m.Total < bestT {
-			best, bestT = i, m.Total
-		}
-	}
-	return best, nil
 }
 
 // Report summarises a strategy's behaviour over a set of instances.

@@ -108,9 +108,6 @@ type (
 	CurvePoint = profile.CurvePoint
 	// Strategy selects an algorithm from a set.
 	Strategy = selection.Strategy
-	// InstanceStrategy is a Strategy that also uses the queried
-	// instance (the adaptive strategy does, to look up nearby outcomes).
-	InstanceStrategy = selection.InstanceStrategy
 	// Observation is one aggregated measured outcome an Adaptive
 	// strategy folds into its choice.
 	Observation = selection.Observation
