@@ -24,14 +24,13 @@ type Feedback struct {
 	Seconds   float64       `json:"seconds"`
 }
 
-// Feedback validates and records one outcome. The expression and
-// instance are resolved through the same symbolic and binding layers
-// queries use — so the instance is validated against the expression,
-// the bound set stays warm in the bind LRU for the follow-up query, and
-// the algorithm index is checked against the actual set size. An
-// engine without profiles has no adaptive strategy to ever consume
-// outcomes, so it rejects them rather than silently hoarding data that
-// cannot influence any answer.
+// Feedback validates and records one outcome. The expression is
+// resolved through the symbolic layer queries use, and checkEvidence
+// validates the instance and the algorithm index without binding a set
+// — feedback never touches the bind LRU, whose entries stay the ones
+// query traffic put there. An engine without profiles has no adaptive
+// strategy to ever consume outcomes, so it rejects them rather than
+// silently hoarding data that cannot influence any answer.
 func (e *Engine) Feedback(fb Feedback) error {
 	if e.prof.Load() == nil {
 		return fmt.Errorf("engine: feedback has no consumer: the adaptive strategy needs a profile store (serve with -profile)")
@@ -40,17 +39,36 @@ func (e *Engine) Feedback(fb Feedback) error {
 	if err != nil {
 		return err
 	}
-	b, err := e.bound(x, fb.Instance)
-	if err != nil {
+	if err := checkEvidence(x, fb.Instance, fb.Algorithm); err != nil {
 		return err
-	}
-	if fb.Algorithm < 1 || fb.Algorithm > len(b.algs) {
-		return fmt.Errorf("engine: feedback algorithm %d out of range [1, %d] for %s%v",
-			fb.Algorithm, len(b.algs), x.Name(), fb.Instance)
 	}
 	if err := e.outcomes.Add(x.Name(), fb.Instance, fb.Algorithm, fb.Seconds); err != nil {
 		return fmt.Errorf("engine: feedback: %w", err)
 	}
 	e.feedback.Add(1)
+	return nil
+}
+
+// checkEvidence is the one check for evidence that arrives from outside
+// a query — a feedback post, a restored or a merged snapshot record: the
+// instance must validate against x, and alg must be a 1-based index into
+// x's algorithm set. The set's size does not depend on the instance, so
+// it comes from x's NumAlgorithms, which every built-in and every
+// expr.Generic has; only a registered expression without that method
+// enumerates a set to count it. Nothing here binds through, or touches,
+// the bind LRU.
+func checkEvidence(x expr.Expression, inst expr.Instance, alg int) error {
+	if err := x.Validate(inst); err != nil {
+		return err
+	}
+	var n int
+	if c, ok := x.(interface{ NumAlgorithms() int }); ok {
+		n = c.NumAlgorithms()
+	} else {
+		n = len(x.Algorithms(inst))
+	}
+	if alg < 1 || alg > n {
+		return fmt.Errorf("engine: feedback algorithm %d out of range [1, %d] for %s%v", alg, n, x.Name(), inst)
+	}
 	return nil
 }

@@ -34,18 +34,16 @@ func (e *Engine) SnapshotLocalOutcomes() *outcomes.Snapshot {
 }
 
 // resolveOutcome re-validates one snapshot record semantically against
-// this process's registry — the expression must resolve, the instance
-// must validate, and the algorithm index must be within the bound set —
-// and re-keys it under the expression's canonical name, so a snapshot
-// from a boot with different custom expressions lands what it can and
-// skips the rest instead of failing or hoarding unreachable records.
+// this process's registry — the expression must resolve, and
+// checkEvidence must accept the instance and the algorithm index — and
+// re-keys it under the expression's canonical name, so a snapshot from
+// a boot with different custom expressions lands what it can and skips
+// the rest instead of failing or hoarding unreachable records. It binds
+// no set, so a restore or a merge leaves the bind LRU as traffic left
+// it.
 func (e *Engine) resolveOutcome(name string, inst expr.Instance, alg int) (string, bool) {
 	x, err := e.lookup(name, false)
-	if err != nil {
-		return "", false
-	}
-	b, err := e.bound(x, inst)
-	if err != nil || alg < 1 || alg > len(b.algs) {
+	if err != nil || checkEvidence(x, inst, alg) != nil {
 		return "", false
 	}
 	return x.Name(), true

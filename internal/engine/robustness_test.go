@@ -3,11 +3,13 @@ package engine
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
+	"lamb/internal/ir"
 	"lamb/internal/kernels"
 	"lamb/internal/outcomes"
 	"lamb/internal/profile"
@@ -217,21 +219,90 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
 	)
 
+	// An expression without NumAlgorithms still resolves, by counting
+	// its bound set: its algorithm 1 restores, its algorithm 2 is
+	// skipped.
+	snap.Records = append(snap.Records, unsizedRecords()...)
+
 	e2 := profiledEngine(t, Config{})
+	registerUnsized(t, e2)
 	restored, skipped := e2.RestoreOutcomes(snap)
-	if restored != base.NumAlgorithms || skipped != 2 {
-		t.Fatalf("restored %d skipped %d, want %d/2", restored, skipped, base.NumAlgorithms)
+	if restored != base.NumAlgorithms+1 || skipped != 3 {
+		t.Fatalf("restored %d skipped %d, want %d/3", restored, skipped, base.NumAlgorithms+1)
 	}
 	s := e2.Stats()
-	if s.FeedbackRestored != uint64(base.NumAlgorithms) || s.FeedbackInstances != 1 {
+	if s.FeedbackRestored != uint64(base.NumAlgorithms+1) || s.FeedbackInstances != 2 {
 		t.Fatalf("restore counters %+v", s)
 	}
+	checkEvidenceBindsNothing(t, e2)
 	rec, err := ask(context.Background(), e2, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Selected.Index != steered.Selected.Index {
 		t.Fatalf("restored engine picks %d, source picked %d", rec.Selected.Index, steered.Selected.Index)
+	}
+}
+
+// unsized hides an expression's NumAlgorithms, as an Expression
+// implemented outside this repository may lack it.
+type unsized struct{ expr.Expression }
+
+// registerUnsized registers "custom-ab", a one-algorithm expression
+// without NumAlgorithms.
+func registerUnsized(t *testing.T, e *Engine) {
+	t.Helper()
+	g, err := expr.NewGeneric(&ir.Def{Name: "custom-ab", Arity: 3, Root: ir.Mul(ir.NewOperand("A", 0, 1), ir.NewOperand("B", 1, 2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register(unsized{g}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// unsizedRecords are snapshot records for registerUnsized's expression:
+// algorithm 1 resolves, algorithm 2 is out of its one-algorithm set.
+func unsizedRecords() []outcomes.SnapshotRecord {
+	return []outcomes.SnapshotRecord{
+		{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5},
+			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
+		{Expr: "Custom-AB", Instance: expr.Instance{6, 7, 8},
+			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 2, Count: 1, Weight: 1, Mean: 0.5}}},
+	}
+}
+
+// checkEvidenceBindsNothing asserts that evidence from outside a query
+// — the restore or merge just run, and the feedback below — performed
+// no bind-LRU lookup, and that rejected feedback keeps its error text.
+func checkEvidenceBindsNothing(t *testing.T, e *Engine) {
+	t.Helper()
+	for _, c := range []struct {
+		fb   Feedback
+		want string
+	}{
+		{Feedback{Expr: "aatb", Instance: expr.Instance{9, 9, 9}, Algorithm: 99, Seconds: 1},
+			"engine: feedback algorithm 99 out of range [1, 5] for AATB(9,9,9)"},
+		{Feedback{Expr: "chain", Instance: expr.Instance{9, 9, 9, 9, 9}, Algorithm: 0, Seconds: 1},
+			"engine: feedback algorithm 0 out of range [1, 6] for chain-ABCD(9,9,9,9,9)"},
+		{Feedback{Expr: "aatb", Instance: expr.Instance{9, 9}, Algorithm: 1, Seconds: 1},
+			"expr: AATB instance (9,9) has 2 dims, want 3"},
+		{Feedback{Expr: "gls", Instance: expr.Instance{9, 0, 9, 9}, Algorithm: 1, Seconds: 1},
+			"expr: gls instance (9,0,9,9) has non-positive d1"},
+		{Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5}, Algorithm: 2, Seconds: 1},
+			"engine: feedback algorithm 2 out of range [1, 1] for custom-ab(3,4,5)"},
+		{Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4}, Algorithm: 1, Seconds: 1},
+			"ir: custom-ab instance (3,4) has 2 dims, want 3"},
+	} {
+		if err := e.Feedback(c.fb); err == nil || err.Error() != c.want {
+			t.Errorf("feedback %+v: error %v, want %q", c.fb, err, c.want)
+		}
+	}
+	if err := e.Feedback(Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5}, Algorithm: 1, Seconds: 0.25}); err != nil {
+		t.Fatalf("feedback on an expression without NumAlgorithms: %v", err)
+	}
+	if b := e.Stats().Bindings; b.Hits+b.Misses != 0 || b.Size != 0 {
+		t.Fatalf("evidence from outside a query used the bind LRU: %+v", b)
 	}
 }
 
@@ -279,6 +350,23 @@ func TestEngineMergeOutcomes(t *testing.T) {
 	if rec.Selected.Index != steered.Selected.Index {
 		t.Fatalf("merged engine picks %d, source picked %d", rec.Selected.Index, steered.Selected.Index)
 	}
+
+	// A third engine takes a poisoned copy of the same snapshot: the
+	// records it cannot resolve are skipped, and neither the merge nor
+	// feedback binds a set.
+	poisoned := *snap
+	poisoned.Records = append(append(slices.Clone(snap.Records), unsizedRecords()...),
+		outcomes.SnapshotRecord{Expr: "no-such-expr", Instance: expr.Instance{2, 3, 4},
+			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
+		outcomes.SnapshotRecord{Expr: "AATB", Instance: expr.Instance{9, 9, 9},
+			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
+	)
+	c := profiledEngine(t, Config{})
+	registerUnsized(t, c)
+	if merged, skipped := c.MergeOutcomes("http://peer-a", &poisoned, 1); merged != base.NumAlgorithms+1 || skipped != 3 {
+		t.Fatalf("poisoned merge: merged %d skipped %d, want %d/3", merged, skipped, base.NumAlgorithms+1)
+	}
+	checkEvidenceBindsNothing(t, c)
 
 	// Re-delivery is a no-op on the evidence and visible in the counters.
 	b.MergeOutcomes("http://peer-a", snap, 1)

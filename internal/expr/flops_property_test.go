@@ -149,3 +149,40 @@ func TestEnumeratorFlopsMatchClosedFormsGeneralChain(t *testing.T) {
 		}
 	}
 }
+
+// TestNumAlgorithmsMatchesBoundSet pins the set size the engine trusts
+// when it checks feedback, restored and merged outcomes without binding:
+// for every registered expression and for chains of 2 to 6 terms,
+// NumAlgorithms equals the length of the set Algorithms binds, on
+// random paper-box instances.
+func TestNumAlgorithmsMatchesBoundSet(t *testing.T) {
+	type sized interface {
+		Expression
+		NumAlgorithms() int
+	}
+	var xs []sized
+	for _, name := range Names() {
+		x, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := x.(sized)
+		if !ok {
+			t.Fatalf("%s has no NumAlgorithms", name)
+		}
+		xs = append(xs, s)
+	}
+	for n := 2; n <= 6; n++ {
+		xs = append(xs, Chain{Terms: n})
+	}
+	rng := xrand.New(0x5e7)
+	for _, x := range xs {
+		box := PaperBox(x.Arity())
+		for trial := 0; trial < 20; trial++ {
+			inst := box.Sample(rng)
+			if got, want := x.NumAlgorithms(), len(x.Algorithms(inst)); got != want {
+				t.Fatalf("%s%v: NumAlgorithms %d, bound set has %d", x.Name(), inst, got, want)
+			}
+		}
+	}
+}

@@ -162,6 +162,34 @@ func TestMergeDecaysFromSnapshotCreation(t *testing.T) {
 	}
 }
 
+// TestFutureSnapshotDecaysFromNow: a snapshot stamped in the future —
+// a peer whose clock runs ahead, or a hostile created_unix — starts its
+// decay clock at the store's now, not at the stamp, so its evidence
+// ages from the moment it arrives instead of holding full weight until
+// the wall clock catches up. Merge and Restore alike.
+func TestFutureSnapshotDecaysFromNow(t *testing.T) {
+	peer, _ := frozenStore(16, 0)
+	inst := expr.Instance{80, 514, 768}
+	peer.Add("AATB", inst, 1, 0.2)
+	snap := peer.SnapshotLocal("")
+	snap.CreatedUnix = 1e12 // tens of thousands of years ahead
+
+	for name, install := range map[string]func(*Store){
+		"merge":   func(st *Store) { st.Merge("http://peer-a", snap, 1, nil) },
+		"restore": func(st *Store) { st.Restore(snap, nil) },
+	} {
+		st := NewStore(16, time.Hour)
+		now := 5000.0
+		st.SetClock(func() float64 { return now })
+		install(st)
+		now += time.Hour.Seconds()
+		obs := st.Near("AATB", inst, 0.01)
+		if len(obs) != 1 || obs[0].Weight != 0.5 {
+			t.Fatalf("%s: one half-life after a future-stamped install: %+v", name, obs)
+		}
+	}
+}
+
 // TestSnapshotLocalExcludesMergedEvidence pins the anti-echo property:
 // the gossip export carries only firsthand evidence.
 func TestSnapshotLocalExcludesMergedEvidence(t *testing.T) {

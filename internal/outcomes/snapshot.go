@@ -26,15 +26,24 @@
 // spread seeded from the prior.
 //
 // Weights are decayed to the snapshot moment before encoding, and on
-// restore the decay clock resumes from created_unix — so downtime
-// itself decays the restored evidence, exactly as if the process had
-// stayed up. Counts, weights, and means are serialised as float64
-// through encoding/json, whose shortest round-trip representation is
-// exact: a restored store serves bit-for-bit the evidence the snapshot
-// held (pinned by snapshot_test.go).
+// restore the decay clock resumes from created_unix (or from the
+// restoring store's now, if created_unix lies in its future) — so
+// downtime itself decays the restored evidence, exactly as if the
+// process had stayed up. Counts, weights, and means are serialised as
+// float64 through encoding/json, whose shortest round-trip
+// representation is exact: a restored store serves bit-for-bit the
+// evidence the snapshot held (pinned by snapshot_test.go).
+//
+// Reading is one pass: ReadFile and DecodeSnapshot read the whole
+// input, and the canonical form Encode writes is parsed directly into
+// the Snapshot types (reader.go). Any other input — unknown,
+// case-folded or duplicate keys, null, escaped strings, malformed
+// numbers — is decoded by encoding/json as before, so the accepted
+// inputs and what they decode to are the same on either path.
 package outcomes
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -226,28 +235,17 @@ func (s *Snapshot) Validate() error {
 // semantic validity (nil keeps everything under the recorded name);
 // invalid records are skipped, not fatal — a snapshot may reference
 // custom expressions a particular boot did not register, and one stale
-// record must not discard the rest of the memory. The decay clock
-// resumes from the snapshot's creation time, so downtime decays
-// restored evidence. Returns (restored, skipped) outcome counts.
+// record must not discard the rest of the memory. Resolution runs
+// before the lock; the whole snapshot is then installed in one critical
+// section, as Merge does. The decay clock resumes from the snapshot's
+// creation time, so downtime decays restored evidence. Returns
+// (restored, skipped) outcome counts.
 func (st *Store) Restore(s *Snapshot, resolve func(exprName string, inst expr.Instance, algorithm int) (canonical string, ok bool)) (restored, skipped int) {
-	for _, rec := range s.Records {
-		for _, o := range rec.Outcomes {
-			name := rec.Expr
-			if resolve != nil {
-				canonical, ok := resolve(rec.Expr, rec.Instance, o.Algorithm)
-				if !ok {
-					skipped++
-					continue
-				}
-				if canonical != "" {
-					name = canonical
-				}
-			}
-			st.restore(name, rec.Instance, o, s.CreatedUnix)
-			restored++
-		}
-	}
-	return restored, skipped
+	installs, skipped := resolveInstalls(s, false, resolve)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.installAll(s, installs, "", 1)
+	return len(installs), skipped
 }
 
 // Merge folds a peer's snapshot into the store under the given source
@@ -273,18 +271,35 @@ func (st *Store) Merge(source string, s *Snapshot, scale float64, resolve func(e
 	if scale <= 0 || scale > 1 || math.IsNaN(scale) {
 		scale = 1
 	}
-	// Resolution (which may bind algorithm sets) runs before the lock;
-	// the drop-and-install below is one critical section, so a reader
-	// never sees the source half-replaced.
-	type install struct {
-		name string
-		inst expr.Instance
-		o    SnapshotOutcome
-	}
-	var installs []install
-	for _, rec := range s.Records {
-		for _, o := range rec.Outcomes {
-			if o.Source != "" {
+	// Resolution runs before the lock; the drop-and-install below is one
+	// critical section, so a reader never sees the source half-replaced.
+	installs, skipped := resolveInstalls(s, true, resolve)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.dropSource(source)
+	st.installAll(s, installs, source, scale)
+	return len(installs), skipped
+}
+
+// pending is one snapshot outcome that resolved, waiting to be
+// installed: the record it belongs to (an index into Snapshot.Records)
+// and the store key it resolved to.
+type pending struct {
+	name string
+	rec  int
+	o    *SnapshotOutcome
+}
+
+// resolveInstalls runs resolve over the snapshot's outcomes, in order,
+// and returns those it accepts. foreignSkipped drops outcomes a peer
+// merged from third parties (a non-empty source), as Merge requires.
+func resolveInstalls(s *Snapshot, foreignSkipped bool, resolve func(exprName string, inst expr.Instance, algorithm int) (canonical string, ok bool)) (installs []pending, skipped int) {
+	installs = make([]pending, 0, countOutcomes(s))
+	for i := range s.Records {
+		rec := &s.Records[i]
+		for j := range rec.Outcomes {
+			o := &rec.Outcomes[j]
+			if foreignSkipped && o.Source != "" {
 				skipped++
 				continue
 			}
@@ -299,17 +314,50 @@ func (st *Store) Merge(source string, s *Snapshot, scale float64, resolve func(e
 					name = canonical
 				}
 			}
-			installs = append(installs, install{name: name, inst: rec.Instance, o: o})
+			installs = append(installs, pending{name: name, rec: i, o: o})
 		}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.dropSource(source)
-	for _, in := range installs {
-		st.install(in.name, in.inst, in.o, source, scale, s.CreatedUnix)
-		merged++
+	return installs, skipped
+}
+
+// installAll writes resolved outcomes into the store, each record's
+// run of outcomes under one touch, with weights scaled by scale. A
+// non-empty source tags every stream (a merge); the empty source keeps
+// each outcome's own (a restore). The decay clock starts at the
+// snapshot's creation time, or now if that lies in the future, so a
+// peer whose clock runs ahead cannot hold its evidence at full weight.
+// Callers hold the write lock.
+func (st *Store) installAll(s *Snapshot, installs []pending, source string, scale float64) {
+	last := s.CreatedUnix
+	if now := st.now(); !(last <= now) {
+		last = now
 	}
-	return merged, skipped
+	var rec *record
+	for i, in := range installs {
+		if i == 0 || in.rec != installs[i-1].rec || in.name != installs[i-1].name {
+			rec = st.touch(in.name, s.Records[in.rec].Instance)
+		}
+		key := outcomeKey{alg: in.o.Algorithm, source: in.o.Source}
+		if source != "" {
+			key.source = source
+		}
+		ao := algOutcome{
+			count:  in.o.Count,
+			weight: in.o.Weight * scale,
+			mean:   in.o.Mean,
+			// m2 scales with the weight so the stream's variance survives
+			// the scaling unchanged. Version-1 snapshots carry no m2
+			// (zero), which downstream reads as "no tracked spread; the
+			// prior's stands in".
+			m2:   in.o.M2 * scale,
+			last: last,
+		}
+		if cur := rec.find(key); cur != nil {
+			cur.algOutcome = ao
+		} else {
+			rec.algs = append(rec.algs, stream{outcomeKey: key, algOutcome: ao})
+		}
+	}
 }
 
 // dropSource removes every outcome tagged with source, and any record
@@ -342,16 +390,12 @@ func (s *Snapshot) Encode(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// DecodeSnapshot reads and structurally validates a snapshot.
+// DecodeSnapshot reads and structurally validates a snapshot. It reads
+// r to its end, so the whole snapshot is parsed in one pass (see
+// reader.go).
 func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("outcomes: decoding snapshot: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
+	data, err := io.ReadAll(r)
+	return decodeSnapshot(data, err)
 }
 
 // WriteFile saves the snapshot to path atomically: encoded to a temp
@@ -384,14 +428,20 @@ func (s *Snapshot) WriteFile(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadFile loads and structurally validates a snapshot file.
+// ReadFile loads and structurally validates a snapshot file, read in
+// one call into a buffer sized from the file's length.
 func ReadFile(path string) (*Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	s, err := DecodeSnapshot(f)
+	var buf bytes.Buffer
+	if fi, err := f.Stat(); err == nil {
+		buf.Grow(int(fi.Size()) + bytes.MinRead)
+	}
+	_, err = buf.ReadFrom(f)
+	s, err := decodeSnapshot(buf.Bytes(), err)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}

@@ -378,36 +378,6 @@ func (st *Store) Add(exprName string, inst expr.Instance, alg int, seconds float
 	return nil
 }
 
-// restore installs one snapshot outcome verbatim (weight, mean, count,
-// source, and decay timestamp), merging into any existing record.
-func (st *Store) restore(exprName string, inst expr.Instance, o SnapshotOutcome, last float64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.install(exprName, inst, o, o.Source, 1, last)
-}
-
-// install writes one outcome under (alg, source) with the weight scaled,
-// creating the record as needed. Callers hold the write lock.
-func (st *Store) install(exprName string, inst expr.Instance, o SnapshotOutcome, source string, scale, last float64) {
-	rec := st.touch(exprName, inst)
-	key := outcomeKey{alg: o.Algorithm, source: source}
-	ao := algOutcome{
-		count:  o.Count,
-		weight: o.Weight * scale,
-		mean:   o.Mean,
-		// m2 scales with the weight so the stream's variance survives the
-		// scaling unchanged. Version-1 snapshots carry no m2 (zero), which
-		// downstream reads as "no tracked spread; the prior's stands in".
-		m2:   o.M2 * scale,
-		last: last,
-	}
-	if s := rec.find(key); s != nil {
-		s.algOutcome = ao
-	} else {
-		rec.algs = append(rec.algs, stream{outcomeKey: key, algOutcome: ao})
-	}
-}
-
 // touch returns the record for (exprName, inst), creating (and if
 // necessary evicting) under the held lock, and moves it to the front
 // of the LRU list.
