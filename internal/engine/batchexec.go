@@ -55,6 +55,10 @@ const heteroPaddingMax = 4
 // plan — and marked Fused; each fused-executed query counts in
 // Stats.FusedQueries. Buckets outside the fused regime execute per
 // query and count in Stats.FuseRejected by reason.
+//
+// Every executable query's Output is set up front to a view into one
+// output slab for the whole request; execution copies the result into
+// it, and a query that fails has its Output cleared.
 func (e *Engine) compute(qs []Query, inputs []map[string]*mat.Dense, out []Result) {
 	algOf := make([]*expr.Algorithm, len(qs))
 	buckets := make(map[string][]int)
@@ -84,8 +88,38 @@ func (e *Engine) compute(qs []Query, inputs []map[string]*mat.Dense, out []Resul
 		}
 		buckets[key] = append(buckets[key], i)
 	}
+	outputSlab(algOf, out)
 	for _, key := range order {
 		e.execBucket(buckets[key], inputs, algOf, out)
+	}
+}
+
+// outputSlab points the Output of every query with a selected algorithm
+// at its own view into one slab, sized to the sum of their outputs, so
+// a request's results cost two allocations rather than one per query.
+func outputSlab(algOf []*expr.Algorithm, out []Result) {
+	total, n := 0, 0
+	for _, alg := range algOf {
+		if alg != nil {
+			sh := alg.Shapes[alg.Output]
+			total += max(sh.Rows, 1) * sh.Cols
+			n++
+		}
+	}
+	if n == 0 {
+		return
+	}
+	slab := make([]float64, total)
+	views := make([]mat.Dense, 0, n)
+	for i, alg := range algOf {
+		if alg == nil {
+			continue
+		}
+		sh := alg.Shapes[alg.Output]
+		size := max(sh.Rows, 1) * sh.Cols
+		views = append(views, mat.Dense{Rows: sh.Rows, Cols: sh.Cols, Stride: max(sh.Rows, 1), Data: slab[:size:size]})
+		out[i].Output = &views[len(views)-1]
+		slab = slab[size:]
 	}
 }
 
@@ -170,11 +204,31 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
 func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
+	if err := e.runFusedChunk(idxs, homog, inputs, algOf, out); err != nil {
+		e.execUnfused(idxs, inputs, algOf, out)
+		return
+	}
+	e.fused.Add(uint64(len(idxs)))
+}
+
+// runFusedChunk takes the chunk's plan — the cached homogeneous one, or
+// a private plan compiled for this chunk alone — and runs it. All of it
+// happens under the execution lock: cached batch plans are shared and
+// not safe for concurrent use, fused execution must not contend with a
+// concurrent timed measurement, and compiling one private plan at a
+// time lets concurrent requests take turns with one pooled arena
+// instead of each holding its own. A private plan's arena goes back to
+// the pool before the lock is released, on every path.
+func (e *Engine) runFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) error {
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
 	var p *exec.BatchPlan
 	var err error
+	private := true
 	switch alg := algOf[idxs[0]]; {
 	case homog && e.plans != nil:
 		p, err = e.plans.BatchPlan(alg, len(idxs))
+		private = false
 	case homog:
 		p, err = exec.CompileBatchPlan(alg, len(idxs))
 	default:
@@ -185,35 +239,18 @@ func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat
 		p, err = exec.CompileBatchPlanMixed(algs)
 	}
 	if err != nil {
-		e.execUnfused(idxs, inputs, algOf, out)
-		return
+		return err
 	}
-	// Fill, override, execute, and copy outputs under the execution
-	// lock: cached batch plans are shared and not safe for concurrent
-	// use, and fused execution must not contend with a concurrent timed
-	// measurement.
-	e.execMu.Lock()
-	failed := runFused(p, idxs, inputs, algOf)
-	if failed == nil {
-		for k, i := range idxs {
-			o := p.Output(k)
-			cp := mat.New(o.Rows, o.Cols)
-			mat.Copy(cp, o)
-			out[i].Output = cp
-			out[i].Fused = true
-		}
+	if private {
+		defer p.Release()
 	}
-	e.execMu.Unlock()
-	if failed != nil {
-		e.execUnfused(idxs, inputs, algOf, out)
-		return
-	}
-	e.fused.Add(uint64(len(idxs)))
+	return runFused(p, idxs, inputs, algOf, out)
 }
 
-// runFused drives one fused plan execution, converting kernel panics
-// (shape mismatches, non-SPD operands) into an error.
-func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm) (failed error) {
+// runFused drives one fused plan execution and copies each instance's
+// output into its query's Output, converting kernel panics (shape
+// mismatches, non-SPD operands) into an error.
+func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
 			failed = fmt.Errorf("engine: fused execution failed: %v", r)
@@ -228,29 +265,49 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, alg
 		}
 	}
 	p.Execute()
+	for k, i := range idxs {
+		o := p.Output(k)
+		mat.Copy(outputOf(&out[i], o.Rows, o.Cols), o)
+		out[i].Fused = true
+	}
 	return nil
 }
 
 // execUnfused executes each query through its own single-instance plan.
 func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
 	for _, i := range idxs {
-		out[i].Output, out[i].Err = execOne(algOf[i], inputMap(inputs, i))
+		sh := algOf[i].Shapes[algOf[i].Output]
 		out[i].Fused = false
+		if out[i].Err = execOne(algOf[i], inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
+			out[i].Output = nil
+		}
 	}
 }
 
+// outputOf returns the matrix a query's rows×cols result is copied
+// into: the view compute set up in the request's output slab, or a new
+// matrix when there is none.
+func outputOf(r *Result, rows, cols int) *mat.Dense {
+	if r.Output == nil {
+		r.Output = mat.New(rows, cols)
+	}
+	return r.Output
+}
+
 // execOne compiles and runs one query's selected algorithm on a private
-// plan, converting kernel panics into an error.
-func execOne(alg *expr.Algorithm, in map[string]*mat.Dense) (o *mat.Dense, err error) {
+// plan and copies its result into dst, converting kernel panics into an
+// error. The plan's arena goes back to the pool on every path.
+func execOne(alg *expr.Algorithm, in map[string]*mat.Dense, dst *mat.Dense) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			o, err = nil, fmt.Errorf("engine: execution failed: %v", r)
+			err = fmt.Errorf("engine: execution failed: %v", r)
 		}
 	}()
 	p, err := exec.CompilePlan(alg)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer p.Release()
 	p.FillInputs(xrand.New(batchFillSeed))
 	for id, src := range in {
 		if _, ok := alg.Shapes[id]; ok {
@@ -258,10 +315,8 @@ func execOne(alg *expr.Algorithm, in map[string]*mat.Dense) (o *mat.Dense, err e
 		}
 	}
 	p.Execute()
-	res := p.Output()
-	cp := mat.New(res.Rows, res.Cols)
-	mat.Copy(cp, res)
-	return cp, nil
+	mat.Copy(dst, p.Output())
+	return nil
 }
 
 // inputMap returns query i's input map, tolerating a short or nil

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"lamb/internal/exec"
@@ -252,4 +253,89 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	if s := e.Stats(); s.FuseRejected.HeteroPrepadding != 2 {
 		t.Errorf("fuse_rejected.hetero_prepadding = %d, want 2", s.FuseRejected.HeteroPrepadding)
 	}
+}
+
+// TestQueryBatchExecFusedFailureReleasesArena pins the failure path of
+// pooled arenas: a mixed bucket whose fused plan panics on one non-SPD
+// supplied input falls back to per-query execution (the bad query
+// fails, its neighbours succeed unfused), the failed plan's arena goes
+// back to the pool, and a clean request after it — computed on reused,
+// unzeroed arenas — returns outputs bit-identical to a fresh engine's.
+// The pool's retained bytes stay under its cap throughout.
+func TestQueryBatchExecFusedFailureReleasesArena(t *testing.T) {
+	ctx := context.Background()
+	insts := []expr.Instance{{12, 16, 8}, {13, 17, 9}, {14, 18, 10}, {15, 20, 12}}
+	qs := make([]Query, len(insts))
+	for i, inst := range insts {
+		qs[i] = Query{Expr: "lstsq", Instance: inst}
+	}
+	e := New(Config{Executor: exec.NewMeasured()})
+	// R = −100·I makes A·Aᵀ + R indefinite, so the batched Cholesky of
+	// the whole bucket fails.
+	r := insts[1][0]
+	bad := mat.New(r, r)
+	for i := 0; i < r; i++ {
+		bad.Data[i+i*r] = -100
+	}
+	inputs := []map[string]*mat.Dense{1: {"R": bad}}
+	res := e.Do(ctx, Request{Queries: qs, Compute: true, Inputs: inputs})
+	for i, r := range res {
+		if r.Record == nil || r.Record.Selected.Index != res[0].Record.Selected.Index {
+			t.Fatalf("query %d left the bucket; the test needs one mixed bucket", i)
+		}
+		if r.Fused {
+			t.Errorf("query %d marked fused after the fused plan failed", i)
+		}
+		if i == 1 {
+			if r.Err == nil || r.Output != nil {
+				t.Errorf("non-SPD query: err %v, output %v; want an error and no output", r.Err, r.Output)
+			}
+		} else if r.Err != nil || r.Output == nil {
+			t.Errorf("query %d: %v", i, r.Err)
+		}
+	}
+	if s := e.Stats(); s.FusedQueries != 0 {
+		t.Errorf("fused_queries = %d after the fallback, want 0", s.FusedQueries)
+	}
+	checkRetained(t)
+
+	clean := e.Do(ctx, Request{Queries: qs, Compute: true})
+	fresh := New(Config{Executor: exec.NewMeasured()}).Do(ctx, Request{Queries: qs, Compute: true})
+	for i := range qs {
+		if clean[i].Err != nil || fresh[i].Err != nil {
+			t.Fatalf("query %d: clean %v, fresh %v", i, clean[i].Err, fresh[i].Err)
+		}
+		if !clean[i].Fused {
+			t.Errorf("query %d of the clean request not fused", i)
+		}
+		if !bitEqual(clean[i].Output, fresh[i].Output) {
+			t.Errorf("query %d: output after the failure differs from a fresh engine's", i)
+		}
+	}
+	checkRetained(t)
+}
+
+// checkRetained fails the test if the plan-arena pool holds more than
+// its cap.
+func checkRetained(t *testing.T) {
+	t.Helper()
+	if b := exec.RetainedArenaBytes(); b > exec.MaxRetainedArenaBytes {
+		t.Errorf("arena pool retains %d bytes, cap %d", b, exec.MaxRetainedArenaBytes)
+	}
+}
+
+// bitEqual reports whether a and b have the same shape and the same
+// bits in every element.
+func bitEqual(a, b *mat.Dense) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			if math.Float64bits(a.Data[i+j*a.Stride]) != math.Float64bits(b.Data[i+j*b.Stride]) {
+				return false
+			}
+		}
+	}
+	return true
 }

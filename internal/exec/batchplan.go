@@ -48,8 +48,11 @@ func slabStride(arenaLen int) int {
 // operands and timing buffer are shared state).
 type BatchPlan struct {
 	stride int // instance slab stride in float64s
-	arena  []float64
-	insts  []planInstance
+	// slab is the pooled buffer the arena and the SPD fill scratch are
+	// cut from; Release returns it to the pool.
+	slab  []float64
+	arena []float64
+	insts []planInstance
 	// steps[s] runs call s across every instance: one batched closure,
 	// or one serial closure per instance.
 	steps      [][]func()
@@ -70,6 +73,13 @@ type planInstance struct {
 // allocates everything an execution will ever need, so Execute and
 // ExecuteTimed are allocation-free afterwards.
 func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
+	return compileBatchPlan(alg, count, true)
+}
+
+// compileBatchPlan is CompileBatchPlan with the arena's source chosen:
+// the pool for plans used once, a fresh allocation for plans a cache
+// keeps (see compile).
+func compileBatchPlan(alg *expr.Algorithm, count int, pooled bool) (*BatchPlan, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("exec: batch plan needs count >= 1, got %d", count)
 	}
@@ -78,7 +88,7 @@ func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 		algs[i] = alg
 	}
 	p := &BatchPlan{}
-	if err := p.compile(algs); err != nil {
+	if err := p.compile(algs, pooled); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -91,7 +101,7 @@ func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 // freely.
 func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
 	p := &BatchPlan{}
-	if err := p.compile(algs); err != nil {
+	if err := p.compile(algs, true); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -101,8 +111,11 @@ func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
 // algs, carves their operand headers out of one slab arena, and binds
 // the calls — to the batched drivers when every element is the same
 // bound algorithm and there is more than one, to per-instance serial
-// kernels otherwise.
-func (p *BatchPlan) compile(algs []*expr.Algorithm) error {
+// kernels otherwise. A pooled plan takes its slab from the arena pool,
+// unzeroed (operands are written before they are read). A plan meant
+// for a cache allocates its own: it keeps its slab as long as the cache
+// keeps it, and a pooled slab may be larger than it needs.
+func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 	count := len(algs)
 	if count < 1 {
 		return fmt.Errorf("exec: batch plan needs at least one instance")
@@ -135,8 +148,14 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm) error {
 	if count > 1 {
 		p.stride = slabStride(arenaLen)
 	}
-	p.arena = make([]float64, p.stride*count)
-	p.spdScratch = make([]float64, scratchLen)
+	n := p.stride * count
+	if pooled {
+		p.slab = arenas.get(n + scratchLen)
+	} else {
+		p.slab = poisonArena(make([]float64, n+scratchLen))
+	}
+	p.arena = p.slab[:n:n]
+	p.spdScratch = p.slab[n:]
 	for inst := range p.insts {
 		pi := &p.insts[inst]
 		pi.ops = carveOperands(algs[inst], pi.lay, p.arena[inst*p.stride:], false)
@@ -262,6 +281,7 @@ func bindBatchCall(c kernels.Call, get func(string) *mat.Dense, stride, count in
 // It performs no heap allocations: the SPD scratch buffer was sized at
 // compile time.
 func (p *BatchPlan) FillInputs(rng *xrand.Rand) {
+	p.live()
 	for inst := range p.insts {
 		pi := &p.insts[inst]
 		for _, f := range pi.lay.fills {
@@ -275,6 +295,7 @@ func (p *BatchPlan) FillInputs(rng *xrand.Rand) {
 // kernels' packing buffers are pooled; parallel kernel paths may still
 // spawn goroutines on multi-core hosts).
 func (p *BatchPlan) Execute() {
+	p.live()
 	for _, step := range p.steps {
 		for _, run := range step {
 			run()
@@ -287,6 +308,7 @@ func (p *BatchPlan) Execute() {
 // owned by the plan and reused by the next ExecuteTimed; it performs no
 // heap allocations.
 func (p *BatchPlan) ExecuteTimed() []float64 {
+	p.live()
 	for s, step := range p.steps {
 		start := time.Now()
 		for _, run := range step {
@@ -295,6 +317,29 @@ func (p *BatchPlan) ExecuteTimed() []float64 {
 		p.times[s] = time.Since(start).Seconds()
 	}
 	return p.times
+}
+
+// Release returns the plan's arena to the arena pool, where the next
+// compiled plan may take it. The plan is unusable afterwards: its
+// operand headers and steps are dropped, so filling, executing or
+// reading it panics instead of touching an arena another plan now
+// owns, and operand matrices obtained from it before must not be used
+// either. Releasing twice is a no-op. Plans kept for reuse (the plan
+// caches) are never released.
+func (p *BatchPlan) Release() {
+	if p.insts == nil {
+		return
+	}
+	arenas.put(p.slab)
+	p.slab, p.arena, p.spdScratch = nil, nil, nil
+	p.insts, p.steps = nil, nil
+}
+
+// live panics if the plan has been released.
+func (p *BatchPlan) live() {
+	if p.insts == nil {
+		panic("exec: use of a released plan")
+	}
 }
 
 // Count returns the number of instances.
@@ -323,6 +368,7 @@ func (p *BatchPlan) SetInput(inst int, id string, src *mat.Dense) {
 // Operand returns instance inst's arena-backed matrix for the given
 // operand ID, or nil if that instance has no such operand.
 func (p *BatchPlan) Operand(inst int, id string) *mat.Dense {
+	p.live()
 	pi := &p.insts[inst]
 	if i, ok := pi.lay.index[id]; ok {
 		return &pi.ops[i]
@@ -332,6 +378,7 @@ func (p *BatchPlan) Operand(inst int, id string) *mat.Dense {
 
 // Output returns instance inst's arena-backed result operand.
 func (p *BatchPlan) Output(inst int) *mat.Dense {
+	p.live()
 	pi := &p.insts[inst]
 	return &pi.ops[pi.lay.output]
 }

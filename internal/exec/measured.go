@@ -81,13 +81,20 @@ func (e *Measured) plan(alg *expr.Algorithm) *Plan {
 
 // EvaluateAlgorithm runs the algorithm's calls on the provided input
 // operands and returns the final result. It compiles a fresh plan, so
-// temporaries live in a zeroed arena and the caller's inputs are copied,
-// never mutated. This is the correctness path: all algorithms of an
-// expression must produce (numerically) the same result.
+// the caller's inputs are copied, never mutated; inputs the caller does
+// not supply read as zero. This is the correctness path: all algorithms
+// of an expression must produce (numerically) the same result.
 func EvaluateAlgorithm(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.Dense {
 	p, err := CompilePlan(alg)
 	if err != nil {
 		panic(fmt.Sprintf("exec: %v", err))
+	}
+	for _, id := range alg.Inputs {
+		if _, ok := inputs[id]; !ok {
+			if m := p.Operand(id); m != nil {
+				m.Zero()
+			}
+		}
 	}
 	for id, in := range inputs {
 		if _, ok := alg.Shapes[id]; !ok {

@@ -157,9 +157,13 @@ func compileLayout(alg *expr.Algorithm) (*planLayout, error) {
 // CompilePlan lowers the algorithm into a Plan. The algorithm is
 // validated first; compilation allocates everything an execution will
 // ever need, so Execute and ExecuteTimed are allocation-free afterwards.
-func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
+func CompilePlan(alg *expr.Algorithm) (*Plan, error) { return compilePlan(alg, true) }
+
+// compilePlan is CompilePlan with the arena's source chosen (see
+// BatchPlan.compile).
+func compilePlan(alg *expr.Algorithm, pooled bool) (*Plan, error) {
 	p := &Plan{}
-	if err := p.compile([]*expr.Algorithm{alg}); err != nil {
+	if err := p.compile([]*expr.Algorithm{alg}, pooled); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -168,7 +172,11 @@ func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
 // CompileCallPlan compiles a single-call plan for isolated benchmarking:
 // every operand (including the output, matching a fresh-operand run) is
 // refilled per repetition according to the call's operand metadata.
-func CompileCallPlan(call kernels.Call) (*Plan, error) {
+func CompileCallPlan(call kernels.Call) (*Plan, error) { return compileCallPlan(call, true) }
+
+// compileCallPlan is CompileCallPlan with the arena's source chosen (see
+// BatchPlan.compile).
+func compileCallPlan(call kernels.Call, pooled bool) (*Plan, error) {
 	if err := call.Validate(); err != nil {
 		return nil, err
 	}
@@ -191,7 +199,7 @@ func CompileCallPlan(call kernels.Call) (*Plan, error) {
 			alg.SPDInputs = append(alg.SPDInputs, sp.ID)
 		}
 	}
-	p, err := CompilePlan(alg)
+	p, err := compilePlan(alg, pooled)
 	if err != nil {
 		return nil, err
 	}

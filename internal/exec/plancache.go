@@ -19,8 +19,9 @@ import (
 	"lamb/internal/kernels"
 )
 
-// Plan-cache defaults. Plans own their operand arenas, so entry counts
-// bound memory: paper-box instances reach 1200² operands (~10 MB per
+// Plan-cache defaults. Plans own their operand arenas — allocated for
+// them alone, never taken from the arena pool — so entry counts bound
+// memory: paper-box instances reach 1200² operands (~10 MB per
 // plan), which is why the defaults are small. Engines serving many
 // concurrent expressions pass larger caps via NewPlanCache.
 const (
@@ -73,7 +74,7 @@ func (c *PlanCache) Plan(alg *expr.Algorithm) (*Plan, error) {
 	if p, ok := c.algs.Get(alg); ok {
 		return p, nil
 	}
-	p, err := CompilePlan(alg)
+	p, err := compilePlan(alg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +92,7 @@ func (c *PlanCache) CallPlan(call kernels.Call) (*Plan, error) {
 	if p, ok := c.calls.Get(key); ok {
 		return p, nil
 	}
-	p, err := CompileCallPlan(call)
+	p, err := compileCallPlan(call, false)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func (c *PlanCache) BatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error
 	if p, ok := c.batches.Get(key); ok {
 		return p, nil
 	}
-	p, err := CompileBatchPlan(alg, count)
+	p, err := compileBatchPlan(alg, count, false)
 	if err != nil {
 		return nil, err
 	}

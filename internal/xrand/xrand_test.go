@@ -164,3 +164,38 @@ func TestUnitFromHashRange(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFillSignedMatchesFloat64 pins FillSigned to the one-at-a-time
+// draws, value for value and in the stream position it leaves behind.
+func TestFillSignedMatchesFloat64(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 1000} {
+		a, b := New(uint64(0xf111+n)), New(uint64(0xf111+n))
+		got := make([]float64, n)
+		a.FillSigned(got)
+		for i, g := range got {
+			if w := 2*b.Float64() - 1; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("n=%d: element %d = %v, draw gives %v", n, i, g, w)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("n=%d: streams diverge after the fill", n)
+		}
+	}
+}
+
+func BenchmarkFillSigned(b *testing.B) {
+	dst := make([]float64, 4096)
+	r := New(1)
+	b.Run("fill", func(b *testing.B) {
+		for b.Loop() {
+			r.FillSigned(dst)
+		}
+	})
+	b.Run("draws", func(b *testing.B) {
+		for b.Loop() {
+			for i := range dst {
+				dst[i] = 2*r.Float64() - 1
+			}
+		}
+	})
+}
