@@ -68,7 +68,7 @@ func exp1Mini(e lamb.Expression, maxSamples int) lamb.Exp1Result {
 		TargetAnomalies: 1 << 30,
 		MaxSamples:      maxSamples,
 		Seed:            42,
-	})
+	}, 1)
 }
 
 func BenchmarkExp1Chain(b *testing.B) {
@@ -117,7 +117,7 @@ func exp2Mini(e lamb.Expression, anoms []lamb.Instance, cap int) lamb.Exp2Result
 	if len(anoms) > cap {
 		anoms = anoms[:cap]
 	}
-	return lamb.RunExperiment2(runner, anoms, lamb.DefaultExp2Config(lamb.PaperBox(e.Arity())))
+	return lamb.RunExperiment2(runner, anoms, lamb.DefaultExp2Config(lamb.PaperBox(e.Arity())), 1)
 }
 
 func BenchmarkExp2Chain(b *testing.B) {
@@ -188,7 +188,7 @@ func benchExp3(b *testing.B, e lamb.Expression, anoms []lamb.Instance) {
 	var res lamb.Exp3Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res = lamb.RunExperiment3(runner, exp2, lamb.Exp3Config{Threshold: 0.05})
+		res = lamb.RunExperiment3(runner, exp2, lamb.Exp3Config{Threshold: 0.05}, 1)
 	}
 	b.ReportMetric(100*res.Confusion.Recall(), "recall-%")
 	b.ReportMetric(100*res.Confusion.Precision(), "precision-%")
@@ -221,7 +221,7 @@ func BenchmarkAblationNoInterKernelCache(b *testing.B) {
 	runner := lamb.NewRunner(lamb.ChainABCD(), timer, 0.10)
 	res := lamb.RunExperiment1(runner, lamb.Exp1Config{
 		Box: lamb.PaperBox(5), TargetAnomalies: 1 << 30, MaxSamples: 6000, Seed: 42,
-	})
+	}, 1)
 	var origins []lamb.Instance
 	for _, a := range res.Anomalies {
 		origins = append(origins, a.Inst)
@@ -230,8 +230,8 @@ func BenchmarkAblationNoInterKernelCache(b *testing.B) {
 	var out lamb.Exp3Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		exp2 := lamb.RunExperiment2(runner5, origins, lamb.DefaultExp2Config(lamb.PaperBox(5)))
-		out = lamb.RunExperiment3(runner5, exp2, lamb.Exp3Config{Threshold: 0.05})
+		exp2 := lamb.RunExperiment2(runner5, origins, lamb.DefaultExp2Config(lamb.PaperBox(5)), 1)
+		out = lamb.RunExperiment3(runner5, exp2, lamb.Exp3Config{Threshold: 0.05}, 1)
 	}
 	b.ReportMetric(100*out.Confusion.Recall(), "recall-%")
 }
@@ -248,7 +248,7 @@ func BenchmarkAblationSmoothEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = lamb.RunExperiment1(runner, lamb.Exp1Config{
 			Box: lamb.PaperBox(5), TargetAnomalies: 1 << 30, MaxSamples: 2000, Seed: 42,
-		})
+		}, 1)
 	}
 	b.ReportMetric(100*res.Abundance, "abundance-%")
 }
@@ -266,7 +266,7 @@ func BenchmarkAblationThresholdSweep(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				res = lamb.RunExperiment1(runner, lamb.Exp1Config{
 					Box: lamb.PaperBox(3), TargetAnomalies: 1 << 30, MaxSamples: 600, Seed: 42,
-				})
+				}, 1)
 			}
 			b.ReportMetric(100*res.Abundance, "abundance-%")
 		})
@@ -317,7 +317,7 @@ func BenchmarkCrossMachineAnomalyOverlap(b *testing.B) {
 		runner := lamb.NewRunner(lamb.AATB(), timer, 0.10)
 		res := lamb.RunExperiment1(runner, lamb.Exp1Config{
 			Box: lamb.PaperBox(3), TargetAnomalies: 1 << 30, MaxSamples: 1200, Seed: 42,
-		})
+		}, 1)
 		set := make(map[string]bool, len(res.Anomalies))
 		for _, a := range res.Anomalies {
 			set[a.Inst.String()] = true
@@ -343,8 +343,8 @@ func BenchmarkCrossMachineAnomalyOverlap(b *testing.B) {
 	b.ReportMetric(float64(onB), "anomalies-machine-B")
 }
 
-// BenchmarkParallelSpeedup measures the parallel experiment driver
-// against the sequential one on the same workload.
+// BenchmarkParallelSpeedup measures the experiment driver at one worker
+// against as many workers as the cores allow, on the same workload.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	cfg := lamb.Exp1Config{
 		Box: lamb.PaperBox(3), TargetAnomalies: 1 << 30, MaxSamples: 600, Seed: 42,
@@ -352,13 +352,13 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runner := lamb.NewRunner(lamb.AATB(), benchTimer(), 0.10)
-			lamb.RunExperiment1(runner, cfg)
+			lamb.RunExperiment1(runner, cfg, 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			runner := lamb.NewRunner(lamb.AATB(), benchTimer(), 0.10)
-			lamb.RunExperiment1Parallel(runner, cfg, 0x7fffffff) // capped to cores
+			lamb.RunExperiment1(runner, cfg, 0x7fffffff) // capped to cores
 		}
 	})
 }
@@ -375,7 +375,7 @@ func BenchmarkMeasuredBackendExp1AATB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res = lamb.RunExperiment1(runner, lamb.Exp1Config{
 			Box: lamb.UniformBox(3, 16, 128), TargetAnomalies: 1 << 30, MaxSamples: 10, Seed: 42,
-		})
+		}, 1)
 	}
 	b.ReportMetric(float64(len(res.Anomalies)), "anomalies")
 }

@@ -51,7 +51,7 @@ func (p *pipeline) exp1(progress bool) lamb.Exp1Result {
 			fmt.Fprintf(os.Stderr, "  exp1: %d samples, %d anomalies\r", samples, anomalies)
 		}
 	}
-	res := lamb.RunExperiment1Parallel(runner, cfg, p.workers())
+	res := lamb.RunExperiment1(runner, cfg, p.workers())
 	if progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -85,7 +85,7 @@ func (p *pipeline) exp2(exp1 lamb.Exp1Result, progress bool) lamb.Exp2Result {
 			fmt.Fprintf(os.Stderr, "  exp2: line %d/%d\r", line, total)
 		}
 	}
-	res := lamb.RunExperiment2Parallel(runner, origins, cfg, p.workers())
+	res := lamb.RunExperiment2(runner, origins, cfg, p.workers())
 	if progress {
 		fmt.Fprintln(os.Stderr)
 	}
@@ -102,7 +102,7 @@ func (p *pipeline) exp3(exp2 lamb.Exp2Result, progress bool) lamb.Exp3Result {
 			fmt.Fprintf(os.Stderr, "  exp3: %d/%d samples\r", done, total)
 		}
 	}
-	res := lamb.RunExperiment3Parallel(runner, exp2, cfg, p.workers())
+	res := lamb.RunExperiment3(runner, exp2, cfg, p.workers())
 	if progress {
 		fmt.Fprintln(os.Stderr)
 	}

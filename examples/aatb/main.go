@@ -25,7 +25,7 @@ func main() {
 		TargetAnomalies: 25,
 		MaxSamples:      5000,
 		Seed:            2022,
-	})
+	}, 1)
 	fmt.Printf("random search: %d samples, %d anomalies (abundance %.1f%%)\n\n",
 		res.Samples, len(res.Anomalies), 100*res.Abundance)
 
@@ -48,7 +48,7 @@ func main() {
 	// extend in each dimension?
 	runner5 := lamb.NewRunner(aatb, timer, 0.05)
 	exp2 := lamb.RunExperiment2(runner5, []lamb.Instance{res.Anomalies[0].Inst},
-		lamb.DefaultExp2Config(lamb.PaperBox(3)))
+		lamb.DefaultExp2Config(lamb.PaperBox(3)), 1)
 	fmt.Printf("\nregion around %v (5%% threshold):\n", res.Anomalies[0].Inst)
 	for _, ln := range exp2.Lines {
 		fmt.Printf("  d%d: [%4d, %4d]  thickness %4d  (%d samples)\n",

@@ -43,7 +43,7 @@ func main() {
 		TargetAnomalies: 5,
 		MaxSamples:      2000,
 		Seed:            42,
-	})
+	}, 1)
 	fmt.Printf("experiment 1: %d samples, %d distinct anomalies, abundance %.1f%%\n",
 		exp1.Samples, len(exp1.Anomalies), 100*exp1.Abundance)
 }

@@ -63,7 +63,7 @@ func main() {
 			TargetAnomalies: 1 << 30,
 			MaxSamples:      1500,
 			Seed:            9,
-		})
+		}, 1)
 		probe := make(lamb.Instance, e.Arity())
 		for i := range probe {
 			probe[i] = 100

@@ -8,7 +8,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"runtime"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
@@ -109,6 +111,10 @@ func NewRunner(e expr.Expression, t *exec.Timer, threshold float64) *Runner {
 // Evaluate measures and classifies one instance.
 func (r *Runner) Evaluate(inst expr.Instance) InstanceResult {
 	algs := r.Expr.Algorithms(inst)
+	ms, err := r.Timer.MeasureSet(context.Background(), algs, 1)
+	if err != nil {
+		panic(err) // per-instance measurement under a background context cannot fail
+	}
 	res := InstanceResult{
 		Inst:    inst.Clone(),
 		Flops:   make([]float64, len(algs)),
@@ -116,11 +122,35 @@ func (r *Runner) Evaluate(inst expr.Instance) InstanceResult {
 		PerCall: make([][]float64, len(algs)),
 	}
 	for i := range algs {
-		m := r.Timer.MeasureAlgorithm(&algs[i])
 		res.Flops[i] = algs[i].Flops()
-		res.Times[i] = m.Total
-		res.PerCall[i] = m.PerCall
+		res.Times[i] = ms[i].Total
+		res.PerCall[i] = ms[i].PerCall
 	}
 	res.Class = Classify(res.Flops, res.Times, r.Threshold)
 	return res
+}
+
+// The experiments are embarrassingly parallel: instance evaluations are
+// independent and, on the simulated backend, deterministic. Each driver
+// therefore generates its work in order (so the sampling stream never
+// changes), evaluates it over par.For, and folds the results back in
+// order; one worker is the serial case, and every worker count gives
+// bit-identical results.
+//
+// More than one worker requires a concurrency-safe executor. The
+// simulated backend is safe; the measured backend is not — and timing
+// kernels concurrently on shared hardware would be methodologically
+// wrong anyway (runs would contend for cores and caches), so measured
+// experiments run at one worker, as the paper's did.
+
+// resolveWorkers maps a workers argument to an actual worker count:
+// non-positive means one, and absurd counts are capped.
+func resolveWorkers(w int) int {
+	if w <= 0 {
+		return 1
+	}
+	if n := runtime.GOMAXPROCS(0); w > n*4 {
+		return n * 4
+	}
+	return w
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lamb/internal/expr"
+	"lamb/internal/par"
 	"lamb/internal/xrand"
 )
 
@@ -37,17 +38,16 @@ type Exp1Result struct {
 	Abundance float64
 }
 
-// newExp1Stream derives the experiment's sampling stream; the sequential
-// and parallel drivers share it so their draws are identical.
-func newExp1Stream(seed uint64, exprName string) *xrand.Rand {
-	return xrand.NewLabeled(seed, "exp1/"+exprName)
-}
-
 // RunExp1 searches the box uniformly at random for anomalies until the
 // target count of distinct anomalies is reached or MaxSamples is
 // exhausted. The classification threshold comes from the Runner (the
 // paper uses a 10% time score for this experiment).
-func RunExp1(r *Runner, cfg Exp1Config) Exp1Result {
+//
+// Instances are drawn in batches of 4 × workers (one at a time at one
+// worker), evaluated concurrently, and classified in draw order; the
+// search stops at exactly the sample where a one-by-one search would,
+// and the surplus evaluations of the final batch are discarded.
+func RunExp1(r *Runner, cfg Exp1Config, workers int) Exp1Result {
 	if err := cfg.Box.Validate(); err != nil {
 		panic(err)
 	}
@@ -62,24 +62,42 @@ func RunExp1(r *Runner, cfg Exp1Config) Exp1Result {
 	if target <= 0 {
 		target = 100
 	}
-	rng := newExp1Stream(cfg.Seed, r.Expr.Name())
+	w := resolveWorkers(workers)
+	batch := 1
+	if w > 1 {
+		batch = 4 * w
+	}
+	rng := xrand.NewLabeled(cfg.Seed, "exp1/"+r.Expr.Name())
 	seen := make(map[string]bool)
 	var out Exp1Result
 	anomalousSamples := 0
+	insts := make([]expr.Instance, 0, batch)
+	results := make([]InstanceResult, batch)
 	for out.Samples < maxSamples && len(out.Anomalies) < target {
-		inst := cfg.Box.Sample(rng)
-		out.Samples++
-		res := r.Evaluate(inst)
-		if res.Class.Anomaly {
-			anomalousSamples++
-			key := inst.String()
-			if !seen[key] {
-				seen[key] = true
-				out.Anomalies = append(out.Anomalies, res)
-			}
+		insts = insts[:0]
+		for len(insts) < batch && out.Samples+len(insts) < maxSamples {
+			insts = append(insts, cfg.Box.Sample(rng))
 		}
-		if cfg.Progress != nil && cfg.ProgressEvery > 0 && out.Samples%cfg.ProgressEvery == 0 {
-			cfg.Progress(out.Samples, len(out.Anomalies))
+		par.For(len(insts), w, func(i int) {
+			results[i] = r.Evaluate(insts[i])
+		})
+		for i := range insts {
+			out.Samples++
+			res := results[i]
+			if res.Class.Anomaly {
+				anomalousSamples++
+				key := res.Inst.String()
+				if !seen[key] {
+					seen[key] = true
+					out.Anomalies = append(out.Anomalies, res)
+				}
+			}
+			if cfg.Progress != nil && cfg.ProgressEvery > 0 && out.Samples%cfg.ProgressEvery == 0 {
+				cfg.Progress(out.Samples, len(out.Anomalies))
+			}
+			if len(out.Anomalies) >= target {
+				break
+			}
 		}
 	}
 	if out.Samples > 0 {

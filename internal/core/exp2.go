@@ -3,8 +3,10 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"lamb/internal/expr"
+	"lamb/internal/par"
 )
 
 // Exp2Config parameterises Experiment 2 (lines through regions, §3.4.2).
@@ -76,8 +78,10 @@ func (r *Exp2Result) ThicknessByDim(arity int) [][]int {
 // that run) or at the search-space boundary (boundary = last instance).
 //
 // The Runner's threshold is the classification threshold; the paper uses
-// a 5% time score here.
-func RunExp2(r *Runner, anomalies []expr.Instance, cfg Exp2Config) Exp2Result {
+// a 5% time score here. Each (anomaly, dimension) line is independent,
+// so whole lines are spread over workers and the result does not depend
+// on the worker count.
+func RunExp2(r *Runner, anomalies []expr.Instance, cfg Exp2Config, workers int) Exp2Result {
 	if err := cfg.Box.Validate(); err != nil {
 		panic(err)
 	}
@@ -87,22 +91,28 @@ func RunExp2(r *Runner, anomalies []expr.Instance, cfg Exp2Config) Exp2Result {
 	if cfg.EndRun <= 0 {
 		panic(fmt.Sprintf("core: exp2 end run %d must be positive", cfg.EndRun))
 	}
+	w := resolveWorkers(workers)
 	arity := r.Expr.Arity()
-	var out Exp2Result
-	totalLines := len(anomalies) * arity
-	lineNo := 0
-	for _, origin := range anomalies {
-		// The origin instance is shared by all lines through it.
-		originRes := r.Evaluate(origin)
-		for dim := 0; dim < arity; dim++ {
-			ln := traverseLine(r, origin, originRes, dim, cfg)
-			out.TotalSamples += len(ln.Samples)
-			out.Lines = append(out.Lines, ln)
-			lineNo++
-			if cfg.Progress != nil {
-				cfg.Progress(lineNo, totalLines)
-			}
+	// The origin instance is shared by all lines through it.
+	originRes := make([]InstanceResult, len(anomalies))
+	par.For(len(anomalies), w, func(i int) {
+		originRes[i] = r.Evaluate(anomalies[i])
+	})
+	out := Exp2Result{Lines: make([]Line, len(anomalies)*arity)}
+	done := 0
+	var mu sync.Mutex
+	par.For(len(out.Lines), w, func(li int) {
+		ai, dim := li/arity, li%arity
+		out.Lines[li] = traverseLine(r, anomalies[ai], originRes[ai], dim, cfg)
+		if cfg.Progress != nil {
+			mu.Lock()
+			done++
+			cfg.Progress(done, len(out.Lines))
+			mu.Unlock()
 		}
+	})
+	for i := range out.Lines {
+		out.TotalSamples += len(out.Lines[i].Samples)
 	}
 	return out
 }

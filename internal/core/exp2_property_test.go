@@ -66,7 +66,7 @@ func TestExp2BoundariesMatchReferenceProperty(t *testing.T) {
 		stub := &stubExecutor{anomalous: func(d0, d1, d2 int) bool { return anomalous(d0) }}
 		r := NewRunner(expr.NewAATB(), &exec.Timer{Exec: stub, Reps: 1}, 0.05)
 		box := expr.PaperBox(3)
-		res := RunExp2(r, []expr.Instance{{origin, 500, 500}}, DefaultExp2Config(box))
+		res := RunExp2(r, []expr.Instance{{origin, 500, 500}}, DefaultExp2Config(box), 1)
 		ln := res.Lines[0] // the d0 line
 		wantHi := referenceBoundary(anomalous, origin, 10, +1, 20, 1200, 3)
 		wantLo := referenceBoundary(anomalous, origin, 10, -1, 20, 1200, 3)
@@ -79,7 +79,7 @@ func TestExp2BoundariesMatchReferenceProperty(t *testing.T) {
 }
 
 func TestExp2ParallelMatchesReferenceProperty(t *testing.T) {
-	// The parallel driver must satisfy the same reference property.
+	// Three workers must satisfy the same reference property.
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		lo := rng.IntRange(100, 900)
@@ -88,7 +88,7 @@ func TestExp2ParallelMatchesReferenceProperty(t *testing.T) {
 		origin := (lo + hi) / 2
 		stub := &stubExecutor{anomalous: func(d0, d1, d2 int) bool { return anomalous(d0) }}
 		r := NewRunner(expr.NewAATB(), &exec.Timer{Exec: stub, Reps: 1}, 0.05)
-		res := RunExp2Parallel(r, []expr.Instance{{origin, 400, 400}},
+		res := RunExp2(r, []expr.Instance{{origin, 400, 400}},
 			DefaultExp2Config(expr.PaperBox(3)), 3)
 		ln := res.Lines[0]
 		wantHi := referenceBoundary(anomalous, origin, 10, +1, 20, 1200, 3)

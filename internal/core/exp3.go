@@ -2,6 +2,7 @@ package core
 
 import (
 	"lamb/internal/kernels"
+	"lamb/internal/par"
 	"lamb/internal/stats"
 )
 
@@ -32,23 +33,36 @@ type Exp3Result struct {
 // compares against the actual (measured) classification.
 //
 // Identical calls (same kernel, dimensions, and transposition) are
-// benchmarked once and memoised: their performance cannot differ, and the
-// paper likewise collects "a small set of specific calls" per sample.
-func RunExp3(r *Runner, exp2 Exp2Result, cfg Exp3Config) Exp3Result {
+// benchmarked once: their performance cannot differ, and the paper
+// likewise collects "a small set of specific calls" per sample. The
+// distinct calls are collected first, in first-use order, benchmarked
+// over workers, and then every sample is classified in order, so the
+// result does not depend on the worker count.
+func RunExp3(r *Runner, exp2 Exp2Result, cfg Exp3Config, workers int) Exp3Result {
 	threshold := cfg.Threshold
 	if threshold <= 0 {
 		threshold = 0.05
 	}
-	memo := make(map[kernels.Key]float64)
-	benchCall := func(c kernels.Call) float64 {
-		key := c.MemoKey()
-		if t, ok := memo[key]; ok {
-			return t
+	var calls []kernels.Call
+	index := make(map[kernels.Key]int)
+	for _, ln := range exp2.Lines {
+		for _, s := range ln.Samples {
+			algs := r.Expr.Algorithms(s.Res.Inst)
+			for i := range algs {
+				for _, c := range algs[i].Calls {
+					key := c.MemoKey()
+					if _, ok := index[key]; !ok {
+						index[key] = len(calls)
+						calls = append(calls, c)
+					}
+				}
+			}
 		}
-		t := r.Timer.MeasureCallCold(c)
-		memo[key] = t
-		return t
 	}
+	times := make([]float64, len(calls))
+	par.For(len(calls), resolveWorkers(workers), func(i int) {
+		times[i] = r.Timer.MeasureCallCold(calls[i])
+	})
 
 	var out Exp3Result
 	done := 0
@@ -59,7 +73,7 @@ func RunExp3(r *Runner, exp2 Exp2Result, cfg Exp3Config) Exp3Result {
 			for i := range algs {
 				var sum float64
 				for _, c := range algs[i].Calls {
-					sum += benchCall(c)
+					sum += times[index[c.MemoKey()]]
 				}
 				predicted[i] = sum
 			}
@@ -72,6 +86,6 @@ func RunExp3(r *Runner, exp2 Exp2Result, cfg Exp3Config) Exp3Result {
 			}
 		}
 	}
-	out.DistinctCalls = len(memo)
+	out.DistinctCalls = len(calls)
 	return out
 }

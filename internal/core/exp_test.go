@@ -23,7 +23,7 @@ func TestExp1FindsPlantedAnomalies(t *testing.T) {
 		MaxSamples:      10_000,
 		Seed:            1,
 	}
-	res := RunExp1(r, cfg)
+	res := RunExp1(r, cfg, 1)
 	if len(res.Anomalies) != 10 {
 		t.Fatalf("found %d anomalies, want 10", len(res.Anomalies))
 	}
@@ -52,7 +52,7 @@ func TestExp1NoAnomalies(t *testing.T) {
 		MaxSamples:      200,
 		Seed:            2,
 	}
-	res := RunExp1(r, cfg)
+	res := RunExp1(r, cfg, 1)
 	if len(res.Anomalies) != 0 {
 		t.Fatalf("found %d anomalies in anomaly-free space", len(res.Anomalies))
 	}
@@ -69,7 +69,7 @@ func TestExp1Deterministic(t *testing.T) {
 		r, _ := stubRunner(func(d0, d1, d2 int) bool { return d0 > 150 })
 		return RunExp1(r, Exp1Config{
 			Box: expr.UniformBox(3, 20, 200), TargetAnomalies: 5, MaxSamples: 5000, Seed: 7,
-		})
+		}, 1)
 	}
 	a, b := mk(), mk()
 	if a.Samples != b.Samples || len(a.Anomalies) != len(b.Anomalies) {
@@ -90,7 +90,7 @@ func TestExp1DedupesAnomalies(t *testing.T) {
 		TargetAnomalies: 3,
 		MaxSamples:      100,
 		Seed:            3,
-	})
+	}, 1)
 	if len(res.Anomalies) != 1 {
 		t.Fatalf("distinct anomalies %d, want 1 (dedupe)", len(res.Anomalies))
 	}
@@ -108,7 +108,7 @@ func TestExp1ProgressCallback(t *testing.T) {
 	RunExp1(r, Exp1Config{
 		Box: expr.UniformBox(3, 20, 40), TargetAnomalies: 1, MaxSamples: 50, Seed: 4,
 		Progress: func(samples, anomalies int) { calls++ }, ProgressEvery: 10,
-	})
+	}, 1)
 	if calls != 5 {
 		t.Fatalf("progress called %d times, want 5", calls)
 	}
@@ -125,7 +125,7 @@ func TestExp2HoleRuleAndBoundaries(t *testing.T) {
 	})
 	origin := expr.Instance{150, 500, 500}
 	cfg := DefaultExp2Config(expr.PaperBox(3))
-	res := RunExp2(r, []expr.Instance{origin}, cfg)
+	res := RunExp2(r, []expr.Instance{origin}, cfg, 1)
 	if len(res.Lines) != 3 {
 		t.Fatalf("lines %d, want 3 (one per dimension)", len(res.Lines))
 	}
@@ -166,7 +166,7 @@ func TestExp2TwoHolesAreStillHoles(t *testing.T) {
 		return (d0 >= 100 && d0 <= 200) || (d0 >= 230 && d0 <= 250)
 	})
 	origin := expr.Instance{150, 500, 500}
-	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)))
+	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)), 1)
 	if got := res.Lines[0].BoundaryHi; got != 260 {
 		t.Fatalf("boundary hi = %d, want 260 (double hole must not end the region)", got)
 	}
@@ -177,7 +177,7 @@ func TestExp2SearchSpaceBoundary(t *testing.T) {
 	// (1200); in −d0 the region ends normally.
 	r, _ := stubRunner(func(d0, d1, d2 int) bool { return d0 >= 1100 })
 	origin := expr.Instance{1150, 500, 500}
-	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)))
+	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)), 1)
 	ln := res.Lines[0]
 	if ln.BoundaryHi != 1200 {
 		t.Fatalf("boundary hi = %d, want 1200 (search-space edge)", ln.BoundaryHi)
@@ -197,7 +197,7 @@ func TestExp2NonTraversedDimsAreThin(t *testing.T) {
 	// (regions much thinner in d0 than in d1/d2 for AAᵀB).
 	r, _ := stubRunner(func(d0, d1, d2 int) bool { return d0 >= 140 && d0 <= 160 })
 	origin := expr.Instance{150, 500, 500}
-	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)))
+	res := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.PaperBox(3)), 1)
 	byDim := res.ThicknessByDim(3)
 	if len(byDim[0]) != 1 || len(byDim[1]) != 1 || len(byDim[2]) != 1 {
 		t.Fatalf("thickness grouping %v", byDim)
@@ -220,7 +220,7 @@ func TestExp2ProgressAndTotals(t *testing.T) {
 			t.Fatalf("total lines %d, want 6", total)
 		}
 	}
-	res := RunExp2(r, []expr.Instance{{150, 100, 100}, {145, 200, 200}}, cfg)
+	res := RunExp2(r, []expr.Instance{{150, 100, 100}, {145, 200, 200}}, cfg, 1)
 	if lines != 6 {
 		t.Fatalf("progress calls %d", lines)
 	}
@@ -246,7 +246,7 @@ func TestExp2PanicsOnBadConfig(t *testing.T) {
 					t.Fatal("no panic")
 				}
 			}()
-			RunExp2(r, []expr.Instance{{50, 50, 50}}, cfg)
+			RunExp2(r, []expr.Instance{{50, 50, 50}}, cfg, 1)
 		}()
 	}
 }
@@ -276,8 +276,8 @@ func TestExp3PerfectPredictionWithConsistentStub(t *testing.T) {
 	timer := &exec.Timer{Exec: stub2, Reps: 1}
 	r := NewRunner(expr.NewAATB(), timer, 0.05)
 	origin := expr.Instance{100, 100, 100}
-	exp2 := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.UniformBox(3, 20, 200)))
-	res := RunExp3(r, exp2, Exp3Config{Threshold: 0.05})
+	exp2 := RunExp2(r, []expr.Instance{origin}, DefaultExp2Config(expr.UniformBox(3, 20, 200)), 1)
+	res := RunExp3(r, exp2, Exp3Config{Threshold: 0.05}, 1)
 	if res.Confusion.Total() != exp2.TotalSamples {
 		t.Fatalf("confusion total %d != samples %d", res.Confusion.Total(), exp2.TotalSamples)
 	}
@@ -295,9 +295,9 @@ func TestExp3MemoisesBenchmarks(t *testing.T) {
 	stub := &stubExecutor{anomalous: func(d0, d1, d2 int) bool { return d0 > 100 }}
 	timer := &exec.Timer{Exec: stub, Reps: 1}
 	r := NewRunner(expr.NewAATB(), timer, 0.05)
-	exp2 := RunExp2(r, []expr.Instance{{150, 100, 100}}, DefaultExp2Config(expr.UniformBox(3, 20, 300)))
+	exp2 := RunExp2(r, []expr.Instance{{150, 100, 100}}, DefaultExp2Config(expr.UniformBox(3, 20, 300)), 1)
 	before := stub.benchCalls.Load()
-	res := RunExp3(r, exp2, Exp3Config{})
+	res := RunExp3(r, exp2, Exp3Config{}, 1)
 	benchInvocations := int(stub.benchCalls.Load() - before)
 	if res.DistinctCalls == 0 {
 		t.Fatal("no calls benchmarked")
@@ -317,8 +317,8 @@ func TestExp3DefaultThreshold(t *testing.T) {
 	stub := &stubExecutor{anomalous: func(d0, d1, d2 int) bool { return false }}
 	timer := &exec.Timer{Exec: stub, Reps: 1}
 	r := NewRunner(expr.NewAATB(), timer, 0.05)
-	exp2 := RunExp2(r, []expr.Instance{{100, 100, 100}}, DefaultExp2Config(expr.UniformBox(3, 20, 150)))
-	res := RunExp3(r, exp2, Exp3Config{}) // zero threshold → default 5%
+	exp2 := RunExp2(r, []expr.Instance{{100, 100, 100}}, DefaultExp2Config(expr.UniformBox(3, 20, 150)), 1)
+	res := RunExp3(r, exp2, Exp3Config{}, 1) // zero threshold → default 5%
 	if res.Confusion.TP != 0 || res.Confusion.FN != 0 {
 		t.Fatalf("anomaly-free space should have no actual positives: %+v", res.Confusion)
 	}

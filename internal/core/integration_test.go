@@ -18,7 +18,7 @@ func TestPipelineSimulatedAllExpressions(t *testing.T) {
 			box := expr.PaperBox(e.Arity())
 			exp1 := RunExp1(r10, Exp1Config{
 				Box: box, TargetAnomalies: 2, MaxSamples: 20000, Seed: 77,
-			})
+			}, 1)
 			if len(exp1.Anomalies) == 0 {
 				t.Fatalf("%s: no anomalies found", e.Name())
 			}
@@ -27,7 +27,7 @@ func TestPipelineSimulatedAllExpressions(t *testing.T) {
 				origins = append(origins, a.Inst)
 			}
 			r5 := NewRunner(e, timer, 0.05)
-			exp2 := RunExp2(r5, origins, DefaultExp2Config(box))
+			exp2 := RunExp2(r5, origins, DefaultExp2Config(box), 1)
 			if len(exp2.Lines) != len(origins)*e.Arity() {
 				t.Fatalf("%s: %d lines, want %d", e.Name(), len(exp2.Lines), len(origins)*e.Arity())
 			}
@@ -39,7 +39,7 @@ func TestPipelineSimulatedAllExpressions(t *testing.T) {
 					t.Fatalf("%s: negative thickness", e.Name())
 				}
 			}
-			exp3 := RunExp3(r5, exp2, Exp3Config{Threshold: 0.05})
+			exp3 := RunExp3(r5, exp2, Exp3Config{Threshold: 0.05}, 1)
 			if exp3.Confusion.Total() != exp2.TotalSamples {
 				t.Fatalf("%s: exp3 total mismatch", e.Name())
 			}
@@ -63,7 +63,7 @@ func TestPipelineMeasuredBackendSmoke(t *testing.T) {
 	e := expr.NewAATB()
 	box := expr.UniformBox(3, 16, 80)
 	r10 := NewRunner(e, timer, 0.10)
-	exp1 := RunExp1(r10, Exp1Config{Box: box, TargetAnomalies: 2, MaxSamples: 12, Seed: 5})
+	exp1 := RunExp1(r10, Exp1Config{Box: box, TargetAnomalies: 2, MaxSamples: 12, Seed: 5}, 1)
 	if exp1.Samples == 0 {
 		t.Fatal("no samples evaluated")
 	}
@@ -78,11 +78,11 @@ func TestPipelineMeasuredBackendSmoke(t *testing.T) {
 	cfg := DefaultExp2Config(box)
 	cfg.Step = 16
 	r5 := NewRunner(e, timer, 0.05)
-	exp2 := RunExp2(r5, origins, cfg)
+	exp2 := RunExp2(r5, origins, cfg, 1)
 	if exp2.TotalSamples == 0 {
 		t.Fatal("no exp2 samples")
 	}
-	exp3 := RunExp3(r5, exp2, Exp3Config{Threshold: 0.05})
+	exp3 := RunExp3(r5, exp2, Exp3Config{Threshold: 0.05}, 1)
 	if exp3.Confusion.Total() != exp2.TotalSamples {
 		t.Fatal("exp3/exp2 totals disagree on measured backend")
 	}
@@ -92,7 +92,7 @@ func TestThicknessByDimAcrossExpressions(t *testing.T) {
 	timer := exec.NewTimer(exec.NewDefaultSimulated())
 	e := expr.NewLstSq()
 	r := NewRunner(e, timer, 0.05)
-	exp2 := RunExp2(r, []expr.Instance{{150, 900, 100}}, DefaultExp2Config(expr.PaperBox(3)))
+	exp2 := RunExp2(r, []expr.Instance{{150, 900, 100}}, DefaultExp2Config(expr.PaperBox(3)), 1)
 	byDim := exp2.ThicknessByDim(3)
 	total := 0
 	for _, ths := range byDim {

@@ -777,22 +777,16 @@ func (e *Engine) fuseWidth(algs []expr.Algorithm) int {
 func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm, width int) (int, error) {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	totals := make([]float64, len(algs))
-	for i := range algs {
-		var m exec.Measurement
-		var err error
-		if width >= 2 {
-			m, err = e.timer.MeasureAlgorithmBatchCtx(ctx, &algs[i], width)
-		} else {
-			m, err = e.timer.MeasureAlgorithmCtx(ctx, &algs[i])
-		}
-		if err != nil {
-			return -1, err
-		}
-		totals[i] = m.Total
+	ms, err := e.timer.MeasureSet(ctx, algs, width)
+	if err != nil {
+		return -1, err
 	}
 	if width >= 2 {
 		e.fused.Add(1)
+	}
+	totals := make([]float64, len(ms))
+	for i := range ms {
+		totals[i] = ms[i].Total
 	}
 	return selection.ArgMin(totals), nil
 }

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -292,32 +293,38 @@ func TestMeasuredFuseWidth(t *testing.T) {
 	}
 }
 
-// TestMeasureAlgorithmBatchCtx checks the fused measurement protocol:
-// per-instance scaling, context cancellation between repetitions, and
-// rejection of executors without a batched path.
-func TestMeasureAlgorithmBatchCtx(t *testing.T) {
+// TestMeasureSetFusedPath checks the fused measurement protocol: one
+// per-instance measurement per algorithm, rejection of a negative
+// width, context cancellation between repetitions, and rejection of
+// executors without a batched path.
+func TestMeasureSetFusedPath(t *testing.T) {
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20
 	timer := &Timer{Exec: e, Reps: 2}
-	algs := expr.NewAATB().Algorithms(expr.Instance{16, 8, 8})
-	alg := &algs[0]
-	m, err := timer.MeasureAlgorithmBatchCtx(context.Background(), alg, 8)
+	algs := expr.NewAATB().Algorithms(expr.Instance{16, 8, 8})[:2]
+	ms, err := timer.MeasureSet(context.Background(), algs, 8)
 	if err != nil {
-		t.Fatalf("MeasureAlgorithmBatchCtx: %v", err)
+		t.Fatalf("MeasureSet: %v", err)
 	}
-	if m.Total <= 0 || len(m.PerCall) != len(alg.Calls) {
-		t.Errorf("measurement %+v malformed", m)
+	if len(ms) != len(algs) {
+		t.Fatalf("%d measurements for %d algorithms", len(ms), len(algs))
 	}
-	if _, err := timer.MeasureAlgorithmBatchCtx(context.Background(), alg, 0); err == nil {
-		t.Error("zero-instance fused measurement accepted")
+	for i, m := range ms {
+		if m.Total <= 0 || len(m.PerCall) != len(algs[i].Calls) {
+			t.Errorf("measurement %d %+v malformed", i, m)
+		}
+	}
+	if _, err := timer.MeasureSet(context.Background(), algs, -1); err == nil {
+		t.Error("negative measurement width accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := timer.MeasureAlgorithmBatchCtx(ctx, alg, 8); err == nil {
-		t.Error("cancelled context not honoured")
+	if _, err := timer.MeasureSet(ctx, algs, 8); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled context: err %v, want context.Canceled", err)
 	}
 	simTimer := &Timer{Exec: NewSimulated(machine.NewDefault()), Reps: 2}
-	if _, err := simTimer.MeasureAlgorithmBatchCtx(context.Background(), alg, 8); err == nil {
-		t.Error("simulated executor accepted a fused batch measurement")
+	want := fmt.Sprintf("exec: %s cannot execute fused batches", simTimer.Exec.Name())
+	if _, err := simTimer.MeasureSet(context.Background(), algs, 8); err == nil || err.Error() != want {
+		t.Errorf("simulated executor fused measurement: err %v, want %q", err, want)
 	}
 }

@@ -85,44 +85,43 @@ type Timer struct {
 // NewTimer returns a Timer with the paper's 10 repetitions.
 func NewTimer(e Executor) *Timer { return &Timer{Exec: e, Reps: 10} }
 
-// MeasureAlgorithm times the algorithm, returning the median total and
-// median per-call times.
-func (t *Timer) MeasureAlgorithm(alg *expr.Algorithm) Measurement {
-	m, _ := t.MeasureAlgorithmCtx(context.Background(), alg) // never cancelled
-	return m
-}
-
-// MeasureAlgorithmCtx is MeasureAlgorithm made cancellable for serving:
-// the context is checked between repetitions (never inside one — a
-// repetition's timed region stays allocation- and branch-identical to
-// the paper's protocol), so a request deadline aborts a measurement
-// within one repetition's duration. On cancellation the partial
-// measurement is discarded and ctx.Err() returned.
-func (t *Timer) MeasureAlgorithmCtx(ctx context.Context, alg *expr.Algorithm) (Measurement, error) {
-	return t.measure(ctx, alg, 1, func(r int) []float64 {
-		return t.Exec.TimeAlgorithm(alg, uint64(r))
-	})
-}
-
-// MeasureAlgorithmBatchCtx measures the algorithm through the fused
-// batched path: each repetition executes count instances in one fused
-// plan, and the reported measurement is per instance (batch totals
-// divided by count), so it is directly comparable to MeasureAlgorithm.
-// The context is checked between repetitions, like MeasureAlgorithmCtx.
-// The executor must implement BatchExecutor, count must be at least 1,
-// and count should be within one fused plan's width (FuseChunk ×
-// MaxFusedChunks).
-func (t *Timer) MeasureAlgorithmBatchCtx(ctx context.Context, alg *expr.Algorithm, count int) (Measurement, error) {
-	be, ok := t.Exec.(BatchExecutor)
-	if !ok {
-		return Measurement{}, fmt.Errorf("exec: %s cannot execute fused batches", t.Exec.Name())
+// MeasureSet times every algorithm of a set under the paper's protocol
+// and returns one measurement per algorithm, in set order. At width 2 or
+// more each repetition executes width instances through one fused plan
+// (the executor must implement BatchExecutor, and width should be within
+// one fused plan's width, FuseChunk × MaxFusedChunks), and the
+// measurement is per instance — batch times divided by width — so it is
+// directly comparable to the per-instance path. Below 2 each repetition
+// runs one instance. The context is checked between repetitions, never
+// inside one (a repetition's timed region stays allocation- and
+// branch-identical to the paper's protocol), so a deadline aborts within
+// one repetition's duration; on cancellation the partial measurements
+// are discarded and ctx.Err() returned.
+func (t *Timer) MeasureSet(ctx context.Context, algs []expr.Algorithm, width int) ([]Measurement, error) {
+	if width < 0 {
+		return nil, fmt.Errorf("exec: measurement width must be non-negative, got %d", width)
 	}
-	if count < 1 {
-		return Measurement{}, fmt.Errorf("exec: fused measurement needs count >= 1, got %d", count)
+	var be BatchExecutor
+	if width >= 2 {
+		var ok bool
+		if be, ok = t.Exec.(BatchExecutor); !ok {
+			return nil, fmt.Errorf("exec: %s cannot execute fused batches", t.Exec.Name())
+		}
 	}
-	return t.measure(ctx, alg, count, func(r int) []float64 {
-		return be.TimeAlgorithmBatch(alg, count, uint64(r))
-	})
+	out := make([]Measurement, len(algs))
+	for i := range algs {
+		alg := &algs[i]
+		count, rep := 1, func(r int) []float64 { return t.Exec.TimeAlgorithm(alg, uint64(r)) }
+		if be != nil {
+			count, rep = width, func(r int) []float64 { return be.TimeAlgorithmBatch(alg, width, uint64(r)) }
+		}
+		m, err := t.measure(ctx, alg, count, rep)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = m
+	}
+	return out, nil
 }
 
 // measure is the paper's protocol over one repetition function: Reps
@@ -153,15 +152,6 @@ func (t *Timer) measure(ctx context.Context, alg *expr.Algorithm, count int, rep
 		m.PerCall[i] = stats.Median(perCall[i])
 	}
 	return m, nil
-}
-
-// MeasureAll times every algorithm in the slice.
-func (t *Timer) MeasureAll(algs []expr.Algorithm) []Measurement {
-	out := make([]Measurement, len(algs))
-	for i := range algs {
-		out[i] = t.MeasureAlgorithm(&algs[i])
-	}
-	return out
 }
 
 // MeasureCallCold benchmarks a single call in isolation (flushed cache),

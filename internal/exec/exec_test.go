@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"lamb/internal/expr"
@@ -57,7 +59,7 @@ func TestTimerMedianProtocol(t *testing.T) {
 		t.Fatalf("paper protocol is 10 reps, got %d", timer.Reps)
 	}
 	algs := expr.NewChainABCD().Algorithms(expr.Instance{50, 60, 70, 80, 90})
-	m := timer.MeasureAlgorithm(&algs[0])
+	m := measureSet(t, timer, algs[:1])[0]
 	if m.Total <= 0 {
 		t.Fatal("non-positive total")
 	}
@@ -78,11 +80,25 @@ func TestTimerMedianProtocol(t *testing.T) {
 	}
 }
 
-func TestTimerMeasureAllOrdering(t *testing.T) {
+// measureSet is MeasureSet one instance per repetition under a
+// background context, which cannot fail.
+func measureSet(t *testing.T, timer *Timer, algs []expr.Algorithm) []Measurement {
+	t.Helper()
+	ms, err := timer.MeasureSet(context.Background(), algs, 1)
+	if err != nil {
+		t.Fatalf("MeasureSet: %v", err)
+	}
+	return ms
+}
+
+// TestTimerMeasureSetOrdering checks MeasureSet returns one measurement
+// per algorithm in set order: on the deterministic simulated machine
+// each equals that algorithm measured alone.
+func TestTimerMeasureSetOrdering(t *testing.T) {
 	s := NewDefaultSimulated()
 	timer := &Timer{Exec: s, Reps: 3}
 	algs := expr.NewAATB().Algorithms(expr.Instance{150, 60, 700})
-	ms := timer.MeasureAll(algs)
+	ms := measureSet(t, timer, algs)
 	if len(ms) != 5 {
 		t.Fatalf("got %d measurements", len(ms))
 	}
@@ -90,6 +106,45 @@ func TestTimerMeasureAllOrdering(t *testing.T) {
 		if m.Total <= 0 {
 			t.Fatalf("alg %d total %v", i+1, m.Total)
 		}
+		if alone := measureSet(t, timer, algs[i:i+1])[0]; alone.Total != m.Total {
+			t.Fatalf("alg %d: set total %v, measured alone %v", i+1, m.Total, alone.Total)
+		}
+	}
+	if ms[0].Total == ms[4].Total {
+		t.Fatal("distinct algorithms measured identically")
+	}
+}
+
+// cancellingExecutor cancels its context during the first repetition
+// and counts the repetitions it runs.
+type cancellingExecutor struct {
+	*Simulated
+	cancel context.CancelFunc
+	reps   int
+}
+
+func (c *cancellingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
+	c.reps++
+	c.cancel()
+	return c.Simulated.TimeAlgorithm(alg, rep)
+}
+
+// TestMeasureSetCancelledWithinOneRepetition checks the context is
+// honoured between repetitions: cancelled during the first repetition
+// of the first algorithm, MeasureSet runs no second one and returns
+// ctx.Err().
+func TestMeasureSetCancelledWithinOneRepetition(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ce := &cancellingExecutor{Simulated: NewDefaultSimulated(), cancel: cancel}
+	timer := &Timer{Exec: ce, Reps: 10}
+	algs := expr.NewAATB().Algorithms(expr.Instance{150, 60, 700})
+	ms, err := timer.MeasureSet(ctx, algs, 1)
+	if !errors.Is(err, context.Canceled) || ms != nil {
+		t.Fatalf("MeasureSet = %v, %v; want nil, context.Canceled", ms, err)
+	}
+	if ce.reps != 1 {
+		t.Fatalf("%d repetitions ran after cancellation, want 1", ce.reps)
 	}
 }
 
@@ -177,7 +232,7 @@ func TestMeasuredBackendSmoke(t *testing.T) {
 	timer := &Timer{Exec: e, Reps: 3}
 	algs := expr.NewAATB().Algorithms(expr.Instance{48, 32, 40})
 	for i := range algs {
-		m := timer.MeasureAlgorithm(&algs[i])
+		m := measureSet(t, timer, algs[i:i+1])[0]
 		if m.Total <= 0 {
 			t.Fatalf("alg %d total %v", i+1, m.Total)
 		}

@@ -60,7 +60,7 @@ func TestMeasuredBackendLstSq(t *testing.T) {
 	timer := &Timer{Exec: e, Reps: 2}
 	algs := expr.NewLstSq().Algorithms(expr.Instance{40, 30, 10})
 	for i := range algs {
-		m := timer.MeasureAlgorithm(&algs[i])
+		m := measureSet(t, timer, algs[i:i+1])[0]
 		if m.Total <= 0 {
 			t.Fatalf("algorithm %d total %v", i+1, m.Total)
 		}
@@ -85,7 +85,7 @@ func TestSimulatedBackendLstSq(t *testing.T) {
 	s := NewDefaultSimulated()
 	timer := NewTimer(s)
 	algs := expr.NewLstSq().Algorithms(expr.Instance{150, 700, 90})
-	times := timer.MeasureAll(algs)
+	times := measureSet(t, timer, algs)
 	for i, m := range times {
 		if m.Total <= 0 {
 			t.Fatalf("algorithm %d total %v", i+1, m.Total)

@@ -50,33 +50,11 @@ func EfficiencyCurve(t *exec.Timer, kind kernels.Kind, sizes []int) []CurvePoint
 	out := make([]CurvePoint, 0, len(sizes))
 	peak := t.Exec.Peak()
 	for _, s := range sizes {
-		call := squareCall(kind, s)
+		call := callForShape(kind, s, s, s)
 		sec := t.MeasureCallCold(call)
 		out = append(out, CurvePoint{Size: s, Efficiency: exec.Efficiency(call, sec, peak)})
 	}
 	return out
-}
-
-// squareCall returns the canonical square-operand call of a kind at size s.
-func squareCall(kind kernels.Kind, s int) kernels.Call {
-	switch kind {
-	case kernels.Gemm:
-		return kernels.NewGemm(s, s, s, "A", "B", "C", false, false)
-	case kernels.Syrk:
-		return kernels.NewSyrk(s, s, "A", "C")
-	case kernels.Symm:
-		return kernels.NewSymm(s, s, "A", "B", "C")
-	case kernels.Tri2Full:
-		return kernels.NewTri2Full(s, "C")
-	case kernels.Potrf:
-		return kernels.NewPotrf(s, "S")
-	case kernels.Trsm:
-		return kernels.NewTrsm(s, s, "L", "B", false)
-	case kernels.AddSym:
-		return kernels.NewAddSym(s, "C", "A")
-	default:
-		panic(fmt.Sprintf("profile: unknown kind %v", kind))
-	}
 }
 
 // Profile is a benchmarked performance surface for one kernel kind over a

@@ -13,6 +13,7 @@
 package selection
 
 import (
+	"context"
 	"fmt"
 
 	"lamb/internal/exec"
@@ -109,17 +110,21 @@ func (Oracle) Name() string { return "oracle" }
 
 // Choose implements Strategy.
 func (s Oracle) Choose(algs []expr.Algorithm) int {
-	if len(algs) == 0 {
-		panic("selection: choose from empty set")
+	return ArgMin(measuredTotals(s.Timer, algs))
+}
+
+// measuredTotals measures every algorithm one instance per repetition
+// and returns the median totals, in set order.
+func measuredTotals(t *exec.Timer, algs []expr.Algorithm) []float64 {
+	ms, err := t.MeasureSet(context.Background(), algs, 1)
+	if err != nil {
+		panic(err) // per-instance measurement under a background context cannot fail
 	}
-	best := 0
-	bestT := s.Timer.MeasureAlgorithm(&algs[0]).Total
-	for i := 1; i < len(algs); i++ {
-		if t := s.Timer.MeasureAlgorithm(&algs[i]).Total; t < bestT {
-			best, bestT = i, t
-		}
+	totals := make([]float64, len(ms))
+	for i := range ms {
+		totals[i] = ms[i].Total
 	}
-	return best
+	return totals
 }
 
 // Report summarises a strategy's behaviour over a set of instances.
@@ -177,14 +182,8 @@ func Evaluate(e expr.Expression, t *exec.Timer, strategies []Strategy, cfg Confi
 	for n := 0; n < cfg.Instances; n++ {
 		inst := cfg.Box.Sample(rng)
 		algs := e.Algorithms(inst)
-		times := make([]float64, len(algs))
-		bestT := -1.0
-		for i := range algs {
-			times[i] = t.MeasureAlgorithm(&algs[i]).Total
-			if bestT < 0 || times[i] < bestT {
-				bestT = times[i]
-			}
-		}
+		times := measuredTotals(t, algs)
+		bestT := times[ArgMin(times)]
 		for i, s := range strategies {
 			pick := s.Choose(algs)
 			regret := (times[pick] - bestT) / bestT

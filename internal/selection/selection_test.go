@@ -1,6 +1,7 @@
 package selection
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,11 +42,14 @@ func TestOracleAgreesWithExhaustiveTiming(t *testing.T) {
 	timer := simTimer()
 	algs := expr.NewAATB().Algorithms(expr.Instance{150, 90, 800})
 	pick := Oracle{Timer: timer}.Choose(algs)
+	ms, err := timer.MeasureSet(context.Background(), algs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	best, bestT := -1, 0.0
-	for i := range algs {
-		tt := timer.MeasureAlgorithm(&algs[i]).Total
-		if best < 0 || tt < bestT {
-			best, bestT = i, tt
+	for i, m := range ms {
+		if best < 0 || m.Total < bestT {
+			best, bestT = i, m.Total
 		}
 	}
 	if pick != best {

@@ -293,33 +293,19 @@ func Classify(flops, times []float64, threshold float64) Classification {
 	return core.Classify(flops, times, threshold)
 }
 
-// RunExperiment1 performs the paper's random search for anomalies.
-func RunExperiment1(r *Runner, cfg Exp1Config) Exp1Result { return core.RunExp1(r, cfg) }
+// The experiment drivers spread their evaluations over workers; one
+// worker is the serial case, and the results are bit-identical at every
+// worker count. More than one worker requires a concurrency-safe
+// executor (the simulated backend is; the measured backend is not).
 
-// RunExperiment1Parallel is RunExperiment1 with evaluations spread over
-// workers; results are bit-identical to the sequential run. It requires
-// a concurrency-safe executor (the simulated backend is).
-func RunExperiment1Parallel(r *Runner, cfg Exp1Config, workers int) Exp1Result {
-	return core.RunExp1Parallel(r, cfg, workers)
+// RunExperiment1 performs the paper's random search for anomalies.
+func RunExperiment1(r *Runner, cfg Exp1Config, workers int) Exp1Result {
+	return core.RunExp1(r, cfg, workers)
 }
 
 // RunExperiment2 traverses axis-aligned lines through anomalies.
-func RunExperiment2(r *Runner, anomalies []Instance, cfg Exp2Config) Exp2Result {
-	return core.RunExp2(r, anomalies, cfg)
-}
-
-// RunExperiment2Parallel is RunExperiment2 with line traversals spread
-// over workers; bit-identical to the sequential run (simulated backend
-// only).
-func RunExperiment2Parallel(r *Runner, anomalies []Instance, cfg Exp2Config, workers int) Exp2Result {
-	return core.RunExp2Parallel(r, anomalies, cfg, workers)
-}
-
-// RunExperiment3Parallel is RunExperiment3 with the distinct-call
-// benchmarking phase spread over workers; bit-identical to the
-// sequential run (simulated backend only).
-func RunExperiment3Parallel(r *Runner, exp2 Exp2Result, cfg Exp3Config, workers int) Exp3Result {
-	return core.RunExp3Parallel(r, exp2, cfg, workers)
+func RunExperiment2(r *Runner, anomalies []Instance, cfg Exp2Config, workers int) Exp2Result {
+	return core.RunExp2(r, anomalies, cfg, workers)
 }
 
 // DefaultExp2Config returns the paper's Experiment 2 settings (step 10,
@@ -328,8 +314,8 @@ func DefaultExp2Config(box Box) Exp2Config { return core.DefaultExp2Config(box) 
 
 // RunExperiment3 predicts anomalies from isolated kernel benchmarks and
 // tallies the confusion matrix.
-func RunExperiment3(r *Runner, exp2 Exp2Result, cfg Exp3Config) Exp3Result {
-	return core.RunExp3(r, exp2, cfg)
+func RunExperiment3(r *Runner, exp2 Exp2Result, cfg Exp3Config, workers int) Exp3Result {
+	return core.RunExp3(r, exp2, cfg, workers)
 }
 
 // EfficiencyCurve measures a kernel's efficiency on square operands — the

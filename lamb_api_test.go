@@ -42,7 +42,7 @@ func TestPublicExperimentPipeline(t *testing.T) {
 		TargetAnomalies: 5,
 		MaxSamples:      500,
 		Seed:            1,
-	})
+	}, 1)
 	if len(exp1.Anomalies) != 5 {
 		t.Fatalf("exp1 found %d anomalies", len(exp1.Anomalies))
 	}
@@ -52,7 +52,7 @@ func TestPublicExperimentPipeline(t *testing.T) {
 
 	r5 := lamb.NewRunner(e, timer, 0.05)
 	origins := []lamb.Instance{exp1.Anomalies[0].Inst, exp1.Anomalies[1].Inst}
-	exp2 := lamb.RunExperiment2(r5, origins, lamb.DefaultExp2Config(lamb.PaperBox(3)))
+	exp2 := lamb.RunExperiment2(r5, origins, lamb.DefaultExp2Config(lamb.PaperBox(3)), 1)
 	if len(exp2.Lines) != 6 {
 		t.Fatalf("exp2 produced %d lines, want 6", len(exp2.Lines))
 	}
@@ -62,7 +62,7 @@ func TestPublicExperimentPipeline(t *testing.T) {
 		}
 	}
 
-	exp3 := lamb.RunExperiment3(r5, exp2, lamb.Exp3Config{Threshold: 0.05})
+	exp3 := lamb.RunExperiment3(r5, exp2, lamb.Exp3Config{Threshold: 0.05}, 1)
 	if exp3.Confusion.Total() != exp2.TotalSamples {
 		t.Fatalf("exp3 total %d != exp2 samples %d", exp3.Confusion.Total(), exp2.TotalSamples)
 	}

@@ -27,7 +27,7 @@ func TestGeneratedExpressionsExperimentPipeline(t *testing.T) {
 				TargetAnomalies: 3,
 				MaxSamples:      2500,
 				Seed:            7,
-			})
+			}, 1)
 			if len(exp1.Anomalies) < 1 {
 				t.Fatalf("%s: no anomalies in %d samples", e.Name(), exp1.Samples)
 			}
@@ -40,11 +40,11 @@ func TestGeneratedExpressionsExperimentPipeline(t *testing.T) {
 				origins = append(origins, a.Inst)
 			}
 			r5 := lamb.NewRunner(e, timer, 0.05)
-			exp2 := lamb.RunExperiment2(r5, origins, lamb.DefaultExp2Config(lamb.PaperBox(e.Arity())))
+			exp2 := lamb.RunExperiment2(r5, origins, lamb.DefaultExp2Config(lamb.PaperBox(e.Arity())), 1)
 			if len(exp2.Lines) != n*e.Arity() {
 				t.Fatalf("%s: exp2 produced %d lines, want %d", e.Name(), len(exp2.Lines), n*e.Arity())
 			}
-			exp3 := lamb.RunExperiment3(r5, exp2, lamb.Exp3Config{Threshold: 0.05})
+			exp3 := lamb.RunExperiment3(r5, exp2, lamb.Exp3Config{Threshold: 0.05}, 1)
 			if exp3.Confusion.Total() != exp2.TotalSamples {
 				t.Fatalf("%s: exp3 total %d != exp2 samples %d", e.Name(), exp3.Confusion.Total(), exp2.TotalSamples)
 			}
