@@ -9,15 +9,17 @@ import (
 )
 
 // TestExp3QuickGolden pins the full stdout of `lamb exp3 -scale quick`
-// on the simulated backend, for both paper expressions, at one worker
-// and at four: all three experiments must be bit-identical across
-// worker counts and across refactors of the drivers. The goldens were
+// on the simulated backend, for both paper expressions and the
+// least-squares expression, at one worker and at four: all three
+// experiments must be bit-identical across worker counts and across
+// refactors of the drivers and the kernel table. lstsq runs POTRF, TRSM
+// and AddSym through the simulated cache model. The goldens were
 // recorded from `lamb exp3 -scale quick -expr <name>`.
 func TestExp3QuickGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, name := range []string{"aatb", "chain"} {
+	for _, name := range []string{"aatb", "chain", "lstsq"} {
 		want, err := os.ReadFile(filepath.Join("testdata", "exp3-"+name+"-quick.golden"))
 		if err != nil {
 			t.Fatal(err)
