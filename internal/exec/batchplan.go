@@ -26,9 +26,7 @@ import (
 	"fmt"
 	"time"
 
-	"lamb/internal/blas"
 	"lamb/internal/expr"
-	"lamb/internal/kernels"
 	"lamb/internal/mat"
 	"lamb/internal/xrand"
 )
@@ -171,11 +169,7 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 		bases := carveOperands(algs[0], lay, p.arena, true)
 		get := func(id string) *mat.Dense { return &bases[lay.index[id]] }
 		for s, c := range algs[0].Calls {
-			run, err := bindBatchCall(c, get, p.stride, count)
-			if err != nil {
-				return err
-			}
-			p.steps[s] = []func(){run}
+			p.steps[s] = []func(){bind(binders[c.Kind].batched, c, get, p.stride, count)}
 		}
 		return nil
 	}
@@ -186,11 +180,7 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 		pi := &p.insts[inst]
 		get := func(id string) *mat.Dense { return &pi.ops[pi.lay.index[id]] }
 		for s, c := range algs[inst].Calls {
-			run, err := bindCall(c, get)
-			if err != nil {
-				return err
-			}
-			p.steps[s][inst] = run
+			p.steps[s][inst] = bind(binders[c.Kind].serial, c, get, 0, 1)
 		}
 	}
 	return nil
@@ -233,46 +223,6 @@ func sameCallStructure(a, b *expr.Algorithm) error {
 		}
 	}
 	return nil
-}
-
-// bindBatchCall resolves the call's operands to their batch-base headers
-// and returns a closure that executes it on the batched BLAS drivers,
-// all operands advancing at the plan's instance stride. Per-instance
-// semantics match bindCall exactly.
-func bindBatchCall(c kernels.Call, get func(string) *mat.Dense, stride, count int) (func(), error) {
-	switch c.Kind {
-	case kernels.Gemm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		tA, tB := c.TransA, c.TransB
-		return func() { blas.GemmBatch(tA, tB, 1, a, stride, b, stride, 0, out, stride, count) }, nil
-	case kernels.Syrk:
-		a, out := get(c.In[0]), get(c.Out)
-		trans := c.TransA
-		return func() { blas.SyrkBatch(mat.Lower, trans, 1, a, stride, 0, out, stride, count) }, nil
-	case kernels.Symm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		return func() { blas.SymmBatch(mat.Lower, 1, a, stride, b, stride, 0, out, stride, count) }, nil
-	case kernels.Tri2Full:
-		out := get(c.Out)
-		return func() { blas.Tri2FullBatch(mat.Lower, out, stride, count) }, nil
-	case kernels.Potrf:
-		out := get(c.Out)
-		id := c.Out
-		return func() {
-			if err := blas.PotrfBatch(out, stride, count); err != nil {
-				panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, id))
-			}
-		}, nil
-	case kernels.Trsm:
-		l, b := get(c.In[0]), get(c.Out)
-		trans := c.TransA
-		return func() { blas.TrsmBatch(mat.Lower, trans, 1, l, stride, b, stride, count) }, nil
-	case kernels.AddSym:
-		out, r := get(c.Out), get(c.In[1])
-		return func() { blas.AddSymBatch(mat.Lower, out, stride, r, stride, count) }, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot bind unknown kind %v", c.Kind)
-	}
 }
 
 // FillInputs refills every instance's input operands in place,

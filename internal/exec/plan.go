@@ -276,45 +276,87 @@ func layoutArena(nsteps int, first, last, sizes []int) (offsets []int, arenaLen 
 	return offsets, arenaLen
 }
 
-// bindCall resolves the call's operands through get and returns a
-// closure that executes it on the pure-Go BLAS kernels. Semantics match
-// the map-based oracle the plan tests pin it against.
-func bindCall(c kernels.Call, get func(string) *mat.Dense) (func(), error) {
-	switch c.Kind {
-	case kernels.Gemm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		tA, tB := c.TransA, c.TransB
-		return func() { blas.Gemm(tA, tB, 1, a, b, 0, out) }, nil
-	case kernels.Syrk:
-		a, out := get(c.In[0]), get(c.Out)
-		if c.TransA {
-			return func() { blas.SyrkT(mat.Lower, 1, a, 0, out) }, nil
-		}
-		return func() { blas.Syrk(mat.Lower, 1, a, 0, out) }, nil
-	case kernels.Symm:
-		a, b, out := get(c.In[0]), get(c.In[1]), get(c.Out)
-		return func() { blas.Symm(mat.Lower, 1, a, b, 0, out) }, nil
-	case kernels.Tri2Full:
-		out := get(c.Out)
-		return func() { blas.Tri2Full(mat.Lower, out) }, nil
-	case kernels.Potrf:
-		out := get(c.Out)
-		id := c.Out
-		return func() {
-			if err := blas.Potrf(out); err != nil {
-				panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, id))
+// operands are one bound call's matrices: a and b are its first two
+// inputs (nil past len(In)) and out is its output, which an in-place kind
+// also finds among its inputs. A batched binding reaches count
+// instances, each operand's instances stride float64s apart.
+type operands struct {
+	a, b, out      *mat.Dense
+	transA, transB bool
+	outID          string
+	stride, count  int
+}
+
+// binder is one kind's row of the binder table: serial runs the call on
+// one instance with the serial BLAS kernels, batched on every instance
+// with the batched drivers. Per instance the two agree bit for bit, and
+// both match the map-based oracle the plan tests pin them against. A
+// plan of one keeps the serial column: the measured timings are those
+// of the serial kernels.
+type binder struct{ serial, batched func(o *operands) }
+
+var binders = [kernels.NumKinds]binder{
+	kernels.Gemm: {
+		serial: func(o *operands) { blas.Gemm(o.transA, o.transB, 1, o.a, o.b, 0, o.out) },
+		batched: func(o *operands) {
+			blas.GemmBatch(o.transA, o.transB, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
+		},
+	},
+	kernels.Syrk: {
+		serial: func(o *operands) {
+			if o.transA {
+				blas.SyrkT(mat.Lower, 1, o.a, 0, o.out)
+			} else {
+				blas.Syrk(mat.Lower, 1, o.a, 0, o.out)
 			}
-		}, nil
-	case kernels.Trsm:
-		l, b := get(c.In[0]), get(c.Out)
-		trans := c.TransA
-		return func() { blas.Trsm(mat.Lower, trans, 1, l, b) }, nil
-	case kernels.AddSym:
-		out, r := get(c.Out), get(c.In[1])
-		return func() { blas.AddSym(mat.Lower, out, r) }, nil
-	default:
-		return nil, fmt.Errorf("exec: cannot bind unknown kind %v", c.Kind)
+		},
+		batched: func(o *operands) {
+			blas.SyrkBatch(mat.Lower, o.transA, 1, o.a, o.stride, 0, o.out, o.stride, o.count)
+		},
+	},
+	kernels.Symm: {
+		serial: func(o *operands) { blas.Symm(mat.Lower, 1, o.a, o.b, 0, o.out) },
+		batched: func(o *operands) {
+			blas.SymmBatch(mat.Lower, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
+		},
+	},
+	kernels.Tri2Full: {
+		serial:  func(o *operands) { blas.Tri2Full(mat.Lower, o.out) },
+		batched: func(o *operands) { blas.Tri2FullBatch(mat.Lower, o.out, o.stride, o.count) },
+	},
+	kernels.Potrf: {
+		serial:  func(o *operands) { mustBeSPD(blas.Potrf(o.out), o.outID) },
+		batched: func(o *operands) { mustBeSPD(blas.PotrfBatch(o.out, o.stride, o.count), o.outID) },
+	},
+	kernels.Trsm: {
+		serial:  func(o *operands) { blas.Trsm(mat.Lower, o.transA, 1, o.a, o.out) },
+		batched: func(o *operands) { blas.TrsmBatch(mat.Lower, o.transA, 1, o.a, o.stride, o.out, o.stride, o.count) },
+	},
+	kernels.AddSym: {
+		serial:  func(o *operands) { blas.AddSym(mat.Lower, o.out, o.b) },
+		batched: func(o *operands) { blas.AddSymBatch(mat.Lower, o.out, o.stride, o.b, o.stride, o.count) },
+	},
+}
+
+// mustBeSPD panics if the in-place Cholesky factorisation of operand id
+// failed.
+func mustBeSPD(err error, id string) {
+	if err != nil {
+		panic(fmt.Sprintf("exec: %v (operand %q must be SPD)", err, id))
 	}
+}
+
+// bind resolves the call's operands through get once and returns a
+// closure that runs the binder column run on them.
+func bind(run func(*operands), c kernels.Call, get func(string) *mat.Dense, stride, count int) func() {
+	o := &operands{out: get(c.Out), transA: c.TransA, transB: c.TransB, outID: c.Out, stride: stride, count: count}
+	if len(c.In) > 0 {
+		o.a = get(c.In[0])
+	}
+	if len(c.In) > 1 {
+		o.b = get(c.In[1])
+	}
+	return func() { run(o) }
 }
 
 // fillOperand refills one operand in place according to its fill kind.

@@ -37,7 +37,7 @@ func evaluateWithMap(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.Den
 // dispatch executes a single call on the operand map using the pure-Go
 // BLAS kernels. Symmetric kernels use the lower triangle, matching the
 // SYRK outputs produced here. It shares no code with the compiled plans
-// (bindCall), so it is their independent oracle.
+// (the binder table), so it is their independent oracle.
 func dispatch(call kernels.Call, ops map[string]*mat.Dense) {
 	switch call.Kind {
 	case kernels.Gemm:
@@ -230,6 +230,67 @@ func TestCompileCallPlanAllKinds(t *testing.T) {
 		}
 		p.FillInputs(rng)
 		p.Execute() // must not panic (POTRF needs its SPD fill, TRSM its factor)
+	}
+}
+
+// TestCompileCallPlanRejectsMalformedCalls pins that a call Validate
+// rejects fails to compile with an error rather than a panic in the
+// binder: SYMM must read two inputs and Tri2Full must mirror in place.
+func TestCompileCallPlanRejectsMalformedCalls(t *testing.T) {
+	for _, call := range []kernels.Call{
+		{Kind: kernels.Symm, M: 4, N: 4, K: 4, In: []string{"A"}, Out: "C"},
+		{Kind: kernels.Tri2Full, M: 4, N: 4, Out: "C"},
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: CompileCallPlan panicked: %v", call, r)
+				}
+			}()
+			if _, err := CompileCallPlan(call); err == nil {
+				t.Errorf("%s: CompileCallPlan accepted a malformed call", call)
+			}
+		}()
+	}
+}
+
+// TestKernelTableComplete checks every row of the kernel table and of
+// the binder table: a kind with a missing column fails here, not in a
+// serving process.
+func TestKernelTableComplete(t *testing.T) {
+	get := func(string) *mat.Dense { return mat.New(14, 14) }
+	for kind := kernels.Kind(0); int(kind) < kernels.NumKinds; kind++ {
+		name := kind.String()
+		if back, err := kernels.ParseKind(name); name == "" || err != nil || back != kind {
+			t.Errorf("kind %d: name %q does not round-trip (%v, %v)", int(kind), name, back, err)
+		}
+		call := kind.Canonical(10, 12, 14)
+		if call.Kind != kind {
+			t.Fatalf("%v: canonical call has kind %v", kind, call.Kind)
+		}
+		if err := call.Validate(); err != nil {
+			t.Errorf("%v: canonical call %s: %v", kind, call, err)
+		}
+		if len(call.Operands()) == 0 {
+			t.Errorf("%v: no operands", kind)
+		}
+		in, out := call.Touches()
+		if out <= 0 {
+			t.Errorf("%v: output touch %v", kind, out)
+		}
+		for i := range call.In {
+			if in[i] <= 0 {
+				t.Errorf("%v: input %d touch %v", kind, i, in[i])
+			}
+		}
+		b := binders[kind]
+		if b.serial == nil || b.batched == nil {
+			t.Errorf("%v: binder row is incomplete", kind)
+			continue
+		}
+		if bind(b.serial, call, get, 0, 1) == nil || bind(b.batched, call, get, 14*14, 2) == nil {
+			t.Errorf("%v: a binder column bound no closure", kind)
+		}
 	}
 }
 

@@ -49,26 +49,18 @@ const (
 const NumKinds = int(numKinds)
 
 // String returns the lowercase BLAS-style kernel name.
-func (k Kind) String() string {
-	switch k {
-	case Gemm:
-		return "gemm"
-	case Syrk:
-		return "syrk"
-	case Symm:
-		return "symm"
-	case Tri2Full:
-		return "tri2full"
-	case Potrf:
-		return "potrf"
-	case Trsm:
-		return "trsm"
-	case AddSym:
-		return "addsym"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
+func (kind Kind) String() string {
+	if kind < 0 || int(kind) >= NumKinds {
+		return fmt.Sprintf("Kind(%d)", int(kind))
 	}
+	return specs[kind].name
 }
+
+// Canonical returns the kind's call of shape m×n×k over fixed operand
+// IDs, with the dimensions the kind constrains normalised (SYRK and the
+// square kinds: N=M; SYMM: K=M). Kernel profiles and Figure 1 benchmark
+// these calls. It panics on an unknown kind.
+func (kind Kind) Canonical(m, n, k int) Call { return kind.spec().canonical(m, n, k) }
 
 // ParseKind maps the lowercase BLAS-style kernel name back to its Kind —
 // the inverse of String for every valid kind, used when deserialising
@@ -85,13 +77,18 @@ func ParseKind(name string) (Kind, error) {
 // Call describes one kernel invocation: the kernel kind, the problem
 // dimensions, transposition flags, and the logical operands involved.
 //
-// Dimension conventions per kind (all operands are float64, column-major):
+// Dimension conventions per kind (all operands are float64, column-major;
+// each kind's formulas and checks are its row of the table in table.go):
 //
 //	Gemm:     C (M×N) := op(A) (M×K) · op(B) (K×N)
 //	Syrk:     C (M×M) := A·Aᵀ with A (M×K); K is the inner dimension; N=M
 //	          (TransA: C := Aᵀ·A with A (K×M))
 //	Symm:     C (M×N) := A·B with A (M×M) symmetric; K=M
-//	Tri2Full: C (M×M) triangle mirror; N=M, K=0
+//	Tri2Full: C (M×M) triangle mirror in place; N=M, K=0
+//	Potrf:    S (M×M) := L with L·Lᵀ = S, in place; N=M, K=0
+//	Trsm:     B (M×N) := op(L)⁻¹·B with L (M×M) lower triangular, in
+//	          place; K=0 (TransA: op(L) = Lᵀ)
+//	AddSym:   C (M×M) := C + A on one triangle, in place; N=M, K=0
 type Call struct {
 	Kind Kind
 	// M, N, K are the problem dimensions in the conventions above.
@@ -101,8 +98,9 @@ type Call struct {
 	// logical, post-transposition product).
 	TransA, TransB bool
 	// In lists the IDs of the logical operands read by the call, in
-	// argument order (e.g. ["A", "B"] for C := A·B). Syrk reads one
-	// operand; Tri2Full reads none beyond its in/out operand.
+	// argument order (e.g. ["A", "B"] for C := A·B). An in-place kind
+	// lists the operand it overwrites too: Tri2Full and Potrf read only
+	// that operand, Trsm reads [L, B] and AddSym [C, A].
 	In []string
 	// Out is the ID of the operand written by the call.
 	Out string
@@ -160,28 +158,7 @@ func NewAddSym(m int, c, a string) Call {
 // the paper's Algorithms 1 and 2 for AAᵀB share a FLOP count while
 // differing in execution time.
 func (c Call) Flops() float64 {
-	m, n, k := float64(c.M), float64(c.N), float64(c.K)
-	switch c.Kind {
-	case Gemm:
-		return 2 * m * n * k
-	case Syrk:
-		return (m + 1) * m * k
-	case Symm:
-		return 2 * m * m * n
-	case Tri2Full:
-		return 0
-	case Potrf:
-		// Exact Cholesky count n³/3 + n²/2 + n/6 = n(n+1)(2n+1)/6: an
-		// integer, so FLOP ties between algorithms that share the
-		// factorisation stay exact under floating-point summation.
-		return m * (m + 1) * (2*m + 1) / 6
-	case Trsm:
-		return m * m * n
-	case AddSym:
-		return m * (m + 1) / 2
-	default:
-		panic(fmt.Sprintf("kernels: Flops of unknown kind %v", c.Kind))
-	}
+	return c.Kind.spec().flops(float64(c.M), float64(c.N), float64(c.K))
 }
 
 // Bytes returns an estimate of the call's cold-cache memory traffic in
@@ -190,32 +167,14 @@ func (c Call) Flops() float64 {
 // the simulated machine's inter-kernel cache model and the arithmetic-
 // intensity estimate; it is not meant to model blocked re-reads.
 func (c Call) Bytes() float64 {
-	const w = 8.0
-	m, n, k := float64(c.M), float64(c.N), float64(c.K)
-	switch c.Kind {
-	case Gemm:
-		return w * (m*k + k*n + 2*m*n)
-	case Syrk:
-		// Read A (m×k), read+write one triangle of C.
-		return w * (m*k + m*(m+1))
-	case Symm:
-		// Read one triangle of A, read B, read+write C.
-		return w * (m*(m+1)/2 + m*n + 2*m*n)
-	case Tri2Full:
-		// Read one strict triangle, write the other.
-		return w * (m * (m - 1))
-	case Potrf:
-		// Read and write one triangle in place.
-		return w * (m * (m + 1))
-	case Trsm:
-		// Read the triangle of L, read and write B.
-		return w * (m*(m+1)/2 + 2*m*n)
-	case AddSym:
-		// Read both triangles, write one.
-		return w * (1.5 * m * (m + 1))
-	default:
-		panic(fmt.Sprintf("kernels: Bytes of unknown kind %v", c.Kind))
-	}
+	return c.Kind.spec().bytes(float64(c.M), float64(c.N), float64(c.K))
+}
+
+// Touches returns the bytes the simulated cache model counts for the
+// call: in[i] for input In[i] (zero past the kind's input count) and out
+// for the output. Triangular accesses count half the square.
+func (c Call) Touches() (in [2]float64, out float64) {
+	return c.Kind.spec().touches(float64(c.M), float64(c.N), float64(c.K))
 }
 
 // Intensity returns the call's arithmetic intensity in FLOPs per byte of
@@ -293,59 +252,7 @@ type OperandSpec struct {
 // (inputs first, then the output unless it aliases an input). In-place
 // calls (POTRF, TRSM, AddSym, Tri2Full) report the aliased operand once,
 // with Written set.
-func (c Call) Operands() []OperandSpec {
-	switch c.Kind {
-	case Gemm:
-		ar, ac := c.M, c.K
-		if c.TransA {
-			ar, ac = c.K, c.M
-		}
-		br, bc := c.K, c.N
-		if c.TransB {
-			br, bc = c.N, c.K
-		}
-		return []OperandSpec{
-			{ID: c.In[0], Rows: ar, Cols: ac, Fill: FillRandom},
-			{ID: c.In[1], Rows: br, Cols: bc, Fill: FillRandom},
-			{ID: c.Out, Rows: c.M, Cols: c.N, Fill: FillRandom, Written: true},
-		}
-	case Syrk:
-		ar, ac := c.M, c.K
-		if c.TransA {
-			ar, ac = c.K, c.M
-		}
-		return []OperandSpec{
-			{ID: c.In[0], Rows: ar, Cols: ac, Fill: FillRandom},
-			{ID: c.Out, Rows: c.M, Cols: c.M, Fill: FillRandom, Written: true},
-		}
-	case Symm:
-		return []OperandSpec{
-			{ID: c.In[0], Rows: c.M, Cols: c.M, Fill: FillRandom},
-			{ID: c.In[1], Rows: c.M, Cols: c.N, Fill: FillRandom},
-			{ID: c.Out, Rows: c.M, Cols: c.N, Fill: FillRandom, Written: true},
-		}
-	case Tri2Full:
-		return []OperandSpec{
-			{ID: c.Out, Rows: c.M, Cols: c.M, Fill: FillRandom, Written: true},
-		}
-	case Potrf:
-		return []OperandSpec{
-			{ID: c.Out, Rows: c.M, Cols: c.M, Fill: FillSPD, Written: true},
-		}
-	case Trsm:
-		return []OperandSpec{
-			{ID: c.In[0], Rows: c.M, Cols: c.M, Fill: FillDiagDominant},
-			{ID: c.Out, Rows: c.M, Cols: c.N, Fill: FillRandom, Written: true},
-		}
-	case AddSym:
-		return []OperandSpec{
-			{ID: c.Out, Rows: c.M, Cols: c.M, Fill: FillRandom, Written: true},
-			{ID: c.In[1], Rows: c.M, Cols: c.M, Fill: FillRandom},
-		}
-	default:
-		panic(fmt.Sprintf("kernels: Operands of unknown kind %v", c.Kind))
-	}
-}
+func (c Call) Operands() []OperandSpec { return c.Kind.spec().operands(c) }
 
 // Key returns a comparable identity for benchmark memoisation: two calls
 // with equal keys have identical performance characteristics (same kind,
@@ -356,7 +263,7 @@ type Key struct {
 	TransA, TransB bool
 }
 
-// Key returns the call's memoisation key.
+// MemoKey returns the call's memoisation key.
 func (c Call) MemoKey() Key {
 	return Key{Kind: c.Kind, M: c.M, N: c.N, K: c.K, TransA: c.TransA, TransB: c.TransB}
 }
@@ -364,58 +271,23 @@ func (c Call) MemoKey() Key {
 // Validate checks that the call's dimensions are positive and consistent
 // with its kind.
 func (c Call) Validate() error {
-	switch c.Kind {
-	case Gemm:
-		if c.M <= 0 || c.N <= 0 || c.K <= 0 {
-			return fmt.Errorf("kernels: gemm with non-positive dims %s", c)
-		}
-		if len(c.In) != 2 {
-			return fmt.Errorf("kernels: gemm needs 2 inputs, has %d", len(c.In))
-		}
-	case Syrk:
-		if c.M <= 0 || c.K <= 0 {
-			return fmt.Errorf("kernels: syrk with non-positive dims %s", c)
-		}
-		if c.N != c.M {
-			return fmt.Errorf("kernels: syrk with N %d != M %d", c.N, c.M)
-		}
-		if len(c.In) != 1 {
-			return fmt.Errorf("kernels: syrk needs 1 input, has %d", len(c.In))
-		}
-	case Symm:
-		if c.M <= 0 || c.N <= 0 {
-			return fmt.Errorf("kernels: symm with non-positive dims %s", c)
-		}
-		if c.K != c.M {
-			return fmt.Errorf("kernels: symm with K %d != M %d", c.K, c.M)
-		}
-	case Tri2Full:
-		if c.M <= 0 || c.N != c.M {
-			return fmt.Errorf("kernels: tri2full with bad dims %s", c)
-		}
-	case Potrf:
-		if c.M <= 0 || c.N != c.M {
-			return fmt.Errorf("kernels: potrf with bad dims %s", c)
-		}
-		if len(c.In) != 1 || c.In[0] != c.Out {
-			return fmt.Errorf("kernels: potrf must factor in place, got %s", c)
-		}
-	case Trsm:
-		if c.M <= 0 || c.N <= 0 {
-			return fmt.Errorf("kernels: trsm with non-positive dims %s", c)
-		}
-		if len(c.In) != 2 || c.In[1] != c.Out {
-			return fmt.Errorf("kernels: trsm must solve in place, got %s", c)
-		}
-	case AddSym:
-		if c.M <= 0 || c.N != c.M {
-			return fmt.Errorf("kernels: addsym with bad dims %s", c)
-		}
-		if len(c.In) != 2 || c.In[0] != c.Out {
-			return fmt.Errorf("kernels: addsym must accumulate in place, got %s", c)
-		}
-	default:
+	if c.Kind < 0 || int(c.Kind) >= NumKinds {
 		return fmt.Errorf("kernels: unknown kind %d", int(c.Kind))
+	}
+	s := &specs[c.Kind]
+	if err := s.dims(s.name, c); err != nil {
+		return err
+	}
+	if s.inPlace != "" {
+		if len(c.In) != s.ins || c.In[s.alias] != c.Out {
+			return fmt.Errorf("kernels: %s must %s in place, got %s", s.name, s.inPlace, c)
+		}
+	} else if len(c.In) != s.ins {
+		inputs := "inputs"
+		if s.ins == 1 {
+			inputs = "input"
+		}
+		return fmt.Errorf("kernels: %s needs %d %s, has %d", s.name, s.ins, inputs, len(c.In))
 	}
 	if c.Out == "" {
 		return fmt.Errorf("kernels: call %s has no output operand", c)

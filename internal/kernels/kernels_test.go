@@ -139,9 +139,11 @@ func TestMemoKeyIgnoresOperandIDs(t *testing.T) {
 func TestValidateAcceptsConstructors(t *testing.T) {
 	calls := []Call{
 		NewGemm(5, 6, 7, "A", "B", "C", true, true),
-		NewSyrk(5, 7, "A", "C"),
-		NewSymm(5, 6, "A", "B", "C"),
-		NewTri2Full(5, "C"),
+		NewSyrkT(5, 7, "A", "C"),
+		NewTrsm(5, 6, "L", "B", true),
+	}
+	for kind := Kind(0); int(kind) < NumKinds; kind++ {
+		calls = append(calls, kind.Canonical(5, 6, 7))
 	}
 	for _, c := range calls {
 		if err := c.Validate(); err != nil {
@@ -157,7 +159,11 @@ func TestValidateRejectsBadCalls(t *testing.T) {
 		{Kind: Syrk, M: 4, N: 5, K: 3, In: []string{"A"}, Out: "C"},
 		{Kind: Syrk, M: 4, N: 4, K: 3, In: []string{"A", "B"}, Out: "C"},
 		{Kind: Symm, M: 4, N: 5, K: 3, In: []string{"A", "B"}, Out: "C"},
+		{Kind: Symm, M: 4, N: 4, K: 4, In: []string{"A"}, Out: "C"},
+		{Kind: Symm, M: 4, N: 4, K: 4, In: []string{"A", "B", "D"}, Out: "C"},
 		{Kind: Tri2Full, M: 4, N: 5, In: []string{"C"}, Out: "C"},
+		{Kind: Tri2Full, M: 4, N: 4, Out: "C"},
+		{Kind: Tri2Full, M: 4, N: 4, In: []string{"A"}, Out: "C"},
 		{Kind: Gemm, M: 1, N: 1, K: 1, In: []string{"A", "B"}, Out: ""},
 		{Kind: Kind(77), M: 1, N: 1, K: 1, Out: "C"},
 	}
@@ -166,20 +172,26 @@ func TestValidateRejectsBadCalls(t *testing.T) {
 			t.Errorf("case %d (%s): Validate accepted invalid call", i, c)
 		}
 	}
+	// The texts of the input checks SYMM and Tri2Full gained, and of an
+	// unknown kind.
+	texts := map[string]Call{
+		"kernels: symm needs 2 inputs, has 1":                               {Kind: Symm, M: 4, N: 4, K: 4, In: []string{"A"}, Out: "C"},
+		"kernels: tri2full must mirror in place, got tri2full(m=4,n=4,k=0)": {Kind: Tri2Full, M: 4, N: 4, Out: "C"},
+		"kernels: unknown kind 77":                                          {Kind: Kind(77), M: 1, N: 1, K: 1, Out: "C"},
+	}
+	for want, c := range texts {
+		if err := c.Validate(); err == nil || err.Error() != want {
+			t.Errorf("%s Validate = %v, want %q", c, err, want)
+		}
+	}
 }
 
 func TestFlopsNonNegativeProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		m, n, k := rng.IntRange(1, 2000), rng.IntRange(1, 2000), rng.IntRange(1, 2000)
-		calls := []Call{
-			NewGemm(m, n, k, "A", "B", "C", false, false),
-			NewSyrk(m, k, "A", "C"),
-			NewSymm(m, n, "A", "B", "C"),
-			NewTri2Full(m, "C"),
-		}
-		for _, c := range calls {
-			if c.Flops() < 0 || c.Bytes() < 0 {
+		for kind := Kind(0); int(kind) < NumKinds; kind++ {
+			if c := kind.Canonical(m, n, k); c.Flops() < 0 || c.Bytes() < 0 {
 				return false
 			}
 		}

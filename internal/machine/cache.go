@@ -31,65 +31,15 @@ func (s *CacheState) Flush() {
 	clear(s.hot)
 }
 
-// operandTouch returns the (id, bytes) pairs a call reads (ins) and the
-// pair it writes (out). Triangular accesses count half the square.
-func operandTouch(c kernels.Call) (ins []operandBytes, out operandBytes) {
-	const w = 8.0
-	m, n, k := float64(c.M), float64(c.N), float64(c.K)
-	switch c.Kind {
-	case kernels.Gemm:
-		ins = []operandBytes{
-			{c.In[0], w * m * k},
-			{c.In[1], w * k * n},
-		}
-		out = operandBytes{c.Out, w * m * n}
-	case kernels.Syrk:
-		ins = []operandBytes{{c.In[0], w * m * k}}
-		out = operandBytes{c.Out, w * m * (m + 1) / 2}
-	case kernels.Symm:
-		ins = []operandBytes{
-			{c.In[0], w * m * (m + 1) / 2},
-			{c.In[1], w * m * n},
-		}
-		out = operandBytes{c.Out, w * m * n}
-	case kernels.Tri2Full:
-		ins = []operandBytes{{c.In[0], w * m * m / 2}}
-		out = operandBytes{c.Out, w * m * m}
-	case kernels.Potrf:
-		ins = []operandBytes{{c.In[0], w * m * (m + 1) / 2}}
-		out = operandBytes{c.Out, w * m * (m + 1) / 2}
-	case kernels.Trsm:
-		ins = []operandBytes{
-			{c.In[0], w * m * (m + 1) / 2},
-			{c.In[1], w * m * n},
-		}
-		out = operandBytes{c.Out, w * m * n}
-	case kernels.AddSym:
-		ins = []operandBytes{
-			{c.In[0], w * m * (m + 1) / 2},
-			{c.In[1], w * m * (m + 1) / 2},
-		}
-		out = operandBytes{c.Out, w * m * (m + 1) / 2}
-	default:
-		panic("machine: operandTouch of unknown kind")
-	}
-	return ins, out
-}
-
-type operandBytes struct {
-	id    string
-	bytes float64
-}
-
 // HotFraction returns the fraction of the call's input bytes currently
 // resident in the cache, in [0, 1].
 func (s *CacheState) HotFraction(c kernels.Call) float64 {
-	ins, _ := operandTouch(c)
+	in, _ := c.Touches()
 	var need, have float64
-	for _, ob := range ins {
-		need += ob.bytes
-		if res, ok := s.hot[ob.id]; ok {
-			have += min(res, ob.bytes)
+	for i := range min(len(c.In), len(in)) {
+		need += in[i]
+		if res, ok := s.hot[c.In[i]]; ok {
+			have += min(res, in[i])
 		}
 	}
 	if need == 0 {
@@ -102,14 +52,11 @@ func (s *CacheState) HotFraction(c kernels.Call) float64 {
 // most recently used, then the inputs, then prior content; entries beyond
 // capacity are evicted.
 func (s *CacheState) Record(c kernels.Call) {
-	ins, out := operandTouch(c)
-	touched := make([]operandBytes, 0, len(ins)+1)
-	touched = append(touched, out)
-	touched = append(touched, ins...)
+	in, out := c.Touches()
 
 	// Rebuild the LRU list: touched operands first, then survivors.
-	newEntries := make([]string, 0, len(s.entries)+len(touched))
-	newHot := make(map[string]float64, len(touched)+len(s.entries))
+	newEntries := make([]string, 0, len(s.entries)+len(c.In)+1)
+	newHot := make(map[string]float64, len(c.In)+1+len(s.entries))
 	var used float64
 	add := func(id string, bytes float64) {
 		if _, seen := newHot[id]; seen {
@@ -123,8 +70,9 @@ func (s *CacheState) Record(c kernels.Call) {
 		newEntries = append(newEntries, id)
 		used += res
 	}
-	for _, ob := range touched {
-		add(ob.id, ob.bytes)
+	add(c.Out, out)
+	for i := range min(len(c.In), len(in)) {
+		add(c.In[i], in[i])
 	}
 	for _, id := range s.entries {
 		add(id, s.hot[id])

@@ -267,6 +267,21 @@ func TestCacheStateSmallOperandsAllFit(t *testing.T) {
 	}
 }
 
+func TestCacheStateToleratesMissingInputs(t *testing.T) {
+	// A Tri2Full call without its in-place input is malformed (Validate
+	// rejects it), but the cache model reads its touches from the kernel
+	// table and never indexes past the call's inputs.
+	cs := NewDefault().NewCacheState()
+	bad := kernels.Call{Kind: kernels.Tri2Full, M: 40, N: 40, Out: "C"}
+	if got := cs.HotFraction(bad); got != 0 {
+		t.Fatalf("hot fraction of a call without inputs = %v, want 0", got)
+	}
+	cs.Record(bad)
+	if got := cs.HotFraction(kernels.NewTri2Full(40, "C")); got != 1 {
+		t.Fatalf("recorded output should be resident, hot fraction %v", got)
+	}
+}
+
 func TestEfficiencyMonotoneAcrossKindsProperty(t *testing.T) {
 	// Time must be positive and warm time never exceeds cold time.
 	m := NewDefault()

@@ -50,7 +50,7 @@ func EfficiencyCurve(t *exec.Timer, kind kernels.Kind, sizes []int) []CurvePoint
 	out := make([]CurvePoint, 0, len(sizes))
 	peak := t.Exec.Peak()
 	for _, s := range sizes {
-		call := callForShape(kind, s, s, s)
+		call := kind.Canonical(s, s, s)
 		sec := t.MeasureCallCold(call)
 		out = append(out, CurvePoint{Size: s, Efficiency: exec.Efficiency(call, sec, peak)})
 	}
@@ -84,8 +84,9 @@ func DefaultGrid(points int) []int {
 
 // Measure benchmarks the kernel kind over the grid using the timer's
 // repetition protocol with isolated cold calls (the Experiment 3
-// protocol). Grids must be sorted ascending. For SYRK, GridN is ignored
-// (N ≡ M); for SYMM, GridK is ignored (K ≡ M).
+// protocol) on the kind's canonical calls. Grids must be sorted
+// ascending. For SYRK, GridN is ignored (N ≡ M); for SYMM, GridK is
+// ignored (K ≡ M).
 func Measure(t *exec.Timer, kind kernels.Kind, gridM, gridN, gridK []int) *Profile {
 	for _, g := range [][]int{gridM, gridN, gridK} {
 		if len(g) == 0 || !sort.IntsAreSorted(g) {
@@ -99,7 +100,7 @@ func Measure(t *exec.Timer, kind kernels.Kind, gridM, gridN, gridK []int) *Profi
 		for j, n := range gridN {
 			p.rate[i][j] = make([]float64, len(gridK))
 			for l, k := range gridK {
-				call := callForShape(kind, m, n, k)
+				call := kind.Canonical(m, n, k)
 				sec := t.MeasureCallCold(call)
 				flops := call.Flops()
 				if flops == 0 {
@@ -112,29 +113,6 @@ func Measure(t *exec.Timer, kind kernels.Kind, gridM, gridN, gridK []int) *Profi
 		}
 	}
 	return p
-}
-
-// callForShape builds the canonical call of a kind with the given shape,
-// normalising the constrained dimensions (SYRK: N=M; SYMM: K=M).
-func callForShape(kind kernels.Kind, m, n, k int) kernels.Call {
-	switch kind {
-	case kernels.Gemm:
-		return kernels.NewGemm(m, n, k, "A", "B", "C", false, false)
-	case kernels.Syrk:
-		return kernels.NewSyrk(m, k, "A", "C")
-	case kernels.Symm:
-		return kernels.NewSymm(m, n, "A", "B", "C")
-	case kernels.Tri2Full:
-		return kernels.NewTri2Full(m, "C")
-	case kernels.Potrf:
-		return kernels.NewPotrf(m, "S")
-	case kernels.Trsm:
-		return kernels.NewTrsm(m, n, "L", "B", false)
-	case kernels.AddSym:
-		return kernels.NewAddSym(m, "C", "A")
-	default:
-		panic(fmt.Sprintf("profile: unknown kind %v", kind))
-	}
 }
 
 // New constructs a Profile from already-measured data: sorted grids and
