@@ -293,48 +293,48 @@ type operands struct {
 // both match the map-based oracle the plan tests pin them against. A
 // plan of one keeps the serial column: the measured timings are those
 // of the serial kernels.
-type binder struct{ serial, batched func(o *operands) }
+type binder struct{ serial, batched func(o operands) }
 
 var binders = [kernels.NumKinds]binder{
 	kernels.Gemm: {
-		serial: func(o *operands) { blas.Gemm(o.transA, o.transB, 1, o.a, o.b, 0, o.out) },
-		batched: func(o *operands) {
+		serial: func(o operands) { blas.Gemm(o.transA, o.transB, 1, o.a, o.b, 0, o.out) },
+		batched: func(o operands) {
 			blas.GemmBatch(o.transA, o.transB, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
 		},
 	},
 	kernels.Syrk: {
-		serial: func(o *operands) {
+		serial: func(o operands) {
 			if o.transA {
 				blas.SyrkT(mat.Lower, 1, o.a, 0, o.out)
 			} else {
 				blas.Syrk(mat.Lower, 1, o.a, 0, o.out)
 			}
 		},
-		batched: func(o *operands) {
+		batched: func(o operands) {
 			blas.SyrkBatch(mat.Lower, o.transA, 1, o.a, o.stride, 0, o.out, o.stride, o.count)
 		},
 	},
 	kernels.Symm: {
-		serial: func(o *operands) { blas.Symm(mat.Lower, 1, o.a, o.b, 0, o.out) },
-		batched: func(o *operands) {
+		serial: func(o operands) { blas.Symm(mat.Lower, 1, o.a, o.b, 0, o.out) },
+		batched: func(o operands) {
 			blas.SymmBatch(mat.Lower, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
 		},
 	},
 	kernels.Tri2Full: {
-		serial:  func(o *operands) { blas.Tri2Full(mat.Lower, o.out) },
-		batched: func(o *operands) { blas.Tri2FullBatch(mat.Lower, o.out, o.stride, o.count) },
+		serial:  func(o operands) { blas.Tri2Full(mat.Lower, o.out) },
+		batched: func(o operands) { blas.Tri2FullBatch(mat.Lower, o.out, o.stride, o.count) },
 	},
 	kernels.Potrf: {
-		serial:  func(o *operands) { mustBeSPD(blas.Potrf(o.out), o.outID) },
-		batched: func(o *operands) { mustBeSPD(blas.PotrfBatch(o.out, o.stride, o.count), o.outID) },
+		serial:  func(o operands) { mustBeSPD(blas.Potrf(o.out), o.outID) },
+		batched: func(o operands) { mustBeSPD(blas.PotrfBatch(o.out, o.stride, o.count), o.outID) },
 	},
 	kernels.Trsm: {
-		serial:  func(o *operands) { blas.Trsm(mat.Lower, o.transA, 1, o.a, o.out) },
-		batched: func(o *operands) { blas.TrsmBatch(mat.Lower, o.transA, 1, o.a, o.stride, o.out, o.stride, o.count) },
+		serial:  func(o operands) { blas.Trsm(mat.Lower, o.transA, 1, o.a, o.out) },
+		batched: func(o operands) { blas.TrsmBatch(mat.Lower, o.transA, 1, o.a, o.stride, o.out, o.stride, o.count) },
 	},
 	kernels.AddSym: {
-		serial:  func(o *operands) { blas.AddSym(mat.Lower, o.out, o.b) },
-		batched: func(o *operands) { blas.AddSymBatch(mat.Lower, o.out, o.stride, o.b, o.stride, o.count) },
+		serial:  func(o operands) { blas.AddSym(mat.Lower, o.out, o.b) },
+		batched: func(o operands) { blas.AddSymBatch(mat.Lower, o.out, o.stride, o.b, o.stride, o.count) },
 	},
 }
 
@@ -348,14 +348,15 @@ func mustBeSPD(err error, id string) {
 
 // bind resolves the call's operands through get once and returns a
 // closure that runs the binder column run on them.
-func bind(run func(*operands), c kernels.Call, get func(string) *mat.Dense, stride, count int) func() {
-	o := &operands{out: get(c.Out), transA: c.TransA, transB: c.TransB, outID: c.Out, stride: stride, count: count}
-	if len(c.In) > 0 {
-		o.a = get(c.In[0])
+func bind(run func(operands), c kernels.Call, get func(string) *mat.Dense, stride, count int) func() {
+	in := func(i int) *mat.Dense {
+		if i < len(c.In) {
+			return get(c.In[i])
+		}
+		return nil
 	}
-	if len(c.In) > 1 {
-		o.b = get(c.In[1])
-	}
+	o := operands{a: in(0), b: in(1), out: get(c.Out), transA: c.TransA, transB: c.TransB,
+		outID: c.Out, stride: stride, count: count}
 	return func() { run(o) }
 }
 

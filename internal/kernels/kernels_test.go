@@ -172,8 +172,7 @@ func TestValidateRejectsBadCalls(t *testing.T) {
 			t.Errorf("case %d (%s): Validate accepted invalid call", i, c)
 		}
 	}
-	// The texts of the input checks SYMM and Tri2Full gained, and of an
-	// unknown kind.
+	// SYMM and Tri2Full read their input counts from the kernel table.
 	texts := map[string]Call{
 		"kernels: symm needs 2 inputs, has 1":                               {Kind: Symm, M: 4, N: 4, K: 4, In: []string{"A"}, Out: "C"},
 		"kernels: tri2full must mirror in place, got tri2full(m=4,n=4,k=0)": {Kind: Tri2Full, M: 4, N: 4, Out: "C"},
