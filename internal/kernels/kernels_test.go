@@ -26,6 +26,33 @@ func TestFlopsFormulas(t *testing.T) {
 	}
 }
 
+func TestKindValues(t *testing.T) {
+	// Every kind's FLOPs, cold-cache bytes and cache touches on its
+	// canonical call at m=10, n=20, k=30, as the simulated machine and the
+	// profiles read them.
+	want := [NumKinds]struct {
+		flops, bytes float64
+		in           [2]float64
+		out          float64
+	}{
+		Gemm:     {12000, 10400, [2]float64{2400, 4800}, 1600},
+		Syrk:     {3300, 3280, [2]float64{2400}, 440},
+		Symm:     {4000, 5240, [2]float64{440, 1600}, 1600},
+		Tri2Full: {0, 720, [2]float64{400}, 800},
+		Potrf:    {385, 880, [2]float64{440}, 440},
+		Trsm:     {2000, 3640, [2]float64{440, 1600}, 1600},
+		AddSym:   {55, 1320, [2]float64{440, 440}, 440},
+	}
+	for kind := Kind(0); int(kind) < NumKinds; kind++ {
+		c, w := kind.Canonical(10, 20, 30), want[kind]
+		in, out := c.Touches()
+		if c.Flops() != w.flops || c.Bytes() != w.bytes || in != w.in || out != w.out {
+			t.Errorf("%s: flops %v bytes %v touches %v/%v, want %v %v %v/%v",
+				c, c.Flops(), c.Bytes(), in, out, w.flops, w.bytes, w.in, w.out)
+		}
+	}
+}
+
 func TestFlopsMatchBruteForceCounts(t *testing.T) {
 	// Count multiply-and-add pairs of the textbook algorithms and compare
 	// with the closed-form FLOP formulas.
