@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"lamb"
 )
 
 // TestExp3QuickGolden pins the full stdout of `lamb exp3 -scale quick`
@@ -37,5 +39,34 @@ func TestExp3QuickGolden(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestEnumerateGolden pins the full stdout of `lamb enumerate` for every
+// registered expression at its default instance, and for the general
+// 5-term chain, whose output ends with the dynamic-programming line. The
+// goldens were recorded from `lamb enumerate -expr <name>` and
+// `lamb enumerate -terms 5`.
+func TestEnumerateGolden(t *testing.T) {
+	cases := map[string][]string{"terms5": {"-terms", "5"}}
+	for _, name := range lamb.Expressions() {
+		cases[name] = []string{"-expr", name}
+	}
+	for name, args := range cases {
+		t.Run(name, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", "enumerate-"+name+".golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := stdoutCapture(t)
+			err = cmdEnumerate(args)
+			got := out()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("enumerate %s output differs from the golden:\n%s", name, got)
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -53,17 +54,27 @@ func TestServeHealthAndExpressions(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL + "/api/expressions")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var infos []engine.ExpressionInfo
-	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(infos) != 6 {
-		t.Fatalf("expressions %v", infos)
+	// The listing's set sizes are the enumerated sets' lengths; the
+	// legacy alias serves the same body.
+	const want = `[{"name":"aatb","arity":3,"num_algorithms":5},` +
+		`{"name":"aatbc","arity":4,"num_algorithms":15},` +
+		`{"name":"atab","arity":3,"num_algorithms":5},` +
+		`{"name":"chain","arity":5,"num_algorithms":6},` +
+		`{"name":"gls","arity":4,"num_algorithms":8},` +
+		`{"name":"lstsq","arity":3,"num_algorithms":4}]` + "\n"
+	for _, path := range []string{"/api/v1/expressions", "/api/expressions"} {
+		resp, err = http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Fatalf("%s: status %d body %s, want %s", path, resp.StatusCode, body, want)
+		}
 	}
 }
 
