@@ -42,6 +42,9 @@ func cmdEnumerate(args []string) error {
 		}
 	}
 
+	if err := e.Validate(inst); err != nil {
+		return err
+	}
 	algs := e.Algorithms(inst)
 	fmt.Printf("%s instance %v: %d mathematically equivalent algorithms\n\n", e.Name(), inst, len(algs))
 	rows := [][]string{{"#", "algorithm", "kernels", "FLOPs"}}

@@ -108,6 +108,15 @@ func TestCmdEnumerateRuns(t *testing.T) {
 	if err := cmdEnumerate([]string{"-expr", "chain", "-inst", "50,60,70,80,90"}); err != nil {
 		t.Fatal(err)
 	}
+	// A chain that cannot be built is an error, not a panic.
+	for terms, want := range map[string]string{
+		"1":  "expr: chain needs at least 2 terms, has 1",
+		"27": "expr: chain of 27 terms exceeds the naming limit of 26",
+	} {
+		if err := cmdEnumerate([]string{"-terms", terms}); err == nil || err.Error() != want {
+			t.Errorf("-terms %s: error %v, want %q", terms, err, want)
+		}
+	}
 }
 
 func TestCmdExp1QuickRuns(t *testing.T) {

@@ -514,8 +514,8 @@ func (e *Engine) lookup(name string, counted bool) (expr.Expression, error) {
 		e.exprMiss++
 	}
 	e.mu.Unlock()
-	// Construct outside the lock: building an expression enumerates its
-	// symbolic set, which can be slow for large chains.
+	// Construct outside the lock: a built-in's first construction
+	// enumerates its symbolic set.
 	x, err := expr.Lookup(key)
 	if err != nil {
 		return nil, err
@@ -539,7 +539,7 @@ func (e *Engine) Expression(name string) (expr.Expression, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cachedExpr{eng: e, x: x}, nil
+	return cachedExpr{Expression: x, eng: e}, nil
 }
 
 // Algorithms returns the bound algorithm set for (expression name,
@@ -557,12 +557,12 @@ func (e *Engine) Algorithms(name string, inst expr.Instance) ([]expr.Algorithm, 
 }
 
 // bound is the binding layer: memoised bound sets per (expression,
-// instance). Binding runs outside the lock — an expression's first bind
-// enumerates its symbolic set, which can be slow for large chains and
-// must not stall unrelated queries. Concurrent misses of the same key
-// may both bind, but the double-check keeps one winner in the cache and
-// everyone returns it, so the sets stay pointer-stable — the plan cache
-// below keys by those pointers.
+// instance). Binding runs outside the lock — it allocates the whole set,
+// and a chain's first bind also enumerates it — so it does not stall
+// unrelated queries. Concurrent misses of the same key may both bind,
+// but the double-check keeps one winner in the cache and everyone
+// returns it, so the sets stay pointer-stable — the plan cache below
+// keys by those pointers.
 func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error) {
 	if err := x.Validate(inst); err != nil {
 		return nil, err
@@ -862,35 +862,23 @@ func (e *Engine) ListExpressions() []ExpressionInfo {
 	out := make([]ExpressionInfo, 0, len(names))
 	for _, name := range names {
 		x := seen[name]
-		info := ExpressionInfo{Name: name, Arity: x.Arity()}
-		if c, ok := x.(interface{ NumAlgorithms() int }); ok {
-			info.NumAlgorithms = c.NumAlgorithms()
-		}
-		out = append(out, info)
+		out = append(out, ExpressionInfo{Name: name, Arity: x.Arity(), NumAlgorithms: x.NumAlgorithms()})
 	}
 	return out
 }
 
 // cachedExpr is the engine-backed Expression view: Algorithms binds
-// through the engine's caches and returns the shared cached set.
+// through the engine's caches and returns the shared cached set; every
+// other method is the underlying expression's.
 type cachedExpr struct {
+	expr.Expression
 	eng *Engine
-	x   expr.Expression
 }
-
-// Name implements expr.Expression.
-func (c cachedExpr) Name() string { return c.x.Name() }
-
-// Arity implements expr.Expression.
-func (c cachedExpr) Arity() int { return c.x.Arity() }
-
-// Validate implements expr.Expression.
-func (c cachedExpr) Validate(inst expr.Instance) error { return c.x.Validate(inst) }
 
 // Algorithms implements expr.Expression through the binding cache. The
 // returned set is shared: treat it as read-only.
 func (c cachedExpr) Algorithms(inst expr.Instance) []expr.Algorithm {
-	b, err := c.eng.bound(c.x, inst)
+	b, err := c.eng.bound(c.Expression, inst)
 	if err != nil {
 		panic(err)
 	}

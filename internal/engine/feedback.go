@@ -53,21 +53,13 @@ func (e *Engine) Feedback(fb Feedback) error {
 // a query — a feedback post, a restored or a merged snapshot record: the
 // instance must validate against x, and alg must be a 1-based index into
 // x's algorithm set. The set's size does not depend on the instance, so
-// it comes from x's NumAlgorithms, which every built-in and every
-// expr.Generic has; only a registered expression without that method
-// enumerates a set to count it. Nothing here binds through, or touches,
-// the bind LRU.
+// it is x's NumAlgorithms. Nothing here binds a set or touches the bind
+// LRU.
 func checkEvidence(x expr.Expression, inst expr.Instance, alg int) error {
 	if err := x.Validate(inst); err != nil {
 		return err
 	}
-	var n int
-	if c, ok := x.(interface{ NumAlgorithms() int }); ok {
-		n = c.NumAlgorithms()
-	} else {
-		n = len(x.Algorithms(inst))
-	}
-	if alg < 1 || alg > n {
+	if n := x.NumAlgorithms(); alg < 1 || alg > n {
 		return fmt.Errorf("engine: feedback algorithm %d out of range [1, %d] for %s%v", alg, n, x.Name(), inst)
 	}
 	return nil

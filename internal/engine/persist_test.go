@@ -34,7 +34,7 @@ func restoreFixture(tb testing.TB) (string, int) {
 			seen[key] = true
 		}
 		rec := outcomes.SnapshotRecord{Expr: name, Instance: inst}
-		n := x.(interface{ NumAlgorithms() int }).NumAlgorithms()
+		n := x.NumAlgorithms()
 		for _, alg := range []int{1, 1 + n/2, n} {
 			mean := 1e-3 * (1 + rng.Float64())
 			rec.Outcomes = append(rec.Outcomes, outcomes.SnapshotOutcome{

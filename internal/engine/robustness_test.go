@@ -219,13 +219,12 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
 	)
 
-	// An expression without NumAlgorithms still resolves, by counting
-	// its bound set: its algorithm 1 restores, its algorithm 2 is
-	// skipped.
-	snap.Records = append(snap.Records, unsizedRecords()...)
+	// A custom expression resolves like a built-in: its algorithm 1
+	// restores, its algorithm 2 is skipped.
+	snap.Records = append(snap.Records, customRecords()...)
 
 	e2 := profiledEngine(t, Config{})
-	registerUnsized(t, e2)
+	registerCustom(t, e2)
 	restored, skipped := e2.RestoreOutcomes(snap)
 	if restored != base.NumAlgorithms+1 || skipped != 3 {
 		t.Fatalf("restored %d skipped %d, want %d/3", restored, skipped, base.NumAlgorithms+1)
@@ -244,26 +243,22 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 	}
 }
 
-// unsized hides an expression's NumAlgorithms, as an Expression
-// implemented outside this repository may lack it.
-type unsized struct{ expr.Expression }
-
-// registerUnsized registers "custom-ab", a one-algorithm expression
-// without NumAlgorithms.
-func registerUnsized(t *testing.T, e *Engine) {
+// registerCustom registers "custom-ab", a one-algorithm expression
+// defined through the IR.
+func registerCustom(t *testing.T, e *Engine) {
 	t.Helper()
 	g, err := expr.NewGeneric(&ir.Def{Name: "custom-ab", Arity: 3, Root: ir.Mul(ir.NewOperand("A", 0, 1), ir.NewOperand("B", 1, 2))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register(unsized{g}); err != nil {
+	if err := e.Register(g); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// unsizedRecords are snapshot records for registerUnsized's expression:
+// customRecords are snapshot records for registerCustom's expression:
 // algorithm 1 resolves, algorithm 2 is out of its one-algorithm set.
-func unsizedRecords() []outcomes.SnapshotRecord {
+func customRecords() []outcomes.SnapshotRecord {
 	return []outcomes.SnapshotRecord{
 		{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
@@ -299,7 +294,7 @@ func checkEvidenceBindsNothing(t *testing.T, e *Engine) {
 		}
 	}
 	if err := e.Feedback(Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5}, Algorithm: 1, Seconds: 0.25}); err != nil {
-		t.Fatalf("feedback on an expression without NumAlgorithms: %v", err)
+		t.Fatalf("feedback on a custom expression: %v", err)
 	}
 	if b := e.Stats().Bindings; b.Hits+b.Misses != 0 || b.Size != 0 {
 		t.Fatalf("evidence from outside a query used the bind LRU: %+v", b)
@@ -355,14 +350,14 @@ func TestEngineMergeOutcomes(t *testing.T) {
 	// records it cannot resolve are skipped, and neither the merge nor
 	// feedback binds a set.
 	poisoned := *snap
-	poisoned.Records = append(append(slices.Clone(snap.Records), unsizedRecords()...),
+	poisoned.Records = append(append(slices.Clone(snap.Records), customRecords()...),
 		outcomes.SnapshotRecord{Expr: "no-such-expr", Instance: expr.Instance{2, 3, 4},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
 		outcomes.SnapshotRecord{Expr: "AATB", Instance: expr.Instance{9, 9, 9},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
 	)
 	c := profiledEngine(t, Config{})
-	registerUnsized(t, c)
+	registerCustom(t, c)
 	if merged, skipped := c.MergeOutcomes("http://peer-a", &poisoned, 1); merged != base.NumAlgorithms+1 || skipped != 3 {
 		t.Fatalf("poisoned merge: merged %d skipped %d, want %d/3", merged, skipped, base.NumAlgorithms+1)
 	}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"sync"
 
 	"lamb/internal/ir"
 )
@@ -35,24 +36,49 @@ func (c Chain) Name() string {
 // Arity implements Expression: a chain of n terms has n+1 dimensions.
 func (c Chain) Arity() int { return c.Terms + 1 }
 
-// Validate implements Expression.
+// Validate implements Expression. The term count is checked before
+// anything is enumerated.
 func (c Chain) Validate(inst Instance) error {
+	if err := c.checkTerms(); err != nil {
+		return err
+	}
+	return validateDims(c.Name(), c.Arity(), inst)
+}
+
+func (c Chain) checkTerms() error {
 	if c.Terms < 2 {
 		return fmt.Errorf("expr: chain needs at least 2 terms, has %d", c.Terms)
 	}
 	if c.Terms > 26 {
 		return fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 26", c.Terms)
 	}
-	return validateDims(c.Name(), c.Arity(), inst)
+	return nil
 }
 
-// NumAlgorithms returns (n−1)!, the size of the algorithm set.
+// NumAlgorithms implements Expression: (n−1)!, the size of the set,
+// computed without enumerating it.
 func (c Chain) NumAlgorithms() int {
 	n := 1
 	for i := 2; i < c.Terms; i++ {
 		n *= i
 	}
 	return n
+}
+
+// chainGenerics caches one Generic constructor per term count.
+var chainGenerics sync.Map
+
+// generic returns the chain's Generic, enumerated on first use per term
+// count. It panics if the term count is invalid.
+func (c Chain) generic() Generic {
+	if err := c.checkTerms(); err != nil {
+		panic(err)
+	}
+	mk, ok := chainGenerics.Load(c.Terms)
+	if !ok {
+		mk, _ = chainGenerics.LoadOrStore(c.Terms, builtin(c.def))
+	}
+	return mk.(func() Generic)()
 }
 
 // def builds the chain's IR: an associative product of n general
@@ -65,14 +91,13 @@ func (c Chain) def() *ir.Def {
 	return &ir.Def{Name: c.Name(), Arity: c.Arity(), Root: ir.Mul(factors...), Style: ir.StyleBare}
 }
 
-// Algorithms implements Expression by binding the chain's cached
-// symbolic set (enumerated once per term count).
-func (c Chain) Algorithms(inst Instance) []Algorithm {
-	if err := c.Validate(inst); err != nil {
-		panic(err)
-	}
-	return cachedSet(c.Name(), c.def).MustBind(inst)
-}
+// Symbolic returns the chain's symbolic algorithm set, enumerated once
+// per term count. It panics if the term count is invalid.
+func (c Chain) Symbolic() *ir.SymbolicSet { return c.generic().Symbolic() }
+
+// Algorithms implements Expression by binding the chain's symbolic set.
+// It panics with Validate's error on an invalid chain or instance.
+func (c Chain) Algorithms(inst Instance) []Algorithm { return c.generic().Algorithms(inst) }
 
 // MinFlopsParenthesisation solves the classic matrix-chain ordering
 // problem by dynamic programming in O(n³) time: given the n+1 chain

@@ -1,17 +1,20 @@
 // Package expr defines the linear algebra expressions the paper studies
 // and generates their mathematically equivalent algorithm sets.
 //
-// Every expression is a thin builder over the IR in lamb/internal/ir: it
-// defines an operand tree once, and the generic enumerator derives the
+// Every expression is a Generic over an IR definition in lamb/internal/ir:
+// it defines an operand tree once, and the generic enumerator derives the
 // full algorithm set — all multiplication orders, symmetry exploitation
 // (SYRK/SYMM with Tri2Full insertion), SPD-inverse lowering, and
 // common-subexpression sharing — lowered to kernels.Call sequences. The
-// expressions from the paper are provided — the matrix chain ABCD with
-// its 6 GEMM-only algorithms (Figure 3) and AAᵀB with its 5 algorithms
-// over GEMM, SYRK, and SYMM (Figure 5) — together with a general n-term
-// chain, the regularised least-squares pipeline, two richer generated
-// expressions (AAᵀBC and GLS) probing the paper's §5 conjecture, and the
-// classic dynamic-programming minimum-FLOPs baseline.
+// registry holds the definitions of the built-in expressions: the
+// paper's AAᵀB with its 5 algorithms over GEMM, SYRK, and SYMM
+// (Figure 5), its transposed mirror AᵀAB, the regularised
+// least-squares pipeline, and two richer expressions (AAᵀBC and GLS)
+// probing the paper's §5 conjecture. The matrix chain keeps its own
+// type, a general n-term chain whose 4-term instance is the paper's
+// ABCD with its 6 GEMM-only algorithms (Figure 3); its sets are Generic
+// underneath too. The classic dynamic-programming minimum-FLOPs
+// baseline completes the package.
 //
 // The generated sets for the original three expressions are pinned by
 // golden tests to the pre-IR hand-coded sets, byte for byte.
@@ -49,6 +52,9 @@ type Expression interface {
 	Algorithms(inst Instance) []Algorithm
 	// Validate reports whether inst is a well-formed instance.
 	Validate(inst Instance) error
+	// NumAlgorithms is the size of the algorithm set, which does not
+	// depend on the instance.
+	NumAlgorithms() int
 }
 
 func validateDims(name string, arity int, inst Instance) error {
@@ -65,14 +71,18 @@ func validateDims(name string, arity int, inst Instance) error {
 
 // Generic is an Expression generated from an IR definition: its
 // algorithm set is whatever the enumerator derives from the tree. The
-// built-in expressions are all Generic underneath; external callers can
-// define new ones through the public builder API in package lamb.
+// built-in expressions are Generic values built from the registry's
+// definitions; external callers define new ones through the public
+// builder API in package lamb.
 //
 // Construction enumerates the symbolic algorithm set once (the
 // enumerator is purely structural); Algorithms is then a cheap bind of
 // the cached set against the requested instance.
 type Generic struct {
 	set *ir.SymbolicSet
+	// builtin marks the registry's expressions, whose instance errors
+	// carry this package's "expr:" prefix rather than the IR's "ir:".
+	builtin bool
 }
 
 // NewGeneric validates the definition, enumerates its symbolic
@@ -86,8 +96,8 @@ func NewGeneric(def *ir.Def) (Generic, error) {
 	return Generic{set: set}, nil
 }
 
-// MustGeneric is NewGeneric panicking on error; the built-in builders
-// use it with definitions that are tested to be valid.
+// MustGeneric is NewGeneric panicking on error; the registry uses it
+// with the built-in definitions, which are tested to be valid.
 func MustGeneric(def *ir.Def) Generic {
 	g, err := NewGeneric(def)
 	if err != nil {
@@ -109,11 +119,23 @@ func (g Generic) Def() *ir.Def { return g.set.Def() }
 func (g Generic) Symbolic() *ir.SymbolicSet { return g.set }
 
 // Validate implements Expression.
-func (g Generic) Validate(inst Instance) error { return g.set.Def().ValidateInstance(inst) }
+func (g Generic) Validate(inst Instance) error {
+	if g.builtin {
+		return validateDims(g.Name(), g.Arity(), inst)
+	}
+	return g.set.Def().ValidateInstance(inst)
+}
 
-// Algorithms implements Expression: a bind of the cached symbolic set.
-func (g Generic) Algorithms(inst Instance) []Algorithm { return g.set.MustBind(inst) }
+// Algorithms implements Expression: a bind of the cached symbolic set,
+// in the enumerator's order (the paper's numbering where one exists).
+// It panics with Validate's error on a malformed instance.
+func (g Generic) Algorithms(inst Instance) []Algorithm {
+	if err := g.Validate(inst); err != nil {
+		panic(err)
+	}
+	return g.set.MustBind(inst)
+}
 
-// NumAlgorithms returns the size of the generated algorithm set (which
-// is instance-independent, counted once at construction).
+// NumAlgorithms implements Expression: the length of the enumerated
+// set, counted once at construction.
 func (g Generic) NumAlgorithms() int { return g.set.Len() }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lamb/internal/ir"
 	"lamb/internal/kernels"
 	"lamb/internal/xrand"
 )
@@ -154,23 +155,16 @@ func TestEnumeratorFlopsMatchClosedFormsGeneralChain(t *testing.T) {
 // when it checks feedback, restored and merged outcomes without binding:
 // for every registered expression and for chains of 2 to 6 terms,
 // NumAlgorithms equals the length of the set Algorithms binds, on
-// random paper-box instances.
+// random paper-box instances. Each set is enumerated once per process:
+// a second lookup or bind enumerates nothing.
 func TestNumAlgorithmsMatchesBoundSet(t *testing.T) {
-	type sized interface {
-		Expression
-		NumAlgorithms() int
-	}
-	var xs []sized
+	var xs []Expression
 	for _, name := range Names() {
 		x, err := Lookup(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := x.(sized)
-		if !ok {
-			t.Fatalf("%s has no NumAlgorithms", name)
-		}
-		xs = append(xs, s)
+		xs = append(xs, x)
 	}
 	for n := 2; n <= 6; n++ {
 		xs = append(xs, Chain{Terms: n})
@@ -184,5 +178,19 @@ func TestNumAlgorithmsMatchesBoundSet(t *testing.T) {
 				t.Fatalf("%s%v: NumAlgorithms %d, bound set has %d", x.Name(), inst, got, want)
 			}
 		}
+	}
+	enums := ir.Enumerations()
+	for _, name := range Names() {
+		x, err := Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x.Algorithms(PaperBox(x.Arity()).Sample(rng))
+	}
+	for n := 2; n <= 6; n++ {
+		Chain{Terms: n}.Algorithms(PaperBox(n + 1).Sample(rng))
+	}
+	if got := ir.Enumerations(); got != enums {
+		t.Fatalf("second lookups enumerated %d sets", got-enums)
 	}
 }

@@ -147,13 +147,13 @@ func NewChain(terms int) Chain { return Chain{Terms: terms} }
 
 // AATB returns the expression X := A·Aᵀ·B with its five algorithms
 // (Figure 5).
-func AATB() expr.AATB { return expr.NewAATB() }
+func AATB() GenericExpression { return expr.NewAATB() }
 
 // ATAB returns the transposed-Gram expression X := Aᵀ·A·B, the mirror
 // of AAᵀB enabled by the transposed-SYRK rewrite (Aᵀ·A → dsyrk
 // trans='T'); its five generated algorithms mirror the paper's Figure 5
 // in the normal-equations orientation.
-func ATAB() expr.ATAB { return expr.NewATAB() }
+func ATAB() GenericExpression { return expr.NewATAB() }
 
 // LstSq returns the regularised least-squares expression
 // X := (A·Aᵀ + R)⁻¹·A·B with its four algorithms over six kernel kinds
@@ -161,19 +161,19 @@ func ATAB() expr.ATAB { return expr.NewATAB() }
 // accumulation, a Cholesky factorisation, and two triangular solves).
 // This extends the paper's study to a LAPACK-level kernel mix, testing
 // its §5 conjecture that richer expressions produce more anomalies.
-func LstSq() expr.LstSq { return expr.NewLstSq() }
+func LstSq() GenericExpression { return expr.NewLstSq() }
 
 // AATBC returns the Gram-chain hybrid X := A·Aᵀ·B·C, the smallest
 // expression combining the paper's two case studies; its fifteen
 // algorithms are derived entirely by the IR enumerator (contraction
 // orders × SYRK/GEMM × SYMM/GEMM with Tri2Full insertion).
-func AATBC() expr.AATBC { return expr.NewAATBC() }
+func AATBC() GenericExpression { return expr.NewAATBC() }
 
 // GLS returns the generalized-least-squares-style solve with a chained
 // right-hand side, X := (A·Aᵀ + R)⁻¹·A·B·C, whose eight generated
 // algorithms multiply Gram-kernel, parenthesisation, and
 // pipeline-ordering choices over six kernel kinds.
-func GLS() expr.GLS { return expr.NewGLS() }
+func GLS() GenericExpression { return expr.NewGLS() }
 
 // Expressions returns the names of the registered built-in expressions.
 func Expressions() []string { return expr.Names() }
