@@ -45,6 +45,8 @@ func (c Chain) Validate(inst Instance) error {
 	return validateDims(c.Name(), c.Arity(), inst)
 }
 
+// checkTerms rejects the term counts no chain can be built for: fewer
+// than two, or more operands than there are letters to name them.
 func (c Chain) checkTerms() error {
 	if c.Terms < 2 {
 		return fmt.Errorf("expr: chain needs at least 2 terms, has %d", c.Terms)
