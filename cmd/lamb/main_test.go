@@ -108,9 +108,12 @@ func TestCmdEnumerateRuns(t *testing.T) {
 	if err := cmdEnumerate([]string{"-expr", "chain", "-inst", "50,60,70,80,90"}); err != nil {
 		t.Fatal(err)
 	}
-	// A chain that cannot be built is an error, not a panic.
+	// A chain that cannot be built or counted is an error, not a panic.
+	// (21 terms is valid, but would enumerate 20! algorithms.)
 	for terms, want := range map[string]string{
 		"1":  "expr: chain needs at least 2 terms, has 1",
+		"22": "expr: chain of 22 terms has 21! algorithms, more than the count limit of 21 terms allows",
+		"26": "expr: chain of 26 terms has 25! algorithms, more than the count limit of 21 terms allows",
 		"27": "expr: chain of 27 terms exceeds the naming limit of 26",
 	} {
 		if err := cmdEnumerate([]string{"-terms", terms}); err == nil || err.Error() != want {

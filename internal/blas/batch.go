@@ -3,17 +3,17 @@ package blas
 // Batched kernel drivers for the small-instance regime: N same-shape
 // problems laid out in one slab at a fixed stride, executed through one
 // driver entry instead of N independent calls. Small dense problems are
-// dominated by fixed costs — packing-buffer pool round-trips, argument
+// dominated by fixed costs — packing-buffer round-trips, argument
 // validation, blocked-driver loop setup — rather than FLOPs, so the
 // batched drivers hoist those costs out of the per-instance loop: one
-// pooled buffer pair serves the whole batch, shared packed panels are
+// buffer set serves the whole batch, shared packed panels are
 // laid out back to back, and micro-kernel sweeps interleave across
 // instances while the panels are cache-hot (batmat's batched-linear-
 // algebra design).
 //
 // Every batched driver computes bitwise-identical results to calling its
 // per-instance kernel N times: the fused paths reuse the exact tile
-// decompositions (packA/packB/macroKernel, potf2, trsmUnblocked, the
+// decompositions (packA/packB/macroKernel, potf2, trsmSmall, the
 // SYRK/SYMM scratch-block merges) the sequential drivers use at the same
 // sizes, and sizes outside the fused regime fall back to the sequential
 // drivers instance by instance.
@@ -101,14 +101,12 @@ func GemmBatch(transA, transB bool, alpha float64, a *mat.Dense, strideA int, b 
 	}
 }
 
-// gemmBatchFused is the serial shared-packing path: one pooled buffer
-// pair sweeps the whole batch.
+// gemmBatchFused is the serial shared-packing path: one buffer set
+// sweeps the whole batch.
 func gemmBatchFused(transA, transB bool, alpha float64, a *mat.Dense, strideA int, b *mat.Dense, strideB int, beta float64, c *mat.Dense, strideC int, count, m, n, k int) {
-	bufAp := bufAPool.Get().(*[]float64)
-	bufBp := bufBPool.Get().(*[]float64)
-	gemmBatchFusedRange(*bufAp, *bufBp, transA, transB, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m, n, k)
-	bufAPool.Put(bufAp)
-	bufBPool.Put(bufBp)
+	bufs := bufSets.get()
+	gemmBatchFusedRange(bufs.bufA, bufs.bufB, transA, transB, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m, n, k)
+	bufSets.put(bufs)
 }
 
 // gemmBatchFusedRange is the shared-packing path for single-block
@@ -183,14 +181,9 @@ func SyrkBatch(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, strideA i
 		batchJobPool.Put(j)
 		return
 	}
-	scratch := syrkScratchPool.Get().(*mat.Dense)
-	bufAp := bufAPool.Get().(*[]float64)
-	bufBp := bufBPool.Get().(*[]float64)
-	bufs := batchBufs{bufA: *bufAp, bufB: *bufBp, scratch: scratch}
-	syrkBatchFusedRange(&bufs, uplo, trans, alpha, a, strideA, beta, c, strideC, 0, count, m)
-	bufAPool.Put(bufAp)
-	bufBPool.Put(bufBp)
-	syrkScratchPool.Put(scratch)
+	bufs := bufSets.get()
+	syrkBatchFusedRange(bufs, uplo, trans, alpha, a, strideA, beta, c, strideC, 0, count, m)
+	bufSets.put(bufs)
 }
 
 // syrkBatchFusedRange sweeps the single-block SYRK path over instances
@@ -246,14 +239,9 @@ func SymmBatch(uplo mat.Uplo, alpha float64, a *mat.Dense, strideA int, b *mat.D
 		batchJobPool.Put(j)
 		return
 	}
-	scratch := syrkScratchPool.Get().(*mat.Dense)
-	bufAp := bufAPool.Get().(*[]float64)
-	bufBp := bufBPool.Get().(*[]float64)
-	bufs := batchBufs{bufA: *bufAp, bufB: *bufBp, scratch: scratch}
-	symmBatchFusedRange(&bufs, uplo, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m)
-	bufAPool.Put(bufAp)
-	bufBPool.Put(bufBp)
-	syrkScratchPool.Put(scratch)
+	bufs := bufSets.get()
+	symmBatchFusedRange(bufs, uplo, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m)
+	bufSets.put(bufs)
 }
 
 // symmBatchFusedRange sweeps the single-block SYMM path over instances
@@ -271,10 +259,10 @@ func symmBatchFusedRange(bufs *batchBufs, uplo mat.Uplo, alpha float64, a *mat.D
 }
 
 // TrsmBatch solves op(L_i)·X_i = alpha·B_i in place for i in [0, count).
-// Instances with m <= 64 are a single diagonal block solved with the
-// unblocked substitution kernel directly (in parallel over contiguous
-// instance ranges when workers allow); larger instances fall back to
-// the blocked driver.
+// Instances with m <= trsmNB are a single diagonal block solved with the
+// small-triangle kernel directly (in parallel over contiguous instance
+// ranges when workers allow); larger instances fall back to the blocked
+// driver.
 func TrsmBatch(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL int, b *mat.Dense, strideB int, count int) {
 	if count <= 0 {
 		return
@@ -289,8 +277,7 @@ func TrsmBatch(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL 
 	if m == 0 || b.Cols == 0 {
 		return
 	}
-	const nb = 64 // must match Trsm's block size for identical results
-	if m > nb {
+	if m > trsmNB {
 		for i := 0; i < count; i++ {
 			lv := instView(l, strideL, i)
 			bv := instView(b, strideB, i)
@@ -313,7 +300,7 @@ func TrsmBatch(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL 
 	trsmBatchFusedRange(uplo, transL, alpha, l, strideL, b, strideB, 0, count)
 }
 
-// trsmBatchFusedRange sweeps the unblocked solve over instances
+// trsmBatchFusedRange sweeps the small-triangle solve over instances
 // [lo, hi); per-instance computation is identical to Trsm's single-block
 // case.
 func trsmBatchFusedRange(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL int, b *mat.Dense, strideB, lo, hi int) {
@@ -323,7 +310,7 @@ func trsmBatchFusedRange(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense
 		if alpha != 1 {
 			scaleMatrix(&bv, alpha)
 		}
-		trsmUnblocked(uplo, transL, &lv, &bv)
+		trsmSmall(uplo, transL, &lv, &bv)
 	}
 }
 

@@ -27,8 +27,8 @@ import (
 )
 
 // batchBufs is one worker's working set: a packing-buffer pair sized
-// like the pooled pair the serial drivers use, plus the scratch square
-// the SYRK/SYMM fused paths materialise symmetric blocks into.
+// like the pair the serial drivers use, plus the scratch square the
+// SYRK/SYMM fused paths materialise symmetric blocks into.
 type batchBufs struct {
 	bufA    []float64
 	bufB    []float64
@@ -43,11 +43,13 @@ func newBatchBufs() *batchBufs {
 	}
 }
 
-// callerBufsPool provides the dispatching goroutine's own batchBufs: the
-// caller participates in its job like a worker, and a pooled struct
-// keeps the dispatch path allocation-free (a stack-built struct would
-// escape through the indirect run call).
-var callerBufsPool = sync.Pool{New: func() any { return newBatchBufs() }}
+// bufSets provides the working set of a goroutine that runs a fused
+// batch itself: the serial fused paths, and the dispatching goroutine of
+// a parallel batch, which participates in its job like a worker. A set
+// from the free list keeps those paths allocation-free (a stack-built
+// struct would escape through the indirect run call), also after a
+// garbage collection.
+var bufSets = newFreeList(newBatchBufs)
 
 // batchJob is one batched-driver invocation, partitioned into nparts
 // contiguous instance sub-ranges handed out through the atomic part
@@ -187,9 +189,9 @@ func (j *batchJob) dispatch(nparts int) {
 			j.wg.Done()
 		}
 	}
-	bufs := callerBufsPool.Get().(*batchBufs)
+	bufs := bufSets.get()
 	serveBatchParts(j, bufs)
-	callerBufsPool.Put(bufs)
+	bufSets.put(bufs)
 	j.wg.Wait()
 }
 

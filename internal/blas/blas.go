@@ -9,9 +9,10 @@
 // blocked 8×4 micro-kernel runs over them. On amd64 with AVX2+FMA the
 // micro-kernel is hand-vectorized assembly (runtime-detected, with a
 // portable Go fallback); everywhere else the pure-Go kernel runs. Packing
-// buffers are pooled, so steady-state Gemm calls do not allocate. GEMM
-// parallelises BLIS-style: B is packed once per (jc, pc) block into a
-// shared buffer and goroutines fan out over the ic loop. SYRK and SYMM
+// buffers are kept on bounded free lists, so steady-state Gemm calls do
+// not allocate. GEMM parallelises BLIS-style: B is packed once per
+// (jc, pc) block into a shared buffer and goroutines fan out over the ic
+// loop. SYRK and SYMM
 // are built on the same macro-kernel machinery, which gives them genuinely
 // different performance profiles from GEMM (slower ramps at small sizes,
 // due to triangular bookkeeping and symmetric packing) — the very property
@@ -44,12 +45,53 @@ const (
 	nc = 2048
 )
 
-// Packing buffers are pooled so steady-state kernel calls do not allocate:
-// a Gemm used to allocate a 256 KiB bufA and a 4 MiB bufB on every call.
+// Packing buffers are kept on free lists so steady-state kernel calls do
+// not allocate: a Gemm used to allocate a 256 KiB bufA and a 4 MiB bufB
+// on every call.
 var (
-	bufAPool = sync.Pool{New: func() any { b := make([]float64, mc*kc); return &b }}
-	bufBPool = sync.Pool{New: func() any { b := make([]float64, kc*nc); return &b }}
+	bufAs = newFreeList(func() []float64 { return make([]float64, mc*kc) })
+	bufBs = newFreeList(func() []float64 { return make([]float64, kc*nc) })
 )
+
+// freeListCap bounds the idle buffers each free list keeps.
+const freeListCap = 8
+
+// freeList is a bounded stack of idle working buffers. Unlike a
+// sync.Pool, which every garbage collection empties, it keeps them, so
+// the first kernel call after a collection does not allocate and clear a
+// fresh 4 MiB bufB. Buffers come back unzeroed; beyond freeListCap idle
+// ones, returned buffers are dropped for the collector.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	idle  []T
+	alloc func() T
+}
+
+func newFreeList[T any](alloc func() T) *freeList[T] {
+	return &freeList[T]{idle: make([]T, 0, freeListCap), alloc: alloc}
+}
+
+// get returns an idle buffer, or a new one when none is idle.
+func (f *freeList[T]) get() T {
+	f.mu.Lock()
+	if n := len(f.idle); n > 0 {
+		x := f.idle[n-1]
+		f.idle = f.idle[:n-1]
+		f.mu.Unlock()
+		return x
+	}
+	f.mu.Unlock()
+	return f.alloc()
+}
+
+// put returns a buffer to the list.
+func (f *freeList[T]) put(x T) {
+	f.mu.Lock()
+	if len(f.idle) < cap(f.idle) {
+		f.idle = append(f.idle, x)
+	}
+	f.mu.Unlock()
+}
 
 // maxWorkers caps GEMM parallelism. Zero means GOMAXPROCS.
 var maxWorkers = 0
@@ -154,9 +196,8 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 	a, b, c := &av, &bv, &cv
 	m, _ := opDims(a, transA)
 	k, n := opDims(b, transB)
-	bufBp := bufBPool.Get().(*[]float64)
-	bufB := *bufBp
-	defer bufBPool.Put(bufBp)
+	bufB := bufBs.get()
+	defer bufBs.put(bufB)
 	nblkA := (m + mc - 1) / mc
 	for jc := 0; jc < n; jc += nc {
 		ncb := min(nc, n-jc)
@@ -171,33 +212,30 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 				par.For(nblkA, nw, func(blk int) {
 					ic := blk * mc
 					mcb := min(mc, m-ic)
-					bufAp := bufAPool.Get().(*[]float64)
-					packA(*bufAp, a, transA, ic, ic+mcb, pc, pc+kcb)
-					macroKernel(*bufAp, bufB, mcb, kcb, alpha, betaEff, c, ic, jc, 0, ncb)
-					bufAPool.Put(bufAp)
+					bufA := bufAs.get()
+					packA(bufA, a, transA, ic, ic+mcb, pc, pc+kcb)
+					macroKernel(bufA, bufB, mcb, kcb, alpha, betaEff, c, ic, jc, 0, ncb)
+					bufAs.put(bufA)
 				})
 				continue
 			}
 			// Single row block: pack A once, split the jr loop.
-			bufAp := bufAPool.Get().(*[]float64)
-			packA(*bufAp, a, transA, 0, m, pc, pc+kcb)
+			bufA := bufAs.get()
+			packA(bufA, a, transA, 0, m, pc, pc+kcb)
 			parallelCols(nw, ncb, func(q0, q1 int) {
-				macroKernel(*bufAp, bufB, m, kcb, alpha, betaEff, c, 0, jc, q0, q1)
+				macroKernel(bufA, bufB, m, kcb, alpha, betaEff, c, 0, jc, q0, q1)
 			})
-			bufAPool.Put(bufAp)
+			bufAs.put(bufA)
 		}
 	}
 }
 
 // gemmSerial is the single-goroutine blocked implementation.
 func gemmSerial(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
-	bufAp := bufAPool.Get().(*[]float64)
-	bufBp := bufBPool.Get().(*[]float64)
-	defer func() {
-		bufAPool.Put(bufAp)
-		bufBPool.Put(bufBp)
-	}()
-	gemmSerialBuf(*bufAp, *bufBp, transA, transB, alpha, a, b, beta, c)
+	bufA, bufB := bufAs.get(), bufBs.get()
+	gemmSerialBuf(bufA, bufB, transA, transB, alpha, a, b, beta, c)
+	bufAs.put(bufA)
+	bufBs.put(bufB)
 }
 
 // gemmSerialBuf is gemmSerial over caller-provided packing buffers (bufA

@@ -2,10 +2,11 @@ package blas
 
 // This file holds the portable implementations of the small SIMD
 // primitives shared by the packing routines and the triangular kernels:
-// contiguous axpy and dot, the fused rank-4 column update of the
-// unblocked Cholesky, and the four full-panel packing kernels. On amd64
-// with AVX2+FMA the dispatch wrappers (simd_amd64.go) route to hand-
-// written assembly; everywhere else these generic bodies run.
+// contiguous axpy and dot, the small-triangle strip solve, the fused
+// rank-4 column update of the unblocked Cholesky, and the four
+// full-panel packing kernels. On amd64 with AVX2+FMA the dispatch
+// wrappers (simd_amd64.go) route to hand-written assembly; everywhere
+// else these generic bodies run.
 
 // axpyGeneric computes y[i] += alpha·x[i] over len(x) elements.
 func axpyGeneric(y, x []float64, alpha float64) {
@@ -23,6 +24,37 @@ func dotGeneric(x, y []float64) float64 {
 		s += v * y[i]
 	}
 	return s
+}
+
+// trsmStripGeneric solves T·X = X in place for four columns of x
+// (stride ldx), T the m×m triangle at t (stride ldt): forward
+// substitution for a lower T, backward for an upper one. Each element
+// takes its updates in substitution order, every product rounded before
+// the subtraction, then one division: the order of trsmFwd4AVX and
+// trsmBwd4AVX, whose FMAs round once.
+func trsmStripGeneric(forward bool, t []float64, ldt int, x []float64, ldx, m int) {
+	for s := 0; s < nr; s++ {
+		col := x[s*ldx : s*ldx+m]
+		if forward {
+			for p := 0; p < m; p++ {
+				tcol := t[p*ldt : p*ldt+m]
+				xp := col[p] / tcol[p]
+				col[p] = xp
+				for i := p + 1; i < m; i++ {
+					col[i] -= xp * tcol[i]
+				}
+			}
+			continue
+		}
+		for p := m - 1; p >= 0; p-- {
+			tcol := t[p*ldt : p*ldt+p+1]
+			xp := col[p] / tcol[p]
+			col[p] = xp
+			for i := 0; i < p; i++ {
+				col[i] -= xp * tcol[i]
+			}
+		}
+	}
 }
 
 // rank4Generic applies a fused rank-4 update to y: with x holding four
@@ -57,6 +89,16 @@ func packPanelA8TGeneric(dst, src []float64, k, stride int) {
 		for r := 0; r < mr; r++ {
 			d[r] = src[p+r*stride]
 		}
+	}
+}
+
+func packStreams4Generic(dst, src []float64, k, stride, dstStride int) {
+	for p := 0; p < k; p++ {
+		d := dst[p*dstStride : p*dstStride+nr : p*dstStride+nr]
+		d[0] = src[p]
+		d[1] = src[p+stride]
+		d[2] = src[p+2*stride]
+		d[3] = src[p+3*stride]
 	}
 }
 

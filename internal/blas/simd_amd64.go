@@ -4,7 +4,7 @@ import "lamb/internal/mat"
 
 // AVX2+FMA dispatch for the SIMD primitives, following the same
 // runtime-detect pattern as the GEMM micro-kernel (haveAVX2FMA is set
-// once at startup in ukernel_amd64.go). Every assembly routine handles
+// once at startup in ukernel.go). Every assembly routine handles
 // arbitrary lengths including scalar tails; the wrappers only guard the
 // empty case so the pointer derefs stay in bounds.
 
@@ -77,6 +77,33 @@ func packContig4AVX(dst, src *float64, k, stride int)
 //go:noescape
 func packStreams4AVX(dst, src *float64, k, stride, dstStride int)
 
+// trsmFwd4AVX solves L·X = X in place by forward substitution for four
+// columns of X (stride ldx): L is the m×m lower triangle at t (stride
+// ldt), m >= 1. Implemented in simd_amd64.s.
+//
+//go:noescape
+func trsmFwd4AVX(t *float64, ldt int, x *float64, ldx, m int)
+
+// trsmBwd4AVX solves U·X = X in place by backward substitution for four
+// columns of X: U is the m×m upper triangle at t. Implemented in
+// simd_amd64.s.
+//
+//go:noescape
+func trsmBwd4AVX(t *float64, ldt int, x *float64, ldx, m int)
+
+// trsmStrip solves T·X = X in place for four columns of X, forward for
+// a lower triangle T and backward for an upper one.
+func trsmStrip(forward bool, t []float64, ldt int, x []float64, ldx, m int) {
+	switch {
+	case !haveAVX2FMA:
+		trsmStripGeneric(forward, t, ldt, x, ldx, m)
+	case forward:
+		trsmFwd4AVX(&t[0], ldt, &x[0], ldx, m)
+	default:
+		trsmBwd4AVX(&t[0], ldt, &x[0], ldx, m)
+	}
+}
+
 // axpy computes y[i] += alpha·x[i] over len(x) elements.
 func axpy(y, x []float64, alpha float64) {
 	if haveAVX2FMA && len(x) > 0 {
@@ -121,6 +148,16 @@ func packPanelA8T(dst, src []float64, k, stride int) {
 		return
 	}
 	packPanelA8TGeneric(dst, src, k, stride)
+}
+
+// packStreams4 interleaves four strided streams:
+// dst[p·dstStride+s] = src[s·stride+p] for p in [0, k), s in [0, 4).
+func packStreams4(dst, src []float64, k, stride, dstStride int) {
+	if haveAVX2FMA && k > 0 {
+		packStreams4AVX(&dst[0], &src[0], k, stride, dstStride)
+		return
+	}
+	packStreams4Generic(dst, src, k, stride, dstStride)
 }
 
 func packPanelB4(dst, src []float64, k, stride int) {

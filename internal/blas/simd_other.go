@@ -16,6 +16,14 @@ func mergeTileFull(tile *[mr * nr]float64, rowsA, colsB int, alpha, betaEff floa
 
 func axpy(y, x []float64, alpha float64) { axpyGeneric(y, x, alpha) }
 
+func trsmStrip(forward bool, t []float64, ldt int, x []float64, ldx, m int) {
+	trsmStripGeneric(forward, t, ldt, x, ldx, m)
+}
+
+func packStreams4(dst, src []float64, k, stride, dstStride int) {
+	packStreams4Generic(dst, src, k, stride, dstStride)
+}
+
 func dot(x, y []float64) float64 { return dotGeneric(x, y) }
 
 func rank4(y, x []float64, stride int, alphas *[4]float64) {

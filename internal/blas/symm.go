@@ -46,11 +46,11 @@ func Symm(uplo mat.Uplo, alpha float64, a, b *mat.Dense, beta float64, c *mat.De
 	if !parallel {
 		// Serial sweep: panels run inline (no closure, stack views) so a
 		// steady-state call performs zero heap allocations.
-		scratch := syrkScratchPool.Get().(*mat.Dense)
+		scratch := syrkScratches.get()
 		for i0 := 0; i0 < m; i0 += syrkBlock {
 			symmPanelTask(uplo, alpha, a, b, beta, c, i0, scratch, false)
 		}
-		syrkScratchPool.Put(scratch)
+		syrkScratches.put(scratch)
 		return
 	}
 	// The closure captures copies of the operand headers so Symm's own
@@ -58,9 +58,9 @@ func Symm(uplo mat.Uplo, alpha float64, a, b *mat.Dense, beta float64, c *mat.De
 	av, bv, cv := *a, *b, *c
 	ap, bp, cp := &av, &bv, &cv
 	par.For(npanels, nw, func(t int) {
-		scratch := syrkScratchPool.Get().(*mat.Dense)
+		scratch := syrkScratches.get()
 		symmPanelTask(uplo, alpha, ap, bp, beta, cp, t*syrkBlock, scratch, true)
-		syrkScratchPool.Put(scratch)
+		syrkScratches.put(scratch)
 	})
 }
 

@@ -2,7 +2,6 @@ package blas
 
 import (
 	"fmt"
-	"sync"
 
 	"lamb/internal/mat"
 	"lamb/internal/par"
@@ -11,9 +10,9 @@ import (
 // syrkBlock is the block size for the SYRK and SYMM drivers.
 const syrkBlock = 96
 
-// syrkScratchPool pools the per-block scratch squares of the SYRK and
+// syrkScratches keeps the per-block scratch squares of the SYRK and
 // SYMM drivers so parallel block tasks neither share state nor allocate.
-var syrkScratchPool = sync.Pool{New: func() any { return mat.New(syrkBlock, syrkBlock) }}
+var syrkScratches = newFreeList(func() *mat.Dense { return mat.New(syrkBlock, syrkBlock) })
 
 // Syrk computes the uplo triangle of C := alpha·A·Aᵀ + beta·C, with A
 // m×k and C m×m. Only the selected triangle of C is referenced and
@@ -64,7 +63,7 @@ func syrkDriver(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, beta flo
 		// Serial sweep: blocks are enumerated inline (no task list, no
 		// closure, all views on the stack) so a steady-state call
 		// performs zero heap allocations.
-		scratch := syrkScratchPool.Get().(*mat.Dense)
+		scratch := syrkScratches.get()
 		for j0 := 0; j0 < m; j0 += syrkBlock {
 			j1 := min(j0+syrkBlock, m)
 			syrkBlockTask(uplo, trans, alpha, a, beta, c, triBlock{j0, j1, j0, j1}, scratch, false)
@@ -78,7 +77,7 @@ func syrkDriver(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, beta flo
 				}
 			}
 		}
-		syrkScratchPool.Put(scratch)
+		syrkScratches.put(scratch)
 		return
 	}
 	tasks := triBlockTasks(m, uplo)
@@ -87,9 +86,9 @@ func syrkDriver(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, beta flo
 	av, cv := *a, *c
 	ap, cp := &av, &cv
 	par.For(len(tasks), nw, func(t int) {
-		scratch := syrkScratchPool.Get().(*mat.Dense)
+		scratch := syrkScratches.get()
 		syrkBlockTask(uplo, trans, alpha, ap, beta, cp, tasks[t], scratch, true)
-		syrkScratchPool.Put(scratch)
+		syrkScratches.put(scratch)
 	})
 }
 

@@ -15,9 +15,11 @@ import (
 // Cholesky solve (see lamb/internal/expr): after L := potrf(S), the two
 // calls Trsm(Lower, false) and Trsm(Lower, true) apply S⁻¹.
 //
-// The implementation is blocked: diagonal blocks are solved with the
-// unblocked kernel and the trailing updates are GEMMs, so large solves
-// inherit the packed GEMM's performance.
+// The implementation is blocked over diagonal blocks of order trsmNB:
+// each block is solved by the register-blocked small-triangle kernel
+// (trsmSmall, the whole solve when m <= trsmNB) and the trailing
+// updates are GEMMs, so large solves inherit the packed GEMM's
+// performance.
 func Trsm(uplo mat.Uplo, transL bool, alpha float64, l, b *mat.Dense) {
 	m := l.Rows
 	if l.Cols != m {
@@ -34,103 +36,121 @@ func Trsm(uplo mat.Uplo, transL bool, alpha float64, l, b *mat.Dense) {
 	}
 	// Effective orientation: a Lower matrix accessed transposed behaves
 	// like an Upper solve and vice versa.
-	lowerLike := (uplo == mat.Lower) != transL
-	const nb = 64
-	if lowerLike {
+	if (uplo == mat.Lower) != transL {
 		// Forward substitution over block rows.
-		for k0 := 0; k0 < m; k0 += nb {
-			k1 := min(k0+nb, m)
+		for k0 := 0; k0 < m; k0 += trsmNB {
+			k1 := min(k0+trsmNB, m)
 			lkk := l.View(k0, k1, k0, k1)
 			bk := b.View(k0, k1, 0, b.Cols)
-			if transL {
-				// Block (k,k) of op(L) is L[k0:k1,k0:k1]ᵀ.
-				trsmUnblocked(uplo, true, &lkk, &bk)
-			} else {
-				trsmUnblocked(uplo, false, &lkk, &bk)
-			}
+			trsmSmall(uplo, transL, &lkk, &bk)
 			if k1 < m {
 				// Trailing update: B[k1:, :] -= op(L)[k1:, k0:k1] · X_k.
 				var lik mat.Dense
-				var transA bool
 				if !transL {
 					lik = l.View(k1, m, k0, k1)
-					transA = false
 				} else {
 					lik = l.View(k0, k1, k1, m)
-					transA = true
 				}
 				btail := b.View(k1, m, 0, b.Cols)
-				Gemm(transA, false, -1, &lik, &bk, 1, &btail)
+				Gemm(transL, false, -1, &lik, &bk, 1, &btail)
 			}
 		}
 		return
 	}
 	// Backward substitution over block rows.
-	for k1 := m; k1 > 0; k1 -= nb {
-		k0 := max(k1-nb, 0)
+	for k1 := m; k1 > 0; k1 -= trsmNB {
+		k0 := max(k1-trsmNB, 0)
 		lkk := l.View(k0, k1, k0, k1)
 		bk := b.View(k0, k1, 0, b.Cols)
-		trsmUnblocked(uplo, transL, &lkk, &bk)
+		trsmSmall(uplo, transL, &lkk, &bk)
 		if k0 > 0 {
 			var lik mat.Dense
-			var transA bool
 			if !transL {
 				lik = l.View(0, k0, k0, k1)
-				transA = false
 			} else {
 				lik = l.View(k0, k1, 0, k0)
-				transA = true
 			}
 			bhead := b.View(0, k0, 0, b.Cols)
-			Gemm(transA, false, -1, &lik, &bk, 1, &bhead)
+			Gemm(transL, false, -1, &lik, &bk, 1, &bhead)
 		}
 	}
 }
 
-// trsmUnblocked solves op(T)·X = B in place for a small triangular
-// block. The inner loops are vectorised by orientation: untransposed
-// solves sweep column by column of T (after element p is solved, one
-// contiguous SIMD axpy removes its contribution from the remaining
-// rows); transposed solves read row i of op(T) as the contiguous column
-// i of T, so each element is one SIMD dot product.
-func trsmUnblocked(uplo mat.Uplo, transL bool, t, b *mat.Dense) {
-	m, n := t.Rows, b.Cols
-	lowerLike := (uplo == mat.Lower) != transL
-	if !transL {
-		for j := 0; j < n; j++ {
-			col := b.Data[j*b.Stride : j*b.Stride+m]
-			if lowerLike {
-				for p := 0; p < m; p++ {
-					tcol := t.Data[p*t.Stride:]
-					col[p] /= tcol[p]
-					if p+1 < m {
-						axpy(col[p+1:], tcol[p+1:m], -col[p])
-					}
-				}
-			} else {
-				for p := m - 1; p >= 0; p-- {
-					tcol := t.Data[p*t.Stride:]
-					col[p] /= tcol[p]
-					if p > 0 {
-						axpy(col[:p], tcol[:p], -col[p])
-					}
-				}
-			}
-		}
+// trsmNB is the order of the largest triangle trsmSmall solves: the
+// diagonal block size of Trsm and the fused limit of TrsmBatch.
+const trsmNB = 64
+
+// trsmSmall solves op(T)·X = B in place for a triangle of order
+// 1 <= m <= trsmNB with the register-blocked strip kernel, four columns
+// of B at a time: forward substitution when op(T) is lower triangular,
+// backward when it is upper. An untransposed T is solved where it lies;
+// a transposed one is first copied to a stack buffer as Tᵀ. Columns
+// left over from the strips of four are copied into a zero-padded strip
+// buffer.
+//
+// Each element of X takes one update per solved row, in substitution
+// order, then one division. An untransposed solve therefore keeps the
+// bits of a column-at-a-time solve. A transposed solve used to reduce
+// each element with a dot product, so its bits changed with this kernel.
+func trsmSmall(uplo mat.Uplo, transL bool, t, b *mat.Dense) {
+	forward := (uplo == mat.Lower) != transL
+	if transL {
+		trsmSmallTrans(uplo, forward, t, b)
 		return
 	}
-	for j := 0; j < n; j++ {
-		col := b.Data[j*b.Stride : j*b.Stride+m]
-		if lowerLike {
-			for i := 0; i < m; i++ {
-				ti := t.Data[i*t.Stride:]
-				col[i] = (col[i] - dot(ti[:i], col[:i])) / ti[i]
-			}
-		} else {
-			for i := m - 1; i >= 0; i-- {
-				ti := t.Data[i*t.Stride:]
-				col[i] = (col[i] - dot(ti[i+1:m], col[i+1:m])) / ti[i]
-			}
+	trsmStrips(forward, t.Data, t.Stride, b)
+}
+
+// trsmSmallTrans is trsmSmall for a transposed T. The buffer lives in
+// its own frame so that untransposed solves do not pay to clear it.
+func trsmSmallTrans(uplo mat.Uplo, forward bool, t, b *mat.Dense) {
+	var tp [trsmNB * trsmNB]float64
+	packTrsmTranspose(tp[:], t, uplo)
+	trsmStrips(forward, tp[:], t.Rows, b)
+}
+
+// trsmStrips runs the strip kernel over B's columns, four at a time, on
+// the triangle at tri (stride ld).
+func trsmStrips(forward bool, tri []float64, ld int, b *mat.Dense) {
+	m, n := b.Rows, b.Cols
+	j := 0
+	for ; j+nr <= n; j += nr {
+		trsmStrip(forward, tri, ld, b.Data[j*b.Stride:], b.Stride, m)
+	}
+	if j == n {
+		return
+	}
+	var strip [trsmNB * nr]float64
+	for s := j; s < n; s++ {
+		copy(strip[(s-j)*m:(s-j+1)*m], b.Data[s*b.Stride:s*b.Stride+m])
+	}
+	trsmStrip(forward, tri, ld, strip[:], m, m)
+	for s := j; s < n; s++ {
+		copy(b.Data[s*b.Stride:s*b.Stride+m], strip[(s-j)*m:(s-j+1)*m])
+	}
+}
+
+// packTrsmTranspose writes P = Tᵀ at stride m for the uplo triangle of
+// T, four columns of T (rows of P) at a time, each from its 4×4
+// diagonal block on. P's other triangle is not written, apart from
+// entries of the 4×4 diagonal blocks, which the kernel never uses.
+func packTrsmTranspose(p []float64, t *mat.Dense, uplo mat.Uplo) {
+	m, ld := t.Rows, t.Stride
+	c := 0
+	for ; c+nr <= m; c += nr {
+		lo, hi := c, m
+		if uplo == mat.Upper {
+			lo, hi = 0, c+nr
+		}
+		packStreams4(p[c+lo*m:], t.Data[lo+c*ld:], hi-lo, ld, m)
+	}
+	for ; c < m; c++ {
+		lo, hi := c, m
+		if uplo == mat.Upper {
+			lo, hi = 0, c+1
+		}
+		for i := lo; i < hi; i++ {
+			p[c+i*m] = t.Data[i+c*ld]
 		}
 	}
 }

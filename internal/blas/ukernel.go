@@ -1,5 +1,12 @@
 package blas
 
+import "lamb/internal/cpu"
+
+// haveAVX2FMA gates the assembly kernels (read once at startup from
+// lamb/internal/cpu). Off amd64 it is always false; tests flip it to run
+// the portable kernels on an AVX2 host.
+var haveAVX2FMA = cpu.HasAVX2FMA
+
 // microKernel8x4Generic is the portable register-blocked 8×4 micro-kernel:
 // out[r+8·s] = Σ_p ap[p·8+r] · bp[p·4+s]. The accumulators are split into
 // two banks of four rows sharing each broadcast b value, which keeps the

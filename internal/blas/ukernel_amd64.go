@@ -1,19 +1,11 @@
 package blas
 
-// cpuHasAVX2FMA reports whether the CPU and OS support the AVX2+FMA
-// vector kernel (CPUID feature bits plus XCR0 state enablement).
-// Implemented in ukernel_amd64.s.
-func cpuHasAVX2FMA() bool
-
 // gemm8x4AVX computes the full 8×4 packed micro-tile product
 // out[r+8·s] = Σ_p ap[p·8+r] · bp[p·4+s] with AVX2 FMA instructions.
 // Implemented in ukernel_amd64.s.
 //
 //go:noescape
 func gemm8x4AVX(ap, bp *float64, k int, out *[mr * nr]float64)
-
-// haveAVX2FMA gates the assembly micro-kernel; detected once at startup.
-var haveAVX2FMA = cpuHasAVX2FMA()
 
 // microKernel8x4 computes one packed 8×4 micro-tile into out, using the
 // vectorized kernel when the CPU supports it.

@@ -75,10 +75,13 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 }
 
 // computeBatchBytesBudget bounds the bytes one warm compute request of
-// the fixture allocates: the first measured figure with pooled arenas
-// and one output slab per request (1434106 bytes), plus 25% headroom.
-// Before them a request allocated 12.0 MB.
-const computeBatchBytesBudget = 1434106 * 5 / 4
+// the fixture allocates: the figure measured with the blas packing
+// buffers on GC-surviving free lists (1445789 bytes, the largest of four
+// runs, which spread by under 500 bytes), plus 10% headroom. With
+// pooled arenas and one output slab per request it was first measured
+// at 1434106 bytes and budgeted with 25% headroom; before them a request
+// allocated 12.0 MB.
+const computeBatchBytesBudget = 1445789 * 11 / 10
 
 // TestDoComputeBatchBytesBudget pins the allocation volume of warm
 // compute requests: plan arenas come from the pool and outputs share one

@@ -396,9 +396,10 @@ func RunBatchBench(e *Measured, short bool, reps int) []BatchBenchResult {
 	return out
 }
 
-// benchGrid returns the fixed kernel/shape grid: square and skinny GEMMs
-// plus one or two shapes of each remaining kernel, small enough to finish
-// in seconds on the pure-Go backend.
+// benchGrid returns the fixed kernel/shape grid: square and skinny GEMMs,
+// one or two shapes of each remaining kernel, and the small TRSM and
+// POTRF shapes of fused compute requests, small enough to finish in
+// seconds on the pure-Go backend.
 func benchGrid(short bool) []kernels.Call {
 	if short {
 		return []kernels.Call{
@@ -411,7 +412,7 @@ func benchGrid(short bool) []kernels.Call {
 			kernels.NewPotrf(128, "S"),
 		}
 	}
-	return []kernels.Call{
+	grid := []kernels.Call{
 		kernels.NewGemm(128, 128, 128, "A", "B", "C", false, false),
 		kernels.NewGemm(256, 256, 256, "A", "B", "C", false, false),
 		kernels.NewGemm(512, 512, 512, "A", "B", "C", false, false),
@@ -430,6 +431,20 @@ func benchGrid(short bool) []kernels.Call {
 		kernels.NewPotrf(256, "S"),
 		kernels.NewPotrf(512, "S"),
 	}
+	// The small solves and factorisations fused compute requests run:
+	// one diagonal block of the small-triangle TRSM kernel (n = m and a
+	// narrow n = 8, both orientations) and single-block POTRFs.
+	for _, m := range []int{32, 48, 64} {
+		for _, n := range []int{m, 8} {
+			grid = append(grid,
+				kernels.NewTrsm(m, n, "L", "B", false),
+				kernels.NewTrsm(m, n, "L", "B", true))
+		}
+	}
+	for _, n := range []int{32, 48, 64} {
+		grid = append(grid, kernels.NewPotrf(n, "S"))
+	}
+	return grid
 }
 
 // RunBenchGrid runs the fixed benchmark grid on the measured backend and

@@ -45,8 +45,13 @@ func (c Chain) Validate(inst Instance) error {
 	return validateDims(c.Name(), c.Arity(), inst)
 }
 
+// maxCountedTerms is the longest chain whose set size (n−1)! fits in an
+// int: 20! < 2⁶³ ≤ 21!.
+const maxCountedTerms = 21
+
 // checkTerms rejects the term counts no chain can be built for: fewer
-// than two, or more operands than there are letters to name them.
+// than two, more operands than there are letters to name them, or more
+// algorithms than an int can count.
 func (c Chain) checkTerms() error {
 	if c.Terms < 2 {
 		return fmt.Errorf("expr: chain needs at least 2 terms, has %d", c.Terms)
@@ -54,11 +59,15 @@ func (c Chain) checkTerms() error {
 	if c.Terms > 26 {
 		return fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 26", c.Terms)
 	}
+	if c.Terms > maxCountedTerms {
+		return fmt.Errorf("expr: chain of %d terms has %d! algorithms, more than the count limit of %d terms allows", c.Terms, c.Terms-1, maxCountedTerms)
+	}
 	return nil
 }
 
 // NumAlgorithms implements Expression: (n−1)!, the size of the set,
-// computed without enumerating it.
+// computed without enumerating it. It is exact for every term count
+// Validate accepts.
 func (c Chain) NumAlgorithms() int {
 	n := 1
 	for i := 2; i < c.Terms; i++ {

@@ -279,6 +279,35 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 	}
 }
 
+// TestChainCountLimit checks the longest chain Validate accepts is the
+// longest whose set size (n−1)! an int holds: 21 terms count 20!
+// exactly, and 22 to 26 terms, whose counts would wrap, are rejected.
+func TestChainCountLimit(t *testing.T) {
+	ones := func(n int) Instance {
+		inst := make(Instance, n)
+		for i := range inst {
+			inst[i] = 1
+		}
+		return inst
+	}
+	c21 := Chain{Terms: 21}
+	if err := c21.Validate(ones(22)); err != nil {
+		t.Fatalf("21-term chain rejected: %v", err)
+	}
+	if got, want := c21.NumAlgorithms(), 2432902008176640000; got != want {
+		t.Errorf("21-term chain counts %d algorithms, want 20! = %d", got, want)
+	}
+	for terms, want := range map[int]string{
+		22: "expr: chain of 22 terms has 21! algorithms, more than the count limit of 21 terms allows",
+		26: "expr: chain of 26 terms has 25! algorithms, more than the count limit of 21 terms allows",
+	} {
+		err := (Chain{Terms: terms}).Validate(ones(terms + 1))
+		if err == nil || err.Error() != want {
+			t.Errorf("%d-term chain: error %v, want %q", terms, err, want)
+		}
+	}
+}
+
 func TestAlgorithmValidateCatchesCorruption(t *testing.T) {
 	algs := NewAATB().Algorithms(Instance{4, 5, 6})
 	a := algs[0]

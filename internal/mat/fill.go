@@ -1,6 +1,13 @@
 package mat
 
-import "lamb/internal/xrand"
+import (
+	"lamb/internal/cpu"
+	"lamb/internal/xrand"
+)
+
+// haveAVX2FMA gates the assembly Gram tile (read once at startup from
+// lamb/internal/cpu); tests flip it to run the portable tile.
+var haveAVX2FMA = cpu.HasAVX2FMA
 
 // FillRandom fills m with uniform values in [-1, 1) drawn from rng.
 // Dense unstructured operands in the paper's experiments are generated
@@ -35,13 +42,15 @@ func NewSPDRandom(n int, rng *xrand.Rand) *Dense {
 // free (the execution-plan executor refills SPD inputs this way on
 // every repetition).
 //
-// The Gram product runs eight rows of one column at a time, one
-// accumulator per row, so each G element loaded for column j serves
-// eight products; a column's last tile is shifted up to end at row n,
-// recomputing rows the tile before already set. Every accumulator sums
-// its n products in p order, each product rounded before the add (never
+// The Gram product runs in 8×4 tiles of the lower triangle (gram8x4:
+// AVX multiplies and adds on amd64, a portable loop elsewhere), so each
+// G element loaded serves four or eight products. Tiles at the bottom
+// and right edges are shifted to end at row and column n, recomputing
+// elements a neighbouring tile already set, and a tile's elements above
+// the diagonal set their mirror images. Every element sums its n
+// products in p order, each product rounded before the add (never
 // fused), so every element is bit-identical to the element-at-a-time
-// dot product.
+// dot product, whichever tile computes it.
 func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 	n := m.Rows
 	if m.Cols != n {
@@ -61,8 +70,8 @@ func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 		m.Data[i+j*m.Stride] = v
 		m.Data[j+i*m.Stride] = v
 	}
-	for j := 0; j < n; j++ {
-		if n-j < 8 {
+	if n < 8 {
+		for j := 0; j < n; j++ {
 			for i := j; i < n; i++ {
 				var acc float64
 				for p := 0; p < n*n; p += n {
@@ -70,33 +79,46 @@ func (m *Dense) FillSPD(scratch []float64, rng *xrand.Rand) {
 				}
 				set(i, j, acc)
 			}
-			continue
 		}
-		for i := j; i < n; i += 8 {
-			t := min(i, n-8)
-			var a0, a1, a2, a3, a4, a5, a6, a7 float64
-			for p := 0; p < n*n; p += n {
-				col := g[p : p+n]
-				x := col[j]
-				r := col[t : t+8]
-				a0 += float64(r[0] * x)
-				a1 += float64(r[1] * x)
-				a2 += float64(r[2] * x)
-				a3 += float64(r[3] * x)
-				a4 += float64(r[4] * x)
-				a5 += float64(r[5] * x)
-				a6 += float64(r[6] * x)
-				a7 += float64(r[7] * x)
+		return
+	}
+	var tile [32]float64
+	for j := 0; j < n; j += 4 {
+		c := min(j, n-4)
+		for i := c; i < n; i += 8 {
+			r := min(i, n-8)
+			gram8x4(g, n, r, c, &tile)
+			for s := 0; s < 4; s++ {
+				for q := 0; q < 8; q++ {
+					set(r+q, c+s, tile[q+8*s])
+				}
 			}
-			set(t, j, a0)
-			set(t+1, j, a1)
-			set(t+2, j, a2)
-			set(t+3, j, a3)
-			set(t+4, j, a4)
-			set(t+5, j, a5)
-			set(t+6, j, a6)
-			set(t+7, j, a7)
 		}
+	}
+}
+
+// gram8x4Generic is the portable gram8x4: tile[q+8·s] = Σ_p
+// g[r+q, p]·g[c+s, p] over the n columns p of the n×n matrix g, in p
+// order, each product rounded before the add. One column of the tile
+// at a time keeps its eight accumulators in registers.
+func gram8x4Generic(g []float64, n, r, c int, tile *[32]float64) {
+	for s := 0; s < 4; s++ {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for p := 0; p < n*n; p += n {
+			col := g[p : p+n]
+			x := col[c+s]
+			rr := col[r : r+8]
+			a0 += float64(rr[0] * x)
+			a1 += float64(rr[1] * x)
+			a2 += float64(rr[2] * x)
+			a3 += float64(rr[3] * x)
+			a4 += float64(rr[4] * x)
+			a5 += float64(rr[5] * x)
+			a6 += float64(rr[6] * x)
+			a7 += float64(rr[7] * x)
+		}
+		tile[8*s], tile[8*s+1], tile[8*s+2], tile[8*s+3] = a0, a1, a2, a3
+		tile[8*s+4], tile[8*s+5], tile[8*s+6], tile[8*s+7] = a4, a5, a6, a7
 	}
 }
 

@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,10 +34,24 @@ func fillSPDNaive(m *Dense, scratch []float64, rng *xrand.Rand) {
 	}
 }
 
-// TestFillSPDMatchesNaive pins the blocked FillSPD to the naive loop,
+// TestFillSPDMatchesNaive pins the tiled FillSPD to the naive loop,
 // bit for bit, for every order 1…128 (all tile remainders), on a
-// strided matrix whose padding must stay untouched.
+// strided matrix whose padding must stay untouched. It runs the AVX
+// tile (when the CPU has it) and the portable one, flipping
+// haveAVX2FMA.
 func TestFillSPDMatchesNaive(t *testing.T) {
+	saved := haveAVX2FMA
+	defer func() { haveAVX2FMA = saved }()
+	for _, avx := range []bool{true, false} {
+		if avx && !saved {
+			continue
+		}
+		haveAVX2FMA = avx
+		t.Run(fmt.Sprintf("avx=%v", avx), testFillSPDMatchesNaive)
+	}
+}
+
+func testFillSPDMatchesNaive(t *testing.T) {
 	for n := 1; n <= 128; n++ {
 		seed := uint64(0x5bd0 + n)
 		want := New(n, n)
@@ -86,21 +101,22 @@ func TestFillRandomMatchesDraws(t *testing.T) {
 	}
 }
 
-// BenchmarkFillSPD compares the blocked fill with the naive oracle at
-// an order typical of fused compute requests.
+// BenchmarkFillSPD compares the tiled fill with the naive oracle at
+// orders typical of fused compute requests.
 func BenchmarkFillSPD(b *testing.B) {
-	const n = 48
-	m := New(n, n)
-	scratch := make([]float64, n*n)
-	rng := xrand.New(1)
-	b.Run("blocked", func(b *testing.B) {
-		for b.Loop() {
-			m.FillSPD(scratch, rng)
-		}
-	})
-	b.Run("naive", func(b *testing.B) {
-		for b.Loop() {
-			fillSPDNaive(m, scratch, rng)
-		}
-	})
+	for _, n := range []int{32, 48, 63} {
+		m := New(n, n)
+		scratch := make([]float64, n*n)
+		rng := xrand.New(1)
+		b.Run(fmt.Sprintf("n%d/tiled", n), func(b *testing.B) {
+			for b.Loop() {
+				m.FillSPD(scratch, rng)
+			}
+		})
+		b.Run(fmt.Sprintf("n%d/naive", n), func(b *testing.B) {
+			for b.Loop() {
+				fillSPDNaive(m, scratch, rng)
+			}
+		})
+	}
 }
