@@ -174,9 +174,6 @@ func TestTrsmRightLowerTransBlocked(t *testing.T) {
 // TestGemmSerialZeroAllocSteadyState checks that pooled packing buffers
 // make repeated serial Gemm calls allocation-free.
 func TestGemmSerialZeroAllocSteadyState(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under the race detector")
-	}
 	defer SetMaxWorkers(SetMaxWorkers(1))
 	rng := xrand.New(77)
 	a := mat.NewRandom(160, 96, rng)

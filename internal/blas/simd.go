@@ -92,6 +92,9 @@ func packPanelA8TGeneric(dst, src []float64, k, stride int) {
 	}
 }
 
+// packStreams4Generic interleaves four strided streams:
+// dst[p·dstStride+s] = src[s·stride+p]. packPanelB4 is its dstStride = 4
+// case; packTrsmTranspose transposes triangles with it.
 func packStreams4Generic(dst, src []float64, k, stride, dstStride int) {
 	for p := 0; p < k; p++ {
 		d := dst[p*dstStride : p*dstStride+nr : p*dstStride+nr]
@@ -103,13 +106,7 @@ func packStreams4Generic(dst, src []float64, k, stride, dstStride int) {
 }
 
 func packPanelB4Generic(dst, src []float64, k, stride int) {
-	for p := 0; p < k; p++ {
-		d := dst[p*nr : p*nr+nr : p*nr+nr]
-		d[0] = src[p]
-		d[1] = src[p+stride]
-		d[2] = src[p+2*stride]
-		d[3] = src[p+3*stride]
-	}
+	packStreams4Generic(dst, src, k, stride, nr)
 }
 
 func packPanelB4TGeneric(dst, src []float64, k, stride int) {

@@ -161,11 +161,7 @@ func packStreams4(dst, src []float64, k, stride, dstStride int) {
 }
 
 func packPanelB4(dst, src []float64, k, stride int) {
-	if haveAVX2FMA && k > 0 {
-		packStreams4AVX(&dst[0], &src[0], k, stride, nr)
-		return
-	}
-	packPanelB4Generic(dst, src, k, stride)
+	packStreams4(dst, src, k, stride, nr)
 }
 
 func packPanelB4T(dst, src []float64, k, stride int) {
