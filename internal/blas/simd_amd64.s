@@ -390,7 +390,7 @@ GLOBL trsmMask<>(SB), RODATA|NOPTR, $192
 	LEAQ (R8)(R8*2), R14; \
 	LEAQ (R12)(R8*4), R13
 
-// TILE loads (LOADTILE) or stores (STORETILE) the masked tile at R11.
+// LOADTILE loads and STORETILE stores the tile at R11 through the masks.
 #define LOADTILE \
 	VMASKMOVPD (R11), Y14, Y0; \
 	VMASKMOVPD 32(R11), Y15, Y1; \

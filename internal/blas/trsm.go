@@ -89,9 +89,9 @@ const trsmNB = 64
 // buffer.
 //
 // Each element of X takes one update per solved row, in substitution
-// order, then one division. An untransposed solve therefore keeps the
-// bits of a column-at-a-time solve. A transposed solve used to reduce
-// each element with a dot product, so its bits changed with this kernel.
+// order, then one division: the bits of a column-at-a-time solve with
+// op(T). For a transposed T they are not those of a solve that reduces
+// each element with a dot product over a row of op(T).
 func trsmSmall(uplo mat.Uplo, transL bool, t, b *mat.Dense) {
 	forward := (uplo == mat.Lower) != transL
 	if transL {
