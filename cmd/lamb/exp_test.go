@@ -48,7 +48,7 @@ func TestExp3QuickGolden(t *testing.T) {
 // goldens were recorded from `lamb enumerate -expr <name>` and
 // `lamb enumerate -terms 5`.
 func TestEnumerateGolden(t *testing.T) {
-	cases := map[string][]string{"terms5": {"-terms", "5"}}
+	cases := map[string][]string{"terms2": {"-terms", "2"}, "terms5": {"-terms", "5"}}
 	for _, name := range lamb.Expressions() {
 		cases[name] = []string{"-expr", name}
 	}

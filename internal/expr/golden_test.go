@@ -1,6 +1,9 @@
 package expr
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -309,6 +312,38 @@ func TestGoldenFlopsMatchPaperFigures(t *testing.T) {
 	for i, a := range NewAATB().Algorithms(aatbInst) {
 		if want := aatbPaperFlops(aatbInst)[i]; a.Flops() != want {
 			t.Errorf("aatb algorithm %d: flops %v, want paper %v", i+1, a.Flops(), want)
+		}
+	}
+}
+
+// chainDigests pins the n-term chain's algorithm set at a fixed
+// instance (dᵢ = 2+i) as the SHA-256 of every algorithm's index, name
+// and calls, one line each, for 2 to 8 terms.
+var chainDigests = map[int]string{
+	2: "aa5d57cf9225d195dc701c4971e550da29764c2a0200df8501aa31e974d8c9ae",
+	3: "a88525f141e071321fa827e6a121f89e9acef21e5cd30dc165bbe6864647aa8d",
+	4: "1797f05f06289fd7a5f08710e7f2f48677f42d016126ce8dfe112ac7b6fb3cf8",
+	5: "367257156b631623c85fa420e781c710c9b38eb6a48b03ae0989b2de1c143b6d",
+	6: "ace678bfefae89b9ab65dc2e322d76f1ef954d76a2f85ced2961565b7582c2a7",
+	7: "6acdca73a4a3a441d442afef5763fc89062bb74518644f51e2def62c2cb3b149",
+	8: "d2a99fd4f150c5a0ad0e6ffbc03da561bdabe0c99aeec9eb822202e366bdf140",
+}
+
+func TestGoldenChainDigests(t *testing.T) {
+	for terms := 2; terms <= 8; terms++ {
+		inst := make(Instance, terms+1)
+		for i := range inst {
+			inst[i] = 2 + i
+		}
+		h := sha256.New()
+		for _, a := range (Chain{Terms: terms}).Algorithms(inst) {
+			fmt.Fprintf(h, "%d %s\n", a.Index, a.Name)
+			for _, c := range a.Calls {
+				fmt.Fprintf(h, "\t%s %d %d %d %t %t %q %q\n", c.Kind, c.M, c.N, c.K, c.TransA, c.TransB, c.In, c.Out)
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != chainDigests[terms] {
+			t.Errorf("chain-%d: set digest %s, want %s", terms, got, chainDigests[terms])
 		}
 	}
 }
