@@ -23,19 +23,18 @@ func cmdEnumerate(args []string) error {
 	}
 
 	var e lamb.Expression
-	if *terms > 0 {
-		e = lamb.NewChain(*terms)
+	var err error
+	if *terms != 0 {
+		e, err = lamb.NewChain(*terms)
 	} else {
-		var err error
 		e, err = c.expression()
-		if err != nil {
-			return err
-		}
 	}
-	def := defaultInstance(c.exprName, e.Arity(), *terms > 0)
+	if err != nil {
+		return err
+	}
+	def := defaultInstance(c.exprName, e.Arity(), *terms != 0)
 	inst := def
 	if *instFlag != "" {
-		var err error
 		inst, err = parseInstance(*instFlag, e.Arity())
 		if err != nil {
 			return err
@@ -64,10 +63,10 @@ func cmdEnumerate(args []string) error {
 		return err
 	}
 
-	if ch, ok := e.(lamb.Chain); ok {
+	if strings.HasPrefix(e.Name(), "chain-") {
 		dp, tree := lamb.MinFlopsParenthesisation([]int(inst))
 		fmt.Printf("\nDP minimum-FLOPs parenthesisation: %s with %.0f FLOPs (%d algorithms total)\n",
-			tree, dp, ch.NumAlgorithms())
+			tree, dp, e.NumAlgorithms())
 	}
 	return nil
 }

@@ -1,10 +1,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
+
+	"lamb"
 )
 
 func TestParseInstance(t *testing.T) {
@@ -108,16 +113,58 @@ func TestCmdEnumerateRuns(t *testing.T) {
 	if err := cmdEnumerate([]string{"-expr", "chain", "-inst", "50,60,70,80,90"}); err != nil {
 		t.Fatal(err)
 	}
-	// A chain that cannot be built or counted is an error, not a panic.
-	// (21 terms is valid, but would enumerate 20! algorithms.)
+	// A chain that cannot be built, or whose set passes the enumerator's
+	// budget, is an error, not a panic.
 	for terms, want := range map[string]string{
+		"-3": "expr: chain needs at least 2 terms, has -3",
 		"1":  "expr: chain needs at least 2 terms, has 1",
-		"22": "expr: chain of 22 terms has 21! algorithms, more than the count limit of 21 terms allows",
-		"26": "expr: chain of 26 terms has 25! algorithms, more than the count limit of 21 terms allows",
+		"11": "ir: algorithm set too large: chain-11 has at least 362880 algorithms, over the limit of 50000",
+		"22": "ir: algorithm set too large: chain-22 has at least 362880 algorithms, over the limit of 50000",
+		"26": "ir: algorithm set too large: chain-26 has at least 362880 algorithms, over the limit of 50000",
 		"27": "expr: chain of 27 terms exceeds the naming limit of 26",
 	} {
 		if err := cmdEnumerate([]string{"-terms", terms}); err == nil || err.Error() != want {
 			t.Errorf("-terms %s: error %v, want %q", terms, err, want)
+		}
+	}
+}
+
+// TestEnumerationBudgetFailsFast checks that the three ways to ask for
+// a set over the enumerator's budget — a 15-term chain, a 12-operand
+// product through the IR builder, and `lamb enumerate -terms 11` —
+// return ErrTooManyAlgorithms having allocated under 10 MB, within
+// 100 ms (reported, not asserted, under the race detector).
+func TestEnumerationBudgetFailsFast(t *testing.T) {
+	product := func() error {
+		factors := make([]lamb.IRNode, 12)
+		for i := range factors {
+			factors[i] = lamb.Operand(string(rune('A'+i)), i, i+1)
+		}
+		_, err := lamb.DefineExpression("product-12", 13, lamb.Mul(factors...))
+		return err
+	}
+	for name, call := range map[string]func() error{
+		"NewChain(15)":  func() error { _, err := lamb.NewChain(15); return err },
+		"product-12":    product,
+		"enumerate -11": func() error { return cmdEnumerate([]string{"-terms", "11"}) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		err := call()
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, lamb.ErrTooManyAlgorithms) {
+			t.Errorf("%s: error %v, want ErrTooManyAlgorithms", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 10<<20 {
+			t.Errorf("%s: allocated %d bytes, want under 10 MB", name, alloc)
+		}
+		switch {
+		case raceEnabled:
+			t.Logf("%s: refused in %v", name, elapsed)
+		case elapsed >= 100*time.Millisecond:
+			t.Errorf("%s: refused in %v, want under 100ms", name, elapsed)
 		}
 	}
 }

@@ -16,7 +16,10 @@ import (
 
 func main() {
 	// --- Part 1: a 6-term chain has 5! = 120 evaluation orders. ---------
-	chain := lamb.NewChain(6)
+	chain, err := lamb.NewChain(6)
+	if err != nil {
+		panic(err)
+	}
 	inst := lamb.Instance{90, 700, 40, 250, 30, 500, 120}
 	algs := chain.Algorithms(inst)
 	fmt.Printf("chain of %d terms, instance %v: %d algorithms\n", 6, inst, len(algs))

@@ -2,13 +2,12 @@ package expr
 
 import (
 	"fmt"
-	"sync"
 
 	"lamb/internal/ir"
 )
 
-// Chain is the matrix chain expression X := A₁·A₂·…·Aₙ with n terms.
-// An instance has n+1 dimensions (d0, …, dn): term i is dᵢ₋₁×dᵢ.
+// NewChain returns the matrix chain X := A₁·A₂·…·Aₙ with n terms. An
+// instance has n+1 dimensions (d0, …, dn): term i is dᵢ₋₁×dᵢ.
 //
 // The algorithm set is every order in which the n−1 pairwise products can
 // be performed — (n−1)! algorithms. Note that this is finer-grained than
@@ -17,98 +16,47 @@ import (
 // matters for inter-kernel cache effects. The enumerator's depth-first
 // contraction visits the paper's Algorithms 1–6 in exactly the paper's
 // order for the 4-term chain.
-type Chain struct {
-	// Terms is the number of matrices in the chain (≥ 2).
-	Terms int
+//
+// Fewer than 2 terms, more than 26 (the letters that name them) and a
+// set over ir.MaxAlgorithms (10 terms and more) are errors, checked in
+// that order.
+func NewChain(terms int) (Generic, error) {
+	switch {
+	case terms < 2:
+		return Generic{}, fmt.Errorf("expr: chain needs at least 2 terms, has %d", terms)
+	case terms > 26:
+		return Generic{}, fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 26", terms)
+	case terms-2 < len(chains):
+		return chains[terms-2](), nil
+	}
+	return NewGeneric(chainDef(terms))
 }
 
 // NewChainABCD returns the paper's 4-term matrix chain expression.
-func NewChainABCD() Chain { return Chain{Terms: 4} }
+func NewChainABCD() Generic { return chains[2]() }
 
-// Name implements Expression.
-func (c Chain) Name() string {
-	if c.Terms == 4 {
-		return "chain-ABCD"
+// chains holds the constructors of the chains of 2 to 9 terms, the
+// ones whose (n−1)! algorithms fit ir.MaxAlgorithms.
+var chains = func() (t [8]func() Generic) {
+	for i := range t {
+		t[i] = builtin(func() *ir.Def { return chainDef(i + 2) })
 	}
-	return fmt.Sprintf("chain-%d", c.Terms)
-}
+	return t
+}()
 
-// Arity implements Expression: a chain of n terms has n+1 dimensions.
-func (c Chain) Arity() int { return c.Terms + 1 }
-
-// Validate implements Expression. The term count is checked before
-// anything is enumerated.
-func (c Chain) Validate(inst Instance) error {
-	if err := c.checkTerms(); err != nil {
-		return err
+// chainDef builds the n-term chain's IR: an associative product of n
+// general operands, rendered in the paper's bare Figure-3 notation.
+func chainDef(terms int) *ir.Def {
+	name := fmt.Sprintf("chain-%d", terms)
+	if terms == 4 {
+		name = "chain-ABCD"
 	}
-	return validateDims(c.Name(), c.Arity(), inst)
-}
-
-// maxCountedTerms is the longest chain whose set size (n−1)! fits in an
-// int: 20! < 2⁶³ ≤ 21!.
-const maxCountedTerms = 21
-
-// checkTerms rejects the term counts no chain can be built for: fewer
-// than two, more operands than there are letters to name them, or more
-// algorithms than an int can count.
-func (c Chain) checkTerms() error {
-	if c.Terms < 2 {
-		return fmt.Errorf("expr: chain needs at least 2 terms, has %d", c.Terms)
-	}
-	if c.Terms > 26 {
-		return fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 26", c.Terms)
-	}
-	if c.Terms > maxCountedTerms {
-		return fmt.Errorf("expr: chain of %d terms has %d! algorithms, more than the count limit of %d terms allows", c.Terms, c.Terms-1, maxCountedTerms)
-	}
-	return nil
-}
-
-// NumAlgorithms implements Expression: (n−1)!, the size of the set,
-// computed without enumerating it. It is exact for every term count
-// Validate accepts.
-func (c Chain) NumAlgorithms() int {
-	n := 1
-	for i := 2; i < c.Terms; i++ {
-		n *= i
-	}
-	return n
-}
-
-// chainGenerics caches one Generic constructor per term count.
-var chainGenerics sync.Map
-
-// generic returns the chain's Generic, enumerated on first use per term
-// count. It panics if the term count is invalid.
-func (c Chain) generic() Generic {
-	if err := c.checkTerms(); err != nil {
-		panic(err)
-	}
-	mk, ok := chainGenerics.Load(c.Terms)
-	if !ok {
-		mk, _ = chainGenerics.LoadOrStore(c.Terms, builtin(c.def))
-	}
-	return mk.(func() Generic)()
-}
-
-// def builds the chain's IR: an associative product of n general
-// operands, rendered in the paper's bare Figure-3 notation.
-func (c Chain) def() *ir.Def {
-	factors := make([]ir.Node, c.Terms)
-	for i := 0; i < c.Terms; i++ {
+	factors := make([]ir.Node, terms)
+	for i := range factors {
 		factors[i] = ir.NewOperand(string(rune('A'+i)), ir.Dim(i), ir.Dim(i+1))
 	}
-	return &ir.Def{Name: c.Name(), Arity: c.Arity(), Root: ir.Mul(factors...), Style: ir.StyleBare}
+	return &ir.Def{Name: name, Arity: terms + 1, Root: ir.Mul(factors...), Style: ir.StyleBare}
 }
-
-// Symbolic returns the chain's symbolic algorithm set, enumerated once
-// per term count. It panics if the term count is invalid.
-func (c Chain) Symbolic() *ir.SymbolicSet { return c.generic().Symbolic() }
-
-// Algorithms implements Expression by binding the chain's symbolic set.
-// It panics with Validate's error on an invalid chain or instance.
-func (c Chain) Algorithms(inst Instance) []Algorithm { return c.generic().Algorithms(inst) }
 
 // MinFlopsParenthesisation solves the classic matrix-chain ordering
 // problem by dynamic programming in O(n³) time: given the n+1 chain

@@ -10,11 +10,11 @@
 // paper's AAᵀB with its 5 algorithms over GEMM, SYRK, and SYMM
 // (Figure 5), its transposed mirror AᵀAB, the regularised
 // least-squares pipeline, and two richer expressions (AAᵀBC and GLS)
-// probing the paper's §5 conjecture. The matrix chain keeps its own
-// type, a general n-term chain whose 4-term instance is the paper's
-// ABCD with its 6 GEMM-only algorithms (Figure 3); its sets are Generic
-// underneath too. The classic dynamic-programming minimum-FLOPs
-// baseline completes the package.
+// probing the paper's §5 conjecture. NewChain builds the n-term matrix
+// chain the same way, from one definition per term count; its 4-term
+// instance is the paper's ABCD with its 6 GEMM-only algorithms
+// (Figure 3), registered as "chain". The classic dynamic-programming
+// minimum-FLOPs baseline completes the package.
 //
 // The generated sets for the original three expressions are pinned by
 // golden tests to the pre-IR hand-coded sets, byte for byte.

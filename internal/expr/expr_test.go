@@ -1,11 +1,13 @@
 package expr
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"lamb/internal/ir"
 	"lamb/internal/kernels"
 	"lamb/internal/xrand"
 )
@@ -120,7 +122,7 @@ func TestChainFlopsPropertyAgainstPaperFormulas(t *testing.T) {
 
 func TestChainGeneralCounts(t *testing.T) {
 	for terms, want := range map[int]int{2: 1, 3: 2, 4: 6, 5: 24, 6: 120} {
-		c := Chain{Terms: terms}
+		c := mustChain(terms)
 		inst := make(Instance, terms+1)
 		for i := range inst {
 			inst[i] = 2 + i
@@ -144,7 +146,7 @@ func TestChainGeneralCounts(t *testing.T) {
 }
 
 func TestChainAlgorithmNamesDistinct(t *testing.T) {
-	algs := Chain{Terms: 5}.Algorithms(Instance{2, 3, 4, 5, 6, 7})
+	algs := mustChain(5).Algorithms(Instance{2, 3, 4, 5, 6, 7})
 	seen := map[string]bool{}
 	for _, a := range algs {
 		if seen[a.Name] {
@@ -176,7 +178,7 @@ func TestDPMatchesEnumeratedMinimumProperty(t *testing.T) {
 			dims[i] = rng.IntRange(1, 120)
 			inst[i] = dims[i]
 		}
-		algs := Chain{Terms: terms}.Algorithms(inst)
+		algs := mustChain(terms).Algorithms(inst)
 		best := algs[0].Flops()
 		for _, a := range algs[1:] {
 			if f := a.Flops(); f < best {
@@ -271,41 +273,44 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 	if err := NewAATB().Validate(Instance{1, 2, 3, 4}); err == nil {
 		t.Error("long AATB instance accepted")
 	}
-	if err := (Chain{Terms: 1}).Validate(Instance{1, 2}); err == nil {
-		t.Error("1-term chain accepted")
+	if _, err := NewChain(1); err == nil || err.Error() != "expr: chain needs at least 2 terms, has 1" {
+		t.Errorf("1-term chain: error %v", err)
 	}
-	if err := (Chain{Terms: 27}).Validate(make(Instance, 28)); err == nil {
-		t.Error("27-term chain accepted (naming limit)")
+	if _, err := NewChain(27); err == nil || err.Error() != "expr: chain of 27 terms exceeds the naming limit of 26" {
+		t.Errorf("27-term chain: error %v", err)
 	}
 }
 
-// TestChainCountLimit checks the longest chain Validate accepts is the
-// longest whose set size (n−1)! an int holds: 21 terms count 20!
-// exactly, and 22 to 26 terms, whose counts would wrap, are rejected.
+// TestChainCountLimit checks the chain lengths the enumerator's budget
+// admits: 9 terms enumerate all 8! orders, and 10 terms and more, whose
+// (n−1)! passes ir.MaxAlgorithms, are refused before anything is
+// enumerated.
 func TestChainCountLimit(t *testing.T) {
-	ones := func(n int) Instance {
-		inst := make(Instance, n)
-		for i := range inst {
-			inst[i] = 1
-		}
-		return inst
+	c9, err := NewChain(9)
+	if err != nil {
+		t.Fatalf("9-term chain rejected: %v", err)
 	}
-	c21 := Chain{Terms: 21}
-	if err := c21.Validate(ones(22)); err != nil {
-		t.Fatalf("21-term chain rejected: %v", err)
+	if got, want := c9.NumAlgorithms(), 40320; got != want {
+		t.Errorf("9-term chain counts %d algorithms, want 8! = %d", got, want)
 	}
-	if got, want := c21.NumAlgorithms(), 2432902008176640000; got != want {
-		t.Errorf("21-term chain counts %d algorithms, want 20! = %d", got, want)
-	}
-	for terms, want := range map[int]string{
-		22: "expr: chain of 22 terms has 21! algorithms, more than the count limit of 21 terms allows",
-		26: "expr: chain of 26 terms has 25! algorithms, more than the count limit of 21 terms allows",
-	} {
-		err := (Chain{Terms: terms}).Validate(ones(terms + 1))
-		if err == nil || err.Error() != want {
-			t.Errorf("%d-term chain: error %v, want %q", terms, err, want)
+	enums := ir.Enumerations()
+	for _, terms := range []int{10, 21, 22, 26} {
+		if _, err := NewChain(terms); !errors.Is(err, ir.ErrTooManyAlgorithms) {
+			t.Errorf("%d-term chain: error %v, want ErrTooManyAlgorithms", terms, err)
 		}
 	}
+	if got := ir.Enumerations(); got != enums {
+		t.Errorf("refused chains enumerated %d sets", got-enums)
+	}
+}
+
+// mustChain returns the n-term chain, panicking if NewChain refuses it.
+func mustChain(terms int) Generic {
+	c, err := NewChain(terms)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestAlgorithmValidateCatchesCorruption(t *testing.T) {

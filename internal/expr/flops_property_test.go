@@ -132,7 +132,7 @@ func TestEnumeratorFlopsMatchClosedFormsGeneralChain(t *testing.T) {
 		for i := range inst {
 			inst[i] = rng.IntRange(2, 200)
 		}
-		for _, a := range (Chain{Terms: terms}).Algorithms(inst) {
+		for _, a := range mustChain(terms).Algorithms(inst) {
 			var want float64
 			for _, c := range a.Calls {
 				cf, err := closedFormFlops(c)
@@ -167,7 +167,7 @@ func TestNumAlgorithmsMatchesBoundSet(t *testing.T) {
 		xs = append(xs, x)
 	}
 	for n := 2; n <= 6; n++ {
-		xs = append(xs, Chain{Terms: n})
+		xs = append(xs, mustChain(n))
 	}
 	rng := xrand.New(0x5e7)
 	for _, x := range xs {
@@ -188,7 +188,7 @@ func TestNumAlgorithmsMatchesBoundSet(t *testing.T) {
 		x.Algorithms(PaperBox(x.Arity()).Sample(rng))
 	}
 	for n := 2; n <= 6; n++ {
-		Chain{Terms: n}.Algorithms(PaperBox(n + 1).Sample(rng))
+		mustChain(n).Algorithms(PaperBox(n + 1).Sample(rng))
 	}
 	if got := ir.Enumerations(); got != enums {
 		t.Fatalf("second lookups enumerated %d sets", got-enums)

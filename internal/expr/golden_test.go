@@ -336,7 +336,7 @@ func TestGoldenChainDigests(t *testing.T) {
 			inst[i] = 2 + i
 		}
 		h := sha256.New()
-		for _, a := range (Chain{Terms: terms}).Algorithms(inst) {
+		for _, a := range mustChain(terms).Algorithms(inst) {
 			fmt.Fprintf(h, "%d %s\n", a.Index, a.Name)
 			for _, c := range a.Calls {
 				fmt.Fprintf(h, "\t%s %d %d %d %t %t %q %q\n", c.Kind, c.M, c.N, c.K, c.TransA, c.TransB, c.In, c.Out)

@@ -10,8 +10,8 @@ import (
 )
 
 // registry maps CLI/API names to the built-in expressions. The paper's
-// 4-term chain registers as "chain"; the general n-term chain is
-// parameterised and stays outside the registry.
+// 4-term chain registers as "chain"; NewChain returns the chains of the
+// other term counts, built by the same definition.
 var registry = map[string]func() Expression{
 	"chain": func() Expression { return NewChainABCD() },
 	"aatb":  func() Expression { return NewAATB() },
@@ -23,7 +23,8 @@ var registry = map[string]func() Expression{
 
 // builtin returns the constructor of a built-in expression: the first
 // call enumerates def into a Generic and every later call returns that
-// same value, so each built-in is enumerated at most once per process.
+// same value, so each built-in (and each chain length) is enumerated at
+// most once per process.
 func builtin(def func() *ir.Def) func() Generic {
 	return sync.OnceValue(func() Generic {
 		g := MustGeneric(def())

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -130,9 +131,71 @@ func symAddSym(m Dim, c, a string) SymCall {
 	return SymCall{Kind: kernels.AddSym, M: m, N: m, K: NoDim, In: []string{c, a}, Out: c}
 }
 
+// MaxAlgorithms is the largest algorithm set the enumerator builds. It
+// admits the 9-term chain (8! = 40320 orders) and every registered
+// expression, and refuses the 10-term chain (9! = 362880), whose
+// enumeration would allocate gigabytes.
+const MaxAlgorithms = 50_000
+
+// maxAlgorithms is the limit in force; tests lower it to reach the
+// enumeration backstop with small definitions.
+var maxAlgorithms = MaxAlgorithms
+
+// ErrTooManyAlgorithms reports a definition whose algorithm set would
+// exceed MaxAlgorithms.
+var ErrTooManyAlgorithms = errors.New("ir: algorithm set too large")
+
+func tooMany(name string, n int) error {
+	return fmt.Errorf("%w: %s has at least %d algorithms, over the limit of %d", ErrTooManyAlgorithms, name, n, maxAlgorithms)
+}
+
+// lowerBound is a lower bound on the size of root's algorithm set: the
+// product of (k−1)! over the distinct non-fixed products of k factors,
+// each of which the enumerator contracts in every order. It stops
+// multiplying once the bound passes the limit, so it cannot overflow.
+func lowerBound(root Node) int {
+	n := 1
+	seen := map[*Product]bool{}
+	var walk func(Node)
+	walk = func(x Node) {
+		switch x := x.(type) {
+		case *Transpose:
+			walk(x.X)
+		case *Inverse:
+			walk(x.X)
+		case *Sum:
+			for _, t := range x.Terms {
+				walk(t)
+			}
+		case *Product:
+			if seen[x] {
+				return
+			}
+			seen[x] = true
+			for i := 2; !x.Fixed && i < len(x.Factors) && n <= maxAlgorithms; i++ {
+				n *= i
+			}
+			for _, f := range x.Factors {
+				walk(f)
+			}
+		}
+	}
+	walk(root)
+	return n
+}
+
 // enum carries the per-enumeration state.
 type enum struct {
 	def *Def
+}
+
+// bound stops the enumeration once a list of plans passes the limit,
+// for sets whose kernel choices, not their orders, make them too large.
+func (e *enum) bound(n int) error {
+	if n > maxAlgorithms {
+		return tooMany(e.def.Name, n)
+	}
+	return nil
 }
 
 // leafValue returns the value of a leaf node (an operand or a
@@ -311,6 +374,9 @@ func (e *enum) lowerFactors(factors []Node, fixed bool, nextTemp int, shared map
 				vals: append([]value{h.val}, t.vals...),
 			})
 		}
+		if err := e.bound(len(out)); err != nil {
+			return nil, err
+		}
 	}
 	// h.then(t.pre) replaces the value; restore per-factor values above.
 	for i := range out {
@@ -341,6 +407,9 @@ func (e *enum) lowerProduct(p *Product, dest string, nextTemp int) ([]plan, erro
 		}
 		for _, cp := range cps {
 			out = append(out, fp.pre.then(cp))
+		}
+		if err := e.bound(len(out)); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
@@ -386,6 +455,9 @@ func (e *enum) contract(segs []value, fixed bool, dest string, nextTemp int) ([]
 			}
 			for _, rp := range rests {
 				out = append(out, pp.then(rp))
+			}
+			if err := e.bound(len(out)); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -646,6 +718,9 @@ func (e *enum) lowerSolve(inv *Inverse, rhs Node, dest string, nextTemp int) ([]
 				fin.val = value{id: dest, rows: sv.rows, cols: pv.cols}
 				out = append(out, fin)
 			}
+			if err := e.bound(len(out)); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return out, nil
@@ -656,7 +731,16 @@ func (e *enum) lowerSolve(inv *Inverse, rhs Node, dest string, nextTemp int) ([]
 // call skeletons, named, shape-checked, and numbered in enumeration
 // order. Enumeration is instance-independent and runs once per
 // expression; Bind resolves the set against concrete instances.
+//
+// A definition whose set is known to exceed MaxAlgorithms from its
+// products alone is refused first, before it is validated or
+// enumerated, so a long product fails in microseconds; one whose kernel
+// choices pass the limit stops mid-enumeration. Both return
+// ErrTooManyAlgorithms.
 func EnumerateSymbolic(def *Def) (*SymbolicSet, error) {
+	if n := lowerBound(def.Root); n > maxAlgorithms {
+		return nil, tooMany(def.Name, n)
+	}
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}

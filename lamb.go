@@ -54,8 +54,6 @@ type (
 	Expression = expr.Expression
 	// Box is a hyper-rectangular instance search space.
 	Box = expr.Box
-	// Chain is the n-term matrix chain expression.
-	Chain = expr.Chain
 	// Matrix is a dense column-major float64 matrix.
 	Matrix = mat.Dense
 )
@@ -139,11 +137,17 @@ type (
 
 // ChainABCD returns the paper's 4-term matrix chain expression with its
 // six algorithms (Figure 3).
-func ChainABCD() Chain { return expr.NewChainABCD() }
+func ChainABCD() GenericExpression { return expr.NewChainABCD() }
 
-// NewChain returns an n-term matrix chain expression with its (n−1)!
-// algorithms.
-func NewChain(terms int) Chain { return Chain{Terms: terms} }
+// NewChain returns the n-term matrix chain expression with its (n−1)!
+// algorithms. It accepts 2 to 9 terms; a longer chain's set exceeds the
+// enumerator's limit and returns ErrTooManyAlgorithms.
+func NewChain(terms int) (GenericExpression, error) { return expr.NewChain(terms) }
+
+// ErrTooManyAlgorithms is returned, wrapped, for an expression whose
+// algorithm set would exceed the enumerator's limit of
+// ir.MaxAlgorithms; test for it with errors.Is.
+var ErrTooManyAlgorithms = ir.ErrTooManyAlgorithms
 
 // AATB returns the expression X := A·Aᵀ·B with its five algorithms
 // (Figure 5).
@@ -234,7 +238,8 @@ func SolveWith(s, rhs IRNode) IRNode { return ir.Solve(s, rhs) }
 
 // DefineExpression validates the tree and returns the Expression whose
 // algorithm set the enumerator derives from it. The result operand is
-// named "X"; arity is the number of instance dimensions.
+// named "X"; arity is the number of instance dimensions. A tree whose
+// set would exceed the enumerator's limit returns ErrTooManyAlgorithms.
 func DefineExpression(name string, arity int, root IRNode) (GenericExpression, error) {
 	return expr.NewGeneric(&ir.Def{Name: name, Arity: arity, Root: root})
 }

@@ -84,7 +84,11 @@ func TestPublicDPAndEnumeration(t *testing.T) {
 	if dp != 30250 || tree == "" {
 		t.Fatalf("DP = %v, %q", dp, tree)
 	}
-	algs := lamb.NewChain(6).Algorithms(lamb.Instance(dims))
+	chain, err := lamb.NewChain(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	algs := chain.Algorithms(lamb.Instance(dims))
 	if len(algs) != 120 {
 		t.Fatalf("6-term chain: %d algorithms, want 120", len(algs))
 	}
