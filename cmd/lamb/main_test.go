@@ -120,8 +120,10 @@ func TestCmdEnumerateRuns(t *testing.T) {
 		"1":  "expr: chain needs at least 2 terms, has 1",
 		"11": "ir: algorithm set too large: chain-11 has at least 362880 algorithms, over the limit of 50000",
 		"22": "ir: algorithm set too large: chain-22 has at least 362880 algorithms, over the limit of 50000",
-		"26": "ir: algorithm set too large: chain-26 has at least 362880 algorithms, over the limit of 50000",
-		"27": "expr: chain of 27 terms exceeds the naming limit of 26",
+		"23": "ir: algorithm set too large: chain-23 has at least 362880 algorithms, over the limit of 50000",
+		"24": "expr: chain of 24 terms exceeds the naming limit of 23",
+		"26": "expr: chain of 26 terms exceeds the naming limit of 23",
+		"27": "expr: chain of 27 terms exceeds the naming limit of 23",
 	} {
 		if err := cmdEnumerate([]string{"-terms", terms}); err == nil || err.Error() != want {
 			t.Errorf("-terms %s: error %v, want %q", terms, err, want)

@@ -17,15 +17,16 @@ import (
 // contraction visits the paper's Algorithms 1–6 in exactly the paper's
 // order for the 4-term chain.
 //
-// Fewer than 2 terms, more than 26 (the letters that name them) and a
-// set over ir.MaxAlgorithms (10 terms and more) are errors, checked in
-// that order.
+// Fewer than 2 terms, more than 23 (the letters A to W that name them;
+// a 24th term would be X, the output's name) and a set over
+// ir.MaxAlgorithms (10 terms and more) are errors, checked in that
+// order.
 func NewChain(terms int) (Generic, error) {
 	switch {
 	case terms < 2:
 		return Generic{}, fmt.Errorf("expr: chain needs at least 2 terms, has %d", terms)
-	case terms > 26:
-		return Generic{}, fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 26", terms)
+	case terms > 23:
+		return Generic{}, fmt.Errorf("expr: chain of %d terms exceeds the naming limit of 23", terms)
 	case terms-2 < len(chains):
 		return chains[terms-2](), nil
 	}
