@@ -42,6 +42,24 @@ func TestExp3QuickGolden(t *testing.T) {
 	}
 }
 
+// TestFigure1Golden pins the full stdout of `lamb figure1 -max 300
+// -step 50` on the sim backend, recorded from that command.
+func TestFigure1Golden(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "figure1-sim.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := stdoutCapture(t)
+	err = cmdFigure1([]string{"-max", "300", "-step", "50"})
+	got := out()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("figure1 output differs from the golden:\n%s", got)
+	}
+}
+
 // TestEnumerateGolden pins the full stdout of `lamb enumerate` for every
 // registered expression at its default instance, and for the general
 // 5-term chain, whose output ends with the dynamic-programming line. The
