@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lamb"
@@ -57,6 +58,29 @@ func TestFigure1Golden(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("figure1 output differs from the golden:\n%s", got)
+	}
+}
+
+// TestFigure1Kinds checks figure1's -kinds list: TRSM and POTRF draw
+// their own columns, and a kind without FLOPs or an unknown name is an
+// error naming the kinds it accepts.
+func TestFigure1Kinds(t *testing.T) {
+	out := stdoutCapture(t)
+	err := cmdFigure1([]string{"-max", "100", "-step", "50", "-kinds", "trsm,potrf"})
+	got := string(out())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"size  trsm   potrf\n", "trsm efficiency", "potrf efficiency"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("figure1 -kinds trsm,potrf output lacks %q:\n%s", want, got)
+		}
+	}
+	for _, bad := range []string{"tri2full", "gemm,lu", ""} {
+		err := cmdFigure1([]string{"-max", "50", "-kinds", bad})
+		if err == nil || !strings.Contains(err.Error(), "gemm, syrk, symm, potrf, trsm, addsym") {
+			t.Errorf("-kinds %q: error %v", bad, err)
+		}
 	}
 }
 
