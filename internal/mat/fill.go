@@ -9,10 +9,17 @@ import (
 // lamb/internal/cpu); tests flip it to run the portable tile.
 var haveAVX2FMA = cpu.HasAVX2FMA
 
-// FillRandom fills m with uniform values in [-1, 1) drawn from rng.
-// Dense unstructured operands in the paper's experiments are generated
-// this way; only sizes, never element values, affect kernel timing.
+// FillRandom fills m with uniform values in [-1, 1) drawn from rng, in
+// column-major order. Dense unstructured operands in the paper's
+// experiments are generated this way; only sizes, never element values,
+// affect kernel timing. A contiguous matrix (every plan operand is one)
+// is filled by one FillSigned call over all its elements, a view by one
+// call per column; both draw the same stream.
 func (m *Dense) FillRandom(rng *xrand.Rand) {
+	if m.Stride == m.Rows {
+		rng.FillSigned(m.Data[:m.Rows*m.Cols])
+		return
+	}
 	for j := 0; j < m.Cols; j++ {
 		rng.FillSigned(m.Data[j*m.Stride : j*m.Stride+m.Rows])
 	}

@@ -78,25 +78,33 @@ func testFillSPDMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestFillRandomMatchesDraws pins FillRandom on a strided matrix to the
-// column-major one-at-a-time draws 2·Float64() − 1, bit for bit.
+// TestFillRandomMatchesDraws pins FillRandom, on a strided matrix (one
+// fill per column) and a contiguous one (one fill for all), to the
+// column-major one-at-a-time draws 2·Float64() − 1, bit for bit, and in
+// the stream position it leaves behind.
 func TestFillRandomMatchesDraws(t *testing.T) {
-	const r, c, stride = 13, 7, 16
-	m := &Dense{Rows: r, Cols: c, Stride: stride, Data: make([]float64, stride*c)}
-	m.FillRandom(xrand.New(0xf11))
-	draws := xrand.New(0xf11)
-	for j := 0; j < c; j++ {
-		for i := 0; i < stride; i++ {
-			g := m.Data[i+j*stride]
-			if i >= r {
-				if g != 0 {
-					t.Fatalf("padding (%d,%d) written", i, j)
+	const r, c = 13, 7
+	for _, stride := range []int{16, r} {
+		m := &Dense{Rows: r, Cols: c, Stride: stride, Data: make([]float64, stride*c)}
+		fill := xrand.New(0xf11)
+		m.FillRandom(fill)
+		draws := xrand.New(0xf11)
+		for j := 0; j < c; j++ {
+			for i := 0; i < stride; i++ {
+				g := m.Data[i+j*stride]
+				if i >= r {
+					if g != 0 {
+						t.Fatalf("stride %d: padding (%d,%d) written", stride, i, j)
+					}
+					continue
 				}
-				continue
+				if w := 2*draws.Float64() - 1; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("stride %d: (%d,%d) = %v, draw gives %v", stride, i, j, g, w)
+				}
 			}
-			if w := 2*draws.Float64() - 1; math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("(%d,%d) = %v, draw gives %v", i, j, g, w)
-			}
+		}
+		if fill.Uint64() != draws.Uint64() {
+			t.Fatalf("stride %d: streams diverge after the fill", stride)
 		}
 	}
 }

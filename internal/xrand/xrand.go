@@ -12,7 +12,13 @@ package xrand
 import (
 	"math"
 	"math/bits"
+
+	"lamb/internal/cpu"
 )
+
+// haveAVX2FMA gates the four-lane FillSigned (read once at startup from
+// lamb/internal/cpu); tests flip it to run the scalar loop.
+var haveAVX2FMA = cpu.HasAVX2FMA
 
 // Rand is a deterministic SplitMix64 pseudorandom generator.
 // The zero value is a valid generator seeded with 0.
@@ -82,12 +88,17 @@ func (r *Rand) Float64() float64 {
 
 // FillSigned sets dst[i] to 2*r.Float64() - 1, a uniform value in
 // [-1, 1), for i in order: the values and the stream position len(dst)
-// successive draws would give, bit for bit. It keeps the generator
-// state in a register across the loop, so it is cheaper than the
-// draws one at a time.
+// successive draws would give, bit for bit. The state after i draws is
+// s + i·γ, so every element can be computed independently: on amd64
+// with AVX2 and FMA, four SplitMix64 lanes fill the longest prefix
+// whose length is a multiple of 4 (fill_amd64.s), and the scalar loop
+// below, the portable path and the kernel's oracle, fills the rest.
+// One call over a long slice is cheaper than many over short ones.
 func (r *Rand) FillSigned(dst []float64) {
 	s := r.state
-	for i := range dst {
+	n := fillSignedVec(dst, s)
+	s += uint64(n) * 0x9e3779b97f4a7c15
+	for i := n; i < len(dst); i++ {
 		s += 0x9e3779b97f4a7c15
 		// The 53-bit value converts exactly through int64, which is
 		// one instruction where uint64 takes several.

@@ -1,9 +1,12 @@
 package xrand
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"lamb/internal/cpu"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -166,23 +169,54 @@ func TestUnitFromHashRange(t *testing.T) {
 }
 
 // TestFillSignedMatchesFloat64 pins FillSigned to the one-at-a-time
-// draws, value for value and in the stream position it leaves behind.
+// draws, value for value and in the stream position it leaves behind,
+// on the four-lane kernel (where the CPU has it) and on the scalar
+// loop: at every length to 67 and at 4096, at seeds 0 and MaxUint64
+// (whose first step wraps), and at 200k seeds of length 37 (nine lanes
+// of four and a tail of one).
 func TestFillSignedMatchesFloat64(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64, 1000} {
-		a, b := New(uint64(0xf111+n)), New(uint64(0xf111+n))
+	check := func(t *testing.T, seed uint64, n int) {
+		t.Helper()
+		a, b := New(seed), New(seed)
 		got := make([]float64, n)
 		a.FillSigned(got)
 		for i, g := range got {
 			if w := 2*b.Float64() - 1; math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("n=%d: element %d = %v, draw gives %v", n, i, g, w)
+				t.Fatalf("seed %#x, n=%d: element %d = %v, draw gives %v", seed, n, i, g, w)
 			}
 		}
-		if a.Uint64() != b.Uint64() {
-			t.Fatalf("n=%d: streams diverge after the fill", n)
+		if a.state != b.state {
+			t.Fatalf("seed %#x, n=%d: state %#x after the fill, %#x after the draws", seed, n, a.state, b.state)
 		}
+	}
+	for _, vec := range []bool{false, true} {
+		t.Run(fmt.Sprintf("avx2=%v", vec), func(t *testing.T) {
+			if vec && !cpu.HasAVX2FMA {
+				t.Skip("no AVX2 with FMA on this CPU")
+			}
+			defer func(v bool) { haveAVX2FMA = v }(haveAVX2FMA)
+			haveAVX2FMA = vec
+			for _, seed := range []uint64{0, math.MaxUint64, 0xf111} {
+				for n := 0; n <= 67; n++ {
+					check(t, seed, n)
+				}
+				check(t, seed, 4096)
+			}
+			sweep := 200_000
+			if testing.Short() {
+				sweep = 2_000
+			}
+			r := New(0x5eed)
+			for i := 0; i < sweep; i++ {
+				check(t, r.Uint64(), 37)
+			}
+		})
 	}
 }
 
+// BenchmarkFillSigned times FillSigned over 4096 elements against the
+// draws one at a time, and over one 48-element column and a whole 48×48
+// operand, the sizes a fused compute request fills.
 func BenchmarkFillSigned(b *testing.B) {
 	dst := make([]float64, 4096)
 	r := New(1)
@@ -191,6 +225,13 @@ func BenchmarkFillSigned(b *testing.B) {
 			r.FillSigned(dst)
 		}
 	})
+	for _, n := range []int{48, 48 * 48} {
+		b.Run(fmt.Sprintf("fill-%d", n), func(b *testing.B) {
+			for b.Loop() {
+				r.FillSigned(dst[:n])
+			}
+		})
+	}
 	b.Run("draws", func(b *testing.B) {
 		for b.Loop() {
 			for i := range dst {
