@@ -93,10 +93,7 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 	// back to per-instance measurement — but with the simulated-speed
 	// check skipped here (measuring a 1200-dim instance is too slow for a
 	// unit test), we only pin that the gate reports no width.
-	big, err := e.Algorithms("aatb", expr.Instance{1200, 1200, 1200})
-	if err != nil {
-		t.Fatal(err)
-	}
+	big := memoFor(t, e, "aatb", expr.Instance{1200, 1200, 1200})
 	if w := e.fuseWidth(big); w != 0 {
 		t.Errorf("fuseWidth(1200-dim set) = %d, want 0", w)
 	}

@@ -44,64 +44,69 @@ const batchFillSeed = 0x5ab5
 // count as HeteroPrepadding rejects.
 const heteroPaddingMax = 4
 
+// target is one answered query's execution target: its selected
+// algorithm in the bound set it was answered from, and that
+// algorithm's memoised plan layout (nil if it does not validate).
+type target struct {
+	alg *expr.Algorithm
+	lay *exec.Layout
+}
+
 // compute executes each answered query's selected algorithm and stores
-// its output in out, in request order. inputs[i], when present,
-// supplies query i's input operands by ID (shapes must match the
-// instance); missing operands are filled from a deterministic stream.
-// Queries that selected the same algorithm of the same expression at
-// shapes within one power-of-two octave per dimension are executed
-// through one fused batch plan — identical instances through the cached
-// homogeneous plan, mixed instances through a padded heterogeneous
-// plan — and marked Fused; each fused-executed query counts in
-// Stats.FusedQueries. Buckets outside the fused regime execute per
-// query and count in Stats.FuseRejected by reason.
+// its output in out, in request order. sets[i] is the bound set query
+// i was answered from, so the pick needs no second bind. inputs[i],
+// when present, supplies query i's input operands by ID (shapes must
+// match the instance); missing operands are filled from a deterministic
+// stream. Queries that selected the same algorithm of the same
+// expression at shapes within one power-of-two octave per dimension are
+// executed through one fused batch plan — identical instances through
+// the cached homogeneous plan, mixed instances through a padded
+// heterogeneous plan — and marked Fused; each fused-executed query
+// counts in Stats.FusedQueries. Buckets outside the fused regime
+// execute per query and count in Stats.FuseRejected by reason.
 //
 // Every executable query's Output is set up front to a view into one
 // output slab for the whole request; execution copies the result into
 // it, and a query that fails has its Output cleared.
-func (e *Engine) compute(qs []Query, inputs []map[string]*mat.Dense, out []Result) {
-	algOf := make([]*expr.Algorithm, len(qs))
+func (e *Engine) compute(sets []*boundSet, inputs []map[string]*mat.Dense, out []Result) {
+	sel := make([]target, len(out))
 	buckets := make(map[string][]int)
 	var order []string
 	for i := range out {
 		if out[i].Err != nil || out[i].Record == nil {
 			continue
 		}
-		algs, err := e.Algorithms(qs[i].Expr, qs[i].Instance)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		for j := range algs {
-			if algs[j].Index == out[i].Record.Selected.Index {
-				algOf[i] = &algs[j]
+		b, rec := sets[i], out[i].Record
+		for k := range b.algs {
+			if b.algs[k].Index == rec.Selected.Index {
+				sel[i] = target{alg: &b.algs[k], lay: b.layout(k)}
 				break
 			}
 		}
-		if algOf[i] == nil {
-			out[i].Err = fmt.Errorf("engine: selected algorithm %d not in bound set", out[i].Record.Selected.Index)
+		if sel[i].alg == nil {
+			out[i].Err = fmt.Errorf("engine: selected algorithm %d not in bound set", rec.Selected.Index)
 			continue
 		}
-		key := out[i].Record.Expr + "#" + strconv.Itoa(algOf[i].Index) + "#" + shapeOctaves(qs[i].Instance)
+		key := rec.Expr + "#" + strconv.Itoa(rec.Selected.Index) + "#" + shapeOctaves(rec.Instance)
 		if _, ok := buckets[key]; !ok {
 			order = append(order, key)
 		}
 		buckets[key] = append(buckets[key], i)
 	}
-	outputSlab(algOf, out)
+	outputSlab(sel, out)
 	for _, key := range order {
-		e.execBucket(buckets[key], inputs, algOf, out)
+		e.execBucket(buckets[key], inputs, sel, out)
 	}
 }
 
 // outputSlab points the Output of every query with a selected algorithm
 // at its own view into one slab, sized to the sum of their outputs, so
 // a request's results cost two allocations rather than one per query.
-func outputSlab(algOf []*expr.Algorithm, out []Result) {
+func outputSlab(sel []target, out []Result) {
 	total, n := 0, 0
-	for _, alg := range algOf {
-		if alg != nil {
-			sh := alg.Shapes[alg.Output]
+	for _, t := range sel {
+		if t.alg != nil {
+			sh := t.alg.Shapes[t.alg.Output]
 			total += max(sh.Rows, 1) * sh.Cols
 			n++
 		}
@@ -111,11 +116,11 @@ func outputSlab(algOf []*expr.Algorithm, out []Result) {
 	}
 	slab := make([]float64, total)
 	views := make([]mat.Dense, 0, n)
-	for i, alg := range algOf {
-		if alg == nil {
+	for i, t := range sel {
+		if t.alg == nil {
 			continue
 		}
-		sh := alg.Shapes[alg.Output]
+		sh := t.alg.Shapes[t.alg.Output]
 		size := max(sh.Rows, 1) * sh.Cols
 		views = append(views, mat.Dense{Rows: sh.Rows, Cols: sh.Cols, Stride: max(sh.Rows, 1), Data: slab[:size:size]})
 		out[i].Output = &views[len(views)-1]
@@ -145,22 +150,22 @@ func shapeOctaves(inst expr.Instance) string {
 // execBucket executes one bucket of answered queries, fused when the
 // executor and the regime allow, per query otherwise (with the reject
 // reason counted).
-func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
+func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
 	if len(idxs) < 2 {
-		e.execUnfused(idxs, inputs, algOf, out)
+		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	be, ok := e.timer.Exec.(exec.BatchExecutor)
 	if !ok {
 		e.rejUnregistered.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, algOf, out)
+		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	// One fused plan spans up to MaxFusedChunks chunks of the bucket's
 	// narrowest chunk width.
 	minChunk, maxChunk := 0, 0
 	for _, i := range idxs {
-		c := be.FuseChunk(algOf[i])
+		c := layoutChunk(be, sel[i].lay)
 		if c < 1 {
 			minChunk = 0
 			break
@@ -173,28 +178,28 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 	width := minChunk * exec.MaxFusedChunks
 	if width < 2 {
 		e.rejTooBig.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, algOf, out)
+		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	homog := true
 	for _, i := range idxs[1:] {
-		if algOf[i] != algOf[idxs[0]] {
+		if sel[i].alg != sel[idxs[0]].alg {
 			homog = false
 			break
 		}
 	}
 	if !homog && maxChunk > heteroPaddingMax*minChunk {
 		e.rejHetero.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, algOf, out)
+		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	for lo := 0; lo < len(idxs); lo += width {
 		sub := idxs[lo:min(lo+width, len(idxs))]
 		if len(sub) < 2 {
-			e.execUnfused(sub, inputs, algOf, out)
+			e.execUnfused(sub, inputs, sel, out)
 			continue
 		}
-		e.execFusedChunk(sub, homog, inputs, algOf, out)
+		e.execFusedChunk(sub, homog, inputs, sel, out)
 	}
 }
 
@@ -203,54 +208,48 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, algOf []
 // a Cholesky-based algorithm poisoning the whole batched factorisation)
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
-	if err := e.runFusedChunk(idxs, homog, inputs, algOf, out); err != nil {
-		e.execUnfused(idxs, inputs, algOf, out)
+func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, sel []target, out []Result) {
+	if err := e.runFusedChunk(idxs, homog, inputs, sel, out); err != nil {
+		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	e.fused.Add(uint64(len(idxs)))
 }
 
-// runFusedChunk takes the chunk's plan — the cached homogeneous one, or
-// a private plan compiled for this chunk alone — and runs it. All of it
-// happens under the execution lock: cached batch plans are shared and
-// not safe for concurrent use, fused execution must not contend with a
-// concurrent timed measurement, and compiling one private plan at a
-// time lets concurrent requests take turns with one pooled arena
-// instead of each holding its own. A private plan's arena goes back to
-// the pool before the lock is released, on every path.
-func (e *Engine) runFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) error {
+// runFusedChunk takes the chunk's plan — the cached homogeneous one,
+// or a private plan compiled into the engine's slab from the chunk's
+// memoised layouts — and runs it. All of it happens under the execution
+// lock: cached batch plans are shared and not safe for concurrent use,
+// fused execution must not contend with a concurrent timed
+// measurement, and the one slab serves one private plan at a time. A
+// private plan gives the slab back before the lock is released, on
+// every path.
+func (e *Engine) runFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
 	var p *exec.BatchPlan
 	var err error
-	private := true
-	switch alg := algOf[idxs[0]]; {
-	case homog && e.plans != nil:
+	if alg := sel[idxs[0]].alg; homog && e.plans != nil {
 		p, err = e.plans.BatchPlan(alg, len(idxs))
-		private = false
-	case homog:
-		p, err = exec.CompileBatchPlan(alg, len(idxs))
-	default:
-		algs := make([]*expr.Algorithm, len(idxs))
+	} else {
+		lays := make([]*exec.Layout, len(idxs))
 		for k, i := range idxs {
-			algs[k] = algOf[i]
+			lays[k] = sel[i].lay
 		}
-		p, err = exec.CompileBatchPlanMixed(algs)
+		if p, err = e.slab.Compile(lays); err == nil {
+			defer p.Release()
+		}
 	}
 	if err != nil {
 		return err
 	}
-	if private {
-		defer p.Release()
-	}
-	return runFused(p, idxs, inputs, algOf, out)
+	return runFused(p, idxs, inputs, sel, out)
 }
 
 // runFused drives one fused plan execution and copies each instance's
 // output into its query's Output, converting kernel panics (shape
 // mismatches, non-SPD operands) into an error.
-func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) (failed error) {
+func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
 			failed = fmt.Errorf("engine: fused execution failed: %v", r)
@@ -259,7 +258,7 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, alg
 	p.FillInputs(xrand.New(batchFillSeed))
 	for k, i := range idxs {
 		for id, src := range inputMap(inputs, i) {
-			if _, ok := algOf[i].Shapes[id]; ok {
+			if _, ok := sel[i].alg.Shapes[id]; ok {
 				p.SetInput(k, id, src)
 			}
 		}
@@ -274,11 +273,12 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, alg
 }
 
 // execUnfused executes each query through its own single-instance plan.
-func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, algOf []*expr.Algorithm, out []Result) {
+func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
 	for _, i := range idxs {
-		sh := algOf[i].Shapes[algOf[i].Output]
+		alg := sel[i].alg
+		sh := alg.Shapes[alg.Output]
 		out[i].Fused = false
-		if out[i].Err = execOne(algOf[i], inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
+		if out[i].Err = execOne(alg, inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
 			out[i].Output = nil
 		}
 	}
@@ -295,8 +295,8 @@ func outputOf(r *Result, rows, cols int) *mat.Dense {
 }
 
 // execOne compiles and runs one query's selected algorithm on a private
-// plan and copies its result into dst, converting kernel panics into an
-// error. The plan's arena goes back to the pool on every path.
+// plan with an arena of its own, outside the execution lock, and copies
+// its result into dst, converting kernel panics into an error.
 func execOne(alg *expr.Algorithm, in map[string]*mat.Dense, dst *mat.Dense) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -307,7 +307,6 @@ func execOne(alg *expr.Algorithm, in map[string]*mat.Dense, dst *mat.Dense) (err
 	if err != nil {
 		return err
 	}
-	defer p.Release()
 	p.FillInputs(xrand.New(batchFillSeed))
 	for id, src := range in {
 		if _, ok := alg.Shapes[id]; ok {

@@ -188,13 +188,13 @@ func TestQueryBatchExecRejectUnregistered(t *testing.T) {
 func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	inst := expr.Instance{512, 512, 4}
-	be := e.timer.Exec.(exec.BatchExecutor)
+	me := e.timer.Exec.(*exec.Measured)
 	algs, err := e.Algorithms("aatb", inst)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range algs {
-		if w := be.FuseChunk(&algs[i]); w >= 2 {
+		if w := me.FuseChunk(&algs[i]); w >= 2 {
 			t.Skipf("instance %v unexpectedly inside the fused regime (chunk %d)", inst, w)
 		}
 	}
@@ -232,13 +232,20 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := &small[0], &large[0]
-	wa, wb := be.FuseChunk(a), be.FuseChunk(b)
+	var sel []target
+	for _, alg := range []*expr.Algorithm{&small[0], &large[0]} {
+		lay, err := exec.NewLayout(alg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel = append(sel, target{alg: alg, lay: lay})
+	}
+	wa, wb := be.LayoutChunk(sel[0].lay), be.LayoutChunk(sel[1].lay)
 	if wa < 2 || wb < 2 || wa <= heteroPaddingMax*wb {
 		t.Skipf("chunk widths %d/%d do not exercise the padding gate", wa, wb)
 	}
 	out := make([]Result, 2)
-	e.execBucket([]int{0, 1}, nil, []*expr.Algorithm{a, b}, out)
+	e.execBucket([]int{0, 1}, nil, sel, out)
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
@@ -256,12 +263,12 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 }
 
 // TestQueryBatchExecFusedFailureReleasesArena pins the failure path of
-// pooled arenas: a mixed bucket whose fused plan panics on one non-SPD
-// supplied input falls back to per-query execution (the bad query
-// fails, its neighbours succeed unfused), the failed plan's arena goes
-// back to the pool, and a clean request after it — computed on reused,
-// unzeroed arenas — returns outputs bit-identical to a fresh engine's.
-// The pool's retained bytes stay under its cap throughout.
+// the engine's slab: a mixed bucket whose fused plan panics on one
+// non-SPD supplied input falls back to per-query execution (the bad
+// query fails, its neighbours succeed unfused), the failed plan gives
+// the slab back, and a clean request after it — computed on the reused,
+// unzeroed slab — returns outputs bit-identical to a fresh engine's.
+// The slab stays under its cap throughout.
 func TestQueryBatchExecFusedFailureReleasesArena(t *testing.T) {
 	ctx := context.Background()
 	insts := []expr.Instance{{12, 16, 8}, {13, 17, 9}, {14, 18, 10}, {15, 20, 12}}
@@ -297,7 +304,7 @@ func TestQueryBatchExecFusedFailureReleasesArena(t *testing.T) {
 	if s := e.Stats(); s.FusedQueries != 0 {
 		t.Errorf("fused_queries = %d after the fallback, want 0", s.FusedQueries)
 	}
-	checkRetained(t)
+	checkSlab(t, e)
 
 	clean := e.Do(ctx, Request{Queries: qs, Compute: true})
 	fresh := New(Config{Executor: exec.NewMeasured()}).Do(ctx, Request{Queries: qs, Compute: true})
@@ -312,15 +319,20 @@ func TestQueryBatchExecFusedFailureReleasesArena(t *testing.T) {
 			t.Errorf("query %d: output after the failure differs from a fresh engine's", i)
 		}
 	}
-	checkRetained(t)
+	checkSlab(t, e)
 }
 
-// checkRetained fails the test if the plan-arena pool holds more than
-// its cap.
-func checkRetained(t *testing.T) {
+// checkSlab fails the test if the engine's slab is still lent to a plan
+// or holds more than its cap.
+func checkSlab(t *testing.T, e *Engine) {
 	t.Helper()
-	if b := exec.RetainedArenaBytes(); b > exec.MaxRetainedArenaBytes {
-		t.Errorf("arena pool retains %d bytes, cap %d", b, exec.MaxRetainedArenaBytes)
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	if e.slab.Lent() {
+		t.Error("the engine's slab is still lent after the request")
+	}
+	if b := e.slab.Bytes(); b > exec.MaxRetainedArenaBytes {
+		t.Errorf("the engine's slab holds %d bytes, cap %d", b, exec.MaxRetainedArenaBytes)
 	}
 }
 
@@ -339,3 +351,30 @@ func bitEqual(a, b *mat.Dense) bool {
 	}
 	return true
 }
+
+// TestComputeBindsOnce pins that a Compute request binds each query's
+// set once: execution takes the set the answer came from, so N fresh
+// instances record N bind misses and no hits, and the same request
+// again records N hits, not 2N.
+func TestComputeBindsOnce(t *testing.T) {
+	e := New(Config{Executor: exec.NewMeasured()})
+	var qs []Query
+	for d := 20; d < 28; d++ {
+		qs = append(qs, Query{Expr: "aatb", Instance: expr.Instance{d, d + 1, d + 2}})
+	}
+	n := uint64(len(qs))
+	for pass, want := range []cacheCounts{{misses: n}, {hits: n, misses: n}} {
+		for i, r := range e.Do(context.Background(), Request{Queries: qs, Compute: true}) {
+			if r.Err != nil || r.Output == nil {
+				t.Fatalf("pass %d, query %d: output %v, err %v", pass, i, r.Output != nil, r.Err)
+			}
+		}
+		b := e.Stats().Bindings
+		if got := (cacheCounts{hits: b.Hits, misses: b.Misses}); got != want {
+			t.Errorf("after pass %d: %d bind hits and %d misses, want %d and %d", pass, got.hits, got.misses, want.hits, want.misses)
+		}
+	}
+}
+
+// cacheCounts is a cache's hit and miss counters.
+type cacheCounts struct{ hits, misses uint64 }

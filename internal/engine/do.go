@@ -85,19 +85,20 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		rep[i] = i
 		uniq = append(uniq, i)
 	}
+	sets := make([]*boundSet, len(qs)) // the set each record was answered from
 	par.For(len(uniq), max(2*runtime.GOMAXPROCS(0), 4), func(k int) {
 		i := uniq[k]
-		out[i].Record, out[i].Err = e.query(ctx, qs[i], strats[i], keys[i], fused)
+		out[i].Record, sets[i], out[i].Err = e.query(ctx, qs[i], strats[i], keys[i], fused)
 	})
 	for i := range qs {
 		if rep[i] != i {
 			e.queries.Add(1) // a coalesced query is still an answered query
 			e.coalesced.Add(1)
-			out[i] = out[rep[i]]
+			out[i], sets[i] = out[rep[i]], sets[rep[i]]
 		}
 	}
 	if req.Compute {
-		e.compute(qs, req.Inputs, out)
+		e.compute(sets, req.Inputs, out)
 	}
 	return out
 }
@@ -116,10 +117,10 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 // singleflight table by the key's "|fused" suffix — they follow
 // different measurement protocols, and a record must reflect the
 // protocol that produced it.
-func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bool) (*Record, error) {
+func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bool) (*Record, *boundSet, error) {
 	e.queries.Add(1)
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	e.sfMu.Lock()
 	if f, ok := e.inflight[key]; ok {
@@ -127,20 +128,20 @@ func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bo
 		e.deduped.Add(1)
 		select {
 		case <-f.done:
-			return f.rec, f.err
+			return f.rec, f.set, f.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, nil, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
 	e.inflight[key] = f
 	e.sfMu.Unlock()
 
-	f.rec, f.err = e.answer(ctx, q, strat, fused)
+	f.rec, f.set, f.err = e.answer(ctx, q, strat, fused)
 
 	e.sfMu.Lock()
 	delete(e.inflight, key)
 	e.sfMu.Unlock()
 	close(f.done)
-	return f.rec, f.err
+	return f.rec, f.set, f.err
 }

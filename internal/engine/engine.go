@@ -301,11 +301,12 @@ type strategyRun struct {
 }
 
 // flight is one in-flight query the singleflight layer deduplicates
-// against. done is closed after rec/err are final, so waiters can
+// against. done is closed after rec/set/err are final, so waiters can
 // select against their own context's cancellation.
 type flight struct {
 	done chan struct{}
 	rec  *Record
+	set  *boundSet // the bound set rec was answered from
 	err  error
 }
 
@@ -325,7 +326,10 @@ type Engine struct {
 	// execMu serialises timing-based strategies: executors measure wall
 	// time, so concurrent measurement would contend for the cores being
 	// measured (and the measured executor is single-threaded anyway).
+	// It also guards slab, the arena every fused chunk plan of a
+	// Compute request is compiled into, run on and released from.
 	execMu sync.Mutex
+	slab   exec.Slab
 
 	// sfMu guards the singleflight table.
 	sfMu     sync.Mutex
@@ -384,9 +388,34 @@ type bindKey struct {
 // ranking is a pure function of the set and its posterior, so the memo
 // is valid exactly while the posterior is unchanged — a profile reload
 // or nearby feedback changes the posterior and so invalidates it.
+//
+// lays memoises the plan layout of each algorithm the engine has
+// executed or measured fused, so a set's algorithm is validated and
+// laid out once, not once per request; the layouts die with the entry.
 type boundSet struct {
-	algs []expr.Algorithm
-	memo atomic.Pointer[rankMemo]
+	algs     []expr.Algorithm
+	memo     atomic.Pointer[rankMemo]
+	laysOnce sync.Once
+	lays     []atomic.Pointer[exec.Layout]
+}
+
+// layout returns the plan layout of algs[i], laying it out on first
+// use, or nil if the algorithm does not validate (its per-query plan
+// then reports why). Concurrent first uses keep the first layout
+// stored, so every caller sees one pointer per algorithm.
+func (b *boundSet) layout(i int) *exec.Layout {
+	b.laysOnce.Do(func() { b.lays = make([]atomic.Pointer[exec.Layout], len(b.algs)) })
+	if lay := b.lays[i].Load(); lay != nil {
+		return lay
+	}
+	lay, err := exec.NewLayout(&b.algs[i])
+	if err != nil {
+		return nil
+	}
+	if b.lays[i].CompareAndSwap(nil, lay) {
+		return lay
+	}
+	return b.lays[i].Load()
 }
 
 // New returns an Engine for the given configuration.
@@ -630,33 +659,35 @@ func (run strategyRun) degrade(reason string) strategyRun {
 // algorithm set, build the evidence, apply the strategy, render the
 // record. The profile state is loaded once at entry — a concurrent
 // ReloadProfiles swaps the pointer without affecting this query, so the
-// record's profile tag, pick and ranking all come from one store.
-func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, err error) {
+// record's profile tag, pick and ranking all come from one store. The
+// bound set the record was answered from is returned beside it, so a
+// Compute request executes the pick without binding again.
+func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, b *boundSet, err error) {
 	defer func() {
 		// The expression layer panics on malformed custom expressions;
 		// a serving engine turns that into a query error instead of
 		// taking the process down.
 		if r := recover(); r != nil {
-			rec, err = nil, fmt.Errorf("engine: query %s%v failed: %v", q.Expr, q.Instance, r)
+			rec, b, err = nil, nil, fmt.Errorf("engine: query %s%v failed: %v", q.Expr, q.Instance, r)
 		}
 	}()
 	// Chaos hook: the suite arms "engine.query" to inject latency or
 	// failures into the selection path of an unmodified binary.
 	if err := faultinject.FireCtx(ctx, "engine.query"); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := e.prof.Load()
 	run, err := e.resolveStrategy(strat, st)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	x, err := e.lookup(q.Expr, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b, err := e.bound(x, q.Instance)
+	b, err = e.bound(x, q.Instance)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	algs := b.algs
 	// The evidence, built once: one prediction per algorithm (the profile
@@ -696,12 +727,12 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	case "oracle":
 		width := 0
 		if fused {
-			width = e.fuseWidth(algs)
+			width = e.fuseWidth(b)
 		}
 		pick, err = e.chooseMeasured(ctx, algs, width)
 		if err != nil {
 			if ctx.Err() == nil {
-				return nil, err
+				return nil, nil, err
 			}
 			// The deadline expired mid-measurement: a FLOPs-only answer
 			// now beats a measured answer never.
@@ -736,26 +767,26 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 		rec.Requested = run.requested
 		rec.Degraded = run.degraded
 	}
-	return rec, nil
+	return rec, b, nil
 }
 
 // fuseWidth returns the common fused measurement width for the set: the
-// smallest FuseChunk over its algorithms — one measurement repetition
+// smallest chunk width over its algorithms — one measurement repetition
 // executes one chunk, the packed-sweep width whose working set fits the
 // slab budget — so every candidate is measured under the same protocol.
-// 0 when the executor has no batched path or any algorithm is outside
-// the fused regime — the caller then uses the ordinary per-instance
-// measurement, and the reject is counted by reason in
-// Stats.FuseRejected.
-func (e *Engine) fuseWidth(algs []expr.Algorithm) int {
+// The widths come from the set's memoised layouts. 0 when the executor
+// has no batched path or any algorithm is outside the fused regime —
+// the caller then uses the ordinary per-instance measurement, and the
+// reject is counted by reason in Stats.FuseRejected.
+func (e *Engine) fuseWidth(b *boundSet) int {
 	be, ok := e.timer.Exec.(exec.BatchExecutor)
 	if !ok {
 		e.rejUnregistered.Add(1)
 		return 0
 	}
 	width := 0
-	for i := range algs {
-		w := be.FuseChunk(&algs[i])
+	for i := range b.algs {
+		w := layoutChunk(be, b.layout(i))
 		if w < 2 {
 			e.rejTooBig.Add(1)
 			return 0
@@ -765,6 +796,15 @@ func (e *Engine) fuseWidth(algs []expr.Algorithm) int {
 		}
 	}
 	return width
+}
+
+// layoutChunk returns be's chunk width for a layout, 0 for none (an
+// algorithm that does not validate never fuses).
+func layoutChunk(be exec.BatchExecutor, lay *exec.Layout) int {
+	if lay == nil {
+		return 0
+	}
+	return be.LayoutChunk(lay)
 }
 
 // chooseMeasured is the oracle's pick: every algorithm is measured and

@@ -354,7 +354,7 @@ func TestEngineSingleflightDedup(t *testing.T) {
 	default:
 	}
 
-	want, err := e.answer(context.Background(), q, "min-flops", false)
+	want, _, err := e.answer(context.Background(), q, "min-flops", false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,117 +1,70 @@
 package exec
 
-// This file implements the plan-arena pool. Compiled plans take their
-// slab (operand arena plus SPD fill scratch) from a short free list,
-// and plans that are done give it back through BatchPlan.Release. A
-// slab handed out is never zeroed: every operand of a plan is filled,
-// copied in or written by a kernel before any kernel reads it, so stale
-// contents of an earlier plan never reach a result. Builds tagged
-// arenapoison NaN-fill every plan arena, pooled or not (arena_poison.go),
-// which turns any read-before-write into NaNs the equivalence tests
-// reject.
+// This file implements the plan slab: one reusable buffer for plans
+// that are compiled, run and released one at a time, such as the
+// engine's fused chunk plans under its execution lock. A slab hands its
+// buffer out unzeroed: every operand of a plan is filled, copied in or
+// written by a kernel before any kernel reads it, so stale contents of
+// an earlier plan never reach a result. Builds tagged arenapoison
+// NaN-fill every plan arena, slab or not, at every hand-out
+// (arena_poison.go), which turns any read-before-write into NaNs the
+// equivalence tests reject.
 //
-// The free list holds its slabs through weak pointers: a slab sitting
-// in the pool is reused until the next garbage collection, which frees
-// it. Retained slabs therefore never count toward the live heap the
-// collector sizes its next cycle from, so pooling cannot raise the
-// process's resident memory; between collections, which the pool itself
-// makes rare, a plan's arena costs neither an allocation nor a zeroing
-// pass.
+// A slab is held strongly by its owner and grows to the largest plan
+// compiled into it, so after its first requests a serving engine
+// compiles fused plans with neither an arena allocation nor a zeroing
+// pass. Plans compiled without a slab allocate their own arena, which
+// the collector frees with the plan.
 
-import (
-	"slices"
-	"sync"
-	"weak"
-)
-
-// MaxRetainedArenaBytes bounds the bytes the pool keeps on its free
-// list: one fused plan's worth of chunk slabs (the 4 MiB slab budget
-// times MaxFusedChunks).
+// MaxRetainedArenaBytes bounds the bytes a Slab keeps: one fused plan's
+// worth of chunk arenas (the 4 MiB slab budget times MaxFusedChunks). A
+// plan over it gets an arena of its own, which the slab does not keep.
 const MaxRetainedArenaBytes = batchSlabFloats * MaxFusedChunks * 8
 
-// arenaPoolSlabs bounds how many slabs the pool keeps. The engine
-// compiles and executes its fused chunk plans one at a time, so a slab
-// for that plan and one for a per-query plan beside it cover its use.
-const arenaPoolSlabs = 2
-
-// pooledSlab is what the free list points to weakly; the slab's backing
-// array lives exactly as long as it.
-type pooledSlab struct{ data []float64 }
-
-// freeSlab is one free-list entry: a weak pointer to the slab and its
-// capacity in float64s.
-type freeSlab struct {
-	slab weak.Pointer[pooledSlab]
-	cap  int
+// Slab is a reusable plan arena. A plan compiled into it with Compile
+// borrows its buffer (operand arena plus SPD fill scratch) until the
+// plan's Release, and the slab cannot be compiled into again before
+// then. The zero value is an empty slab. A Slab is not safe for
+// concurrent use: its owner serialises compile, run and release.
+type Slab struct {
+	buf  []float64
+	lent bool
 }
 
-// arenaPool is the free list, kept sorted by capacity, smallest first.
-type arenaPool struct {
-	mu       sync.Mutex
-	free     []freeSlab
-	retained int // float64s on the free list, collected slabs included
+// Compile compiles one fused plan over lays, one layout per instance,
+// into the slab: every layout must be of the same algorithm family (see
+// CompileBatchPlanMixed), and an instance repeated by pointer across
+// the whole batch binds the batched drivers. It panics if a plan
+// compiled into the slab before has not been released.
+func (s *Slab) Compile(lays []*Layout) (*BatchPlan, error) {
+	p := &BatchPlan{}
+	if err := p.compile(lays, s); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
-// arenas is the process-wide plan-arena pool.
-var arenas arenaPool
-
-// get returns a slab of length n: the smallest retained slab that holds
-// n float64s, or a new one. Its contents are unspecified.
-func (ap *arenaPool) get(n int) []float64 {
-	if n <= 0 {
-		return nil
+// lend returns a buffer of n float64s, cut from the slab's buffer,
+// grown first if it is shorter; past MaxRetainedArenaBytes, a new one
+// the slab does not keep. Its contents are unspecified.
+func (s *Slab) lend(n int) []float64 {
+	if s.lent {
+		panic("exec: slab compiled into while a plan still holds it")
 	}
-	ap.mu.Lock()
-	for i := 0; i < len(ap.free); {
-		f := ap.free[i]
-		if f.cap < n {
-			i++
-			continue
-		}
-		ap.free = slices.Delete(ap.free, i, i+1)
-		ap.retained -= f.cap
-		if s := f.slab.Value(); s != nil {
-			ap.mu.Unlock()
-			return poisonArena(s.data[:n])
-		}
+	s.lent = true
+	if n*8 > MaxRetainedArenaBytes {
+		return poisonArena(make([]float64, n))
 	}
-	ap.mu.Unlock()
-	return poisonArena(make([]float64, n))
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	return poisonArena(s.buf[:n])
 }
 
-// put returns a slab to the free list. Past arenaPoolSlabs entries or
-// MaxRetainedArenaBytes, the smallest entries are dropped.
-func (ap *arenaPool) put(slab []float64) {
-	c := cap(slab)
-	if c == 0 || c*8 > MaxRetainedArenaBytes {
-		return
-	}
-	f := freeSlab{slab: weak.Make(&pooledSlab{data: slab[:c]}), cap: c}
-	ap.mu.Lock()
-	defer ap.mu.Unlock()
-	i := 0
-	for i < len(ap.free) && ap.free[i].cap < c {
-		i++
-	}
-	ap.free = slices.Insert(ap.free, i, f)
-	ap.retained += c
-	for len(ap.free) > arenaPoolSlabs || ap.retained*8 > MaxRetainedArenaBytes {
-		ap.retained -= ap.free[0].cap
-		ap.free = slices.Delete(ap.free, 0, 1)
-	}
-}
+// Bytes returns the size of the slab's buffer in bytes; it never
+// exceeds MaxRetainedArenaBytes.
+func (s *Slab) Bytes() int { return cap(s.buf) * 8 }
 
-// RetainedArenaBytes returns the bytes of the slabs the plan-arena pool
-// holds that the garbage collector has not freed yet. It never exceeds
-// MaxRetainedArenaBytes.
-func RetainedArenaBytes() int {
-	arenas.mu.Lock()
-	defer arenas.mu.Unlock()
-	n := 0
-	for _, f := range arenas.free {
-		if f.slab.Value() != nil {
-			n += f.cap
-		}
-	}
-	return n * 8
-}
+// Lent reports whether a plan compiled into the slab has not been
+// released yet.
+func (s *Slab) Lent() bool { return s.lent }

@@ -1,8 +1,6 @@
 package exec
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"lamb/internal/expr"
@@ -10,41 +8,50 @@ import (
 	"lamb/internal/xrand"
 )
 
-// TestReleaseReusesArena checks the pool round trip: a released plan's
-// slab is what the next plan that fits takes, unzeroed, and a plan
-// compiled from a reused slab computes what one from a fresh slab does.
+// TestReleaseReusesArena checks the slab round trip: a released plan's
+// arena is what the next plan compiled into the slab takes, unzeroed,
+// and a plan on the reused arena computes what one on a fresh arena
+// does.
 func TestReleaseReusesArena(t *testing.T) {
-	// A collection frees pooled slabs: hold it off, so the pool holds
-	// what the test put there.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	arenas.mu.Lock()
-	arenas.free, arenas.retained = nil, 0 // so the released slab is the only fit
-	arenas.mu.Unlock()
 	algs := expr.NewLstSq().Algorithms(expr.Instance{24, 16, 8})
-	alg := &algs[0]
-	p, err := CompileBatchPlan(alg, 3)
+	lay, err := NewLayout(&algs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.FillInputs(xrand.New(7))
-	p.Execute()
-	want := mat.New(p.Output(2).Rows, p.Output(2).Cols)
-	mat.Copy(want, p.Output(2))
-	slab := p.slab // held, so the collector cannot free it meanwhile
-	p.Release()
+	lays := []*Layout{lay, lay, lay}
+	fresh, err := CompileBatchPlan(&algs[0], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.FillInputs(xrand.New(7))
+	fresh.Execute()
 
-	q, err := CompileBatchPlan(alg, 3)
+	var slab Slab
+	p, err := slab.Compile(lays)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.FillInputs(xrand.New(3)) // leaves other values in the arena
+	p.Execute()
+	first := &p.arena[0]
+	p.Release()
+	if slab.Lent() {
+		t.Fatal("the slab is still lent after Release")
+	}
+	q, err := slab.Compile(lays)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Release()
-	if &q.slab[0] != &slab[0] {
-		t.Fatal("a plan of the same size did not reuse the released slab")
+	if &q.arena[0] != first {
+		t.Fatal("a plan of the same size did not reuse the released arena")
 	}
 	q.FillInputs(xrand.New(7))
 	q.Execute()
-	if !mat.Equal(q.Output(2), want) {
-		t.Error("a plan on a reused slab computed a different result")
+	for i := 0; i < 3; i++ {
+		if !mat.Equal(q.Output(i), fresh.Output(i)) {
+			t.Errorf("instance %d: a plan on a reused arena computed a different result", i)
+		}
 	}
 }
 
@@ -79,36 +86,63 @@ func TestReleasedPlanPanics(t *testing.T) {
 	}
 }
 
-// TestArenaPoolBounds checks the free list's caps: at most
-// arenaPoolSlabs slabs and MaxRetainedArenaBytes bytes, the largest
-// kept, and slabs over the byte cap never retained.
-func TestArenaPoolBounds(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // as in TestReleaseReusesArena
-	var ap arenaPool
-	var held [][]float64 // keeps every slab reachable for the test
-	for _, n := range []int{100, 5000, 300, 70000, 2000} {
-		s := make([]float64, n)
-		held = append(held, s)
-		ap.put(s)
-		if len(ap.free) > arenaPoolSlabs || ap.retained*8 > MaxRetainedArenaBytes {
-			t.Fatalf("after putting %d floats: %d slabs, %d bytes retained", n, len(ap.free), ap.retained*8)
+// TestSlabBounds checks how a slab holds its buffer: it grows to the
+// largest plan compiled into it and keeps that buffer for smaller ones,
+// never keeps one over MaxRetainedArenaBytes, and refuses a second plan
+// while the first is unreleased.
+func TestSlabBounds(t *testing.T) {
+	layOf := func(inst expr.Instance) *Layout {
+		algs := expr.NewAATB().Algorithms(inst)
+		lay, err := NewLayout(&algs[0])
+		if err != nil {
+			t.Fatal(err)
 		}
+		return lay
 	}
-	if got := ap.get(3000); cap(got) != 5000 {
-		t.Errorf("get(3000) took a slab of %d floats, want the best fit of 5000", cap(got))
+	var slab Slab
+	compile := func(lays ...*Layout) *BatchPlan {
+		t.Helper()
+		p, err := slab.Compile(lays)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	if got := ap.get(3000); cap(got) != 70000 {
-		t.Errorf("second get(3000) took a slab of %d floats, want 70000", cap(got))
+	small, large := layOf(expr.Instance{8, 8, 8}), layOf(expr.Instance{40, 40, 40})
+	p := compile(small, small)
+	smallBytes := slab.Bytes()
+	p.Release()
+	p = compile(large, large)
+	largeBytes := slab.Bytes()
+	if largeBytes <= smallBytes || largeBytes < 8*p.ArenaLen() {
+		t.Fatalf("slab of %d bytes after a %d-float plan (%d bytes before)", largeBytes, p.ArenaLen(), smallBytes)
 	}
-	if len(ap.free) != 0 || ap.retained != 0 {
-		t.Errorf("pool not empty after taking every slab: %d slabs, %d floats", len(ap.free), ap.retained)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("compiling into a lent slab did not panic")
+			}
+		}()
+		compile(small)
+	}()
+	p.Release()
+	compile(small).Release()
+	if slab.Bytes() != largeBytes {
+		t.Errorf("slab shrank from %d to %d bytes for a smaller plan", largeBytes, slab.Bytes())
 	}
-	huge := make([]float64, MaxRetainedArenaBytes/8+1)
-	ap.put(huge)
-	if len(ap.free) != 0 {
-		t.Error("a slab over the byte cap was retained")
+
+	huge := make([]*Layout, MaxRetainedArenaBytes/(8*slabStride(large.arenaLen))+1)
+	for i := range huge {
+		huge[i] = large
 	}
-	runtime.KeepAlive(held)
+	p = compile(huge...)
+	if p.ArenaLen()*8 <= MaxRetainedArenaBytes {
+		t.Fatalf("plan of %d bytes is not over the cap", p.ArenaLen()*8)
+	}
+	p.Release()
+	if slab.Bytes() != largeBytes {
+		t.Errorf("slab kept a %d-byte buffer over the cap", slab.Bytes())
+	}
 }
 
 // TestEvaluateAlgorithmMissingInputsReadZero pins that an input the

@@ -46,11 +46,11 @@ func slabStride(arenaLen int) int {
 // operands and timing buffer are shared state).
 type BatchPlan struct {
 	stride int // instance slab stride in float64s
-	// slab is the pooled buffer the arena and the SPD fill scratch are
-	// cut from; Release returns it to the pool.
-	slab  []float64
-	arena []float64
-	insts []planInstance
+	// lender is the Slab the arena and the SPD fill scratch are cut
+	// from, nil for a plan that allocated its own; Release gives it back.
+	lender *Slab
+	arena  []float64
+	insts  []planInstance
 	// steps[s] runs call s across every instance: one batched closure,
 	// or one serial closure per instance.
 	steps      [][]func()
@@ -62,7 +62,7 @@ type BatchPlan struct {
 // the instances of a homogeneous plan) and its operand headers, carved
 // out of the arena at its slab base plus the layout's offsets.
 type planInstance struct {
-	lay *planLayout
+	lay *Layout
 	ops []mat.Dense
 }
 
@@ -71,22 +71,19 @@ type planInstance struct {
 // allocates everything an execution will ever need, so Execute and
 // ExecuteTimed are allocation-free afterwards.
 func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
-	return compileBatchPlan(alg, count, true)
-}
-
-// compileBatchPlan is CompileBatchPlan with the arena's source chosen:
-// the pool for plans used once, a fresh allocation for plans a cache
-// keeps (see compile).
-func compileBatchPlan(alg *expr.Algorithm, count int, pooled bool) (*BatchPlan, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("exec: batch plan needs count >= 1, got %d", count)
 	}
-	algs := make([]*expr.Algorithm, count)
-	for i := range algs {
-		algs[i] = alg
+	lay, err := NewLayout(alg)
+	if err != nil {
+		return nil, err
+	}
+	lays := make([]*Layout, count)
+	for i := range lays {
+		lays[i] = lay
 	}
 	p := &BatchPlan{}
-	if err := p.compile(algs, pooled); err != nil {
+	if err := p.compile(lays, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -96,47 +93,55 @@ func compileBatchPlan(alg *expr.Algorithm, count int, pooled bool) (*BatchPlan, 
 // instances into one fused plan. Every element must be the same
 // algorithm of the same expression (same call structure: count, kinds,
 // transposes, operand IDs) bound at its own instance; shapes may differ
-// freely.
+// freely. Consecutive elements that are one pointer share one layout,
+// and a batch of one pointer binds the batched drivers, as
+// CompileBatchPlan does.
 func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
+	lays := make([]*Layout, len(algs))
+	for i, alg := range algs {
+		if i > 0 && alg == algs[i-1] {
+			lays[i] = lays[i-1]
+			continue
+		}
+		lay, err := NewLayout(alg)
+		if err != nil {
+			return nil, err
+		}
+		lays[i] = lay
+	}
 	p := &BatchPlan{}
-	if err := p.compile(algs, true); err != nil {
+	if err := p.compile(lays, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// compile is the plan compiler: it lays out one instance per element of
-// algs, carves their operand headers out of one slab arena, and binds
-// the calls — to the batched drivers when every element is the same
-// bound algorithm and there is more than one, to per-instance serial
-// kernels otherwise. A pooled plan takes its slab from the arena pool,
-// unzeroed (operands are written before they are read). A plan meant
-// for a cache allocates its own: it keeps its slab as long as the cache
-// keeps it, and a pooled slab may be larger than it needs.
-func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
-	count := len(algs)
+// compile is the plan compiler: it takes one layout per instance,
+// carves their operand headers out of one arena, and binds the calls —
+// to the batched drivers when every instance shares one layout and
+// there is more than one, to per-instance serial kernels otherwise. The
+// arena comes from slab when one is given, unzeroed (operands are
+// written before they are read), and is allocated for the plan alone
+// otherwise.
+func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
+	count := len(lays)
 	if count < 1 {
 		return fmt.Errorf("exec: batch plan needs at least one instance")
 	}
 	homog := true
 	p.insts = make([]planInstance, count)
 	arenaLen, scratchLen := 0, 0
-	for i, alg := range algs {
-		if i > 0 && alg == algs[i-1] {
-			p.insts[i].lay = p.insts[i-1].lay
+	for i, lay := range lays {
+		p.insts[i].lay = lay
+		if i > 0 && lay == lays[i-1] {
 			continue
 		}
 		if i > 0 {
 			homog = false
-			if err := sameCallStructure(algs[0], alg); err != nil {
+			if err := sameCallStructure(lays[0].alg, lay.alg); err != nil {
 				return fmt.Errorf("exec: mixed batch instance %d: %w", i, err)
 			}
 		}
-		lay, err := compileLayout(alg)
-		if err != nil {
-			return err
-		}
-		p.insts[i].lay = lay
 		arenaLen = max(arenaLen, lay.arenaLen)
 		scratchLen = max(scratchLen, lay.scratchLen)
 	}
@@ -147,28 +152,30 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 		p.stride = slabStride(arenaLen)
 	}
 	n := p.stride * count
-	if pooled {
-		p.slab = arenas.get(n + scratchLen)
+	var buf []float64
+	if slab != nil {
+		buf = slab.lend(n + scratchLen)
+		p.lender = slab
 	} else {
-		p.slab = poisonArena(make([]float64, n+scratchLen))
+		buf = poisonArena(make([]float64, n+scratchLen))
 	}
-	p.arena = p.slab[:n:n]
-	p.spdScratch = p.slab[n:]
+	p.arena = buf[:n:n]
+	p.spdScratch = buf[n:]
 	for inst := range p.insts {
 		pi := &p.insts[inst]
-		pi.ops = carveOperands(algs[inst], pi.lay, p.arena[inst*p.stride:], false)
+		pi.ops = carveOperands(pi.lay, p.arena[inst*p.stride:], false)
 	}
 
-	nsteps := len(algs[0].Calls)
-	p.steps = make([][]func(), nsteps)
-	p.times = make([]float64, nsteps)
+	calls := lays[0].alg.Calls
+	p.steps = make([][]func(), len(calls))
+	p.times = make([]float64, len(calls))
 	if homog && count > 1 {
 		// Batch-base headers: instance 0's operands with open-ended data,
 		// so the batched drivers can stride forward through the slab.
-		lay := p.insts[0].lay
-		bases := carveOperands(algs[0], lay, p.arena, true)
+		lay := lays[0]
+		bases := carveOperands(lay, p.arena, true)
 		get := func(id string) *mat.Dense { return &bases[lay.index[id]] }
-		for s, c := range algs[0].Calls {
+		for s, c := range calls {
 			p.steps[s] = []func(){bind(binders[c.Kind].batched, c, get, p.stride, count)}
 		}
 		return nil
@@ -179,7 +186,7 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 	for inst := range p.insts {
 		pi := &p.insts[inst]
 		get := func(id string) *mat.Dense { return &pi.ops[pi.lay.index[id]] }
-		for s, c := range algs[inst].Calls {
+		for s, c := range pi.lay.alg.Calls {
 			p.steps[s][inst] = bind(binders[c.Kind].serial, c, get, 0, 1)
 		}
 	}
@@ -189,10 +196,10 @@ func (p *BatchPlan) compile(algs []*expr.Algorithm, pooled bool) error {
 // carveOperands returns the operand headers of one instance whose slab
 // starts at slab[0], in the layout's operand order. Open-ended headers
 // keep the rest of the slab in their Data, for the batched drivers.
-func carveOperands(alg *expr.Algorithm, lay *planLayout, slab []float64, openEnded bool) []mat.Dense {
+func carveOperands(lay *Layout, slab []float64, openEnded bool) []mat.Dense {
 	ops := make([]mat.Dense, len(lay.order))
 	for i, id := range lay.order {
-		sh := alg.Shapes[id]
+		sh := lay.alg.Shapes[id]
 		data := slab[lay.offsets[i]:]
 		if !openEnded {
 			data = data[:lay.sizes[i]]
@@ -269,19 +276,21 @@ func (p *BatchPlan) ExecuteTimed() []float64 {
 	return p.times
 }
 
-// Release returns the plan's arena to the arena pool, where the next
-// compiled plan may take it. The plan is unusable afterwards: its
-// operand headers and steps are dropped, so filling, executing or
-// reading it panics instead of touching an arena another plan now
-// owns, and operand matrices obtained from it before must not be used
-// either. Releasing twice is a no-op. Plans kept for reuse (the plan
-// caches) are never released.
+// Release ends the plan: a plan compiled into a Slab gives the slab
+// back, so the next plan may be compiled into it. The plan is unusable
+// afterwards: its operand headers and steps are dropped, so filling,
+// executing or reading it panics instead of touching an arena another
+// plan now owns, and operand matrices obtained from it before must not
+// be used either. Releasing twice is a no-op. A plan that allocated its
+// own arena needs no Release; the plan caches never release theirs.
 func (p *BatchPlan) Release() {
 	if p.insts == nil {
 		return
 	}
-	arenas.put(p.slab)
-	p.slab, p.arena, p.spdScratch = nil, nil, nil
+	if p.lender != nil {
+		p.lender.lent = false
+	}
+	p.lender, p.arena, p.spdScratch = nil, nil, nil
 	p.insts, p.steps = nil, nil
 }
 

@@ -53,12 +53,12 @@ type Executor interface {
 // costs to amortise — so callers type-assert and fall back to the
 // per-instance path.
 type BatchExecutor interface {
-	// FuseChunk reports the chunk width: how many instances one packed
-	// sweep — and one fused measurement repetition — should execute
-	// together, so the chunk's working set stays within the slab budget.
-	// 0 means out of the fused regime. One fused plan may span up to
-	// MaxFusedChunks chunks.
-	FuseChunk(alg *expr.Algorithm) int
+	// LayoutChunk reports the chunk width of the algorithm laid out as
+	// lay: how many instances one packed sweep — and one fused
+	// measurement repetition — should execute together, so the chunk's
+	// working set stays within the slab budget. 0 means out of the fused
+	// regime. One fused plan may span up to MaxFusedChunks chunks.
+	LayoutChunk(lay *Layout) int
 	// TimeAlgorithmBatch runs one fused repetition of the algorithm over
 	// count instances after a cache flush and returns per-call times
 	// covering all count instances of each call.
@@ -89,7 +89,7 @@ func NewTimer(e Executor) *Timer { return &Timer{Exec: e, Reps: 10} }
 // and returns one measurement per algorithm, in set order. At width 2 or
 // more each repetition executes width instances through one fused plan
 // (the executor must implement BatchExecutor, and width should be within
-// one fused plan's width, FuseChunk × MaxFusedChunks), and the
+// one fused plan's width, LayoutChunk × MaxFusedChunks), and the
 // measurement is per instance — batch times divided by width — so it is
 // directly comparable to the per-instance path. Below 2 each repetition
 // runs one instance. The context is checked between repetitions, never

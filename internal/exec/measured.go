@@ -136,17 +136,24 @@ const batchSlabFloats = (4 << 20) / 8
 // budgets) so the batch-plan LRU stays cheap.
 const MaxFusedChunks = 8
 
-// FuseChunk implements BatchExecutor: the chunk width for alg — how
-// many instances one packed sweep (and one fused measurement
-// repetition) should execute together so the chunk's arena fits the
-// slab budget at least twice. 0 means the algorithm is out of the fused
-// regime (instance arena too large — or not compilable, which the
-// caller will surface through the ordinary per-instance path).
+// FuseChunk returns the chunk width for alg (see LayoutChunk), laying
+// alg out first. 0 means the algorithm is out of the fused regime, or
+// not compilable, which the caller will surface through the ordinary
+// per-instance path.
 func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
-	lay, err := compileLayout(alg)
+	lay, err := NewLayout(alg)
 	if err != nil {
 		return 0
 	}
+	return e.LayoutChunk(lay)
+}
+
+// LayoutChunk implements BatchExecutor: the chunk width for the
+// algorithm laid out as lay — how many instances one packed sweep (and
+// one fused measurement repetition) should execute together so the
+// chunk's arena fits the slab budget at least twice. 0 means the
+// algorithm is out of the fused regime (instance arena too large).
+func (e *Measured) LayoutChunk(lay *Layout) int {
 	w := batchSlabFloats / slabStride(lay.arenaLen)
 	if w < 2 {
 		return 0

@@ -32,11 +32,14 @@ type planFill struct {
 	kind kernels.FillKind
 }
 
-// planLayout is the shape-level stage of plan compilation, shared by
-// the single-instance and batched compilers: operand table, liveness,
-// arena offsets, and input-refill recipe. It holds no storage — only
-// where everything goes.
-type planLayout struct {
+// Layout is the shape-level stage of plan compilation, shared by the
+// single-instance and batched compilers: one bound algorithm's operand
+// table, liveness, arena offsets, and input-refill recipe. It holds no
+// storage — only where everything goes — and is read-only once built,
+// so one Layout may serve any number of plans, concurrently compiled
+// or not (the engine keeps one per selected algorithm of a bound set).
+type Layout struct {
+	alg        *expr.Algorithm
 	order      []string
 	index      map[string]int
 	offsets    []int
@@ -48,12 +51,13 @@ type planLayout struct {
 	scratchLen int
 }
 
-// compileLayout validates the algorithm and computes its plan layout.
-func compileLayout(alg *expr.Algorithm) (*planLayout, error) {
+// NewLayout validates the algorithm and computes its plan layout. The
+// layout keeps alg: a plan compiled from it binds alg's calls.
+func NewLayout(alg *expr.Algorithm) (*Layout, error) {
 	if err := alg.Validate(); err != nil {
 		return nil, err
 	}
-	lay := &planLayout{index: make(map[string]int, len(alg.Shapes))}
+	lay := &Layout{alg: alg, index: make(map[string]int, len(alg.Shapes))}
 
 	// Operand discovery in deterministic first-mention order.
 	mention := func(id string) {
@@ -157,13 +161,18 @@ func compileLayout(alg *expr.Algorithm) (*planLayout, error) {
 // CompilePlan lowers the algorithm into a Plan. The algorithm is
 // validated first; compilation allocates everything an execution will
 // ever need, so Execute and ExecuteTimed are allocation-free afterwards.
-func CompilePlan(alg *expr.Algorithm) (*Plan, error) { return compilePlan(alg, true) }
+func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
+	lay, err := NewLayout(alg)
+	if err != nil {
+		return nil, err
+	}
+	return planOf(lay)
+}
 
-// compilePlan is CompilePlan with the arena's source chosen (see
-// BatchPlan.compile).
-func compilePlan(alg *expr.Algorithm, pooled bool) (*Plan, error) {
+// planOf compiles the Plan of one laid-out instance.
+func planOf(lay *Layout) (*Plan, error) {
 	p := &Plan{}
-	if err := p.compile([]*expr.Algorithm{alg}, pooled); err != nil {
+	if err := p.compile([]*Layout{lay}, nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -172,11 +181,7 @@ func compilePlan(alg *expr.Algorithm, pooled bool) (*Plan, error) {
 // CompileCallPlan compiles a single-call plan for isolated benchmarking:
 // every operand (including the output, matching a fresh-operand run) is
 // refilled per repetition according to the call's operand metadata.
-func CompileCallPlan(call kernels.Call) (*Plan, error) { return compileCallPlan(call, true) }
-
-// compileCallPlan is CompileCallPlan with the arena's source chosen (see
-// BatchPlan.compile).
-func compileCallPlan(call kernels.Call, pooled bool) (*Plan, error) {
+func CompileCallPlan(call kernels.Call) (*Plan, error) {
 	if err := call.Validate(); err != nil {
 		return nil, err
 	}
@@ -199,13 +204,13 @@ func compileCallPlan(call kernels.Call, pooled bool) (*Plan, error) {
 			alg.SPDInputs = append(alg.SPDInputs, sp.ID)
 		}
 	}
-	p, err := compilePlan(alg, pooled)
+	lay, err := NewLayout(alg)
 	if err != nil {
 		return nil, err
 	}
 	// Patch in the fill kinds the shape table can't express (the
-	// diagonally dominant triangular factor of TRSM).
-	lay := p.insts[0].lay
+	// diagonally dominant triangular factor of TRSM), before any plan
+	// reads the layout.
 	for _, sp := range specs {
 		if sp.Fill != kernels.FillDiagDominant {
 			continue
@@ -216,7 +221,7 @@ func compileCallPlan(call kernels.Call, pooled bool) (*Plan, error) {
 			}
 		}
 	}
-	return p, nil
+	return planOf(lay)
 }
 
 // layoutArena assigns arena offsets with a first-fit free list driven by

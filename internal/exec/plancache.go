@@ -20,7 +20,7 @@ import (
 )
 
 // Plan-cache defaults. Plans own their operand arenas — allocated for
-// them alone, never taken from the arena pool — so entry counts bound
+// them alone, never lent by a Slab — so entry counts bound
 // memory: paper-box instances reach 1200² operands (~10 MB per
 // plan), which is why the defaults are small. Engines serving many
 // concurrent expressions pass larger caps via NewPlanCache.
@@ -74,7 +74,7 @@ func (c *PlanCache) Plan(alg *expr.Algorithm) (*Plan, error) {
 	if p, ok := c.algs.Get(alg); ok {
 		return p, nil
 	}
-	p, err := compilePlan(alg, false)
+	p, err := CompilePlan(alg)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func (c *PlanCache) CallPlan(call kernels.Call) (*Plan, error) {
 	if p, ok := c.calls.Get(key); ok {
 		return p, nil
 	}
-	p, err := compileCallPlan(call, false)
+	p, err := CompileCallPlan(call)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func (c *PlanCache) BatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error
 	if p, ok := c.batches.Get(key); ok {
 		return p, nil
 	}
-	p, err := compileBatchPlan(alg, count, false)
+	p, err := CompileBatchPlan(alg, count)
 	if err != nil {
 		return nil, err
 	}
