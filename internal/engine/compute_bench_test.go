@@ -3,7 +3,6 @@ package engine
 import (
 	"context"
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"lamb/internal/exec"
@@ -74,22 +73,24 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 	}
 }
 
-// computeBatchBytesBudget bounds the bytes one warm compute request of
-// the fixture allocates: the figure measured with the blas packing
-// buffers on GC-surviving free lists (1445789 bytes, the largest of four
-// runs, which spread by under 500 bytes), plus 10% headroom. With
-// pooled arenas and one output slab per request it was first measured
-// at 1434106 bytes and budgeted with 25% headroom; before them a request
-// allocated 12.0 MB.
-const computeBatchBytesBudget = 1445789 * 11 / 10
+// computeBatchBytesBudget and computeBatchAllocsBudget bound what one
+// warm compute request of the fixture allocates: the largest of six
+// runs with plan layouts memoised per bound set and chunk plans
+// compiled into the engine's slab (1330602 bytes and 1471
+// allocations), plus 10% headroom. About 1.1 MB of the bytes is the
+// request's output slab. Before the slab and the layout memo a request
+// allocated 1445789 bytes and 4047 allocations; before pooled arenas
+// and the output slab, 12.0 MB.
+const (
+	computeBatchBytesBudget  = 1330602 * 11 / 10
+	computeBatchAllocsBudget = 1471 * 11 / 10
+)
 
-// TestDoComputeBatchBytesBudget pins the allocation volume of warm
-// compute requests: plan arenas come from the pool and outputs share one
-// slab per request, so what a request allocates is plan headers,
-// closures and its output slab. The collector is held off for the
-// measured pass, because a collection empties the pool (see
-// internal/exec/arena.go) and the refill would be charged to whichever
-// request came next.
+// TestDoComputeBatchBytesBudget pins the allocation volume and count of
+// warm compute requests: plan arenas come from the engine's slab,
+// layouts from the bound sets, and outputs share one slab per request,
+// so what a request allocates is its records, plan headers, closures
+// and its output slab.
 func TestDoComputeBatchBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation volume")
@@ -99,9 +100,8 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 	for _, req := range reqs {
 		doCompute(t, e, req)
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, req := range reqs {
-		doCompute(t, e, req) // refills the pool after any collection
+		doCompute(t, e, req) // grows the slab to the largest chunk
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -109,9 +109,13 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 		doCompute(t, e, req)
 	}
 	runtime.ReadMemStats(&after)
-	perReq := (after.TotalAlloc - before.TotalAlloc) / uint64(len(reqs))
-	t.Logf("%d bytes allocated per warm compute request", perReq)
-	if perReq > computeBatchBytesBudget {
-		t.Errorf("warm compute request allocates %d bytes, budget %d", perReq, computeBatchBytesBudget)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(len(reqs))
+	allocs := (after.Mallocs - before.Mallocs) / uint64(len(reqs))
+	t.Logf("%d bytes and %d allocations per warm compute request", bytes, allocs)
+	if bytes > computeBatchBytesBudget {
+		t.Errorf("warm compute request allocates %d bytes, budget %d", bytes, computeBatchBytesBudget)
+	}
+	if allocs > computeBatchAllocsBudget {
+		t.Errorf("warm compute request makes %d allocations, budget %d", allocs, computeBatchAllocsBudget)
 	}
 }
