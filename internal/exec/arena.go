@@ -37,11 +37,7 @@ type Slab struct {
 // the whole batch binds the batched drivers. It panics if a plan
 // compiled into the slab before has not been released.
 func (s *Slab) Compile(lays []*Layout) (*BatchPlan, error) {
-	p := &BatchPlan{}
-	if err := p.compile(lays, s); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newBatchPlan(lays, s)
 }
 
 // lend returns a buffer of n float64s, cut from the slab's buffer,
@@ -60,10 +56,6 @@ func (s *Slab) lend(n int) []float64 {
 	}
 	return poisonArena(s.buf[:n])
 }
-
-// Bytes returns the size of the slab's buffer in bytes; it never
-// exceeds MaxRetainedArenaBytes.
-func (s *Slab) Bytes() int { return cap(s.buf) * 8 }
 
 // Lent reports whether a plan compiled into the slab has not been
 // released yet.

@@ -110,10 +110,10 @@ func TestSlabBounds(t *testing.T) {
 	}
 	small, large := layOf(expr.Instance{8, 8, 8}), layOf(expr.Instance{40, 40, 40})
 	p := compile(small, small)
-	smallBytes := slab.Bytes()
+	smallBytes := 8 * cap(slab.buf)
 	p.Release()
 	p = compile(large, large)
-	largeBytes := slab.Bytes()
+	largeBytes := 8 * cap(slab.buf)
 	if largeBytes <= smallBytes || largeBytes < 8*p.ArenaLen() {
 		t.Fatalf("slab of %d bytes after a %d-float plan (%d bytes before)", largeBytes, p.ArenaLen(), smallBytes)
 	}
@@ -127,8 +127,8 @@ func TestSlabBounds(t *testing.T) {
 	}()
 	p.Release()
 	compile(small).Release()
-	if slab.Bytes() != largeBytes {
-		t.Errorf("slab shrank from %d to %d bytes for a smaller plan", largeBytes, slab.Bytes())
+	if 8*cap(slab.buf) != largeBytes {
+		t.Errorf("slab shrank from %d to %d bytes for a smaller plan", largeBytes, 8*cap(slab.buf))
 	}
 
 	huge := make([]*Layout, MaxRetainedArenaBytes/(8*slabStride(large.arenaLen))+1)
@@ -140,14 +140,15 @@ func TestSlabBounds(t *testing.T) {
 		t.Fatalf("plan of %d bytes is not over the cap", p.ArenaLen()*8)
 	}
 	p.Release()
-	if slab.Bytes() != largeBytes {
-		t.Errorf("slab kept a %d-byte buffer over the cap", slab.Bytes())
+	if 8*cap(slab.buf) != largeBytes {
+		t.Errorf("slab kept a %d-byte buffer over the cap", 8*cap(slab.buf))
 	}
 }
 
 // TestEvaluateAlgorithmMissingInputsReadZero pins that an input the
-// caller leaves out reads as zero, even on a reused, unzeroed arena: with
-// B = 0, A·Aᵀ·B is zero whatever A is.
+// caller leaves out reads as zero, even on an unzeroed arena (the
+// arenapoison build NaN-fills it): with B = 0, A·Aᵀ·B is zero whatever
+// A is.
 func TestEvaluateAlgorithmMissingInputsReadZero(t *testing.T) {
 	algs := expr.NewAATB().Algorithms(expr.Instance{12, 10, 6})
 	rng := xrand.New(3)

@@ -82,11 +82,7 @@ func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 	for i := range lays {
 		lays[i] = lay
 	}
-	p := &BatchPlan{}
-	if err := p.compile(lays, nil); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return newBatchPlan(lays, nil)
 }
 
 // CompileBatchPlanMixed lowers one algorithm family bound at mixed
@@ -109,8 +105,13 @@ func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
 		}
 		lays[i] = lay
 	}
+	return newBatchPlan(lays, nil)
+}
+
+// newBatchPlan compiles a BatchPlan over lays (see compile).
+func newBatchPlan(lays []*Layout, slab *Slab) (*BatchPlan, error) {
 	p := &BatchPlan{}
-	if err := p.compile(lays, nil); err != nil {
+	if err := p.compile(lays, slab); err != nil {
 		return nil, err
 	}
 	return p, nil
