@@ -275,10 +275,9 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel
 // execUnfused executes each query through its own single-instance plan.
 func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
 	for _, i := range idxs {
-		alg := sel[i].alg
-		sh := alg.Shapes[alg.Output]
+		sh := sel[i].alg.Shapes[sel[i].alg.Output]
 		out[i].Fused = false
-		if out[i].Err = execOne(alg, inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
+		if out[i].Err = execOne(sel[i], inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
 			out[i].Output = nil
 		}
 	}
@@ -296,20 +295,27 @@ func outputOf(r *Result, rows, cols int) *mat.Dense {
 
 // execOne compiles and runs one query's selected algorithm on a private
 // plan with an arena of its own, outside the execution lock, and copies
-// its result into dst, converting kernel panics into an error.
-func execOne(alg *expr.Algorithm, in map[string]*mat.Dense, dst *mat.Dense) (err error) {
+// its result into dst, converting kernel panics into an error. The plan
+// is compiled from the memoised layout; an algorithm without one did
+// not validate, and CompilePlan reports why.
+func execOne(t target, in map[string]*mat.Dense, dst *mat.Dense) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("engine: execution failed: %v", r)
 		}
 	}()
-	p, err := exec.CompilePlan(alg)
+	var p *exec.Plan
+	if t.lay != nil {
+		p, err = exec.CompileLayout(t.lay)
+	} else {
+		p, err = exec.CompilePlan(t.alg)
+	}
 	if err != nil {
 		return err
 	}
 	p.FillInputs(xrand.New(batchFillSeed))
 	for id, src := range in {
-		if _, ok := alg.Shapes[id]; ok {
+		if _, ok := t.alg.Shapes[id]; ok {
 			p.SetInput(id, src)
 		}
 	}

@@ -76,14 +76,14 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 // computeBatchBytesBudget and computeBatchAllocsBudget bound what one
 // warm compute request of the fixture allocates: the largest of six
 // runs with plan layouts memoised per bound set and chunk plans
-// compiled into the engine's slab (1330602 bytes and 1471
+// compiled into the engine's slab (1329749 bytes and 1467
 // allocations), plus 10% headroom. About 1.1 MB of the bytes is the
 // request's output slab. Before the slab and the layout memo a request
 // allocated 1445789 bytes and 4047 allocations; before pooled arenas
 // and the output slab, 12.0 MB.
 const (
-	computeBatchBytesBudget  = 1330602 * 11 / 10
-	computeBatchAllocsBudget = 1471 * 11 / 10
+	computeBatchBytesBudget  = 1329749 * 11 / 10
+	computeBatchAllocsBudget = 1467 * 11 / 10
 )
 
 // TestDoComputeBatchBytesBudget pins the allocation volume and count of

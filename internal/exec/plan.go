@@ -166,11 +166,13 @@ func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return planOf(lay)
+	return CompileLayout(lay)
 }
 
-// planOf compiles the Plan of one laid-out instance.
-func planOf(lay *Layout) (*Plan, error) {
+// CompileLayout compiles the Plan of one laid-out instance, for a
+// caller that keeps the layout (the engine's bound sets do) and so
+// skips CompilePlan's validation and layout.
+func CompileLayout(lay *Layout) (*Plan, error) {
 	p := &Plan{}
 	if err := p.compile([]*Layout{lay}, nil); err != nil {
 		return nil, err
@@ -221,7 +223,7 @@ func CompileCallPlan(call kernels.Call) (*Plan, error) {
 			}
 		}
 	}
-	return planOf(lay)
+	return CompileLayout(lay)
 }
 
 // layoutArena assigns arena offsets with a first-fit free list driven by
