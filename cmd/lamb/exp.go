@@ -14,9 +14,8 @@ import (
 // Experiment 1's anomalies, and Experiment 3 needs Experiment 2's line
 // samples, exactly as in the paper. The expression and timer come from
 // the selection engine, so every experiment runner binds algorithm sets
-// through the engine's caches and (on the measured backend) executes
-// through its compiled-plan cache — the same pipeline `select` and
-// `serve` answer queries from.
+// through the engine's caches and measures through its executor — the
+// same pipeline `select` and `serve` answer queries from.
 type pipeline struct {
 	c     *commonFlags
 	e     lamb.Expression
@@ -24,7 +23,7 @@ type pipeline struct {
 }
 
 func newPipeline(c *commonFlags) (*pipeline, error) {
-	eng, err := c.engine(0, 0)
+	eng, err := c.engine(0)
 	if err != nil {
 		return nil, err
 	}

@@ -200,8 +200,6 @@ func cmdLoadtest(args []string) error {
 	}{
 		{"expressions", d.Expressions},
 		{"bindings", d.Bindings},
-		{"plans", d.Plans},
-		{"batch plans", d.BatchPlans},
 	} {
 		rows = append(rows, []string{l.name, fmt.Sprint(l.s.Hits), fmt.Sprint(l.s.Misses), hitRate(l.s)})
 	}
@@ -419,9 +417,6 @@ func statsDelta(before, after engine.Stats) engine.Stats {
 	d := after
 	d.Expressions = cacheDelta(before.Expressions, after.Expressions)
 	d.Bindings = cacheDelta(before.Bindings, after.Bindings)
-	d.Plans = cacheDelta(before.Plans, after.Plans)
-	d.CallPlans = cacheDelta(before.CallPlans, after.CallPlans)
-	d.BatchPlans = cacheDelta(before.BatchPlans, after.BatchPlans)
 	d.Queries = after.Queries - before.Queries
 	d.Deduped = after.Deduped - before.Deduped
 	d.Coalesced = after.Coalesced - before.Coalesced

@@ -193,10 +193,10 @@ func (c *commonFlags) timer() (*lamb.Timer, error) {
 
 // engine builds the selection engine for the chosen backend. The
 // experiment pipeline, `select`, and `serve` all route through one
-// engine, so enumeration, binding, and plan compilation are cached in
-// one place. Non-positive capacities fall back to the engine defaults.
-func (c *commonFlags) engine(bindEntries, planEntries int) (*engine.Engine, error) {
-	return c.engineWithProfiles(bindEntries, planEntries, "", 0, 0)
+// engine, so enumeration and binding are cached in one place. A
+// non-positive capacity falls back to the engine default.
+func (c *commonFlags) engine(bindEntries int) (*engine.Engine, error) {
+	return c.engineWithProfiles(bindEntries, "", 0, 0)
 }
 
 // engineWithProfiles is engine plus a persisted profile store: when
@@ -206,7 +206,7 @@ func (c *commonFlags) engine(bindEntries, planEntries int) (*engine.Engine, erro
 // and records. outcomeHalfLife configures the feedback store's weight
 // decay (0 disables it); exploreRate enables Thompson-sampling
 // exploration on adaptive queries (0 — the default — never explores).
-func (c *commonFlags) engineWithProfiles(bindEntries, planEntries int, profilePath string, outcomeHalfLife time.Duration, exploreRate float64) (*engine.Engine, error) {
+func (c *commonFlags) engineWithProfiles(bindEntries int, profilePath string, outcomeHalfLife time.Duration, exploreRate float64) (*engine.Engine, error) {
 	e, err := c.executor()
 	if err != nil {
 		return nil, err
@@ -215,7 +215,6 @@ func (c *commonFlags) engineWithProfiles(bindEntries, planEntries int, profilePa
 		Executor:        e,
 		Reps:            c.reps,
 		BindEntries:     bindEntries,
-		PlanEntries:     planEntries,
 		OutcomeHalfLife: outcomeHalfLife,
 		ExploreRate:     exploreRate,
 	}

@@ -61,7 +61,7 @@ func cmdRoute(args []string) error {
 	}
 	// The local fallback engine: profile-less, min-flops only — the
 	// floor of the degradation ladder, not a replacement shard.
-	local, err := c.engine(engine.DefaultBindEntries, engine.DefaultPlanEntries)
+	local, err := c.engine(engine.DefaultBindEntries)
 	if err != nil {
 		return err
 	}

@@ -122,8 +122,7 @@ func selectQuery(c *commonFlags, instFlag, strategy, profilePath string, gridPoi
 }
 
 // selectEvaluate runs the strategy-regret study through the engine's
-// expression and timer (so repeated instances bind once and, on the
-// measured backend, plans are cached across strategies).
+// expression and timer (so repeated instances bind once).
 func selectEvaluate(c *commonFlags, instances, gridPoints int, profilePath string) error {
 	p, err := newPipeline(c)
 	if err != nil {

@@ -86,7 +86,6 @@ func cmdServe(args []string) error {
 	c := registerCommon(fs)
 	addr := fs.String("addr", "127.0.0.1:8374", "listen address (use :0 for an ephemeral port)")
 	bindEntries := fs.Int("bind-cache", engine.DefaultBindEntries, "binding-layer LRU entries")
-	planEntries := fs.Int("plan-cache", engine.DefaultPlanEntries, "compiled-plan LRU entries (blas backend)")
 	profilePath := fs.String("profile", "", "persisted kernel-profile store (enables min-predicted and adaptive; SIGHUP re-reads it)")
 	outcomesPath := fs.String("outcomes", "", "outcome-store snapshot file: restored at boot, written periodically and at shutdown")
 	snapshotEvery := fs.Duration("snapshot-every", 30*time.Second, "interval between outcome-store snapshots (with -outcomes)")
@@ -97,7 +96,7 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	eng, err := c.engineWithProfiles(*bindEntries, *planEntries, *profilePath, *halfLife, *exploreRate)
+	eng, err := c.engineWithProfiles(*bindEntries, *profilePath, *halfLife, *exploreRate)
 	if err != nil {
 		return err
 	}

@@ -8,17 +8,17 @@ package engine
 // (expression, selected algorithm index, shape octave) so that
 //
 //   - a bucket whose queries bound the exact same algorithm instance
-//     executes through a BatchPlan bound to the batched drivers (cached
-//     in the plan LRU), and
+//     executes through a BatchPlan bound to the batched drivers, and
 //   - a bucket of mixed instances — same expression, same algorithm
 //     family, shapes within one power-of-two octave per dimension —
 //     executes through a mixed BatchPlan, padded to a common stride,
 //
 // both amortising the per-dispatch fixed costs that dominate the
-// small-instance regime. Buckets that cannot fuse (no batched executor,
-// instance arenas over the slab budget, padding overhead too high) fall
-// back to per-query execution and are counted, by reason, in
-// Stats.FuseRejected.
+// small-instance regime. Either plan is compiled into the engine's one
+// slab from the bound sets' memoised layouts, run, and released.
+// Buckets that cannot fuse (no batched executor, instance arenas over
+// the slab budget, padding overhead too high) fall back to per-query
+// execution and are counted, by reason, in Stats.FuseRejected.
 
 import (
 	"fmt"
@@ -59,10 +59,10 @@ type target struct {
 // match the instance); missing operands are filled from a deterministic
 // stream. Queries that selected the same algorithm of the same
 // expression at shapes within one power-of-two octave per dimension are
-// executed through one fused batch plan — identical instances through
-// the cached homogeneous plan, mixed instances through a padded
-// heterogeneous plan — and marked Fused; each fused-executed query
-// counts in Stats.FusedQueries. Buckets outside the fused regime
+// executed through one fused batch plan — identical instances bound to
+// the batched drivers, mixed instances through a padded heterogeneous
+// plan — and marked Fused; each fused-executed query counts in
+// Stats.FusedQueries. Buckets outside the fused regime
 // execute per query and count in Stats.FuseRejected by reason.
 //
 // Every executable query's Output is set up front to a view into one
@@ -199,7 +199,7 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []ta
 			e.execUnfused(sub, inputs, sel, out)
 			continue
 		}
-		e.execFusedChunk(sub, homog, inputs, sel, out)
+		e.execFusedChunk(sub, inputs, sel, out)
 	}
 }
 
@@ -208,41 +208,32 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []ta
 // a Cholesky-based algorithm poisoning the whole batched factorisation)
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, sel []target, out []Result) {
-	if err := e.runFusedChunk(idxs, homog, inputs, sel, out); err != nil {
+func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
+	if err := e.runFusedChunk(idxs, inputs, sel, out); err != nil {
 		e.execUnfused(idxs, inputs, sel, out)
 		return
 	}
 	e.fused.Add(uint64(len(idxs)))
 }
 
-// runFusedChunk takes the chunk's plan — the cached homogeneous one,
-// or a private plan compiled into the engine's slab from the chunk's
-// memoised layouts — and runs it. All of it happens under the execution
-// lock: cached batch plans are shared and not safe for concurrent use,
-// fused execution must not contend with a concurrent timed
-// measurement, and the one slab serves one private plan at a time. A
-// private plan gives the slab back before the lock is released, on
-// every path.
-func (e *Engine) runFusedChunk(idxs []int, homog bool, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
+// runFusedChunk compiles the chunk's plan into the engine's slab from
+// the chunk's memoised layouts and runs it. A chunk that repeats one
+// layout pointer binds the batched drivers. All of it happens under the
+// execution lock: fused execution must not contend with a concurrent
+// timed measurement, and the one slab serves one plan at a time. The
+// plan gives the slab back before the lock is released, on every path.
+func (e *Engine) runFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
+	lays := make([]*exec.Layout, len(idxs))
+	for k, i := range idxs {
+		lays[k] = sel[i].lay
+	}
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	var p *exec.BatchPlan
-	var err error
-	if alg := sel[idxs[0]].alg; homog && e.plans != nil {
-		p, err = e.plans.BatchPlan(alg, len(idxs))
-	} else {
-		lays := make([]*exec.Layout, len(idxs))
-		for k, i := range idxs {
-			lays[k] = sel[i].lay
-		}
-		if p, err = e.slab.Compile(lays); err == nil {
-			defer p.Release()
-		}
-	}
+	p, err := e.slab.Compile(lays)
 	if err != nil {
 		return err
 	}
+	defer p.Release()
 	return runFused(p, idxs, inputs, sel, out)
 }
 

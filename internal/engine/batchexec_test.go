@@ -25,8 +25,8 @@ func randomInputs(alg *expr.Algorithm, rng *xrand.Rand) map[string]*mat.Dense {
 
 // TestQueryBatchExecFusedHomogeneous pins the fused result path for
 // identical queries: same expression, same instance, min-flops — the
-// bucket executes through one cached homogeneous batch plan, every
-// result is marked fused, and each output is bitwise identical to
+// bucket executes through one homogeneous batch plan compiled into the
+// engine's slab, every result is marked fused, and each output is bitwise identical to
 // evaluating the selected algorithm on the same inputs through the
 // single-instance correctness path.
 func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
@@ -74,9 +74,10 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	if s.FusedQueries != n {
 		t.Errorf("fused_queries = %d, want %d", s.FusedQueries, n)
 	}
-	if s.BatchPlans.Misses == 0 {
-		t.Error("no batch plan was compiled for the homogeneous bucket")
+	if e.slab.Cap() == 0 {
+		t.Error("the homogeneous bucket compiled no plan into the engine's slab")
 	}
+	checkSlab(t, e)
 }
 
 // TestQueryBatchExecFusedMixed pins the heterogeneous result path:

@@ -14,10 +14,11 @@
 //     pointer-stable algorithms for the layer below. Each entry also
 //     memoises its last ranking, reused while the posterior is
 //     unchanged.
-//   - execution layer: compiled execution plans live in a bounded LRU
-//     (lamb/internal/exec.PlanCache) shared with the measured executor,
-//     keyed by the bound algorithm, so timing-based strategies never
-//     recompile a plan for a cached (algorithm, instance) pair.
+//   - execution layer: timing-based strategies measure through the
+//     executor, which compiles one plan per measurement
+//     (lamb/internal/exec.Measured keeps it for that measurement's
+//     repetitions); fused compute compiles every chunk plan into one
+//     engine-owned slab from the bound set's memoised layouts.
 //   - serving layer: Do deduplicates concurrent identical queries with
 //     a singleflight and answers each from one posterior — prior
 //     predictions blended with nearby feedback (lamb/internal/selection)
@@ -51,12 +52,9 @@ import (
 )
 
 // Cache-capacity defaults. Bound sets are small (≤ tens of algorithms
-// of a few hundred bytes), so the binding layer can be generous; plans
-// own operand arenas, so the execution layer stays conservative.
+// of a few hundred bytes), so the binding layer can be generous.
 const (
-	DefaultBindEntries     = 512
-	DefaultPlanEntries     = 32
-	DefaultCallPlanEntries = 32
+	DefaultBindEntries = 512
 	// DefaultFeedbackEntries bounds the feedback outcome store: distinct
 	// (expression, instance) records kept for the adaptive strategy.
 	// Records are small (an instance, its log coordinates, a few
@@ -74,19 +72,13 @@ const DefaultStrategy = "min-flops"
 // backend, the paper's 10 repetitions, default cache capacities.
 type Config struct {
 	// Executor runs timing-based strategies (oracle). Defaults to the
-	// simulated backend on the calibrated machine. A *exec.Measured
-	// executor has its plan cache replaced by the engine-owned one.
+	// simulated backend on the calibrated machine. The engine times
+	// through it under its execution lock and never reconfigures it.
 	Executor exec.Executor
 	// Reps is the timer's repetition count (default 10, the paper's).
 	Reps int
 	// BindEntries bounds the binding-layer LRU (default 512).
 	BindEntries int
-	// PlanEntries bounds the compiled whole-algorithm plan LRU
-	// (default 32).
-	PlanEntries int
-	// CallPlanEntries bounds the compiled single-call plan LRU
-	// (default 32).
-	CallPlanEntries int
 	// Profiles, if set, enables the profile-backed strategies:
 	// "min-predicted" (FLOPs combined with kernel performance profiles —
 	// the paper's proposed discriminant) and "adaptive" (that prediction
@@ -187,13 +179,6 @@ type Stats struct {
 	Expressions cache.Stats `json:"expressions"`
 	// Bindings counts binding-layer lookups of bound algorithm sets.
 	Bindings cache.Stats `json:"bindings"`
-	// Plans and CallPlans count execution-layer plan lookups (measured
-	// backend only; zero-valued on the simulated backend).
-	Plans     cache.Stats `json:"plans"`
-	CallPlans cache.Stats `json:"call_plans"`
-	// BatchPlans counts execution-layer fused batch-plan lookups
-	// (measured backend only; zero-valued on the simulated backend).
-	BatchPlans cache.Stats `json:"batch_plans"`
 	// Queries counts answered queries; Deduped counts those answered by an
 	// in-flight identical query (singleflight hits).
 	Queries uint64 `json:"queries"`
@@ -314,7 +299,6 @@ type flight struct {
 // for concurrent use.
 type Engine struct {
 	timer *exec.Timer
-	plans *exec.PlanCache // non-nil only for the measured backend
 
 	// mu guards the expression table, its counters, and the binding LRU.
 	mu       sync.Mutex
@@ -443,26 +427,6 @@ func New(cfg Config) *Engine {
 		inflight: make(map[string]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
 	}
-	if m, ok := ex.(*exec.Measured); ok {
-		if cfg.PlanEntries <= 0 && cfg.CallPlanEntries <= 0 && m.Plans != nil {
-			// Adopt the executor's cache: plans compiled before the
-			// engine existed (e.g. profile measurement) stay warm, and
-			// a second engine over the same executor shares — rather
-			// than silently orphans — its cache and counters.
-			e.plans = m.Plans
-		} else {
-			planEntries := cfg.PlanEntries
-			if planEntries <= 0 {
-				planEntries = DefaultPlanEntries
-			}
-			callEntries := cfg.CallPlanEntries
-			if callEntries <= 0 {
-				callEntries = DefaultCallPlanEntries
-			}
-			m.Plans = exec.NewPlanCache(planEntries, callEntries)
-			e.plans = m.Plans
-		}
-	}
 	e.adaptiveRadius = cfg.AdaptiveRadius
 	if e.adaptiveRadius <= 0 {
 		e.adaptiveRadius = selection.DefaultAdaptiveRadius
@@ -496,8 +460,7 @@ func (e *Engine) ReloadProfiles(set *profile.Set, meta profile.Meta) uint64 {
 }
 
 // Timer returns the engine's timer; experiment runners share it so all
-// measurement flows through the engine's executor (and, on the measured
-// backend, its plan cache).
+// measurement flows through the engine's executor.
 func (e *Engine) Timer() *exec.Timer { return e.timer }
 
 // Strategies returns the names of the known strategies, for error
@@ -590,8 +553,9 @@ func (e *Engine) Algorithms(name string, inst expr.Instance) ([]expr.Algorithm, 
 // and a chain's first bind also enumerates it — so it does not stall
 // unrelated queries. Concurrent misses of the same key may both bind,
 // but the double-check keeps one winner in the cache and everyone
-// returns it, so the sets stay pointer-stable — the plan cache below
-// keys by those pointers.
+// returns it, so the sets stay pointer-stable — the layouts memoised
+// in a set, fused compute's homogeneous chunks and the measured
+// executor's per-measurement plan all key by those pointers.
 func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error) {
 	if err := x.Validate(inst); err != nil {
 		return nil, err
@@ -839,10 +803,6 @@ func (e *Engine) Stats() Stats {
 		Bindings:    e.bind.Stats(),
 	}
 	e.mu.Unlock()
-	if e.plans != nil {
-		s.Plans, s.CallPlans = e.plans.Stats()
-		s.BatchPlans = e.plans.BatchStats()
-	}
 	s.Queries = e.queries.Load()
 	s.Deduped = e.deduped.Load()
 	s.Coalesced = e.coalesced.Load()

@@ -57,8 +57,8 @@ func TestEngineCachedSetsMatchDirectProperty(t *testing.T) {
 }
 
 // TestEngineRepeatQueriesHitAllCacheLayers is the acceptance check:
-// repeated identical queries are answered from the symbolic, binding,
-// and plan caches — no re-enumeration, no re-binding, no re-compiling.
+// repeated identical queries are answered from the symbolic and binding
+// caches — no re-enumeration, no re-binding.
 func TestEngineRepeatQueriesHitAllCacheLayers(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
@@ -94,14 +94,6 @@ func TestEngineRepeatQueriesHitAllCacheLayers(t *testing.T) {
 	// Binding layer: a hit, no new miss.
 	if cold.Bindings.Hits <= warm.Bindings.Hits || cold.Bindings.Misses != warm.Bindings.Misses {
 		t.Errorf("binding cache did not serve the repeat: %+v -> %+v", warm.Bindings, cold.Bindings)
-	}
-	// Execution layer: the oracle re-measured every algorithm through
-	// cached plans — hits grew, misses (compiles) did not.
-	if cold.Plans.Hits <= warm.Plans.Hits {
-		t.Errorf("plan cache hits did not grow: %+v -> %+v", warm.Plans, cold.Plans)
-	}
-	if cold.Plans.Misses != warm.Plans.Misses {
-		t.Errorf("repeat query recompiled plans: %+v -> %+v", warm.Plans, cold.Plans)
 	}
 	if first.Strategy != "oracle" || first.NumAlgorithms != 5 || len(first.Candidates) != 5 {
 		t.Fatalf("record %+v", first)
@@ -213,7 +205,7 @@ func TestEngineExpressionWrapperMatchesDirect(t *testing.T) {
 		t.Fatal("wrapper set differs from direct enumeration")
 	}
 	// Repeated calls return the identical cached slice (pointer-stable
-	// for the plan cache).
+	// for the layers that key by algorithm pointer).
 	first := x.Algorithms(inst)
 	second := x.Algorithms(inst)
 	if &first[0] != &second[0] {

@@ -60,3 +60,6 @@ func (s *Slab) lend(n int) []float64 {
 // Lent reports whether a plan compiled into the slab has not been
 // released yet.
 func (s *Slab) Lent() bool { return s.lent }
+
+// Cap returns the length in float64s of the buffer the slab keeps.
+func (s *Slab) Cap() int { return cap(s.buf) }

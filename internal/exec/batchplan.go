@@ -12,7 +12,7 @@ package exec
 //     through all N slabs with shared packing buffers, amortising the
 //     fixed per-dispatch costs that dominate small problems;
 //   - different instances of one algorithm family (same call structure,
-//     shapes free): each instance binds its own serial closures, laid
+//     shapes free): each instance binds its own serial kernels, laid
 //     out by its own layout within its padded slab.
 //
 // Execution is step-major — call s runs across all instances before
@@ -51,9 +51,9 @@ type BatchPlan struct {
 	lender *Slab
 	arena  []float64
 	insts  []planInstance
-	// steps[s] runs call s across every instance: one batched closure,
-	// or one serial closure per instance.
-	steps      [][]func()
+	// steps[s] runs call s across every instance: one batched step, or
+	// one serial step per instance.
+	steps      [][]step
 	spdScratch []float64
 	times      []float64
 }
@@ -168,27 +168,27 @@ func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 	}
 
 	calls := lays[0].alg.Calls
-	p.steps = make([][]func(), len(calls))
+	p.steps = make([][]step, len(calls))
 	p.times = make([]float64, len(calls))
 	if homog && count > 1 {
 		// Batch-base headers: instance 0's operands with open-ended data,
 		// so the batched drivers can stride forward through the slab.
-		lay := lays[0]
-		bases := carveOperands(lay, p.arena, true)
-		get := func(id string) *mat.Dense { return &bases[lay.index[id]] }
+		bases := carveOperands(lays[0], p.arena, true)
+		steps := make([]step, len(calls))
 		for s, c := range calls {
-			p.steps[s] = []func(){bind(binders[c.Kind].batched, c, get, p.stride, count)}
+			steps[s] = step{binders[c.Kind].batched, bind(c, lays[0], bases, p.stride, count)}
+			p.steps[s] = steps[s : s+1 : s+1]
 		}
 		return nil
 	}
+	steps := make([]step, len(calls)*count)
 	for s := range p.steps {
-		p.steps[s] = make([]func(), count)
+		p.steps[s] = steps[s*count : (s+1)*count : (s+1)*count]
 	}
 	for inst := range p.insts {
 		pi := &p.insts[inst]
-		get := func(id string) *mat.Dense { return &pi.ops[pi.lay.index[id]] }
 		for s, c := range pi.lay.alg.Calls {
-			p.steps[s][inst] = bind(binders[c.Kind].serial, c, get, 0, 1)
+			p.steps[s][inst] = step{binders[c.Kind].serial, bind(c, pi.lay, pi.ops, 0, 1)}
 		}
 	}
 	return nil
@@ -254,9 +254,9 @@ func (p *BatchPlan) FillInputs(rng *xrand.Rand) {
 // spawn goroutines on multi-core hosts).
 func (p *BatchPlan) Execute() {
 	p.live()
-	for _, step := range p.steps {
-		for _, run := range step {
-			run()
+	for _, insts := range p.steps {
+		for _, st := range insts {
+			st.run(st.o)
 		}
 	}
 }
@@ -267,10 +267,10 @@ func (p *BatchPlan) Execute() {
 // heap allocations.
 func (p *BatchPlan) ExecuteTimed() []float64 {
 	p.live()
-	for s, step := range p.steps {
+	for s, insts := range p.steps {
 		start := time.Now()
-		for _, run := range step {
-			run()
+		for _, st := range insts {
+			st.run(st.o)
 		}
 		p.times[s] = time.Since(start).Seconds()
 	}
@@ -283,7 +283,7 @@ func (p *BatchPlan) ExecuteTimed() []float64 {
 // executing or reading it panics instead of touching an arena another
 // plan now owns, and operand matrices obtained from it before must not
 // be used either. Releasing twice is a no-op. A plan that allocated its
-// own arena needs no Release; the plan caches never release theirs.
+// own arena needs no Release: the collector frees it with the plan.
 func (p *BatchPlan) Release() {
 	if p.insts == nil {
 		return

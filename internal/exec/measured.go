@@ -31,14 +31,25 @@ type Measured struct {
 	peakOnce sync.Once
 	peak     float64
 
-	// Plans is the compiled-plan cache. The Timer protocol runs Reps
-	// consecutive repetitions of the same algorithm (or call), so even a
-	// small LRU captures all the repetition reuse; the engine installs a
-	// larger shared cache so repeated queries skip recompilation across
-	// instances too. Measured itself remains single-threaded (the fill
-	// stream and flush buffer are shared), but the cache is safe to
-	// share.
-	Plans *PlanCache
+	// The protocol runs one measurement's repetitions back to back, so
+	// each timing method keeps the plan of its last measurement only,
+	// keyed by what it measured, and compiles afresh when that changes.
+	// One plan per method, not one for all three, lets a caller
+	// alternate TimeAlgorithm and TimeAlgorithmBatch on one algorithm
+	// (as BenchBatch does) without recompiling.
+	algKey    *expr.Algorithm
+	algPlan   *Plan
+	batchKey  batchKey
+	batchPlan *BatchPlan
+	callKey   kernels.Key
+	callPlan  *Plan
+}
+
+// batchKey identifies a fused batch plan: the bound algorithm plus the
+// number of instances it was compiled for.
+type batchKey struct {
+	alg   *expr.Algorithm
+	count int
 }
 
 // NewMeasured returns a measured executor with default settings.
@@ -46,7 +57,6 @@ func NewMeasured() *Measured {
 	return &Measured{
 		FlushBytes: 32 << 20,
 		fillRng:    xrand.New(0xfeed),
-		Plans:      NewPlanCache(DefaultAlgPlanEntries, DefaultCallPlanEntries),
 	}
 }
 
@@ -67,12 +77,9 @@ func (e *Measured) flushCache() {
 	}
 }
 
-// plan returns the compiled plan for alg through the plan cache,
-// compiling on first sight. The measurement protocol repeats the same
-// algorithm back to back, so every repetition after the first is a
-// cache hit (and performs no heap allocations).
-func (e *Measured) plan(alg *expr.Algorithm) *Plan {
-	p, err := e.Plans.Plan(alg)
+// mustCompile returns the compiled plan p, panicking on a compile
+// error: an executor is handed validated algorithms and calls.
+func mustCompile[P any](p P, err error) P {
 	if err != nil {
 		panic(fmt.Sprintf("exec: %v", err))
 	}
@@ -108,15 +115,18 @@ func EvaluateAlgorithm(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.D
 
 // TimeAlgorithm implements Executor: inputs are refilled in place from
 // the deterministic stream, the cache is flushed, and the pre-compiled
-// plan runs with per-call timing. After the plan is compiled (first
-// repetition), nothing on this path allocates — in particular, nothing
-// allocates between the cache flush and the first kernel call. The
-// returned slice is owned by the executor and reused by the next call.
+// plan runs with per-call timing. The plan is compiled on the first
+// repetition of alg; after that nothing on this path allocates — in
+// particular, nothing allocates between the cache flush and the first
+// kernel call. The returned slice is owned by the executor and reused
+// by the next call.
 func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
-	p := e.plan(alg)
-	p.FillInputs(e.fillRng)
+	if e.algPlan == nil || e.algKey != alg {
+		e.algPlan, e.algKey = mustCompile(CompilePlan(alg)), alg
+	}
+	e.algPlan.FillInputs(e.fillRng)
 	e.flushCache()
-	return p.ExecuteTimed()
+	return e.algPlan.ExecuteTimed()
 }
 
 // batchSlabFloats is the fused-batch slab budget in float64s (4 MiB).
@@ -133,7 +143,7 @@ const batchSlabFloats = (4 << 20) / 8
 // span: N instances execute as ⌈N/chunk⌉ chunks, so the total fusable
 // width is FuseChunk × MaxFusedChunks (up to 512 instances for the
 // smallest strides). The cap keeps one plan's arena bounded (≤ 8 slab
-// budgets) so the batch-plan LRU stays cheap.
+// budgets).
 const MaxFusedChunks = 8
 
 // FuseChunk returns the chunk width for alg (see LayoutChunk), laying
@@ -171,32 +181,31 @@ func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
 // TimeAlgorithmBatch implements BatchExecutor: one fused repetition over
 // count instances — all instances refilled, one cache flush, one fused
 // plan execution. The returned per-call times cover all count instances
-// of each call. After the batch plan is compiled (first repetition),
-// nothing on this path allocates. The returned slice is owned by the
-// executor and reused by the next call.
+// of each call. The batch plan is compiled on the first repetition of
+// (alg, count); after that nothing on this path allocates. The returned
+// slice is owned by the executor and reused by the next call.
 func (e *Measured) TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64 {
-	p, err := e.Plans.BatchPlan(alg, count)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
+	if key := (batchKey{alg, count}); e.batchPlan == nil || e.batchKey != key {
+		e.batchPlan, e.batchKey = mustCompile(CompileBatchPlan(alg, count)), key
 	}
-	p.FillInputs(e.fillRng)
+	e.batchPlan.FillInputs(e.fillRng)
 	e.flushCache()
-	return p.ExecuteTimed()
+	return e.batchPlan.ExecuteTimed()
 }
 
 // TimeCallCold implements Executor: the call runs through a compiled
-// single-call plan (cached by MemoKey) whose operands are refilled in
-// place after the first repetition, so no allocation happens after the
-// cache flush.
+// single-call plan whose operands are refilled in place at every
+// repetition, so no allocation happens after the cache flush. Calls
+// with equal MemoKeys share the plan (operand IDs do not affect
+// performance), compiled on the first repetition of that key.
 func (e *Measured) TimeCallCold(call kernels.Call, rep uint64) float64 {
-	p, err := e.Plans.CallPlan(call)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
+	if key := call.MemoKey(); e.callPlan == nil || e.callKey != key {
+		e.callPlan, e.callKey = mustCompile(CompileCallPlan(call)), key
 	}
-	p.FillInputs(e.fillRng)
+	e.callPlan.FillInputs(e.fillRng)
 	e.flushCache()
 	start := time.Now()
-	p.Execute()
+	e.callPlan.Execute()
 	return time.Since(start).Seconds()
 }
 

@@ -3,9 +3,10 @@ package exec
 // This file implements the per-instance stage of plan compilation: an
 // expr.Algorithm's layout — operand IDs resolved to indices into a flat
 // operand table, and every temporary placed into one arena buffer with
-// liveness-based slot reuse — and the binding of each call to a closure
-// over its concrete matrices, so that running a repetition performs no
-// map lookups, no dispatch switches, and no heap allocations. Plan, the
+// liveness-based slot reuse — and the binding of each call to its
+// kernel and its concrete matrices, so that running a repetition
+// performs no map lookups, no dispatch switches, and no heap
+// allocations. Plan, the
 // single-instance BatchPlan, is what the Measured executor, the
 // isolated-call benchmark, and EvaluateAlgorithm execute through.
 
@@ -353,18 +354,24 @@ func mustBeSPD(err error, id string) {
 	}
 }
 
-// bind resolves the call's operands through get once and returns a
-// closure that runs the binder column run on them.
-func bind(run func(operands), c kernels.Call, get func(string) *mat.Dense, stride, count int) func() {
+// step is one bound call of a plan: a binder column and the operands it
+// runs on.
+type step struct {
+	run func(operands)
+	o   operands
+}
+
+// bind resolves the call's operands to the headers ops, laid out as
+// lay, once at compile time.
+func bind(c kernels.Call, lay *Layout, ops []mat.Dense, stride, count int) operands {
 	in := func(i int) *mat.Dense {
 		if i < len(c.In) {
-			return get(c.In[i])
+			return &ops[lay.index[c.In[i]]]
 		}
 		return nil
 	}
-	o := operands{a: in(0), b: in(1), out: get(c.Out), transA: c.TransA, transB: c.TransB,
+	return operands{a: in(0), b: in(1), out: &ops[lay.index[c.Out]], transA: c.TransA, transB: c.TransB,
 		outID: c.Out, stride: stride, count: count}
-	return func() { run(o) }
 }
 
 // fillOperand refills one operand in place according to its fill kind.

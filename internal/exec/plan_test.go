@@ -199,6 +199,72 @@ func TestMeasuredTimeCallColdZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestMeasuredPlanSwitchZeroAllocs pins the measured executor's one
+// plan per timing method: each method holds only the plan of the
+// measurement it timed last, switching from A to B and back to A
+// compiles a new plan at every switch, a repetition of the measurement
+// in progress allocates nothing, and calls with equal MemoKeys share
+// one plan.
+func TestMeasuredPlanSwitchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
+	}
+	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
+	e := NewMeasured()
+	e.FlushBytes = 1 << 20
+	algs := expr.NewAATB().Algorithms(expr.Instance{24, 16, 8})
+	a, b := &algs[0], &algs[1]
+	gemm := kernels.NewGemm(32, 24, 16, "A", "B", "C", false, false)
+	syrk := kernels.NewSyrk(24, 16, "A", "C")
+	for _, m := range []struct {
+		name string
+		rep  [2]func() // one repetition of measurement A, of B
+		key  [2]any    // the key each measurement's plan is held under
+		held func() (key, plan any)
+	}{
+		{"TimeAlgorithm",
+			[2]func(){func() { e.TimeAlgorithm(a, 1) }, func() { e.TimeAlgorithm(b, 1) }},
+			[2]any{a, b},
+			func() (any, any) { return e.algKey, e.algPlan }},
+		{"TimeAlgorithmBatch",
+			[2]func(){func() { e.TimeAlgorithmBatch(a, 8, 1) }, func() { e.TimeAlgorithmBatch(b, 8, 1) }},
+			[2]any{batchKey{a, 8}, batchKey{b, 8}},
+			func() (any, any) { return e.batchKey, e.batchPlan }},
+		{"TimeCallCold",
+			[2]func(){func() { e.TimeCallCold(gemm, 1) }, func() { e.TimeCallCold(syrk, 1) }},
+			[2]any{gemm.MemoKey(), syrk.MemoKey()},
+			func() (any, any) { return e.callKey, e.callPlan }},
+	} {
+		var plans []any
+		for step, x := range []int{0, 1, 0} {
+			label := fmt.Sprintf("%s, step %d (%c)", m.name, step, "AB"[x])
+			m.rep[x]()
+			key, plan := m.held()
+			if key != m.key[x] {
+				t.Errorf("%s: holds the plan of another measurement", label)
+			}
+			for _, old := range plans {
+				if plan == old {
+					t.Errorf("%s: the switch reused an earlier plan", label)
+				}
+			}
+			plans = append(plans, plan)
+			if allocs := testing.AllocsPerRun(10, m.rep[x]); allocs != 0 {
+				t.Errorf("%s: %v allocs per repetition, want 0", label, allocs)
+			}
+			if _, again := m.held(); again != plan {
+				t.Errorf("%s: a repetition recompiled the plan", label)
+			}
+		}
+	}
+	// Operand IDs do not change the call's MemoKey, so they keep its plan.
+	held := e.callPlan
+	e.TimeCallCold(kernels.NewGemm(32, 24, 16, "P", "Q", "R", false, false), 1)
+	if e.callPlan != held {
+		t.Error("a call with an equal MemoKey compiled a plan of its own")
+	}
+}
+
 func TestCompileCallPlanAllKinds(t *testing.T) {
 	// Every kernel kind must compile into a runnable single-call plan
 	// whose operands match the call's metadata.
@@ -235,11 +301,17 @@ func TestCompileCallPlanAllKinds(t *testing.T) {
 
 // TestCompileCallPlanRejectsMalformedCalls pins that a call Validate
 // rejects fails to compile with an error rather than a panic in the
-// binder: SYMM must read two inputs and Tri2Full must mirror in place.
+// binder: SYMM must read two inputs, Tri2Full must mirror in place, and
+// a GEMM needs dimensions. An algorithm without calls does not compile
+// either.
 func TestCompileCallPlanRejectsMalformedCalls(t *testing.T) {
+	if _, err := CompilePlan(&expr.Algorithm{Name: "empty"}); err == nil {
+		t.Error("CompilePlan accepted an algorithm without calls")
+	}
 	for _, call := range []kernels.Call{
 		{Kind: kernels.Symm, M: 4, N: 4, K: 4, In: []string{"A"}, Out: "C"},
 		{Kind: kernels.Tri2Full, M: 4, N: 4, Out: "C"},
+		{Kind: kernels.Gemm},
 	} {
 		func() {
 			defer func() {
@@ -256,9 +328,10 @@ func TestCompileCallPlanRejectsMalformedCalls(t *testing.T) {
 
 // TestKernelTableComplete checks every row of the kernel table and of
 // the binder table: a kind with a missing column fails here, not in a
-// serving process.
+// serving process. Both columns run the kind's canonical call, serially
+// in a single-call plan and batched over two instances of it, and must
+// agree bit for bit on instance 0.
 func TestKernelTableComplete(t *testing.T) {
-	get := func(string) *mat.Dense { return mat.New(14, 14) }
 	for kind := kernels.Kind(0); int(kind) < kernels.NumKinds; kind++ {
 		name := kind.String()
 		if back, err := kernels.ParseKind(name); name == "" || err != nil || back != kind {
@@ -288,8 +361,29 @@ func TestKernelTableComplete(t *testing.T) {
 			t.Errorf("%v: binder row is incomplete", kind)
 			continue
 		}
-		if bind(b.serial, call, get, 0, 1) == nil || bind(b.batched, call, get, 14*14, 2) == nil {
-			t.Errorf("%v: a binder column bound no closure", kind)
+		serial, err := CompileCallPlan(call)
+		if err != nil {
+			t.Errorf("%v: %v", kind, err)
+			continue
+		}
+		lay := serial.insts[0].lay
+		if o := bind(call, lay, serial.insts[0].ops, 0, 1); o.out == nil || (len(call.In) > 0 && o.a == nil) {
+			t.Errorf("%v: bind resolved no operands: %+v", kind, o)
+		}
+		batched, err := newBatchPlan([]*Layout{lay, lay}, nil)
+		if err != nil {
+			t.Errorf("%v: %v", kind, err)
+			continue
+		}
+		if len(batched.steps[0]) != 1 || batched.steps[0][0].o.count != 2 {
+			t.Errorf("%v: two instances of one layout did not bind one batched step", kind)
+		}
+		serial.FillInputs(xrand.New(0x7ab1e))
+		serial.Execute()
+		batched.FillInputs(xrand.New(0x7ab1e))
+		batched.Execute()
+		if !mat.Equal(serial.Output(), batched.Output(0)) {
+			t.Errorf("%v: the batched column differs from the serial one", kind)
 		}
 	}
 }
