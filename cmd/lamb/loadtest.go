@@ -14,7 +14,8 @@ package main
 // shedding server with an immediate retry storm; shed and retry counts
 // surface in the report. The /api/stats counters are sampled before and
 // after, so the report can attribute throughput to cache layers (hit
-// rates) and to the fused batched path (coalesced / fused counters).
+// rates) and to the fused batched path (coalesced / fused counters) or,
+// against a router, to its forwards, retries, hedges and degradations.
 
 import (
 	"bytes"
@@ -36,6 +37,7 @@ import (
 	"lamb/internal/cache"
 	"lamb/internal/engine"
 	"lamb/internal/report"
+	"lamb/internal/router"
 )
 
 // cmdLoadtest drives a running serve instance and reports latency
@@ -192,24 +194,9 @@ func cmdLoadtest(args []string) error {
 	}
 
 	fmt.Println()
-	d := statsDelta(before, after)
-	rows = [][]string{{"engine layer", "hits", "misses", "hit rate"}}
-	for _, l := range []struct {
-		name string
-		s    cache.Stats
-	}{
-		{"expressions", d.Expressions},
-		{"bindings", d.Bindings},
-	} {
-		rows = append(rows, []string{l.name, fmt.Sprint(l.s.Hits), fmt.Sprint(l.s.Misses), hitRate(l.s)})
-	}
-	if err := report.Table(os.Stdout, rows); err != nil {
+	if err := writeStatsReport(os.Stdout, before, after); err != nil {
 		return err
 	}
-	fmt.Printf("\nqueries %d  deduped %d  coalesced %d  fused %d  degraded %d\n",
-		d.Queries, d.Deduped, d.Coalesced, d.FusedQueries, d.DegradedQueries)
-	fmt.Printf("fuse rejected: too_big_arena %d  unregistered %d  hetero_prepadding %d\n",
-		d.FuseRejected.TooBigArena, d.FuseRejected.Unregistered, d.FuseRejected.HeteroPrepadding)
 	if n := counts.errors.Load(); n > 0 {
 		return fmt.Errorf("%d request(s) failed", n)
 	}
@@ -394,21 +381,84 @@ func lookupArity(name string) (int, error) {
 	return ex.Arity(), nil
 }
 
-// fetchStats samples /api/stats into the flattened serve shape.
-func fetchStats(client *http.Client, target string) (engine.Stats, error) {
+// targetStats is one /api/stats sample: a serve's engine counters, or a
+// router's counters when the body lists backends.
+type targetStats struct {
+	engine engine.Stats
+	router *router.Stats
+}
+
+// fetchStats samples /api/stats and tells a router from a serve by the
+// router's "backends" key.
+func fetchStats(client *http.Client, target string) (targetStats, error) {
 	resp, err := client.Get(target + "/api/stats")
 	if err != nil {
-		return engine.Stats{}, err
+		return targetStats{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return engine.Stats{}, fmt.Errorf("GET /api/stats: %s", resp.Status)
+		return targetStats{}, fmt.Errorf("GET /api/stats: %s", resp.Status)
 	}
-	var s engine.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return engine.Stats{}, fmt.Errorf("decoding /api/stats: %w", err)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return targetStats{}, err
+	}
+	var keys struct {
+		Backends json.RawMessage `json:"backends"`
+	}
+	if err := json.Unmarshal(body, &keys); err != nil {
+		return targetStats{}, fmt.Errorf("decoding /api/stats: %w", err)
+	}
+	var s targetStats
+	if keys.Backends != nil {
+		s.router = new(router.Stats)
+		err = json.Unmarshal(body, s.router)
+	} else {
+		err = json.Unmarshal(body, &s.engine)
+	}
+	if err != nil {
+		return targetStats{}, fmt.Errorf("decoding /api/stats: %w", err)
 	}
 	return s, nil
+}
+
+// writeStatsReport prints what the run did to the target's counters: the
+// forward ladder's for a router, the cache layers and query paths for a
+// serve.
+func writeStatsReport(w io.Writer, before, after targetStats) error {
+	if after.router != nil {
+		var b router.Stats
+		if before.router != nil {
+			b = *before.router
+		}
+		a := after.router
+		return report.Table(w, [][]string{
+			{"router", "delta"},
+			{"forwards", fmt.Sprint(a.Forwards - b.Forwards)},
+			{"retries", fmt.Sprint(a.Retries - b.Retries)},
+			{"hedged", fmt.Sprint(a.Hedged - b.Hedged)},
+			{"degraded_queries", fmt.Sprint(a.DegradedQueries - b.DegradedQueries)},
+		})
+	}
+	d := statsDelta(before.engine, after.engine)
+	rows := [][]string{{"engine layer", "hits", "misses", "hit rate"}}
+	for _, l := range []struct {
+		name string
+		s    cache.Stats
+	}{
+		{"expressions", d.Expressions},
+		{"bindings", d.Bindings},
+	} {
+		rows = append(rows, []string{l.name, fmt.Sprint(l.s.Hits), fmt.Sprint(l.s.Misses), hitRate(l.s)})
+	}
+	if err := report.Table(w, rows); err != nil {
+		return err
+	}
+	_, err := fmt.Fprintf(w, "\nqueries %d  deduped %d  coalesced %d  fused %d  degraded %d\n"+
+		"fuse rejected: too_big_arena %d  unregistered %d  hetero_prepadding %d\n",
+		d.Queries, d.Deduped, d.Coalesced, d.FusedQueries, d.DegradedQueries,
+		d.FuseRejected.TooBigArena, d.FuseRejected.Unregistered, d.FuseRejected.HeteroPrepadding)
+	return err
 }
 
 // statsDelta subtracts the counter fields sampled before the run from

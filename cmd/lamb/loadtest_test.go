@@ -1,13 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"lamb/internal/cache"
 	"lamb/internal/engine"
 	"lamb/internal/exec"
+	"lamb/internal/router"
 )
 
 // TestLoadtestAgainstServeBatch drives the loadtest generator against an
@@ -147,5 +151,63 @@ func TestLoadtestBatchMix(t *testing.T) {
 	}
 	if err := cmdLoadtest([]string{"-target", srv.URL, "-batch-mix"}); err == nil {
 		t.Error("-batch-mix without -batch > 1 did not fail")
+	}
+}
+
+// TestLoadtestStatsReport checks the closing report's two shapes: the
+// engine's cache layers and query counters for a serve, the forward
+// ladder's counters for a router, each as the run's delta.
+func TestLoadtestStatsReport(t *testing.T) {
+	t.Run("serve", func(t *testing.T) {
+		before := targetStats{engine: engine.Stats{Queries: 10, Bindings: cache.Stats{Hits: 4, Misses: 1}}}
+		after := targetStats{engine: engine.Stats{Queries: 25, Bindings: cache.Stats{Hits: 16, Misses: 4}}}
+		var out bytes.Buffer
+		if err := writeStatsReport(&out, before, after); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"engine layer", "bindings      12    3       80.0%", "queries 15 "} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("serve report lacks %q:\n%s", want, out.String())
+			}
+		}
+	})
+	t.Run("router", func(t *testing.T) {
+		before := targetStats{router: &router.Stats{Forwards: 5, Retries: 1}}
+		after := targetStats{router: &router.Stats{Forwards: 105, Retries: 3, Hedged: 7, DegradedQueries: 2}}
+		var out bytes.Buffer
+		if err := writeStatsReport(&out, before, after); err != nil {
+			t.Fatal(err)
+		}
+		want := "router            delta\n-----------------------\nforwards          100\nretries           2\nhedged            7\ndegraded_queries  2\n"
+		if out.String() != want {
+			t.Errorf("router report:\n%s\nwant:\n%s", out.String(), want)
+		}
+	})
+}
+
+// TestLoadtestAgainstRouter drives the generator through a router in
+// front of a serve: the stats sample is read as a router's, and its
+// forwards count the run's requests.
+func TestLoadtestAgainstRouter(t *testing.T) {
+	backend := httptest.NewServer(serveMux(engine.New(engine.Config{})))
+	defer backend.Close()
+	rt, err := router.New(router.Config{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	if err := cmdLoadtest([]string{
+		"-target", front.URL, "-duration", "100ms", "-concurrency", "1", "-expr", "aatb", "-instance", "16,8,8",
+	}); err != nil {
+		t.Fatalf("cmdLoadtest through a router: %v", err)
+	}
+	s, err := fetchStats(http.DefaultClient, front.URL)
+	if err != nil || s.router == nil || s.router.Forwards == 0 {
+		t.Fatalf("router stats sample %+v, %v", s, err)
+	}
+	if s, err := fetchStats(http.DefaultClient, backend.URL); err != nil || s.router != nil || s.engine.Queries == 0 {
+		t.Fatalf("serve stats sample %+v, %v", s, err)
 	}
 }

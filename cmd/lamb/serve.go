@@ -469,6 +469,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, res[0].Err)
 		return
 	}
+	router.SetConfidence(w, res[0].Record.Confidence)
 	writeJSON(w, http.StatusOK, res[0].Record)
 }
 

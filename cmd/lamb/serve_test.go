@@ -5,11 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -17,6 +19,7 @@ import (
 	"lamb/internal/engine"
 	"lamb/internal/exec"
 	"lamb/internal/profile"
+	"lamb/internal/router"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -95,6 +98,11 @@ func TestServeQueryRecord(t *testing.T) {
 	}
 	if rec.Selected.Flops != 13_161_120 || rec.NumAlgorithms != 5 {
 		t.Fatalf("record %+v", rec)
+	}
+	// The confidence header parses back to exactly the body's value.
+	hdr := resp.Header.Get(router.ConfidenceHeader)
+	if c, err := strconv.ParseFloat(hdr, 64); err != nil || math.Float64bits(c) != math.Float64bits(rec.Confidence) {
+		t.Fatalf("%s %q (%v), body confidence %v", router.ConfidenceHeader, hdr, err, rec.Confidence)
 	}
 	// The wire format is the engine record verbatim: round-tripping
 	// through the endpoint changes nothing.

@@ -1,11 +1,9 @@
 package router
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"time"
@@ -79,23 +77,14 @@ func (rt *Router) fetchOutcomes(ctx context.Context, b *backendState) ([]byte, e
 	if err := faultinject.FireCtx(ctx, "router.merge"); err != nil {
 		return nil, err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/api/v1/outcomes", nil)
-	if err != nil {
-		return nil, err
+	res := b.conns.exchange(ctx, "/api/v1/outcomes", nil)
+	if res.err != nil {
+		return nil, res.err
 	}
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return nil, err
+	if res.status != http.StatusOK {
+		return nil, fmt.Errorf("outcomes export from %s: status %d", b.url, res.status)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("outcomes export from %s: status %d", b.url, resp.StatusCode)
-	}
-	return body, nil
+	return res.body, nil
 }
 
 // pushMerge posts a snapshot to one backend, attributed to the source
@@ -103,29 +92,19 @@ func (rt *Router) fetchOutcomes(ctx context.Context, b *backendState) ([]byte, e
 func (rt *Router) pushMerge(ctx context.Context, dst *backendState, source string, snap []byte) (int, error) {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
-	target := fmt.Sprintf("%s/api/v1/admin/merge?source=%s&scale=%s",
-		dst.url, url.QueryEscape(source), url.QueryEscape(fmt.Sprintf("%g", rt.cfg.MergeScale)))
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(snap))
-	if err != nil {
-		return 0, err
+	path := "/api/v1/admin/merge?source=" + url.QueryEscape(source) +
+		"&scale=" + url.QueryEscape(fmt.Sprintf("%g", rt.cfg.MergeScale))
+	res := dst.conns.exchange(ctx, path, snap)
+	if res.err != nil {
+		return 0, res.err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	if err != nil {
-		return 0, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("merge into %s: status %d: %s", dst.url, resp.StatusCode, body)
+	if res.status != http.StatusOK {
+		return 0, fmt.Errorf("merge into %s: status %d: %s", dst.url, res.status, res.body)
 	}
 	var counts struct {
 		Merged int `json:"merged"`
 	}
-	if err := json.Unmarshal(body, &counts); err != nil {
+	if err := json.Unmarshal(res.body, &counts); err != nil {
 		return 0, err
 	}
 	return counts.Merged, nil

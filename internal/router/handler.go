@@ -101,9 +101,12 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	res := rt.forward(ctx, cands, "/api/v1/query", body, hedge)
 	if res.err == nil {
-		// The record (confidence included) is relayed untouched; the
-		// router only remembers the confidence to steer future hedging.
-		rt.observeConfidence(key, res)
+		// The record and its confidence header are relayed untouched.
+		// With hedging on, the router also remembers the confidence to
+		// steer future hedging.
+		if rt.cfg.HedgeAfter > 0 {
+			rt.observeConfidence(key, res)
+		}
 		relay(w, res)
 		return
 	}
@@ -147,6 +150,7 @@ func (rt *Router) localQuery(w http.ResponseWriter, ctx context.Context, q query
 	case err != nil:
 		writeError(w, http.StatusBadRequest, err)
 	default:
+		SetConfidence(w, rec.Confidence)
 		writeJSON(w, http.StatusOK, rec)
 	}
 }
@@ -309,18 +313,8 @@ func (rt *Router) handleExpressions(w http.ResponseWriter, r *http.Request) {
 		if !b.up.Load() {
 			continue
 		}
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/api/v1/expressions", nil)
-		if err != nil {
-			continue
-		}
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			continue
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-		resp.Body.Close()
-		if err == nil && resp.StatusCode == http.StatusOK {
-			relay(w, attemptResult{status: resp.StatusCode, body: body})
+		if res := b.conns.exchange(ctx, "/api/v1/expressions", nil); res.err == nil && res.status == http.StatusOK {
+			relay(w, res)
 			return
 		}
 	}
@@ -371,8 +365,12 @@ func requestCtx(r *http.Request, timeoutMs int) (context.Context, context.Cancel
 	return r.Context(), func() {}
 }
 
-// relay writes a backend response through unchanged.
+// relay writes a backend response through unchanged, its confidence
+// header included.
 func relay(w http.ResponseWriter, res attemptResult) {
+	if v := res.header[ConfidenceHeader]; len(v) > 0 {
+		w.Header()[ConfidenceHeader] = v
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(res.status)
 	w.Write(res.body)

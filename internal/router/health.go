@@ -2,7 +2,6 @@ package router
 
 import (
 	"context"
-	"net/http"
 	"sync"
 	"time"
 )
@@ -48,18 +47,11 @@ func (rt *Router) probeOne(b *backendState) {
 	b.probes.Add(1)
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
 	defer cancel()
-	ok := false
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.url+"/healthz", nil)
-	if err == nil {
-		if resp, err := rt.client.Do(req); err == nil {
-			// Ready means ready: a 503 (reloading, saturated) is a probe
-			// failure, steering shard-owner traffic at the first retry
-			// candidate until the backend has headroom again.
-			ok = resp.StatusCode >= 200 && resp.StatusCode < 300
-			resp.Body.Close()
-		}
-	}
-	if ok {
+	// Ready means ready: a 503 (reloading, saturated) is a probe
+	// failure, steering shard-owner traffic at the first retry candidate
+	// until the backend has headroom again.
+	res := b.conns.exchange(ctx, "/healthz", nil)
+	if res.err == nil && res.status >= 200 && res.status < 300 {
 		b.consecFails = 0
 		if !b.up.Swap(true) {
 			// Down -> up transition: the probe proved the backend answers

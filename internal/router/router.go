@@ -1,14 +1,12 @@
 package router
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +44,9 @@ type Config struct {
 	// owning shard hasn't answered within HedgeAfter, the same query
 	// races on the next candidate and the first success wins. Hedging
 	// applies to timed strategies (oracle) and to adaptive queries whose
-	// last answer for the shard key reported confidence below
-	// DefaultHedgeConfidence. Off by default — hedging doubles backend
-	// work, worth it only when tail latency matters more.
+	// last answer for the shard key reported, in its ConfidenceHeader,
+	// confidence below DefaultHedgeConfidence. Off by default — hedging
+	// doubles backend work, worth it only when tail latency matters more.
 	HedgeAfter time.Duration
 
 	// MergeEvery, when positive, runs the anti-entropy gossip loop:
@@ -62,10 +60,6 @@ type Config struct {
 	// when no backend can answer: selection keeps working on the
 	// profile-less min-flops discriminant, stamped Degraded "no-backend".
 	Local *engine.Engine
-
-	// Client issues all backend HTTP traffic (default: a dedicated
-	// client; timeouts come from AttemptTimeout contexts).
-	Client *http.Client
 
 	// Breaker tuning: window is the sliding outcome window per backend
 	// (default 20), minSamples gates tripping (default 5), tripRatio is
@@ -84,9 +78,10 @@ const DegradedNoBackend = "no-backend"
 
 // backendState is everything the router tracks per backend.
 type backendState struct {
-	url string
-	br  *breaker
-	up  atomic.Bool
+	url   string
+	conns *connPool
+	br    *breaker
+	up    atomic.Bool
 	// consecFails is touched only by the prober goroutine.
 	consecFails int
 	probes      atomic.Uint64
@@ -102,7 +97,6 @@ type Router struct {
 	ring     *ring
 	backends []*backendState
 	byURL    map[string]*backendState
-	client   *http.Client
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -136,22 +130,35 @@ const DefaultHedgeConfidence = 0.5
 // a correctness concern, so forgetting the long tail is fine.
 const maxConfKeys = 4096
 
+// ConfidenceHeader carries a query record's confidence beside its body,
+// so the router can read it without parsing the record.
+const ConfidenceHeader = "Lamb-Confidence"
+
+// SetConfidence sets ConfidenceHeader to c, formatted to parse back to
+// the same bits.
+func SetConfidence(w http.ResponseWriter, c float64) {
+	w.Header().Set(ConfidenceHeader, strconv.FormatFloat(c, 'g', -1, 64))
+}
+
 // observeConfidence remembers the confidence a successful query answer
-// reported for its shard key. Bodies that don't parse or carry no
-// confidence field (old backends) are ignored.
+// reported in its ConfidenceHeader for its shard key. Answers without
+// the header (old backends) or with one that does not parse are
+// ignored.
 func (rt *Router) observeConfidence(key string, res attemptResult) {
 	if res.err != nil || res.status != http.StatusOK {
 		return
 	}
-	var rec struct {
-		Confidence *float64 `json:"confidence"`
+	v := res.header[ConfidenceHeader]
+	if len(v) == 0 {
+		return
 	}
-	if json.Unmarshal(res.body, &rec) != nil || rec.Confidence == nil {
+	c, err := strconv.ParseFloat(v[0], 64)
+	if err != nil {
 		return
 	}
 	rt.confMu.Lock()
 	if _, known := rt.conf[key]; known || len(rt.conf) < maxConfKeys {
-		rt.conf[key] = *rec.Confidence
+		rt.conf[key] = c
 	}
 	rt.confMu.Unlock()
 }
@@ -215,23 +222,24 @@ func New(cfg Config) (*Router, error) {
 		cfg.BreakerOpenFor = 2 * time.Second
 	}
 	rt := &Router{
-		cfg:    cfg,
-		ring:   newRing(cfg.Backends, cfg.Replicas),
-		byURL:  make(map[string]*backendState, len(cfg.Backends)),
-		client: cfg.Client,
-		stop:   make(chan struct{}),
-		conf:   make(map[string]float64),
-	}
-	if rt.client == nil {
-		rt.client = &http.Client{}
+		cfg:   cfg,
+		ring:  newRing(cfg.Backends, cfg.Replicas),
+		byURL: make(map[string]*backendState, len(cfg.Backends)),
+		stop:  make(chan struct{}),
+		conf:  make(map[string]float64),
 	}
 	for _, u := range cfg.Backends {
 		if _, dup := rt.byURL[u]; dup {
 			return nil, fmt.Errorf("router: duplicate backend %s", u)
 		}
+		conns, err := newConnPool(u)
+		if err != nil {
+			return nil, err
+		}
 		b := &backendState{
-			url: u,
-			br:  newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerTripRatio, cfg.BreakerOpenFor),
+			url:   u,
+			conns: conns,
+			br:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerTripRatio, cfg.BreakerOpenFor),
 		}
 		b.up.Store(true)
 		rt.byURL[u] = b
@@ -259,10 +267,14 @@ func (rt *Router) Start() {
 	}
 }
 
-// Close stops the background loops and waits for them.
+// Close stops the background loops, waits for them, and closes every
+// idle backend connection.
 func (rt *Router) Close() {
 	rt.stopOnce.Do(func() { close(rt.stop) })
 	rt.loops.Wait()
+	for _, b := range rt.backends {
+		b.conns.close()
+	}
 }
 
 // BackendStats is one backend's row in Stats.
@@ -334,9 +346,10 @@ func (rt *Router) Stats() Stats {
 // down or breaker-open) or exhausted its attempts.
 var errNoBackend = errors.New("no backend available")
 
-// attemptResult is one forward attempt's outcome.
+// attemptResult is one backend exchange's outcome.
 type attemptResult struct {
 	status int
+	header http.Header
 	body   []byte
 	err    error
 }
@@ -373,21 +386,7 @@ func (rt *Router) roundTrip(ctx context.Context, b *backendState, path string, p
 	if err := faultinject.FireCtx(ctx, "router.forward"); err != nil {
 		return attemptResult{err: err}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.url+path, bytes.NewReader(payload))
-	if err != nil {
-		return attemptResult{err: err}
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return attemptResult{err: err}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxRelayBytes))
-	if err != nil {
-		return attemptResult{err: err}
-	}
-	return attemptResult{status: resp.StatusCode, body: body}
+	return b.conns.exchange(ctx, path, payload)
 }
 
 // forward runs the retry ladder over cands (ring order): skip down or
@@ -503,5 +502,5 @@ func (rt *Router) backoff(ctx context.Context, attempt int) error {
 }
 
 // maxRelayBytes caps a relayed backend response; matches the serve
-// layer's request cap.
+// layer's request cap. A longer answer fails its attempt.
 const maxRelayBytes = 4 << 20
