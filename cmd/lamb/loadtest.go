@@ -401,7 +401,7 @@ func fetchStats(client *http.Client, target string) (targetStats, error) {
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return targetStats{}, err
+		return targetStats{}, fmt.Errorf("reading /api/stats: %w", err)
 	}
 	var keys struct {
 		Backends json.RawMessage `json:"backends"`
