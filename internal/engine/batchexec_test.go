@@ -410,3 +410,24 @@ func TestBoundSetLayoutOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestExecUnlaidTargetReportsValidation pins the per-query path for a
+// selected algorithm without a layout: its query fails with the
+// validation error exec.NewLayout gives, and no output.
+func TestExecUnlaidTargetReportsValidation(t *testing.T) {
+	e := New(Config{Executor: exec.NewMeasured()})
+	alg := &expr.Algorithm{Name: "empty"}
+	_, want := exec.NewLayout(alg)
+	if want == nil {
+		t.Fatal("an algorithm without calls validated")
+	}
+	out := make([]Result, 1)
+	e.execBucket([]int{0}, nil, []target{{alg: alg}}, out)
+	if out[0].Err == nil || out[0].Err.Error() != want.Error() {
+		t.Errorf("err %v, want %v", out[0].Err, want)
+	}
+	if out[0].Output != nil || out[0].Fused {
+		t.Errorf("output %v, fused %v; want neither", out[0].Output, out[0].Fused)
+	}
+	checkSlab(t, e)
+}
