@@ -18,12 +18,12 @@ package blas
 // sizes, and sizes outside the fused regime fall back to the sequential
 // drivers instance by instance.
 //
-// On multi-worker hosts (see SetMaxWorkers) the fused paths go parallel:
-// the batch is partitioned into contiguous per-worker instance ranges
-// and each worker sweeps the identical serial fused kernel over its
-// range with its own buffer set (batchpar.go). Instances are
+// Each fused path is one job whose range function sweeps a contiguous
+// range of instances with one buffer set (batchpar.go). The job runs as
+// one part on the calling goroutine, or, on multi-worker hosts (see
+// SetMaxWorkers), as several parts in parallel. Instances are
 // independent and each is processed by exactly one goroutine running
-// the serial code on the same data, so the bitwise-identity guarantee
+// the same code on the same data, so the bitwise-identity guarantee
 // holds at any worker count.
 //
 // The slab contract: an operand is passed as its instance-0 header plus
@@ -78,19 +78,13 @@ func GemmBatch(transA, transB bool, alpha float64, a *mat.Dense, strideA int, b 
 		return
 	}
 	if m <= mc && k <= kc && n <= nc {
-		if np := batchParts(count); np > 1 {
-			j := newBatchJob(runGemmBatchRange)
-			j.transA, j.transB = transA, transB
-			j.alpha, j.beta = alpha, beta
-			j.a, j.b, j.c = *a, *b, *c
-			j.sa, j.sb, j.sc = strideA, strideB, strideC
-			j.m, j.n, j.k = m, n, k
-			j.count = count
-			j.dispatch(np)
-			batchJobPool.Put(j)
-			return
-		}
-		gemmBatchFused(transA, transB, alpha, a, strideA, b, strideB, beta, c, strideC, count, m, n, k)
+		j := newBatchJob(runGemmBatchRange, count)
+		j.transA, j.transB = transA, transB
+		j.alpha, j.beta = alpha, beta
+		j.a, j.b, j.c = *a, *b, *c
+		j.sa, j.sb, j.sc = strideA, strideB, strideC
+		j.m, j.n, j.k = m, n, k
+		j.dispatch(batchParts(count))
 		return
 	}
 	for i := 0; i < count; i++ {
@@ -101,18 +95,10 @@ func GemmBatch(transA, transB bool, alpha float64, a *mat.Dense, strideA int, b 
 	}
 }
 
-// gemmBatchFused is the serial shared-packing path: one buffer set
-// sweeps the whole batch.
-func gemmBatchFused(transA, transB bool, alpha float64, a *mat.Dense, strideA int, b *mat.Dense, strideB int, beta float64, c *mat.Dense, strideC int, count, m, n, k int) {
-	bufs := bufSets.get()
-	gemmBatchFusedRange(bufs.bufA, bufs.bufB, transA, transB, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m, n, k)
-	bufSets.put(bufs)
-}
-
-// gemmBatchFusedRange is the shared-packing path for single-block
+// runGemmBatchRange is the shared-packing path for single-block
 // instances over the contiguous range [lo, hi): every instance is one
 // (jc, pc, ic) block, so its packed panels are contiguous and chunks of
-// instances are packed into the provided buffers back to back. Within a
+// instances are packed into the range's buffers back to back. Within a
 // chunk all instances are packed first, then the macro-kernel runs
 // instance after instance — the packed data is still resident, and the
 // buffers are acquired once per range instead of twice per instance.
@@ -120,7 +106,8 @@ func gemmBatchFused(transA, transB bool, alpha float64, a *mat.Dense, strideA in
 // per-instance driver bitwise; the chunking and the range partition
 // only group independent instances, they never change per-instance
 // arithmetic.
-func gemmBatchFusedRange(bufA, bufB []float64, transA, transB bool, alpha float64, a *mat.Dense, strideA int, b *mat.Dense, strideB int, beta float64, c *mat.Dense, strideC int, lo, hi, m, n, k int) {
+func runGemmBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
+	m, n, k := j.m, j.n, j.k
 	packedA := (m + mr - 1) / mr * mr * k
 	packedB := (n + nr - 1) / nr * nr * k
 	chunk := min(mc*kc/packedA, kc*nc/packedB)
@@ -130,14 +117,14 @@ func gemmBatchFusedRange(bufA, bufB []float64, transA, transB bool, alpha float6
 	for base := lo; base < hi; base += chunk {
 		cnt := min(chunk, hi-base)
 		for i := 0; i < cnt; i++ {
-			av := instView(a, strideA, base+i)
-			bv := instView(b, strideB, base+i)
-			packA(bufA[i*packedA:], &av, transA, 0, m, 0, k)
-			packB(bufB[i*packedB:], &bv, transB, 0, k, 0, n)
+			av := instView(&j.a, j.sa, base+i)
+			bv := instView(&j.b, j.sb, base+i)
+			packA(bufs.bufA[i*packedA:], &av, j.transA, 0, m, 0, k)
+			packB(bufs.bufB[i*packedB:], &bv, j.transB, 0, k, 0, n)
 		}
 		for i := 0; i < cnt; i++ {
-			cv := instView(c, strideC, base+i)
-			macroKernel(bufA[i*packedA:], bufB[i*packedB:], m, k, alpha, beta, &cv, 0, 0, 0, n)
+			cv := instView(&j.c, j.sc, base+i)
+			macroKernel(bufs.bufA[i*packedA:], bufs.bufB[i*packedB:], m, k, j.alpha, j.beta, &cv, 0, 0, 0, n)
 		}
 	}
 }
@@ -169,33 +156,25 @@ func SyrkBatch(uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, strideA i
 		}
 		return
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runSyrkBatchRange)
-		j.uplo, j.transA = uplo, trans
-		j.alpha, j.beta = alpha, beta
-		j.a, j.c = *a, *c
-		j.sa, j.sc = strideA, strideC
-		j.m = m
-		j.count = count
-		j.dispatch(np)
-		batchJobPool.Put(j)
-		return
-	}
-	bufs := bufSets.get()
-	syrkBatchFusedRange(bufs, uplo, trans, alpha, a, strideA, beta, c, strideC, 0, count, m)
-	bufSets.put(bufs)
+	j := newBatchJob(runSyrkBatchRange, count)
+	j.uplo, j.transA = uplo, trans
+	j.alpha, j.beta = alpha, beta
+	j.a, j.c = *a, *c
+	j.sa, j.sc = strideA, strideC
+	j.m = m
+	j.dispatch(batchParts(count))
 }
 
-// syrkBatchFusedRange sweeps the single-block SYRK path over instances
-// [lo, hi) with the provided buffer set. Per-instance computation is
+// runSyrkBatchRange sweeps the single-block SYRK path over instances
+// [lo, hi) with the range's buffer set. Per-instance computation is
 // identical to syrkDriver's single-block case.
-func syrkBatchFusedRange(bufs *batchBufs, uplo mat.Uplo, trans bool, alpha float64, a *mat.Dense, strideA int, beta float64, c *mat.Dense, strideC, lo, hi, m int) {
+func runSyrkBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		av := instView(a, strideA, i)
-		cv := instView(c, strideC, i)
-		sb := bufs.scratch.View(0, m, 0, m)
-		gemmSerialBuf(bufs.bufA, bufs.bufB, trans, !trans, alpha, &av, &av, 0, &sb)
-		mergeTriangle(&cv, &sb, 0, uplo, beta)
+		av := instView(&j.a, j.sa, i)
+		cv := instView(&j.c, j.sc, i)
+		sb := bufs.scratch.View(0, j.m, 0, j.m)
+		gemmSerialBuf(bufs.bufA, bufs.bufB, j.transA, !j.transA, j.alpha, &av, &av, 0, &sb)
+		mergeTriangle(&cv, &sb, 0, j.uplo, j.beta)
 	}
 }
 
@@ -227,34 +206,26 @@ func SymmBatch(uplo mat.Uplo, alpha float64, a *mat.Dense, strideA int, b *mat.D
 		}
 		return
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runSymmBatchRange)
-		j.uplo = uplo
-		j.alpha, j.beta = alpha, beta
-		j.a, j.b, j.c = *a, *b, *c
-		j.sa, j.sb, j.sc = strideA, strideB, strideC
-		j.m = m
-		j.count = count
-		j.dispatch(np)
-		batchJobPool.Put(j)
-		return
-	}
-	bufs := bufSets.get()
-	symmBatchFusedRange(bufs, uplo, alpha, a, strideA, b, strideB, beta, c, strideC, 0, count, m)
-	bufSets.put(bufs)
+	j := newBatchJob(runSymmBatchRange, count)
+	j.uplo = uplo
+	j.alpha, j.beta = alpha, beta
+	j.a, j.b, j.c = *a, *b, *c
+	j.sa, j.sb, j.sc = strideA, strideB, strideC
+	j.m = m
+	j.dispatch(batchParts(count))
 }
 
-// symmBatchFusedRange sweeps the single-block SYMM path over instances
-// [lo, hi) with the provided buffer set. Per-instance computation is
+// runSymmBatchRange sweeps the single-block SYMM path over instances
+// [lo, hi) with the range's buffer set. Per-instance computation is
 // identical to Symm's single-block case.
-func symmBatchFusedRange(bufs *batchBufs, uplo mat.Uplo, alpha float64, a *mat.Dense, strideA int, b *mat.Dense, strideB int, beta float64, c *mat.Dense, strideC, lo, hi, m int) {
+func runSymmBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		av := instView(a, strideA, i)
-		bv := instView(b, strideB, i)
-		cv := instView(c, strideC, i)
-		ab := bufs.scratch.View(0, m, 0, m)
-		materialiseSymBlock(&ab, &av, uplo, 0, m, 0, m)
-		gemmSerialBuf(bufs.bufA, bufs.bufB, false, false, alpha, &ab, &bv, beta, &cv)
+		av := instView(&j.a, j.sa, i)
+		bv := instView(&j.b, j.sb, i)
+		cv := instView(&j.c, j.sc, i)
+		ab := bufs.scratch.View(0, j.m, 0, j.m)
+		materialiseSymBlock(&ab, &av, j.uplo, 0, j.m, 0, j.m)
+		gemmSerialBuf(bufs.bufA, bufs.bufB, false, false, j.alpha, &ab, &bv, j.beta, &cv)
 	}
 }
 
@@ -285,32 +256,25 @@ func TrsmBatch(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL 
 		}
 		return
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runTrsmBatchRange)
-		j.uplo, j.transA = uplo, transL
-		j.alpha = alpha
-		j.a, j.b = *l, *b
-		j.sa, j.sb = strideL, strideB
-		j.m = m
-		j.count = count
-		j.dispatch(np)
-		batchJobPool.Put(j)
-		return
-	}
-	trsmBatchFusedRange(uplo, transL, alpha, l, strideL, b, strideB, 0, count)
+	j := newBatchJob(runTrsmBatchRange, count)
+	j.uplo, j.transA = uplo, transL
+	j.alpha = alpha
+	j.a, j.b = *l, *b
+	j.sa, j.sb = strideL, strideB
+	j.dispatch(batchParts(count))
 }
 
-// trsmBatchFusedRange sweeps the small-triangle solve over instances
-// [lo, hi); per-instance computation is identical to Trsm's single-block
-// case.
-func trsmBatchFusedRange(uplo mat.Uplo, transL bool, alpha float64, l *mat.Dense, strideL int, b *mat.Dense, strideB, lo, hi int) {
+// runTrsmBatchRange sweeps the small-triangle solve over instances
+// [lo, hi); per-instance computation is identical to Trsm's
+// single-block case.
+func runTrsmBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
 	for i := lo; i < hi; i++ {
-		lv := instView(l, strideL, i)
-		bv := instView(b, strideB, i)
-		if alpha != 1 {
-			scaleMatrix(&bv, alpha)
+		lv := instView(&j.a, j.sa, i)
+		bv := instView(&j.b, j.sb, i)
+		if j.alpha != 1 {
+			scaleMatrix(&bv, j.alpha)
 		}
-		trsmSmall(uplo, transL, &lv, &bv)
+		trsmSmall(j.uplo, j.transA, &lv, &bv)
 	}
 }
 
@@ -339,26 +303,22 @@ func PotrfBatch(a *mat.Dense, strideA, count int) error {
 		}
 		return nil
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runPotrfBatchRange)
-		j.a = *a
-		j.sa = strideA
-		j.count = count
-		j.dispatch(np)
-		err, idx := j.err, j.errIdx
-		batchJobPool.Put(j)
-		if err != nil {
-			return fmt.Errorf("%w (batch instance %d)", err, idx)
-		}
-		return nil
-	}
-	for i := 0; i < count; i++ {
-		av := instView(a, strideA, i)
+	j := newBatchJob(runPotrfBatchRange, count)
+	j.a = *a
+	j.sa = strideA
+	return j.dispatch(batchParts(count))
+}
+
+// runPotrfBatchRange factors instances [lo, hi) with the unblocked
+// kernel, stopping at the range's first failure.
+func runPotrfBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		av := instView(&j.a, j.sa, i)
 		if err := potf2(&av, 0); err != nil {
-			return fmt.Errorf("%w (batch instance %d)", err, i)
+			j.recordErr(i, err)
+			return
 		}
 	}
-	return nil
 }
 
 // AddSymBatch adds the uplo triangles C_i := C_i + A_i for i in
@@ -367,20 +327,18 @@ func AddSymBatch(uplo mat.Uplo, c *mat.Dense, strideC int, a *mat.Dense, strideA
 	if count <= 0 {
 		return
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runAddSymBatchRange)
-		j.uplo = uplo
-		j.a, j.c = *a, *c
-		j.sa, j.sc = strideA, strideC
-		j.count = count
-		j.dispatch(np)
-		batchJobPool.Put(j)
-		return
-	}
-	for i := 0; i < count; i++ {
-		cv := instView(c, strideC, i)
-		av := instView(a, strideA, i)
-		AddSym(uplo, &cv, &av)
+	j := newBatchJob(runAddSymBatchRange, count)
+	j.uplo = uplo
+	j.a, j.c = *a, *c
+	j.sa, j.sc = strideA, strideC
+	j.dispatch(batchParts(count))
+}
+
+func runAddSymBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		cv := instView(&j.c, j.sc, i)
+		av := instView(&j.a, j.sa, i)
+		AddSym(j.uplo, &cv, &av)
 	}
 }
 
@@ -390,18 +348,16 @@ func Tri2FullBatch(uplo mat.Uplo, c *mat.Dense, strideC, count int) {
 	if count <= 0 {
 		return
 	}
-	if np := batchParts(count); np > 1 {
-		j := newBatchJob(runTri2FullBatchRange)
-		j.uplo = uplo
-		j.c = *c
-		j.sc = strideC
-		j.count = count
-		j.dispatch(np)
-		batchJobPool.Put(j)
-		return
-	}
-	for i := 0; i < count; i++ {
-		cv := instView(c, strideC, i)
-		Tri2Full(uplo, &cv)
+	j := newBatchJob(runTri2FullBatchRange, count)
+	j.uplo = uplo
+	j.c = *c
+	j.sc = strideC
+	j.dispatch(batchParts(count))
+}
+
+func runTri2FullBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		cv := instView(&j.c, j.sc, i)
+		Tri2Full(j.uplo, &cv)
 	}
 }

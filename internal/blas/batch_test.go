@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -264,14 +265,11 @@ func TestAddSymTri2FullBatch(t *testing.T) {
 }
 
 // TestGemmBatchFusedZeroAllocs asserts the fused batch path performs no
-// heap allocations in steady state, both serial and through the
-// parallel tier: the pooled packing buffers (and, in parallel, the
-// persistent workers' own buffer sets plus the pooled job descriptor)
-// are the only backing storage it needs.
+// heap allocations in steady state, in one part and in several: the
+// job descriptor and buffer sets from the free lists, and in parallel
+// the persistent workers' own buffer sets, are the only backing storage
+// it needs.
 func TestGemmBatchFusedZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are unreliable")
-	}
 	rng := xrand.New(0xa110c)
 	const m, k, n, count = 24, 16, 8, 16
 	a := slab(m, k, m*k, count, rng)
@@ -285,6 +283,64 @@ func TestGemmBatchFusedZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("workers=%d: fused GemmBatch allocates %v times per call, want 0", w, allocs)
+		}
+	}
+}
+
+// TestBatchDriversWarmZeroAllocs pins that every batched driver, warm,
+// allocates nothing per call at worker caps 1 and 2, also right after
+// two garbage collections: the job descriptors, the packing buffers and
+// the workers' buffer sets are all kept where no collection empties
+// them.
+func TestBatchDriversWarmZeroAllocs(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(0))
+	rng := xrand.New(0xa110c2)
+	const m, k, n, count = 24, 16, 8, 16
+	a := slab(m, k, m*k, count, rng)
+	b := slab(k, n, k*n, count, rng)
+	c := slab(m, n, m*n, count, rng)
+	d := slab(m, n, m*n, count, rng)
+	sq := slab(m, m, m*m, count, rng)
+	tri := slab(m, m, m*m, count, rng)
+	spd := slab(m, m, m*m, count, rng)
+	for i := 0; i < count; i++ {
+		tv := instView(tri, m*m, i)
+		sv := instView(spd, m*m, i)
+		mat.Copy(&sv, mat.NewSPDRandom(m, rng))
+		for j := 0; j < m; j++ {
+			tv.Set(j, j, 4+tv.At(j, j))
+		}
+	}
+	fact := cloneSlab(spd)
+	drivers := []struct {
+		name string
+		run  func()
+	}{
+		{"gemm", func() { GemmBatch(false, false, 1, a, m*k, b, k*n, 0.5, c, m*n, count) }},
+		{"syrk", func() { SyrkBatch(mat.Lower, false, 1, a, m*k, 0.5, sq, m*m, count) }},
+		{"symm", func() { SymmBatch(mat.Lower, 1, spd, m*m, c, m*n, 0, d, m*n, count) }},
+		{"trsm", func() { TrsmBatch(mat.Lower, false, 1, tri, m*m, c, m*n, count) }},
+		{"potrf", func() {
+			copy(fact.Data, spd.Data)
+			if err := PotrfBatch(fact, m*m, count); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"addsym", func() { AddSymBatch(mat.Lower, sq, m*m, spd, m*m, count) }},
+		{"tri2full", func() { Tri2FullBatch(mat.Lower, sq, m*m, count) }},
+	}
+	for _, w := range []int{1, 2} {
+		SetMaxWorkers(w)
+		for _, dr := range drivers {
+			dr.run() // warm the free lists and the workers
+			allocs := testing.AllocsPerRun(10, func() {
+				runtime.GC()
+				runtime.GC()
+				dr.run()
+			})
+			if allocs != 0 {
+				t.Errorf("%s workers=%d: %v allocations per call after two collections, want 0", dr.name, w, allocs)
+			}
 		}
 	}
 }

@@ -1,25 +1,28 @@
 package blas
 
-// The parallel tier of the batched drivers: a batch of independent
-// instances is partitioned into contiguous per-worker sub-ranges, and
-// each worker sweeps the unchanged serial fused kernel over its range
-// with its own packing-buffer pair and scratch square. Per-instance
-// math is untouched — every instance is processed by exactly one
-// goroutine running exactly the code the serial fused path runs on
-// exactly the same data — so results stay bitwise identical to
-// sequential execution at any worker count and any schedule.
+// The dispatch tier of the batched drivers: a batch of independent
+// instances is partitioned into contiguous sub-ranges, and each
+// goroutine that claims one sweeps the driver's range function over it
+// with its own packing-buffer pair and scratch square. A batch of one
+// part is the serial path: the calling goroutine sweeps the whole batch
+// on its own working set. Per-instance math is untouched — every
+// instance is processed by exactly one goroutine running exactly the
+// same code on exactly the same data — so results stay bitwise
+// identical to sequential execution at any worker count and any
+// schedule.
 //
 // The machinery deliberately avoids par.For, which spawns goroutines
 // on every call: batched drivers sit on the engine's measured path,
 // whose contract is zero heap allocations per steady-state repetition.
 // Workers here are persistent goroutines parked on a channel, jobs are
-// pooled descriptors holding value copies of the driver arguments, and
-// the per-range entry points are top-level functions (a func field
-// assignment of a top-level function does not allocate). After the
-// first dispatch has spawned the workers (warmup), a parallel batch
-// performs no heap allocations.
+// descriptors holding value copies of the driver arguments, kept on a
+// free list that no collection empties, and the range functions are
+// top-level functions (a func field assignment of a top-level function
+// does not allocate). After the first dispatch at a width has spawned
+// its workers (warmup), a batch performs no heap allocations.
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -43,19 +46,18 @@ func newBatchBufs() *batchBufs {
 	}
 }
 
-// bufSets provides the working set of a goroutine that runs a fused
-// batch itself: the serial fused paths, and the dispatching goroutine of
-// a parallel batch, which participates in its job like a worker. A set
-// from the free list keeps those paths allocation-free (a stack-built
-// struct would escape through the indirect run call), also after a
-// garbage collection.
+// bufSets provides the working set of the dispatching goroutine, which
+// participates in its job like a worker. A set from the free list keeps
+// it allocation-free (a stack-built struct would escape through the
+// indirect run call), also after a garbage collection.
 var bufSets = newFreeList(newBatchBufs)
 
 // batchJob is one batched-driver invocation, partitioned into nparts
 // contiguous instance sub-ranges handed out through the atomic part
 // counter. It carries value copies of every argument any driver needs
 // (each run function reads only its own fields), so neither the
-// dispatch nor the workers capture caller state. Jobs are pooled.
+// dispatch nor the workers capture caller state. Jobs are kept on a
+// free list.
 type batchJob struct {
 	run func(bufs *batchBufs, j *batchJob, lo, hi int)
 
@@ -81,7 +83,7 @@ type batchJob struct {
 	wg sync.WaitGroup
 }
 
-var batchJobPool = sync.Pool{New: func() any { return new(batchJob) }}
+var batchJobs = newFreeList(func() *batchJob { return new(batchJob) })
 
 // recordErr folds a per-instance failure into the job, keeping the
 // lowest instance index (the one sequential execution would hit first).
@@ -171,10 +173,13 @@ func batchParts(count int) int {
 	return np
 }
 
-// dispatch runs the job's parts across the persistent workers with the
-// calling goroutine participating, and waits for completion. On return
-// no goroutine references the job.
-func (j *batchJob) dispatch(nparts int) {
+// dispatch runs the job's count instances in nparts parts across the
+// persistent workers with the calling goroutine participating, waits
+// for completion and returns the job to the free list, so the caller
+// must not touch it afterwards. With one part the caller sweeps the
+// whole batch alone. It returns the failure a run function recorded,
+// naming its instance, or nil.
+func (j *batchJob) dispatch(nparts int) error {
 	j.nparts = nparts
 	j.chunk = (j.count + nparts - 1) / nparts
 	j.next.Store(0)
@@ -193,63 +198,22 @@ func (j *batchJob) dispatch(nparts int) {
 	serveBatchParts(j, bufs)
 	bufSets.put(bufs)
 	j.wg.Wait()
+	var err error
+	if j.err != nil {
+		err = fmt.Errorf("%w (batch instance %d)", j.err, j.errIdx)
+	}
+	batchJobs.put(j)
+	return err
 }
 
-// newBatchJob fetches a pooled job with the error funnel reset. The
-// matrix-header and scalar fields are always overwritten by the caller
-// for the fields its run function reads.
-func newBatchJob(run func(*batchBufs, *batchJob, int, int)) *batchJob {
-	j := batchJobPool.Get().(*batchJob)
+// newBatchJob fetches a count-instance job from the free list with the
+// error funnel reset. The matrix-header and scalar fields are always
+// overwritten by the caller for the fields its run function reads.
+func newBatchJob(run func(*batchBufs, *batchJob, int, int), count int) *batchJob {
+	j := batchJobs.get()
 	j.run = run
+	j.count = count
 	j.err = nil
 	j.errIdx = 0
 	return j
-}
-
-// The per-range entry points: top-level functions (not closures) that
-// unpack the job's fields and sweep the serial fused kernel over
-// [lo, hi). These are the only code the workers execute.
-
-func runGemmBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
-	gemmBatchFusedRange(bufs.bufA, bufs.bufB, j.transA, j.transB, j.alpha,
-		&j.a, j.sa, &j.b, j.sb, j.beta, &j.c, j.sc, lo, hi, j.m, j.n, j.k)
-}
-
-func runSyrkBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
-	syrkBatchFusedRange(bufs, j.uplo, j.transA, j.alpha, &j.a, j.sa,
-		j.beta, &j.c, j.sc, lo, hi, j.m)
-}
-
-func runSymmBatchRange(bufs *batchBufs, j *batchJob, lo, hi int) {
-	symmBatchFusedRange(bufs, j.uplo, j.alpha, &j.a, j.sa, &j.b, j.sb,
-		j.beta, &j.c, j.sc, lo, hi, j.m)
-}
-
-func runTrsmBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
-	trsmBatchFusedRange(j.uplo, j.transA, j.alpha, &j.a, j.sa, &j.b, j.sb, lo, hi)
-}
-
-func runPotrfBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		av := instView(&j.a, j.sa, i)
-		if err := potf2(&av, 0); err != nil {
-			j.recordErr(i, err)
-			return
-		}
-	}
-}
-
-func runAddSymBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		cv := instView(&j.c, j.sc, i)
-		av := instView(&j.a, j.sa, i)
-		AddSym(j.uplo, &cv, &av)
-	}
-}
-
-func runTri2FullBatchRange(_ *batchBufs, j *batchJob, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		cv := instView(&j.c, j.sc, i)
-		Tri2Full(j.uplo, &cv)
-	}
 }

@@ -14,11 +14,12 @@ package engine
 //     executes through a mixed BatchPlan, padded to a common stride,
 //
 // both amortising the per-dispatch fixed costs that dominate the
-// small-instance regime. Either plan is compiled into the engine's one
-// slab from the bound sets' memoised layouts, run, and released.
-// Buckets that cannot fuse (no batched executor, instance arenas over
-// the slab budget, padding overhead too high) fall back to per-query
-// execution and are counted, by reason, in Stats.FuseRejected.
+// small-instance regime. Buckets that cannot fuse (no batched executor,
+// instance arenas over the slab budget, padding overhead too high) fall
+// back to per-query execution and are counted, by reason, in
+// Stats.FuseRejected. Every plan, fused or per query, is compiled into
+// the engine's one slab from the bound sets' memoised layouts, run and
+// released under the execution lock.
 
 import (
 	"fmt"
@@ -209,22 +210,41 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []ta
 // falls back to per-query execution, so one bad query cannot take its
 // bucket neighbours down.
 func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
-	if err := e.runFusedChunk(idxs, inputs, sel, out); err != nil {
+	if e.runChunk(idxs, inputs, sel, out) != nil {
 		e.execUnfused(idxs, inputs, sel, out)
 		return
+	}
+	for _, i := range idxs {
+		out[i].Fused = true
 	}
 	e.fused.Add(uint64(len(idxs)))
 }
 
-// runFusedChunk compiles the chunk's plan into the engine's slab from
-// the chunk's memoised layouts and runs it. A chunk that repeats one
-// layout pointer binds the batched drivers. All of it happens under the
-// execution lock: fused execution must not contend with a concurrent
+// execUnfused executes each query alone, as a chunk of one. A query
+// that fails has its Output cleared.
+func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
+	for k, i := range idxs {
+		if out[i].Err = e.runChunk(idxs[k:k+1], inputs, sel, out); out[i].Err != nil {
+			out[i].Output = nil
+		}
+	}
+}
+
+// runChunk compiles the chunk's plan into the engine's slab from the
+// chunk's memoised layouts and runs it. A chunk of one binds the serial
+// kernels; a longer chunk that repeats one layout pointer binds the
+// batched drivers. A target without a layout did not validate, and
+// exec.NewLayout reports why. Compile, run and release all happen under
+// the execution lock: execution must not contend with a concurrent
 // timed measurement, and the one slab serves one plan at a time. The
 // plan gives the slab back before the lock is released, on every path.
-func (e *Engine) runFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
+func (e *Engine) runChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
 	lays := make([]*exec.Layout, len(idxs))
 	for k, i := range idxs {
+		if sel[i].lay == nil {
+			_, err := exec.NewLayout(sel[i].alg)
+			return err
+		}
 		lays[k] = sel[i].lay
 	}
 	e.execMu.Lock()
@@ -234,16 +254,16 @@ func (e *Engine) runFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel [
 		return err
 	}
 	defer p.Release()
-	return runFused(p, idxs, inputs, sel, out)
+	return runPlan(p, idxs, inputs, sel, out)
 }
 
-// runFused drives one fused plan execution and copies each instance's
-// output into its query's Output, converting kernel panics (shape
-// mismatches, non-SPD operands) into an error.
-func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
+// runPlan fills and executes one chunk's plan and copies each
+// instance's output into its query's Output, converting kernel panics
+// (shape mismatches, non-SPD operands) into an error.
+func runPlan(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
-			failed = fmt.Errorf("engine: fused execution failed: %v", r)
+			failed = fmt.Errorf("engine: execution failed: %v", r)
 		}
 	}()
 	p.FillInputs(xrand.New(batchFillSeed))
@@ -258,20 +278,8 @@ func runFused(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel
 	for k, i := range idxs {
 		o := p.Output(k)
 		mat.Copy(outputOf(&out[i], o.Rows, o.Cols), o)
-		out[i].Fused = true
 	}
 	return nil
-}
-
-// execUnfused executes each query through its own single-instance plan.
-func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
-	for _, i := range idxs {
-		sh := sel[i].alg.Shapes[sel[i].alg.Output]
-		out[i].Fused = false
-		if out[i].Err = execOne(sel[i], inputMap(inputs, i), outputOf(&out[i], sh.Rows, sh.Cols)); out[i].Err != nil {
-			out[i].Output = nil
-		}
-	}
 }
 
 // outputOf returns the matrix a query's rows×cols result is copied
@@ -282,37 +290,6 @@ func outputOf(r *Result, rows, cols int) *mat.Dense {
 		r.Output = mat.New(rows, cols)
 	}
 	return r.Output
-}
-
-// execOne compiles and runs one query's selected algorithm on a private
-// plan with an arena of its own, outside the execution lock, and copies
-// its result into dst, converting kernel panics into an error. The plan
-// is compiled from the memoised layout; an algorithm without one did
-// not validate, and CompilePlan reports why.
-func execOne(t target, in map[string]*mat.Dense, dst *mat.Dense) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: execution failed: %v", r)
-		}
-	}()
-	var p *exec.Plan
-	if t.lay != nil {
-		p, err = exec.CompileLayout(t.lay)
-	} else {
-		p, err = exec.CompilePlan(t.alg)
-	}
-	if err != nil {
-		return err
-	}
-	p.FillInputs(xrand.New(batchFillSeed))
-	for id, src := range in {
-		if _, ok := t.alg.Shapes[id]; ok {
-			p.SetInput(id, src)
-		}
-	}
-	p.Execute()
-	mat.Copy(dst, p.Output())
-	return nil
 }
 
 // inputMap returns query i's input map, tolerating a short or nil

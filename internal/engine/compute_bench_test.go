@@ -75,17 +75,16 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 
 // computeBatchBytesBudget and computeBatchAllocsBudget bound what one
 // warm compute request of the fixture allocates: the largest of six
-// runs with plan layouts memoised per bound set and chunk plans
-// compiled into the engine's slab (1329749 bytes), plus 10% headroom;
-// the allocation count is the largest of six runs with plan steps held
-// as data rather than closures (1215), plus 10%. About 1.1 MB of the
-// bytes is the request's output slab. With one closure per bound call
-// a request made 1467 allocations; before the slab and the layout memo
-// it allocated 1445789 bytes and 4047 allocations; before pooled arenas
-// and the output slab, 12.0 MB.
+// runs with the adaptive blend accumulating straight into its
+// posteriors (1293744 bytes, 960 allocations), plus 10% headroom.
+// About 1.1 MB of the bytes is the request's output slab. With four
+// scratch slices and a map per blend a request made 1215 allocations;
+// with one closure per bound call, 1467; before the slab and the
+// layout memo it allocated 1445789 bytes and 4047 allocations; before
+// pooled arenas and the output slab, 12.0 MB.
 const (
-	computeBatchBytesBudget  = 1329749 * 11 / 10
-	computeBatchAllocsBudget = 1215 * 11 / 10
+	computeBatchBytesBudget  = 1293744 * 11 / 10
+	computeBatchAllocsBudget = 960 * 11 / 10
 )
 
 // TestDoComputeBatchBytesBudget pins the allocation volume and count of

@@ -17,8 +17,9 @@
 //   - execution layer: timing-based strategies measure through the
 //     executor, which compiles one plan per measurement
 //     (lamb/internal/exec.Measured keeps it for that measurement's
-//     repetitions); fused compute compiles every chunk plan into one
-//     engine-owned slab from the bound set's memoised layouts.
+//     repetitions); compute compiles every plan, fused chunk or single
+//     query, into one engine-owned slab from the bound set's memoised
+//     layouts.
 //   - serving layer: Do deduplicates concurrent identical queries with
 //     a singleflight and answers each from one posterior — prior
 //     predictions blended with nearby feedback (lamb/internal/selection)
@@ -88,10 +89,6 @@ type Config struct {
 	// loaded alongside a persisted store); surfaced in Stats and in the
 	// records of profile-backed queries.
 	ProfileMeta profile.Meta
-	// AdaptiveRadius is the log-shape distance within which recorded
-	// outcomes inform an adaptive choice (default
-	// selection.DefaultAdaptiveRadius).
-	AdaptiveRadius float64
 	// FeedbackEntries bounds the feedback outcome store (default 4096
 	// distinct (expression, instance) records, least-recently-touched
 	// evicted).
@@ -355,9 +352,8 @@ type Engine struct {
 	// queries load it once at entry, ReloadProfiles swaps it atomically,
 	// in-flight queries finish on the state they started with. reloadGen
 	// counts installations.
-	prof           atomic.Pointer[profileState]
-	reloadGen      atomic.Uint64
-	adaptiveRadius float64
+	prof      atomic.Pointer[profileState]
+	reloadGen atomic.Uint64
 }
 
 // bindKey identifies a bound algorithm set: canonical expression name
@@ -384,8 +380,8 @@ type boundSet struct {
 }
 
 // layout returns the plan layout of algs[i], laying it out on first
-// use, or nil if the algorithm does not validate (its per-query plan
-// then reports why). Concurrent first uses keep the first layout
+// use, or nil if the algorithm does not validate (executing it then
+// reports why). Concurrent first uses keep the first layout
 // stored, so every caller sees one pointer per algorithm.
 func (b *boundSet) layout(i int) *exec.Layout {
 	b.laysOnce.Do(func() { b.lays = make([]atomic.Pointer[exec.Layout], len(b.algs)) })
@@ -426,10 +422,6 @@ func New(cfg Config) *Engine {
 		bind:     cache.NewLRU[bindKey, *boundSet](bindEntries),
 		inflight: make(map[string]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
-	}
-	e.adaptiveRadius = cfg.AdaptiveRadius
-	if e.adaptiveRadius <= 0 {
-		e.adaptiveRadius = selection.DefaultAdaptiveRadius
 	}
 	e.exploreEvery = exploreInterval(cfg.ExploreRate)
 	if cfg.Profiles != nil {
@@ -665,8 +657,8 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 		predictor = st.predicted
 	}
 	prior := selection.Predict(predictor, algs)
-	obs := e.outcomes.Near(x.Name(), q.Instance, e.adaptiveRadius)
-	post := selection.Adaptive{Radius: e.adaptiveRadius}.Blend(prior, obs, algs)
+	obs := e.outcomes.Near(x.Name(), q.Instance, selection.DefaultAdaptiveRadius)
+	post := selection.Adaptive{Radius: selection.DefaultAdaptiveRadius}.Blend(prior, obs, algs)
 	var pick int
 	explored := false
 	switch run.name {

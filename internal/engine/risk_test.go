@@ -336,9 +336,9 @@ func referencePosterior(e *Engine, exprName string, inst expr.Instance, algs []e
 	}
 	return selection.Adaptive{
 		Prior:  prior,
-		Radius: e.adaptiveRadius,
+		Radius: selection.DefaultAdaptiveRadius,
 		Observe: func(inst expr.Instance) []selection.Observation {
-			return e.outcomes.Near(exprName, inst, e.adaptiveRadius)
+			return e.outcomes.Near(exprName, inst, selection.DefaultAdaptiveRadius)
 		},
 	}.Posterior(inst, algs)
 }

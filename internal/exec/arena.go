@@ -2,7 +2,7 @@ package exec
 
 // This file implements the plan slab: one reusable buffer for plans
 // that are compiled, run and released one at a time, such as the
-// engine's fused chunk plans under its execution lock. A slab hands its
+// engine's compute plans under its execution lock. A slab hands its
 // buffer out unzeroed: every operand of a plan is filled, copied in or
 // written by a kernel before any kernel reads it, so stale contents of
 // an earlier plan never reach a result. Builds tagged arenapoison
@@ -12,7 +12,7 @@ package exec
 //
 // A slab is held strongly by its owner and grows to the largest plan
 // compiled into it, so after its first requests a serving engine
-// compiles fused plans with neither an arena allocation nor a zeroing
+// compiles its plans with neither an arena allocation nor a zeroing
 // pass. Plans compiled without a slab allocate their own arena, which
 // the collector frees with the plan.
 
@@ -31,11 +31,12 @@ type Slab struct {
 	lent bool
 }
 
-// Compile compiles one fused plan over lays, one layout per instance,
-// into the slab: every layout must be of the same algorithm family (see
-// CompileBatchPlanMixed), and an instance repeated by pointer across
-// the whole batch binds the batched drivers. It panics if a plan
-// compiled into the slab before has not been released.
+// Compile compiles one plan over lays, one layout per instance, into
+// the slab: every layout must be of the same algorithm family (see
+// CompileBatchPlanMixed). One layout binds the serial kernels, and a
+// layout repeated by pointer across a longer batch binds the batched
+// drivers. It panics if a plan compiled into the slab before has not
+// been released.
 func (s *Slab) Compile(lays []*Layout) (*BatchPlan, error) {
 	return newBatchPlan(lays, s)
 }

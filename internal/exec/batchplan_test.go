@@ -216,13 +216,10 @@ func TestBatchPlanArenaLayout(t *testing.T) {
 // compiled (first repetition), a fused batch repetition — refill all
 // instances, flush, execute every batched call — performs zero heap
 // allocations, serial and through the parallel tier alike (the
-// persistent workers and pooled job descriptors keep the parallel
+// persistent workers and the free-listed job descriptors keep the
 // dispatch alloc-free). A mixed plan's fill and Execute are held to the
 // same standard.
 func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
-	}
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20

@@ -167,13 +167,11 @@ func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return CompileLayout(lay)
+	return compileLayout(lay)
 }
 
-// CompileLayout compiles the Plan of one laid-out instance, for a
-// caller that keeps the layout (the engine's bound sets do) and so
-// skips CompilePlan's validation and layout.
-func CompileLayout(lay *Layout) (*Plan, error) {
+// compileLayout compiles the Plan of one laid-out instance.
+func compileLayout(lay *Layout) (*Plan, error) {
 	p := &Plan{}
 	if err := p.compile([]*Layout{lay}, nil); err != nil {
 		return nil, err
@@ -224,7 +222,7 @@ func CompileCallPlan(call kernels.Call) (*Plan, error) {
 			}
 		}
 	}
-	return CompileLayout(lay)
+	return compileLayout(lay)
 }
 
 // layoutArena assigns arena offsets with a first-fit free list driven by

@@ -144,9 +144,6 @@ func TestMeasuredTimeAlgorithmZeroAllocs(t *testing.T) {
 	// in particular nothing allocates between the cache flush and the
 	// first kernel call. Runs with a single worker: the parallel fan-out
 	// necessarily allocates goroutine state.
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
-	}
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20
@@ -173,9 +170,6 @@ func TestMeasuredTimeAlgorithmZeroAllocs(t *testing.T) {
 }
 
 func TestMeasuredTimeCallColdZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
-	}
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20
@@ -206,9 +200,6 @@ func TestMeasuredTimeCallColdZeroAllocs(t *testing.T) {
 // in progress allocates nothing, and calls with equal MemoKeys share
 // one plan.
 func TestMeasuredPlanSwitchZeroAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items under -race; allocation counts are meaningless")
-	}
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
 	e.FlushBytes = 1 << 20

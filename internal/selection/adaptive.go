@@ -149,55 +149,59 @@ func (s Adaptive) Blend(prior []float64, obs []Observation, algs []expr.Algorith
 	if relStd <= 0 {
 		relStd = DefaultPriorRelStd
 	}
-	// sumW/sumWM/sumWS accumulate per algorithm position: evidence mass,
-	// weighted first moment, and weighted second moment. Observations
-	// name algorithms by their 1-based Algorithm.Index, which coincides
-	// with position+1 only for full enumeration sets — a caller may pass
-	// a filtered or reordered set, so match on Index.
-	sumW := make([]float64, len(algs))
-	sumWM := make([]float64, len(algs))
-	sumWS := make([]float64, len(algs))
-	informed := make([]bool, len(algs))
-	if len(obs) > 0 {
-		pos := make(map[int]int, len(algs))
-		for i := range algs {
-			pos[algs[i].Index] = i
-		}
-		for _, o := range obs {
-			i, ok := pos[o.Algorithm]
-			if !ok || o.weight() <= 0 || o.Seconds <= 0 {
-				continue
-			}
-			d := o.Distance / radius
-			w := o.weight() * math.Exp(-d*d)
-			v := 0.0
-			if o.M2 > 0 {
-				v = o.M2 / o.weight()
-			}
-			sumW[i] += w
-			sumWM[i] += w * o.Seconds
-			sumWS[i] += w * (v + o.Seconds*o.Seconds)
-			informed[i] = true
-		}
-	}
+	// The first pass accumulates, per algorithm position, the evidence
+	// mass in Weight, the weighted first moment in Mean and the weighted
+	// second moment in StdErr; the second pass turns them into the
+	// posterior.
 	post := make([]AlgPosterior, len(algs))
-	for i := range algs {
+	for _, o := range obs {
+		i := algPosition(algs, o.Algorithm)
+		if i < 0 || o.weight() <= 0 || o.Seconds <= 0 {
+			continue
+		}
+		d := o.Distance / radius
+		w := o.weight() * math.Exp(-d*d)
+		v := 0.0
+		if o.M2 > 0 {
+			v = o.M2 / o.weight()
+		}
+		q := &post[i]
+		q.Weight += w
+		q.Mean += w * o.Seconds
+		q.StdErr += w * (v + o.Seconds*o.Seconds)
+		q.Informed = true
+	}
+	for i := range post {
+		q := &post[i]
 		p := prior[i]
 		v0 := relStd * p * relStd * p
-		mass := w0 + sumW[i]
-		mean := (w0*p + sumWM[i]) / mass
-		second := (w0*(v0+p*p) + sumWS[i]) / mass
+		mass := w0 + q.Weight
+		mean := (w0*p + q.Mean) / mass
+		second := (w0*(v0+p*p) + q.StdErr) / mass
 		variance := second - mean*mean
 		if variance < 0 {
 			variance = 0
 		}
-		post[i] = AlgPosterior{
-			Algorithm: algs[i].Index,
-			Mean:      mean,
-			StdErr:    math.Sqrt(variance / mass),
-			Weight:    mass,
-			Informed:  informed[i],
-		}
+		q.Algorithm = algs[i].Index
+		q.Mean = mean
+		q.StdErr = math.Sqrt(variance / mass)
+		q.Weight = mass
 	}
 	return post
+}
+
+// algPosition returns the position in algs of the algorithm with the
+// 1-based index, or -1 if there is none. The index is position+1 in a
+// full enumeration set; a caller may pass a filtered or reordered set,
+// which is scanned.
+func algPosition(algs []expr.Algorithm, index int) int {
+	if k := index - 1; k >= 0 && k < len(algs) && algs[k].Index == index {
+		return k
+	}
+	for i := range algs {
+		if algs[i].Index == index {
+			return i
+		}
+	}
+	return -1
 }

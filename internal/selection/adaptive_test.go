@@ -159,6 +159,77 @@ func TestAdaptiveName(t *testing.T) {
 	var _ Strategy = Adaptive{}
 }
 
+// randomBlendCase draws one random blend: a prior over n algorithms
+// (with ties), a random nonempty subset of the set in random order,
+// random observations (valid and invalid, naming algorithms in and out
+// of the subset), and default or random blend parameters.
+func randomBlendCase(rng *xrand.Rand) (Adaptive, stubPredictor, []expr.Algorithm, []Observation) {
+	n := rng.IntRange(1, 8)
+	prior := stubPredictor{}
+	for i := 1; i <= n; i++ {
+		prior[i] = math.Exp(rng.Float64()*20 - 14)
+		if i > 1 && rng.Intn(5) == 0 {
+			prior[i] = prior[i-1] // ties
+		}
+	}
+	var algs []expr.Algorithm
+	for _, a := range stubAlgs(n) {
+		if rng.Intn(3) > 0 {
+			algs = append(algs, a)
+		}
+	}
+	if len(algs) == 0 {
+		algs = stubAlgs(n)[n-1:]
+	}
+	if rng.Intn(2) == 0 {
+		for i := len(algs) - 1; i > 0; i-- {
+			j := rng.Intn(i + 1)
+			algs[i], algs[j] = algs[j], algs[i]
+		}
+	}
+	obs := make([]Observation, rng.Intn(12))
+	for i := range obs {
+		obs[i] = Observation{
+			Algorithm: rng.IntRange(0, n+1),
+			Seconds:   rng.Float64()*2 - 0.2,
+			Count:     rng.IntRange(-1, 5),
+			Distance:  rng.Float64(),
+		}
+		if rng.Intn(2) == 0 {
+			obs[i].Weight = rng.Float64() * 3
+		}
+		if rng.Intn(2) == 0 {
+			obs[i].M2 = rng.Float64() * 0.1
+		}
+	}
+	s := Adaptive{
+		Prior:   prior,
+		Observe: func(expr.Instance) []Observation { return obs },
+	}
+	if rng.Intn(2) == 0 {
+		s.Radius = rng.Float64()
+		s.PriorWeight = rng.Float64() * 4
+		s.PriorRelStd = rng.Float64()
+	}
+	return s, prior, algs, obs
+}
+
+// samePosteriors fails the test unless got and want agree bit for bit.
+func samePosteriors(t *testing.T, trial int, got, want []AlgPosterior) {
+	t.Helper()
+	bits := math.Float64bits
+	if len(got) != len(want) {
+		t.Fatalf("trial %d: %d entries, want %d", trial, len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Algorithm != w.Algorithm || g.Informed != w.Informed ||
+			bits(g.Mean) != bits(w.Mean) || bits(g.StdErr) != bits(w.StdErr) || bits(g.Weight) != bits(w.Weight) {
+			t.Fatalf("trial %d position %d: got %+v, want %+v", trial, i, g, w)
+		}
+	}
+}
+
 // TestBlendEqualsPosteriorProperty pins the split the engine relies on:
 // blending precomputed predictions with precomputed observations is
 // bitwise the posterior Adaptive builds from its Prior and Observe
@@ -166,66 +237,86 @@ func TestAdaptiveName(t *testing.T) {
 // parameters, and filtered, reordered algorithm sets.
 func TestBlendEqualsPosteriorProperty(t *testing.T) {
 	rng := xrand.New(0xb1e4d)
-	bits := math.Float64bits
 	for trial := 0; trial < 500; trial++ {
-		n := rng.IntRange(1, 8)
-		prior := stubPredictor{}
-		for i := 1; i <= n; i++ {
-			prior[i] = math.Exp(rng.Float64()*20 - 14)
-			if i > 1 && rng.Intn(5) == 0 {
-				prior[i] = prior[i-1] // ties
-			}
-		}
-		// A random nonempty subset of the set, in random order.
-		var algs []expr.Algorithm
-		for _, a := range stubAlgs(n) {
-			if rng.Intn(3) > 0 {
-				algs = append(algs, a)
-			}
-		}
-		if len(algs) == 0 {
-			algs = stubAlgs(n)[n-1:]
-		}
-		for i := len(algs) - 1; i > 0; i-- {
-			j := rng.Intn(i + 1)
-			algs[i], algs[j] = algs[j], algs[i]
-		}
-		obs := make([]Observation, rng.Intn(12))
-		for i := range obs {
-			obs[i] = Observation{
-				Algorithm: rng.IntRange(0, n+1),
-				Seconds:   rng.Float64()*2 - 0.2,
-				Count:     rng.IntRange(-1, 5),
-				Distance:  rng.Float64(),
-			}
-			if rng.Intn(2) == 0 {
-				obs[i].Weight = rng.Float64() * 3
-			}
-			if rng.Intn(2) == 0 {
-				obs[i].M2 = rng.Float64() * 0.1
-			}
-		}
-		s := Adaptive{
-			Prior:   prior,
-			Observe: func(expr.Instance) []Observation { return obs },
-		}
-		if rng.Intn(2) == 0 {
-			s.Radius = rng.Float64()
-			s.PriorWeight = rng.Float64() * 4
-			s.PriorRelStd = rng.Float64()
-		}
+		s, prior, algs, obs := randomBlendCase(rng)
 		want := s.Posterior(expr.Instance{100, 200}, algs)
-		got := s.Blend(Predict(prior, algs), obs, algs)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: Blend has %d entries, Posterior %d", trial, len(got), len(want))
+		samePosteriors(t, trial, s.Blend(Predict(prior, algs), obs, algs), want)
+	}
+}
+
+// blendOracle is Blend as it was written with separate per-position
+// sums, an informed flag slice and an index-to-position map: the
+// oracle Blend's in-place accumulation must match bit for bit.
+func blendOracle(s Adaptive, prior []float64, obs []Observation, algs []expr.Algorithm) []AlgPosterior {
+	radius := s.Radius
+	if radius <= 0 {
+		radius = DefaultAdaptiveRadius
+	}
+	w0 := s.PriorWeight
+	if w0 <= 0 {
+		w0 = DefaultPriorWeight
+	}
+	relStd := s.PriorRelStd
+	if relStd <= 0 {
+		relStd = DefaultPriorRelStd
+	}
+	sumW := make([]float64, len(algs))
+	sumWM := make([]float64, len(algs))
+	sumWS := make([]float64, len(algs))
+	informed := make([]bool, len(algs))
+	if len(obs) > 0 {
+		pos := make(map[int]int, len(algs))
+		for i := range algs {
+			pos[algs[i].Index] = i
 		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if g.Algorithm != w.Algorithm || g.Informed != w.Informed ||
-				bits(g.Mean) != bits(w.Mean) || bits(g.StdErr) != bits(w.StdErr) || bits(g.Weight) != bits(w.Weight) {
-				t.Fatalf("trial %d position %d: Blend %+v, Posterior %+v", trial, i, g, w)
+		for _, o := range obs {
+			i, ok := pos[o.Algorithm]
+			if !ok || o.weight() <= 0 || o.Seconds <= 0 {
+				continue
 			}
+			d := o.Distance / radius
+			w := o.weight() * math.Exp(-d*d)
+			v := 0.0
+			if o.M2 > 0 {
+				v = o.M2 / o.weight()
+			}
+			sumW[i] += w
+			sumWM[i] += w * o.Seconds
+			sumWS[i] += w * (v + o.Seconds*o.Seconds)
+			informed[i] = true
 		}
+	}
+	post := make([]AlgPosterior, len(algs))
+	for i := range algs {
+		p := prior[i]
+		v0 := relStd * p * relStd * p
+		mass := w0 + sumW[i]
+		mean := (w0*p + sumWM[i]) / mass
+		second := (w0*(v0+p*p) + sumWS[i]) / mass
+		variance := second - mean*mean
+		if variance < 0 {
+			variance = 0
+		}
+		post[i] = AlgPosterior{
+			Algorithm: algs[i].Index,
+			Mean:      mean,
+			StdErr:    math.Sqrt(variance / mass),
+			Weight:    mass,
+			Informed:  informed[i],
+		}
+	}
+	return post
+}
+
+// TestBlendMatchesOracleProperty pins Blend bit for bit to blendOracle
+// over random priors, observations (valid and invalid), blend
+// parameters, and full, filtered and reordered algorithm sets.
+func TestBlendMatchesOracleProperty(t *testing.T) {
+	rng := xrand.New(0x0a4c1e)
+	for trial := 0; trial < 2000; trial++ {
+		s, prior, algs, obs := randomBlendCase(rng)
+		p := Predict(prior, algs)
+		samePosteriors(t, trial, s.Blend(p, obs, algs), blendOracle(s, p, obs, algs))
 	}
 }
 
