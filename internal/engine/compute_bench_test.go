@@ -120,3 +120,29 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 		t.Errorf("warm compute request makes %d allocations, budget %d", allocs, computeBatchAllocsBudget)
 	}
 }
+
+// selectMemoHitAllocsBudget bounds what one warm min-flops query on
+// aatb allocates when its bind and its rank memo both hit. The count is
+// the same in every run, so the budget is that count with no headroom.
+const selectMemoHitAllocsBudget = 18
+
+// TestSelectMemoHitAllocsBudget pins the allocation count of a warm
+// single min-flops query whose bound set and ranking are memoised, the
+// common case of select traffic.
+func TestSelectMemoHitAllocsBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocation counts")
+	}
+	e := New(Config{})
+	req := Request{Queries: []Query{{Expr: "aatb", Instance: expr.Instance{64, 48, 32}, Strategy: "min-flops"}}}
+	for range 2 {
+		if r := e.Do(context.Background(), req); r[0].Err != nil {
+			t.Fatal(r[0].Err)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() { e.Do(context.Background(), req) })
+	t.Logf("%.0f allocations per warm memo-hit select", allocs)
+	if allocs > selectMemoHitAllocsBudget {
+		t.Errorf("warm memo-hit select makes %.0f allocations, budget %d", allocs, selectMemoHitAllocsBudget)
+	}
+}
