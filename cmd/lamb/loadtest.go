@@ -12,7 +12,7 @@ package main
 // never silently queued. In both modes a 503's Retry-After is honored
 // (sleep, then retry, up to -retry-503 times) instead of hammering a
 // shedding server with an immediate retry storm; shed and retry counts
-// surface in the report. The /api/stats counters are sampled before and
+// surface in the report. The /api/v1/stats counters are sampled before and
 // after, so the report can attribute throughput to cache layers (hit
 // rates) and to the fused batched path (coalesced / fused counters) or,
 // against a router, to its forwards, retries, hedges and degradations.
@@ -23,7 +23,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/bits"
 	"math/rand"
 	"net/http"
 	"os"
@@ -36,6 +35,7 @@ import (
 	"lamb"
 	"lamb/internal/cache"
 	"lamb/internal/engine"
+	"lamb/internal/ir"
 	"lamb/internal/report"
 	"lamb/internal/router"
 )
@@ -47,7 +47,7 @@ func cmdLoadtest(args []string) error {
 	target := fs.String("target", "http://127.0.0.1:8374", "base URL of the running lamb serve")
 	duration := fs.Duration("duration", 5*time.Second, "how long to generate load")
 	concurrency := fs.Int("concurrency", 4, "closed-loop workers, one request in flight each (ignored when -rate > 0)")
-	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/query, >1 = POST /api/batch")
+	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/v1/query, >1 = POST /api/v1/batch")
 	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results, so batches exercise the heterogeneous fused execution path")
 	exprName := fs.String("expr", "aatb", "expression to query")
 	instStr := fs.String("instance", "24,16,8", "instance dimensions, e.g. 24,16,8")
@@ -89,8 +89,8 @@ func cmdLoadtest(args []string) error {
 	// dimension is stepped; a batch over them still coalesces duplicates
 	// (batch width > spread), which is exactly the serving pattern the
 	// fused path exists for. With -batch-mix every dimension is instead
-	// sampled uniformly within its power-of-two octave (same bits.Len as
-	// the base instance), so computed batches land in one shape-octave
+	// sampled uniformly within its power-of-two octave (ir.Octave of the
+	// base instance's), so computed batches land in one shape-octave
 	// bucket and exercise the heterogeneous (padded) fused plan.
 	if *spread < 1 {
 		*spread = 1
@@ -102,7 +102,7 @@ func cmdLoadtest(args []string) error {
 		copy(qi, inst)
 		if *batchMix {
 			for j, d := range qi {
-				lo := 1 << (bits.Len(uint(d)) - 1)
+				lo := 1 << ir.Octave(d)
 				qi[j] = lo + mixRng.Intn(lo) // [lo, 2*lo): same octave as d
 			}
 		} else {
@@ -111,7 +111,15 @@ func cmdLoadtest(args []string) error {
 		queries[i] = engine.Query{Expr: *exprName, Instance: qi, Strategy: *strategy}
 	}
 
-	client := &http.Client{Timeout: 30 * time.Second}
+	// One idle connection per request that can be in flight at once:
+	// with net/http's default of two per host, every request beyond
+	// the second opens a new connection and the churn lands in the
+	// measured tail.
+	idle := *concurrency
+	if *rate > 0 {
+		idle = *maxOutstanding
+	}
+	client := &http.Client{Timeout: 30 * time.Second, Transport: &http.Transport{MaxIdleConnsPerHost: idle}}
 	before, err := fetchStats(client, *target)
 	if err != nil {
 		return fmt.Errorf("target not reachable: %w", err)
@@ -126,11 +134,11 @@ func cmdLoadtest(args []string) error {
 				req.Queries[i] = queries[(n+i)%len(queries)]
 			}
 			body, _ = json.Marshal(req)
-			return "/api/batch", body
+			return "/api/v1/batch", body
 		}
 		req := queryRequest{Query: queries[n%len(queries)], TimeoutMs: *timeoutMs}
 		body, _ = json.Marshal(req)
-		return "/api/query", body
+		return "/api/v1/query", body
 	}
 
 	var counts loadCounts
@@ -381,33 +389,33 @@ func lookupArity(name string) (int, error) {
 	return ex.Arity(), nil
 }
 
-// targetStats is one /api/stats sample: a serve's engine counters, or a
+// targetStats is one /api/v1/stats sample: a serve's engine counters, or a
 // router's counters when the body lists backends.
 type targetStats struct {
 	engine engine.Stats
 	router *router.Stats
 }
 
-// fetchStats samples /api/stats and tells a router from a serve by the
+// fetchStats samples /api/v1/stats and tells a router from a serve by the
 // router's "backends" key.
 func fetchStats(client *http.Client, target string) (targetStats, error) {
-	resp, err := client.Get(target + "/api/stats")
+	resp, err := client.Get(target + "/api/v1/stats")
 	if err != nil {
 		return targetStats{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return targetStats{}, fmt.Errorf("GET /api/stats: %s", resp.Status)
+		return targetStats{}, fmt.Errorf("GET /api/v1/stats: %s", resp.Status)
 	}
 	body, err := io.ReadAll(resp.Body)
 	if err != nil {
-		return targetStats{}, fmt.Errorf("reading /api/stats: %w", err)
+		return targetStats{}, fmt.Errorf("reading /api/v1/stats: %w", err)
 	}
 	var keys struct {
 		Backends json.RawMessage `json:"backends"`
 	}
 	if err := json.Unmarshal(body, &keys); err != nil {
-		return targetStats{}, fmt.Errorf("decoding /api/stats: %w", err)
+		return targetStats{}, fmt.Errorf("decoding /api/v1/stats: %w", err)
 	}
 	var s targetStats
 	if keys.Backends != nil {
@@ -417,7 +425,7 @@ func fetchStats(client *http.Client, target string) (targetStats, error) {
 		err = json.Unmarshal(body, &s.engine)
 	}
 	if err != nil {
-		return targetStats{}, fmt.Errorf("decoding /api/stats: %w", err)
+		return targetStats{}, fmt.Errorf("decoding /api/v1/stats: %w", err)
 	}
 	return s, nil
 }

@@ -102,7 +102,7 @@ func TestLoadtestHonorsRetryAfter(t *testing.T) {
 	var hits atomic.Uint64
 	var sheds atomic.Uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/api/query" && hits.Add(1)%2 == 1 {
+		if r.URL.Path == "/api/v1/query" && hits.Add(1)%2 == 1 {
 			sheds.Add(1)
 			w.Header().Set("Retry-After", "0")
 			http.Error(w, "shedding", http.StatusServiceUnavailable)

@@ -23,12 +23,10 @@ package engine
 
 import (
 	"fmt"
-	"math/bits"
-	"strconv"
-	"strings"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
+	"lamb/internal/ir"
 	"lamb/internal/mat"
 	"lamb/internal/xrand"
 )
@@ -71,8 +69,8 @@ type target struct {
 // it, and a query that fails has its Output cleared.
 func (e *Engine) compute(sets []*boundSet, inputs []map[string]*mat.Dense, out []Result) {
 	sel := make([]target, len(out))
-	buckets := make(map[string][]int)
-	var order []string
+	slot := make(map[bucketKey]int)
+	var buckets [][]int // in order of first appearance
 	for i := range out {
 		if out[i].Err != nil || out[i].Record == nil {
 			continue
@@ -88,16 +86,30 @@ func (e *Engine) compute(sets []*boundSet, inputs []map[string]*mat.Dense, out [
 			out[i].Err = fmt.Errorf("engine: selected algorithm %d not in bound set", rec.Selected.Index)
 			continue
 		}
-		key := rec.Expr + "#" + strconv.Itoa(rec.Selected.Index) + "#" + shapeOctaves(rec.Instance)
-		if _, ok := buckets[key]; !ok {
-			order = append(order, key)
+		key := bucketKey{expr: rec.Expr, alg: rec.Selected.Index, oct: rec.Instance.Octaves()}
+		k, ok := slot[key]
+		if !ok {
+			k = len(buckets)
+			slot[key] = k
+			buckets = append(buckets, nil)
 		}
-		buckets[key] = append(buckets[key], i)
+		buckets[k] = append(buckets[k], i)
 	}
 	outputSlab(sel, out)
-	for _, key := range order {
-		e.execBucket(buckets[key], inputs, sel, out)
+	for _, idxs := range buckets {
+		e.execBucket(idxs, inputs, sel, out)
 	}
+}
+
+// bucketKey is the fuse-bucket coordinate: the expression, the selected
+// algorithm's index, and the instance's per-dimension octaves. Two
+// instances of one bucket differ by less than 2× in every dimension, so
+// their padded arenas waste at most a bounded fraction of the common
+// stride.
+type bucketKey struct {
+	expr string
+	alg  int
+	oct  ir.Key
 }
 
 // outputSlab points the Output of every query with a selected algorithm
@@ -127,25 +139,6 @@ func outputSlab(sel []target, out []Result) {
 		out[i].Output = &views[len(views)-1]
 		slab = slab[size:]
 	}
-}
-
-// shapeOctaves renders the instance's per-dimension power-of-two octave
-// (⌊log2 d⌋), the bucketing coordinate: two instances in one octave
-// differ by less than 2× in every dimension, so their padded arenas
-// waste at most a bounded fraction of the common stride.
-func shapeOctaves(inst expr.Instance) string {
-	var b strings.Builder
-	for i, d := range inst {
-		if i > 0 {
-			b.WriteByte('x')
-		}
-		o := 0
-		if d > 0 {
-			o = bits.Len(uint(d)) - 1
-		}
-		b.WriteString(strconv.Itoa(o))
-	}
-	return b.String()
 }
 
 // execBucket executes one bucket of answered queries, fused when the
@@ -258,8 +251,10 @@ func (e *Engine) runChunk(idxs []int, inputs []map[string]*mat.Dense, sel []targ
 }
 
 // runPlan fills and executes one chunk's plan and copies each
-// instance's output into its query's Output, converting kernel panics
-// (shape mismatches, non-SPD operands) into an error.
+// instance's output into its query's Output — the view outputSlab set
+// up, which a query keeps until its own run fails, and a failed query
+// is never run again — converting kernel panics (shape mismatches,
+// non-SPD operands) into an error.
 func runPlan(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -276,20 +271,9 @@ func runPlan(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel 
 	}
 	p.Execute()
 	for k, i := range idxs {
-		o := p.Output(k)
-		mat.Copy(outputOf(&out[i], o.Rows, o.Cols), o)
+		mat.Copy(out[i].Output, p.Output(k))
 	}
 	return nil
-}
-
-// outputOf returns the matrix a query's rows×cols result is copied
-// into: the view compute set up in the request's output slab, or a new
-// matrix when there is none.
-func outputOf(r *Result, rows, cols int) *mat.Dense {
-	if r.Output == nil {
-		r.Output = mat.New(rows, cols)
-	}
-	return r.Output
 }
 
 // inputMap returns query i's input map, tolerating a short or nil

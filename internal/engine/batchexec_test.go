@@ -247,6 +247,7 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 		t.Skipf("chunk widths %d/%d do not exercise the padding gate", wa, wb)
 	}
 	out := make([]Result, 2)
+	outputSlab(sel, out) // as compute does before any bucket runs
 	e.execBucket([]int{0, 1}, nil, sel, out)
 	for i, r := range out {
 		if r.Err != nil {

@@ -74,17 +74,20 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 }
 
 // computeBatchBytesBudget and computeBatchAllocsBudget bound what one
-// warm compute request of the fixture allocates: the largest of six
-// runs with the adaptive blend accumulating straight into its
-// posteriors (1293744 bytes, 960 allocations), plus 10% headroom.
-// About 1.1 MB of the bytes is the request's output slab. With four
-// scratch slices and a map per blend a request made 1215 allocations;
-// with one closure per bound call, 1467; before the slab and the
-// layout memo it allocated 1445789 bytes and 4047 allocations; before
-// pooled arenas and the output slab, 12.0 MB.
+// warm compute request of the fixture allocates, each the largest of
+// six runs plus 10% headroom. The allocation count is from queries
+// keyed by ir.Key rather than by instance strings (564 allocations,
+// 1302941 bytes); the byte count is from the adaptive blend
+// accumulating straight into its posteriors (1293744 bytes, 960
+// allocations), which the struct keys' wider maps stay within. About
+// 1.1 MB of the bytes is the request's output slab. With string keys
+// a request made 958 allocations; with four scratch slices and a map
+// per blend, 1215; with one closure per bound call, 1467; before the
+// slab and the layout memo it allocated 1445789 bytes and 4047
+// allocations; before pooled arenas and the output slab, 12.0 MB.
 const (
 	computeBatchBytesBudget  = 1293744 * 11 / 10
-	computeBatchAllocsBudget = 960 * 11 / 10
+	computeBatchAllocsBudget = 564 * 11 / 10
 )
 
 // TestDoComputeBatchBytesBudget pins the allocation volume and count of
@@ -123,8 +126,11 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 
 // selectMemoHitAllocsBudget bounds what one warm min-flops query on
 // aatb allocates when its bind and its rank memo both hit. The count is
-// the same in every run, so the budget is that count with no headroom.
-const selectMemoHitAllocsBudget = 18
+// the same in every run, so the budget is that count with no headroom:
+// 13 with instance keys and the simulated executor's name built once,
+// 18 when the coalescing, singleflight and bind keys were strings and
+// the name was concatenated per record.
+const selectMemoHitAllocsBudget = 13
 
 // TestSelectMemoHitAllocsBudget pins the allocation count of a warm
 // single min-flops query whose bound set and ranking are memoised, the

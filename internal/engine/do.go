@@ -5,10 +5,12 @@ package engine
 // as a batch, and the deadline is whatever the caller's context carries.
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"strings"
 
+	"lamb/internal/ir"
 	"lamb/internal/mat"
 	"lamb/internal/par"
 )
@@ -63,32 +65,24 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 	qs := req.Queries
 	out := make([]Result, len(qs))
 	fused := req.Compute || len(qs) > 1
-	strats := make([]string, len(qs))
-	keys := make([]string, len(qs))
+	keys := make([]queryKey, len(qs))
 	rep := make([]int, len(qs)) // rep[i] = index of i's representative
 	uniq := make([]int, 0, len(qs))
-	firstOf := make(map[string]int, len(qs))
+	firstOf := make(map[queryKey]int, len(qs))
 	for i, q := range qs {
-		strats[i] = q.Strategy
-		if strats[i] == "" {
-			strats[i] = DefaultStrategy
+		keys[i] = queryKey{expr: strings.ToLower(q.Expr), inst: q.Instance.Key(), strat: cmp.Or(q.Strategy, DefaultStrategy), fused: fused}
+		j, ok := firstOf[keys[i]]
+		if !ok {
+			j = i
+			firstOf[keys[i]] = i
+			uniq = append(uniq, i)
 		}
-		keys[i] = strings.ToLower(q.Expr) + "|" + q.Instance.String() + "|" + strats[i]
-		if fused {
-			keys[i] += "|fused"
-		}
-		if j, ok := firstOf[keys[i]]; ok {
-			rep[i] = j
-			continue
-		}
-		firstOf[keys[i]] = i
-		rep[i] = i
-		uniq = append(uniq, i)
+		rep[i] = j
 	}
 	sets := make([]*boundSet, len(qs)) // the set each record was answered from
 	par.For(len(uniq), max(2*runtime.GOMAXPROCS(0), 4), func(k int) {
 		i := uniq[k]
-		out[i].Record, sets[i], out[i].Err = e.query(ctx, qs[i], strats[i], keys[i], fused)
+		out[i].Record, sets[i], out[i].Err = e.query(ctx, qs[i], keys[i])
 	})
 	for i := range qs {
 		if rep[i] != i {
@@ -103,8 +97,18 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 	return out
 }
 
-// query answers one distinct query under the caller's context; strat is
-// its normalised strategy and key its singleflight key. Concurrent
+// queryKey identifies a query for coalescing and the singleflight: the
+// case-folded expression, the instance, the normalised strategy, and
+// whether timed strategies measure fused.
+type queryKey struct {
+	expr  string
+	inst  ir.Key
+	strat string
+	fused bool
+}
+
+// query answers one distinct query under the caller's context; key is
+// its singleflight key and carries its normalised strategy. Concurrent
 // identical queries are deduplicated: one computes, the rest wait and
 // share its record — but each waiter honours its own context, so one
 // slow leader cannot hold a cancelled request hostage. A context that
@@ -112,12 +116,12 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 // answer (see answer); a context that is already done fails
 // immediately.
 //
-// fused lets timed strategies measure through the fused batched path
-// (see answer). Fused and per-instance flights are kept apart in the
-// singleflight table by the key's "|fused" suffix — they follow
-// different measurement protocols, and a record must reflect the
-// protocol that produced it.
-func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bool) (*Record, *boundSet, error) {
+// key.fused lets timed strategies measure through the fused batched
+// path (see answer). Fused and per-instance flights are kept apart in
+// the singleflight table by that field — they follow different
+// measurement protocols, and a record must reflect the protocol that
+// produced it.
+func (e *Engine) query(ctx context.Context, q Query, key queryKey) (*Record, *boundSet, error) {
 	e.queries.Add(1)
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
@@ -137,7 +141,7 @@ func (e *Engine) query(ctx context.Context, q Query, strat, key string, fused bo
 	e.inflight[key] = f
 	e.sfMu.Unlock()
 
-	f.rec, f.set, f.err = e.answer(ctx, q, strat, fused)
+	f.rec, f.set, f.err = e.answer(ctx, q, key.strat, key.fused)
 
 	e.sfMu.Lock()
 	delete(e.inflight, key)

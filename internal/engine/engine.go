@@ -314,7 +314,7 @@ type Engine struct {
 
 	// sfMu guards the singleflight table.
 	sfMu     sync.Mutex
-	inflight map[string]*flight
+	inflight map[queryKey]*flight
 
 	queries   atomic.Uint64
 	deduped   atomic.Uint64
@@ -357,10 +357,10 @@ type Engine struct {
 }
 
 // bindKey identifies a bound algorithm set: canonical expression name
-// plus the instance rendering.
+// plus the instance.
 type bindKey struct {
 	expr string
-	inst string
+	inst ir.Key
 }
 
 // boundSet is one binding-LRU entry: the algorithm set bound for an
@@ -420,7 +420,7 @@ func New(cfg Config) *Engine {
 		timer:    timer,
 		exprs:    make(map[string]expr.Expression),
 		bind:     cache.NewLRU[bindKey, *boundSet](bindEntries),
-		inflight: make(map[string]*flight),
+		inflight: make(map[queryKey]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
 	}
 	e.exploreEvery = exploreInterval(cfg.ExploreRate)
@@ -552,7 +552,7 @@ func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error)
 	if err := x.Validate(inst); err != nil {
 		return nil, err
 	}
-	key := bindKey{expr: x.Name(), inst: inst.String()}
+	key := bindKey{expr: x.Name(), inst: inst.Key()}
 	e.mu.Lock()
 	if b, ok := e.bind.Get(key); ok {
 		e.mu.Unlock()

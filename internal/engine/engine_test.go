@@ -315,7 +315,7 @@ func TestEngineConcurrentBatch(t *testing.T) {
 func TestEngineSingleflightDedup(t *testing.T) {
 	e := New(Config{})
 	q := Query{Expr: "aatb", Instance: expr.Instance{10, 20, 30}}
-	key := "aatb|(10,20,30)|min-flops"
+	key := queryKey{expr: "aatb", inst: q.Instance.Key(), strat: "min-flops"}
 
 	// Plant an in-flight entry, as if another goroutine were computing.
 	f := &flight{done: make(chan struct{})}

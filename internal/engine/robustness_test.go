@@ -153,7 +153,7 @@ func TestEngineDeadlineDegradesTimedStrategy(t *testing.T) {
 func TestEngineQueryCtxWaiterAbandonsSlowLeader(t *testing.T) {
 	e := New(Config{})
 	q := Query{Expr: "aatb", Instance: expr.Instance{10, 20, 30}}
-	key := "aatb|(10,20,30)|min-flops"
+	key := queryKey{expr: "aatb", inst: q.Instance.Key(), strat: "min-flops"}
 	f := &flight{done: make(chan struct{})}
 	e.sfMu.Lock()
 	e.inflight[key] = f

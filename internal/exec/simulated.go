@@ -11,11 +11,14 @@ import (
 // repetition (the cache state starts empty) and evolves across the calls
 // of the algorithm, so later calls see warm inputs.
 type Simulated struct {
-	m *machine.Machine
+	m    *machine.Machine
+	name string // "simulated/" + the machine's name, stamped on every record
 }
 
 // NewSimulated returns a simulated executor on the given machine.
-func NewSimulated(m *machine.Machine) *Simulated { return &Simulated{m: m} }
+func NewSimulated(m *machine.Machine) *Simulated {
+	return &Simulated{m: m, name: "simulated/" + m.Name()}
+}
 
 // NewDefaultSimulated returns a simulated executor on the calibrated
 // default machine.
@@ -48,4 +51,4 @@ func (s *Simulated) TimeCallCold(call kernels.Call, rep uint64) float64 {
 func (s *Simulated) Peak() float64 { return s.m.Peak() }
 
 // Name implements Executor.
-func (s *Simulated) Name() string { return "simulated/" + s.m.Name() }
+func (s *Simulated) Name() string { return s.name }

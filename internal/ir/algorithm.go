@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"lamb/internal/kernels"
@@ -11,8 +12,8 @@ import (
 // (d0, d1, ... in the paper's notation).
 type Instance []int
 
-// String renders the instance as "(d0,d1,...)". It keys the bind LRU
-// and the outcome store, so it formats into a stack buffer and
+// String renders the instance as "(d0,d1,...)". It keys the outcome
+// store and orders its snapshots, so it formats into a stack buffer and
 // allocates only the result.
 func (in Instance) String() string {
 	var buf [64]byte
@@ -24,6 +25,50 @@ func (in Instance) String() string {
 		b = strconv.AppendInt(b, int64(d), 10)
 	}
 	return string(append(b, ')'))
+}
+
+// keyDims is how many dimensions a Key holds inline: the arity of the
+// largest registered expression, the 9-term chain.
+const keyDims = 10
+
+// Key is an instance as a comparable value, for map keys: two keys are
+// equal exactly when their instances are. An instance of up to keyDims
+// dimensions that each fit in an int32 is held inline, so building its
+// key allocates nothing; any other is held as its String form. The
+// inline form keeps the engine's keys that embed a Key within the 128
+// bytes a Go map stores in place rather than allocating per insert.
+type Key struct {
+	n    int32
+	dims [keyDims]int32
+	long string
+}
+
+// Key returns the instance's comparable key.
+func (in Instance) Key() Key {
+	k := Key{n: int32(len(in))}
+	for i, d := range in {
+		if i == keyDims || d != int(int32(d)) {
+			return Key{long: in.String()}
+		}
+		k.dims[i] = int32(d)
+	}
+	return k
+}
+
+// Octave returns d's power-of-two octave, ⌊log2 max(d,1)⌋. Instances
+// whose dimensions share their octaves differ by less than 2× in every
+// dimension: the fused-execution bucket and the router's shard both
+// group queries by it.
+func Octave(d int) int { return bits.Len(uint(max(d, 1))) - 1 }
+
+// Octaves returns the key of the instance's per-dimension octaves.
+func (in Instance) Octaves() Key {
+	var buf [keyDims]int
+	oct := Instance(buf[:0])
+	for _, d := range in {
+		oct = append(oct, Octave(d))
+	}
+	return oct.Key()
 }
 
 // Clone returns an independent copy of the instance.

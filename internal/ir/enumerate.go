@@ -804,17 +804,6 @@ func EnumerateSymbolic(def *Def) (*SymbolicSet, error) {
 	return &SymbolicSet{def: def, algs: algs}, nil
 }
 
-// MustEnumerateSymbolic is EnumerateSymbolic panicking on error; the
-// built-in expression builders use it with definitions that are tested
-// to be valid.
-func MustEnumerateSymbolic(def *Def) *SymbolicSet {
-	set, err := EnumerateSymbolic(def)
-	if err != nil {
-		panic(err)
-	}
-	return set
-}
-
 // Enumerate generates the complete algorithm set of the definition for
 // one instance: a symbolic enumeration followed by a bind. Callers that
 // evaluate many instances of one expression should enumerate once with
@@ -825,14 +814,4 @@ func Enumerate(def *Def, inst Instance) ([]Algorithm, error) {
 		return nil, err
 	}
 	return set.Bind(inst)
-}
-
-// MustEnumerate is Enumerate panicking on error; expression builders
-// use it after validating the instance themselves.
-func MustEnumerate(def *Def, inst Instance) []Algorithm {
-	algs, err := Enumerate(def, inst)
-	if err != nil {
-		panic(err)
-	}
-	return algs
 }

@@ -69,7 +69,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // queryBody is the lenient decode of a query request: just enough to
-// compute the shard key and the deadline. The original bytes are
+// compute the shard hash and the deadline. The original bytes are
 // relayed verbatim, so fields the router doesn't know still reach the
 // backend (which enforces its own strict schema).
 type queryBody struct {
@@ -86,7 +86,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestCtx(r, q.TimeoutMs)
 	defer cancel()
-	key := shardKey(q.Expr, q.Instance)
+	key := shardHash(q.Expr, q.Instance)
 	cands := rt.ring.candidates(key)
 	// Hedging is reserved for queries where tail latency is worth
 	// doubled backend work: timed strategies (an oracle query's latency
@@ -218,7 +218,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			results[i] = errorItem(err)
 			continue
 		}
-		cands := rt.ring.candidates(shardKey(q.Expr, q.Instance))
+		cands := rt.ring.candidates(shardHash(q.Expr, q.Instance))
 		owner := ""
 		for _, c := range cands {
 			if b := rt.byURL[c]; b.up.Load() {
@@ -294,7 +294,7 @@ func (rt *Router) handleFeedback(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := requestCtx(r, 0)
 	defer cancel()
-	res := rt.forward(ctx, rt.ring.candidates(shardKey(q.Expr, q.Instance)), "/api/v1/feedback", body, false)
+	res := rt.forward(ctx, rt.ring.candidates(shardHash(q.Expr, q.Instance)), "/api/v1/feedback", body, false)
 	if res.err != nil {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("feedback not stored: %w", res.err))

@@ -13,18 +13,19 @@
 package router
 
 import (
-	"hash/fnv"
-	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+
+	"lamb/internal/ir"
 )
 
 // ring is a consistent-hash ring with virtual nodes. Keys are shard
-// keys (shardKey); lookups return every backend, deduplicated, in ring
-// order from the key's position — the retry ladder walks that order, so
-// an instance's traffic lands on the same backend while it is healthy
-// and fails over deterministically when it is not.
+// hashes (shardHash); lookups return every backend, deduplicated, in
+// ring order from the key's position — the retry ladder walks that
+// order, so an instance's traffic lands on the same backend while it is
+// healthy and fails over deterministically when it is not.
 type ring struct {
 	backends []string
 	points   []ringPoint // sorted by hash
@@ -44,52 +45,49 @@ func newRing(backends []string, vnodes int) *ring {
 	r := &ring{backends: backends, points: make([]ringPoint, 0, len(backends)*vnodes)}
 	for i, b := range backends {
 		for v := 0; v < vnodes; v++ {
-			r.points = append(r.points, ringPoint{hash: hash64(b + "#" + strconv.Itoa(v)), backend: i})
+			r.points = append(r.points, ringPoint{hash: hash64([]byte(b + "#" + strconv.Itoa(v))), backend: i})
 		}
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 	return r
 }
 
-// candidates returns all backends in ring order starting at key's
-// position: the first entry is the shard owner, the rest the failover
-// order. The returned slice is freshly allocated.
-func (r *ring) candidates(key string) []string {
+// candidates returns all backends in ring order starting at the shard
+// hash h: the first entry is the shard owner, the rest the failover
+// order. Backends are distinct (New rejects duplicates), so a backend
+// already in the result is the only repeat to skip. The returned slice
+// is freshly allocated.
+func (r *ring) candidates(h uint64) []string {
 	out := make([]string, 0, len(r.backends))
 	if len(r.points) == 0 {
 		return out
 	}
-	h := hash64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	seen := make(map[int]bool, len(r.backends))
 	for i := 0; i < len(r.points) && len(out) < len(r.backends); i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if !seen[p.backend] {
-			seen[p.backend] = true
-			out = append(out, r.backends[p.backend])
+		if b := r.backends[r.points[(start+i)%len(r.points)].backend]; !slices.Contains(out, b) {
+			out = append(out, b)
 		}
 	}
 	return out
 }
 
-// shardKey maps a query to its shard: the expression (case-folded, as
-// the engine resolves it) plus each dimension's octave — floor(log2) —
-// so instances whose shapes differ by less than a factor of two land on
-// the same shard. The octave is deliberately wider than the adaptive
-// strategy's 0.25 log-unit neighbourhood radius: instances close enough
-// to share evidence are close enough to share a shard, which is what
-// makes shard-local feedback memory effective.
-func shardKey(expr string, inst []int) string {
-	var b strings.Builder
-	b.WriteString(strings.ToLower(expr))
+// shardHash maps a query to its shard: the hash of the expression
+// (case-folded, as the engine resolves it) followed by "|" and each
+// dimension's octave (ir.Octave), so instances whose shapes differ by
+// less than a factor of two land on the same shard. The octave is
+// deliberately wider than the adaptive strategy's 0.25 log-unit
+// neighbourhood radius: instances close enough to share evidence are
+// close enough to share a shard, which is what makes shard-local
+// feedback memory effective. The bytes are written into a stack
+// buffer, so a lowercase name (which strings.ToLower returns as is)
+// and a short instance allocate nothing.
+func shardHash(expr string, inst []int) uint64 {
+	var buf [128]byte
+	b := append(buf[:0], strings.ToLower(expr)...)
 	for _, d := range inst {
-		b.WriteByte('|')
-		if d < 1 {
-			d = 1
-		}
-		b.WriteString(strconv.Itoa(bits.Len(uint(d)) - 1))
+		b = strconv.AppendInt(append(b, '|'), int64(ir.Octave(d)), 10)
 	}
-	return b.String()
+	return hash64(b)
 }
 
 // hash64 is FNV-1a finished with a splitmix64-style mixer. Raw FNV-1a
@@ -99,10 +97,12 @@ func shardKey(expr string, inst []int) string {
 // one expression land on the same backend of a pair ~8% of the time.
 // The finalizer restores avalanche and brings that to the ~0.1% an
 // independent uniform hash would give.
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	x := h.Sum64()
+func hash64(s []byte) uint64 {
+	x := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, c := range s {
+		x ^= uint64(c)
+		x *= 1099511628211 // FNV-1a prime
+	}
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27

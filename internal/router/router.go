@@ -112,10 +112,11 @@ type Router struct {
 	mergeErrors    atomic.Uint64
 	mergedOutcomes atomic.Uint64
 
-	// confMu guards conf: the last confidence each shard key's answer
-	// reported, feeding lowConfidence's hedge-eligibility check.
+	// confMu guards conf: the last confidence each shard's answer
+	// reported, by shard hash, feeding lowConfidence's hedge-eligibility
+	// check. Keys whose hashes collide already share a shard.
 	confMu sync.Mutex
-	conf   map[string]float64
+	conf   map[uint64]float64
 }
 
 // DefaultHedgeConfidence is the confidence floor for adaptive-query
@@ -141,10 +142,10 @@ func SetConfidence(w http.ResponseWriter, c float64) {
 }
 
 // observeConfidence remembers the confidence a successful query answer
-// reported in its ConfidenceHeader for its shard key. Answers without
+// reported in its ConfidenceHeader for its shard hash. Answers without
 // the header (old backends) or with one that does not parse are
 // ignored.
-func (rt *Router) observeConfidence(key string, res attemptResult) {
+func (rt *Router) observeConfidence(key uint64, res attemptResult) {
 	if res.err != nil || res.status != http.StatusOK {
 		return
 	}
@@ -163,10 +164,10 @@ func (rt *Router) observeConfidence(key string, res attemptResult) {
 	rt.confMu.Unlock()
 }
 
-// lowConfidence reports whether the shard key's last observed answer
+// lowConfidence reports whether the shard hash's last observed answer
 // was below the hedge-eligibility floor. Keys never seen report false:
 // with no evidence of uncertainty, hedging is not worth doubled work.
-func (rt *Router) lowConfidence(key string) bool {
+func (rt *Router) lowConfidence(key uint64) bool {
 	rt.confMu.Lock()
 	c, known := rt.conf[key]
 	rt.confMu.Unlock()
@@ -226,7 +227,7 @@ func New(cfg Config) (*Router, error) {
 		ring:  newRing(cfg.Backends, cfg.Replicas),
 		byURL: make(map[string]*backendState, len(cfg.Backends)),
 		stop:  make(chan struct{}),
-		conf:  make(map[string]float64),
+		conf:  make(map[uint64]float64),
 	}
 	for _, u := range cfg.Backends {
 		if _, dup := rt.byURL[u]; dup {

@@ -5,8 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,10 +19,27 @@ import (
 	"lamb/internal/engine"
 )
 
+// shardKey is the router's shard key as it was written before
+// shardHash: the case-folded expression plus "|" and each dimension's
+// ⌊log2 max(d,1)⌋. It is kept as the oracle that pins every query to
+// the shard it has always had.
+func shardKey(expr string, inst []int) string {
+	var b strings.Builder
+	b.WriteString(strings.ToLower(expr))
+	for _, d := range inst {
+		b.WriteByte('|')
+		if d < 1 {
+			d = 1
+		}
+		b.WriteString(strconv.Itoa(bits.Len(uint(d)) - 1))
+	}
+	return b.String()
+}
+
 func TestRingCandidatesDistinctAndStable(t *testing.T) {
 	backends := []string{"http://a", "http://b", "http://c"}
 	r := newRing(backends, 64)
-	key := shardKey("AATB", []int{80, 514, 768})
+	key := shardHash("AATB", []int{80, 514, 768})
 	cands := r.candidates(key)
 	if len(cands) != 3 {
 		t.Fatalf("candidates %v", cands)
@@ -42,7 +64,7 @@ func TestRingCandidatesDistinctAndStable(t *testing.T) {
 	owners := map[string]int{}
 	for d := 1; d < 4096; d *= 2 {
 		for _, e := range []string{"aatb", "abc", "gemm-chain"} {
-			owners[r.candidates(shardKey(e, []int{d, d * 2, d * 4}))[0]]++
+			owners[r.candidates(shardHash(e, []int{d, d * 2, d * 4}))[0]]++
 		}
 	}
 	for _, b := range backends {
@@ -53,14 +75,51 @@ func TestRingCandidatesDistinctAndStable(t *testing.T) {
 }
 
 func TestShardKeyOctaves(t *testing.T) {
-	// Shapes within the same octave share a shard key; doubling a
+	// Shapes within the same octave share a shard; doubling a
 	// dimension moves it.
-	if shardKey("AATB", []int{100, 300, 700}) != shardKey("aatb", []int{120, 260, 650}) {
-		t.Fatal("same-octave instances got different keys")
+	if shardHash("AATB", []int{100, 300, 700}) != shardHash("aatb", []int{120, 260, 650}) {
+		t.Fatal("same-octave instances got different shard hashes")
 	}
-	if shardKey("aatb", []int{100, 300, 700}) == shardKey("aatb", []int{100, 300, 1400}) {
-		t.Fatal("doubled dimension kept the same key")
+	if shardHash("aatb", []int{100, 300, 700}) == shardHash("aatb", []int{100, 300, 1400}) {
+		t.Fatal("doubled dimension kept the same shard hash")
 	}
+}
+
+// TestShardHashMatchesShardKey pins placement: over fixed-seed random
+// queries — mixed-case and non-ASCII names, dimensions at and below
+// zero, huge dimensions, and instances long enough to outgrow the stack
+// buffer — the shard hash is the hash of the old shard key's bytes, so
+// every query lands where it always has.
+func TestShardHashMatchesShardKey(t *testing.T) {
+	names := []string{"aatb", "AATB", "AaTb", "chain", "Chain-ABCD", "gls", "", "ÄaTB", "ſtrange", "lstsq\xff", strings.Repeat("LongName", 20)}
+	dims := []int{math.MinInt, -5, -1, 0, 1, 2, 3, 7, 8, 511, 512, 1 << 40, math.MaxInt}
+	rng := rand.New(rand.NewSource(0x5a4d))
+	for range 5000 {
+		name := names[rng.Intn(len(names))]
+		inst := make([]int, rng.Intn(40))
+		for i := range inst {
+			if rng.Intn(2) == 0 {
+				inst[i] = dims[rng.Intn(len(dims))]
+			} else {
+				inst[i] = rng.Intn(1<<16) - 16
+			}
+		}
+		if got, want := shardHash(name, inst), hash64([]byte(shardKey(name, inst))); got != want {
+			t.Fatalf("shardHash(%q, %v) = %#x, want hash64(%q) = %#x", name, inst, got, shardKey(name, inst), want)
+		}
+	}
+}
+
+// TestShardHashZeroAllocs checks that placing a query of a lowercase
+// name, as clients send them, and an instance within ir.Key's inline
+// array allocates nothing.
+func TestShardHashZeroAllocs(t *testing.T) {
+	inst := []int{80, 514, 768, 1 << 20, 3, 9, 27, 81, 243, 729}
+	var h uint64
+	if n := testing.AllocsPerRun(100, func() { h = shardHash("chain", inst) }); n != 0 {
+		t.Errorf("shardHash allocates %v times", n)
+	}
+	_ = h
 }
 
 func TestBreakerStateMachine(t *testing.T) {
