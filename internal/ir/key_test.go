@@ -65,9 +65,9 @@ func TestKeyEqualityMatchesInstances(t *testing.T) {
 	}
 }
 
-// TestOctaveMatchesLog2Rule checks Octave against the rule the fuse
-// buckets and the router's shards used before it: ⌊log2 d⌋, with
-// every d below 1 in octave 0.
+// TestOctaveMatchesLog2Rule checks Octave against ⌊log2 d⌋ written
+// out directly, with every d below 1 in octave 0: the fuse buckets and
+// the router's shards must not move.
 func TestOctaveMatchesLog2Rule(t *testing.T) {
 	oracle := func(d int) int {
 		if d < 1 {
