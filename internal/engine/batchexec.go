@@ -251,9 +251,9 @@ func (e *Engine) runChunk(idxs []int, inputs []map[string]*mat.Dense, sel []targ
 }
 
 // runPlan fills and executes one chunk's plan and copies each
-// instance's output into its query's Output — the view outputSlab set
-// up, which a query keeps until its own run fails, and a failed query
-// is never run again — converting kernel panics (shape mismatches,
+// instance's output into the view outputSlab set up as its query's
+// Output (a query loses that view only when its own run fails, and it
+// is never run again), converting kernel panics (shape mismatches,
 // non-SPD operands) into an error.
 func runPlan(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
 	defer func() {
