@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -34,6 +35,21 @@ func shardKey(expr string, inst []int) string {
 		b.WriteString(strconv.Itoa(bits.Len(uint(d)) - 1))
 	}
 	return b.String()
+}
+
+// fnvHash64 is hash64 as it was written over hash/fnv's FNV-1a, the
+// oracle for the inlined FNV-1a: vnode positions and shard positions
+// must keep their bits.
+func fnvHash64(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	x := h.Sum64()
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 func TestRingCandidatesDistinctAndStable(t *testing.T) {
@@ -88,8 +104,9 @@ func TestShardKeyOctaves(t *testing.T) {
 // TestShardHashMatchesShardKey pins placement: over fixed-seed random
 // queries — mixed-case and non-ASCII names, dimensions at and below
 // zero, huge dimensions, and instances long enough to outgrow the stack
-// buffer — the shard hash is the hash of the old shard key's bytes, so
-// every query lands where it always has.
+// buffer — the shard hash is the hash/fnv-based hash of the old shard
+// key's bytes, so every query lands where it always has. The ring's
+// vnode labels hash to the same bits too.
 func TestShardHashMatchesShardKey(t *testing.T) {
 	names := []string{"aatb", "AATB", "AaTb", "chain", "Chain-ABCD", "gls", "", "ÄaTB", "ſtrange", "lstsq\xff", strings.Repeat("LongName", 20)}
 	dims := []int{math.MinInt, -5, -1, 0, 1, 2, 3, 7, 8, 511, 512, 1 << 40, math.MaxInt}
@@ -104,8 +121,14 @@ func TestShardHashMatchesShardKey(t *testing.T) {
 				inst[i] = rng.Intn(1<<16) - 16
 			}
 		}
-		if got, want := shardHash(name, inst), hash64([]byte(shardKey(name, inst))); got != want {
-			t.Fatalf("shardHash(%q, %v) = %#x, want hash64(%q) = %#x", name, inst, got, shardKey(name, inst), want)
+		if got, want := shardHash(name, inst), fnvHash64(shardKey(name, inst)); got != want {
+			t.Fatalf("shardHash(%q, %v) = %#x, want the hash of %q, %#x", name, inst, got, shardKey(name, inst), want)
+		}
+	}
+	for v := range 256 {
+		label := "http://127.0.0.1:8381#" + strconv.Itoa(v)
+		if got, want := hash64([]byte(label)), fnvHash64(label); got != want {
+			t.Fatalf("hash64(%q) = %#x, want %#x", label, got, want)
 		}
 	}
 }
