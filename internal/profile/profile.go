@@ -65,6 +65,24 @@ type Profile struct {
 	GridM, GridN, GridK []int
 	// rate[i][j][l] is the measured FLOP/s at (GridM[i], GridN[j], GridK[l]).
 	rate [][][]float64
+	// logM, logN, logK are the natural logs of the grid coordinates, so
+	// interpolation takes one log per coordinate.
+	logM, logN, logK []float64
+}
+
+// newProfile returns a profile over the grids with the given rate table,
+// the grids' logs taken once.
+func newProfile(kind kernels.Kind, gridM, gridN, gridK []int, rate [][][]float64) *Profile {
+	return &Profile{Kind: kind, GridM: gridM, GridN: gridN, GridK: gridK, rate: rate,
+		logM: logs(gridM), logN: logs(gridN), logK: logs(gridK)}
+}
+
+func logs(g []int) []float64 {
+	out := make([]float64, len(g))
+	for i, x := range g {
+		out[i] = math.Log(float64(x))
+	}
+	return out
 }
 
 // DefaultGrid returns a geometric grid covering the paper's search space
@@ -93,12 +111,11 @@ func Measure(t *exec.Timer, kind kernels.Kind, gridM, gridN, gridK []int) *Profi
 			panic("profile: grids must be non-empty and sorted")
 		}
 	}
-	p := &Profile{Kind: kind, GridM: gridM, GridN: gridN, GridK: gridK}
-	p.rate = make([][][]float64, len(gridM))
+	rate := make([][][]float64, len(gridM))
 	for i, m := range gridM {
-		p.rate[i] = make([][]float64, len(gridN))
+		rate[i] = make([][]float64, len(gridN))
 		for j, n := range gridN {
-			p.rate[i][j] = make([]float64, len(gridK))
+			rate[i][j] = make([]float64, len(gridK))
 			for l, k := range gridK {
 				call := kind.Canonical(m, n, k)
 				sec := t.MeasureCallCold(call)
@@ -108,11 +125,11 @@ func Measure(t *exec.Timer, kind kernels.Kind, gridM, gridN, gridK []int) *Profi
 					// prediction can divide bytes by rate.
 					flops = call.Bytes()
 				}
-				p.rate[i][j][l] = flops / sec
+				rate[i][j][l] = flops / sec
 			}
 		}
 	}
-	return p
+	return newProfile(kind, gridM, gridN, gridK, rate)
 }
 
 // New constructs a Profile from already-measured data: sorted grids and
@@ -159,12 +176,12 @@ func New(kind kernels.Kind, gridM, gridN, gridK []int, rate [][][]float64) (*Pro
 			}
 		}
 	}
-	return &Profile{Kind: kind, GridM: gridM, GridN: gridN, GridK: gridK, rate: rate}, nil
+	return newProfile(kind, gridM, gridN, gridK, rate), nil
 }
 
 // locate returns the bracketing indices and the log-space weight for x in
-// the sorted grid g (clamping outside the range).
-func locate(g []int, x int) (lo, hi int, w float64) {
+// the sorted grid g, whose logs are lg (clamping outside the range).
+func locate(g []int, lg []float64, x int) (lo, hi int, w float64) {
 	n := len(g)
 	if x <= g[0] {
 		return 0, 0, 0
@@ -177,17 +194,16 @@ func locate(g []int, x int) (lo, hi int, w float64) {
 		return hi, hi, 0
 	}
 	lo = hi - 1
-	w = (math.Log(float64(x)) - math.Log(float64(g[lo]))) /
-		(math.Log(float64(g[hi])) - math.Log(float64(g[lo])))
+	w = (math.Log(float64(x)) - lg[lo]) / (lg[hi] - lg[lo])
 	return lo, hi, w
 }
 
 // RateAt returns the interpolated FLOP/s at shape (m, n, k), multilinear
 // in log-size space.
 func (p *Profile) RateAt(m, n, k int) float64 {
-	im0, im1, wm := locate(p.GridM, m)
-	in0, in1, wn := locate(p.GridN, n)
-	ik0, ik1, wk := locate(p.GridK, k)
+	im0, im1, wm := locate(p.GridM, p.logM, m)
+	in0, in1, wn := locate(p.GridN, p.logN, n)
+	ik0, ik1, wk := locate(p.GridK, p.logK, k)
 	var acc float64
 	for _, cm := range [2]struct {
 		idx int
