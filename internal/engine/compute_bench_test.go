@@ -125,16 +125,17 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 }
 
 // selectMemoHitAllocsBudget bounds what one warm min-flops query on
-// aatb allocates when its bind and its rank memo both hit. The count is
-// the same in every run, so the budget is that count with no headroom:
-// 13 with instance keys and the simulated executor's name built once,
-// 18 when the coalescing, singleflight and bind keys were strings and
-// the name was concatenated per record.
-const selectMemoHitAllocsBudget = 13
+// aatb allocates when its bind, its prior memo and its rank memo all
+// hit. The count is the same in every run, so the budget is that count
+// with no headroom: 12 with the prior memoised on the bound set, 13
+// when the prior was predicted per query, 18 when the coalescing,
+// singleflight and bind keys were strings and the simulated executor's
+// name was concatenated per record.
+const selectMemoHitAllocsBudget = 12
 
 // TestSelectMemoHitAllocsBudget pins the allocation count of a warm
-// single min-flops query whose bound set and ranking are memoised, the
-// common case of select traffic.
+// single min-flops query whose bound set, prior and ranking are
+// memoised, the common case of select traffic.
 func TestSelectMemoHitAllocsBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation counts")

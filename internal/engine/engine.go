@@ -364,19 +364,50 @@ type bindKey struct {
 }
 
 // boundSet is one binding-LRU entry: the algorithm set bound for an
-// (expression, instance), plus the last ranking rendered from it. The
-// ranking is a pure function of the set and its posterior, so the memo
-// is valid exactly while the posterior is unchanged — a profile reload
-// or nearby feedback changes the posterior and so invalidates it.
+// (expression, instance), plus the last prior predicted for it and the
+// last ranking rendered from it. The prior is a pure function of the
+// set and the profile state, so its memo is valid exactly while the
+// state it was predicted under is the loaded one: a reload publishes a
+// new state pointer and so invalidates it. The ranking is a pure
+// function of the set and its posterior, so its memo is valid exactly
+// while the posterior is unchanged — a profile reload or nearby
+// feedback changes the posterior and so invalidates it.
 //
 // lays memoises the plan layout of each algorithm the engine has
 // executed or measured fused, so a set's algorithm is validated and
 // laid out once, not once per request; the layouts die with the entry.
 type boundSet struct {
 	algs     []expr.Algorithm
+	prior    atomic.Pointer[priorMemo]
 	memo     atomic.Pointer[rankMemo]
 	laysOnce sync.Once
 	lays     []atomic.Pointer[exec.Layout]
+}
+
+// priorMemo is a bound set's last prior and the profile state (nil
+// without profiles) it was predicted under. It is immutable once
+// published, and holding the state keeps its pointer from being reused
+// by a later one.
+type priorMemo struct {
+	st    *profileState
+	prior []float64
+}
+
+// predict returns the set's prior under st: one prediction per
+// algorithm, from the profile store when one is loaded and from FLOP
+// counts otherwise (wrong scale, same order). It is predicted once per
+// set and state; callers treat it as read-only.
+func (b *boundSet) predict(st *profileState) []float64 {
+	if m := b.prior.Load(); m != nil && m.st == st {
+		return m.prior
+	}
+	var predictor selection.Predictor = selection.FlopsPredictor{}
+	if st != nil {
+		predictor = st.predicted
+	}
+	prior := selection.Predict(predictor, b.algs)
+	b.prior.Store(&priorMemo{st: st, prior: prior})
+	return prior
 }
 
 // layout returns the plan layout of algs[i], laying it out on first
@@ -646,17 +677,13 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 		return nil, nil, err
 	}
 	algs := b.algs
-	// The evidence, built once: one prediction per algorithm (the profile
-	// prior when a store is loaded, FLOP counts otherwise — wrong scale,
-	// same order), the feedback recorded near the instance, and their
-	// blend. Every strategy picks from it, and every record's ranking
-	// renders the same posterior — the discriminant test, whatever
-	// strategy made the pick.
-	var predictor selection.Predictor = selection.FlopsPredictor{}
-	if st != nil {
-		predictor = st.predicted
-	}
-	prior := selection.Predict(predictor, algs)
+	// The evidence, built once: the set's prior under the loaded profile
+	// state (memoised on the set), the feedback recorded near the
+	// instance, and their blend, which only reads the prior. Every
+	// strategy picks from it, and every record's ranking renders the
+	// same posterior — the discriminant test, whatever strategy made the
+	// pick.
+	prior := b.predict(st)
 	obs := e.outcomes.Near(x.Name(), q.Instance, selection.DefaultAdaptiveRadius)
 	post := selection.Adaptive{Radius: selection.DefaultAdaptiveRadius}.Blend(prior, obs, algs)
 	var pick int

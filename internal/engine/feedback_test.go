@@ -15,7 +15,7 @@ import (
 // profiledEngine builds an engine over the simulated backend with
 // freshly measured profiles, as `lamb serve -profile` would after
 // loading a store.
-func profiledEngine(t *testing.T, cfg Config) *Engine {
+func profiledEngine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
 	timer := exec.NewTimer(exec.NewDefaultSimulated())
 	timer.Reps = 2

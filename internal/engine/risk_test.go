@@ -535,3 +535,49 @@ func TestRankMemoConcurrentRace(t *testing.T) {
 		t.Fatal("settled ranking differs from a fresh rank")
 	}
 }
+
+// TestPriorMemoPredictsOncePerState pins the prior memo: a repeated
+// query reuses the bound set's prior, which is bitwise the prediction
+// under the loaded profile state (FLOP counts without one); a reload
+// publishes a new state, and the next query predicts under it.
+func TestPriorMemoPredictsOncePerState(t *testing.T) {
+	inst := expr.Instance{80, 514, 768}
+	check := func(t *testing.T, e *Engine, want selection.Predictor) *priorMemo {
+		t.Helper()
+		if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "min-predicted"}); err != nil {
+			t.Fatal(err)
+		}
+		b := memoFor(t, e, "aatb", inst)
+		m := b.prior.Load()
+		if m == nil || m.st != e.prof.Load() {
+			t.Fatal("no prior memo for the loaded profile state")
+		}
+		for i, p := range selection.Predict(want, b.algs) {
+			if math.Float64bits(m.prior[i]) != math.Float64bits(p) {
+				t.Fatalf("memoised prior[%d] = %v, predicted %v", i, m.prior[i], p)
+			}
+		}
+		if _, err := ask(context.Background(), e, Query{Expr: "aatb", Instance: inst, Strategy: "adaptive"}); err != nil {
+			t.Fatal(err)
+		}
+		if b.prior.Load() != m {
+			t.Fatal("a repeated query predicted the prior again")
+		}
+		return m
+	}
+
+	t.Run("flops", func(t *testing.T) {
+		check(t, New(Config{}), selection.FlopsPredictor{})
+	})
+	t.Run("reload", func(t *testing.T) {
+		e := profiledEngine(t, Config{})
+		before := check(t, e, selection.MinPredicted{Profiles: e.prof.Load().set})
+		timer := exec.NewTimer(exec.NewDefaultSimulated())
+		timer.Reps = 2
+		set := profile.MeasureSet(timer, 2)
+		e.ReloadProfiles(set, profile.Meta{Source: "other-profile.json"})
+		if after := check(t, e, selection.MinPredicted{Profiles: set}); after == before || after.st == before.st {
+			t.Fatal("the reload did not invalidate the prior memo")
+		}
+	})
+}
