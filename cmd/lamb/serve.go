@@ -447,8 +447,10 @@ func writeEngineError(w http.ResponseWriter, err error) {
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	buf := getBuf()
+	defer putBuf(buf)
 	var q queryRequest
-	if err := decodeJSON(w, r, &q); err != nil {
+	if !decodeRequest(w, r, buf, &q, parseQueryRequest) {
 		return
 	}
 	release, ok := s.admit(w)
@@ -469,13 +471,16 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeEngineError(w, res[0].Err)
 		return
 	}
-	router.SetConfidence(w, res[0].Record.Confidence)
-	writeJSON(w, http.StatusOK, res[0].Record)
+	rec := res[0].Record
+	router.SetConfidence(w, rec.Confidence)
+	writeAppended(w, buf, rec, func(b []byte) ([]byte, bool) { return engine.AppendRecord(b, rec) })
 }
 
 func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	buf := getBuf()
+	defer putBuf(buf)
 	var req batchRequest
-	if err := decodeJSON(w, r, &req); err != nil {
+	if !decodeRequest(w, r, buf, &req, parseBatchRequest) {
 		return
 	}
 	if len(req.Queries) > maxBatchQueries {
@@ -509,7 +514,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = batchItem{Record: res.Record}
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, buf, &resp, func(b []byte) ([]byte, bool) { return appendBatchResponse(b, &resp) })
 }
 
 // denseChecksum sums a matrix's elements (stride-aware).
@@ -525,8 +530,10 @@ func denseChecksum(d *mat.Dense) float64 {
 }
 
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {
+	buf := getBuf()
+	defer putBuf(buf)
 	var fb engine.Feedback
-	if err := decodeJSON(w, r, &fb); err != nil {
+	if !decodeRequest(w, r, buf, &fb, nil) {
 		return
 	}
 	if err := s.eng.Feedback(fb); err != nil {
@@ -653,23 +660,6 @@ func (s *server) snapshotOutcomes() error {
 // batches a few thousand per entry — 4 MiB is orders of magnitude of
 // headroom while keeping a hostile body from buffering unbounded.
 const maxBodyBytes = 4 << 20
-
-// decodeJSON parses the size-capped request body into v, replying 400
-// (or 413 for an oversized body) on failure.
-func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge, err)
-			return err
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return err
-	}
-	return nil
-}
 
 // encodeLog rate-limits response-encoding failure logs: encoding
 // typically fails because the client went away mid-write, and a
