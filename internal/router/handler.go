@@ -7,9 +7,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
+	"lamb/internal/cjson"
 	"lamb/internal/engine"
 	"lamb/internal/expr"
 )
@@ -77,6 +79,57 @@ type queryBody struct {
 	Instance  []int  `json:"instance"`
 	Strategy  string `json:"strategy"`
 	TimeoutMs int    `json:"timeout_ms"`
+}
+
+// queryBodyKeys are queryBody's tags.
+var queryBodyKeys = []string{"expr", "instance", "strategy", "timeout_ms"}
+
+// decodeQueryBody decodes data into q as json.Unmarshal does: in one
+// pass when data is in the canonical form (unknown keys are skipped with
+// their values, as Unmarshal skips them), by json.Unmarshal when it is
+// not (case-folded or repeated keys, null, escapes, anything invalid),
+// so the value and the error do not depend on the path.
+func decodeQueryBody(data []byte, q *queryBody) error {
+	if parseQueryBody(data, q) {
+		return nil
+	}
+	return json.Unmarshal(data, q)
+}
+
+// parseQueryBody decodes a canonical body into q and reports whether
+// data was one; q is written only then.
+func parseQueryBody(data []byte, q *queryBody) bool {
+	p := cjson.NewReader(data)
+	var v queryBody
+	ok := p.LenientObject(queryBodyKeys, func(key string) bool {
+		var ok bool
+		var b []byte
+		switch key {
+		case "expr":
+			b, ok = p.Str()
+			v.Expr = string(b)
+		case "instance":
+			var buf [16]int
+			dims := buf[:0]
+			ok = p.Array(func() bool {
+				d, ok := p.Int()
+				dims = append(dims, d)
+				return ok
+			})
+			v.Instance = slices.Clone(dims)
+		case "strategy":
+			b, ok = p.Str()
+			v.Strategy = string(b)
+		case "timeout_ms":
+			v.TimeoutMs, ok = p.Int()
+		}
+		return ok
+	})
+	if !ok || !p.End() {
+		return false
+	}
+	*q = v
+	return true
 }
 
 func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -159,7 +212,7 @@ func (rt *Router) localQuery(w http.ResponseWriter, ctx context.Context, q query
 // returning the serve-schema item JSON.
 func (rt *Router) localBatchItem(ctx context.Context, raw json.RawMessage) json.RawMessage {
 	var q queryBody
-	if err := json.Unmarshal(raw, &q); err != nil {
+	if err := decodeQueryBody(raw, &q); err != nil {
 		return errorItem(err)
 	}
 	rec, err := rt.localAnswer(ctx, q)
@@ -214,7 +267,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	results := make([]json.RawMessage, len(req.Queries))
 	for i, raw := range req.Queries {
 		var q queryBody
-		if err := json.Unmarshal(raw, &q); err != nil {
+		if err := decodeQueryBody(raw, &q); err != nil {
 			results[i] = errorItem(err)
 			continue
 		}
@@ -334,7 +387,7 @@ func (rt *Router) readQuery(w http.ResponseWriter, r *http.Request) ([]byte, que
 		return nil, queryBody{}, false
 	}
 	var q queryBody
-	if err := json.Unmarshal(body, &q); err != nil {
+	if err := decodeQueryBody(body, &q); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return nil, queryBody{}, false
 	}
