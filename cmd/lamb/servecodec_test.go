@@ -280,27 +280,38 @@ func TestServeQueryAllocsBudget(t *testing.T) {
 }
 
 // BenchmarkServeDecodeQuery times serve's decode of a canonical query
-// body, in one pass and through encoding/json.
+// body and of a 64-query batch body, in one pass and through
+// encoding/json.
 func BenchmarkServeDecodeQuery(b *testing.B) {
-	body := []byte(`{"expr":"aatb","instance":[80,514,768],"strategy":"min-predicted","timeout_ms":250}`)
-	b.Run("one-pass", func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			var q queryRequest
-			if err := decodeBody(body, nil, &q, parseQueryRequest); err != nil {
-				b.Fatal(err)
-			}
+	query := []byte(`{"expr":"aatb","instance":[80,514,768],"strategy":"min-predicted","timeout_ms":250}`)
+	var batch bytes.Buffer
+	batch.WriteString(`{"queries":[`)
+	for i := range 64 {
+		if i > 0 {
+			batch.WriteByte(',')
 		}
-	})
-	b.Run("encoding-json", func(b *testing.B) {
-		b.ReportAllocs()
-		for range b.N {
-			var q queryRequest
-			if err := decodeBody(body, nil, &q, nil); err != nil {
-				b.Fatal(err)
+		fmt.Fprintf(&batch, `{"expr":"aatb","instance":[%d,%d,%d],"strategy":"min-flops"}`, 64+i, 48+i, 32+i)
+	}
+	batch.WriteString(`],"compute":true}`)
+	decodeBench(b, "query", query, parseQueryRequest)
+	decodeBench(b, "batch-64", batch.Bytes(), parseBatchRequest)
+}
+
+func decodeBench[T any](b *testing.B, name string, body []byte, parse func([]byte, *T) bool) {
+	for _, path := range []struct {
+		name  string
+		parse func([]byte, *T) bool
+	}{{"one-pass", parse}, {"encoding-json", nil}} {
+		b.Run(name+"/"+path.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				var v T
+				if err := decodeBody(body, nil, &v, path.parse); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkServeQueryMemoHit times one warm memo-hit query through
@@ -322,7 +333,7 @@ func BenchmarkServeQueryMemoHit(b *testing.B) {
 			h := serveMux(engine.New(c.cfg))
 			body := []byte(`{"expr":"aatb","instance":[80,514,768],"strategy":"` + c.strategy + `"}`)
 			b.ReportAllocs()
-			for range b.N {
+			for b.Loop() {
 				w := httptest.NewRecorder()
 				h.ServeHTTP(w, httptest.NewRequestWithContext(context.Background(), http.MethodPost, "/api/v1/query", bytes.NewReader(body)))
 				if w.Code != http.StatusOK {

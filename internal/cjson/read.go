@@ -136,7 +136,7 @@ func folds(keys []string, b []byte) bool {
 	return false
 }
 
-// maxSkipDepth bounds the nesting Skip follows; deeper values fall back,
+// maxSkipDepth bounds the nesting skip follows; deeper values fall back,
 // so a hostile body cannot drive the recursion.
 const maxSkipDepth = 32
 
@@ -172,7 +172,7 @@ func (r *Reader) skip(d int) bool {
 		_, ok := r.Bool()
 		return ok
 	default:
-		_, _, ok := r.Number()
+		_, _, ok := r.number()
 		return ok
 	}
 }
@@ -230,9 +230,9 @@ func (r *Reader) Bool() (v, ok bool) {
 	return false, false
 }
 
-// Number parses a number in JSON's grammar and returns its text and
+// number parses a number in JSON's grammar and returns its text and
 // whether it is an integer (no fraction, no exponent).
-func (r *Reader) Number() (text []byte, integer, ok bool) {
+func (r *Reader) number() (text []byte, integer, ok bool) {
 	r.ws()
 	start := r.i
 	r.skipByte('-')
@@ -281,7 +281,7 @@ func (r *Reader) digits() int {
 // Int parses an integer that fits an int, as encoding/json decodes an
 // int field.
 func (r *Reader) Int() (int, bool) {
-	text, integer, ok := r.Number()
+	text, integer, ok := r.number()
 	if !ok || !integer {
 		return 0, false
 	}
@@ -313,7 +313,7 @@ func (r *Reader) Int() (int, bool) {
 // Float parses a number that fits a float64, as encoding/json decodes a
 // float64 field.
 func (r *Reader) Float() (float64, bool) {
-	text, _, ok := r.Number()
+	text, _, ok := r.number()
 	if !ok {
 		return 0, false
 	}

@@ -192,7 +192,7 @@ func BenchmarkRecordAppend(b *testing.B) {
 	b.Run("append", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf []byte
-		for range b.N {
+		for b.Loop() {
 			buf, _ = AppendRecord(buf[:0], rec)
 		}
 		b.SetBytes(int64(len(buf)))
@@ -200,7 +200,7 @@ func BenchmarkRecordAppend(b *testing.B) {
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
 		var buf bytes.Buffer
-		for range b.N {
+		for b.Loop() {
 			buf.Reset()
 			if err := json.NewEncoder(&buf).Encode(rec); err != nil {
 				b.Fatal(err)
