@@ -81,12 +81,14 @@ func decodeRequest[T any](w http.ResponseWriter, r *http.Request, buf *[]byte, v
 	return false
 }
 
-// decodeBody decodes data, read up to readErr, into v: by parse when the
-// whole read succeeded and parse takes it, by a strict json.Decoder over
-// the same bytes otherwise. v is written only by the path that
-// succeeds.
+// decodeBody decodes data, read up to readErr, into v: by parse when it
+// takes data, by a strict json.Decoder over the same bytes otherwise. v
+// is written only by the path that succeeds. A canonical body is an
+// object followed by whitespace, and a json.Decoder returns an object at
+// its closing brace without reading on, so a read error after it (a body
+// past the size cap, say) fails neither path.
 func decodeBody[T any](data []byte, readErr error, v *T, parse func([]byte, *T) bool) error {
-	if readErr == nil && parse != nil && parse(data, v) {
+	if parse != nil && parse(data, v) {
 		return nil
 	}
 	return cjson.Fallback(data, readErr, v, true)
