@@ -123,12 +123,8 @@ func (p *bodyParser) query(keys []string, q *engine.Query, timeoutMs *int) bool 
 			q.Expr = string(b)
 		case "instance":
 			var dimBuf [16]int
-			dims := dimBuf[:0]
-			ok = p.Array(func() bool {
-				d, ok := p.Int()
-				dims = append(dims, d)
-				return ok
-			})
+			var dims []int
+			dims, ok = p.Ints(dimBuf[:0])
 			q.Instance = cjson.Cut(&p.arena, dims, p.chunk)
 		case "strategy":
 			b, ok = p.Str()

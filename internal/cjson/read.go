@@ -310,6 +310,17 @@ func (r *Reader) Int() (int, bool) {
 	return int(n), true
 }
 
+// Ints parses an array of integers that fit an int, appends them to
+// dst and returns the extended slice.
+func (r *Reader) Ints(dst []int) ([]int, bool) {
+	ok := r.Array(func() bool {
+		d, ok := r.Int()
+		dst = append(dst, d)
+		return ok
+	})
+	return dst, ok
+}
+
 // Float parses a number that fits a float64, as encoding/json decodes a
 // float64 field.
 func (r *Reader) Float() (float64, bool) {

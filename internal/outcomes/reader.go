@@ -122,12 +122,7 @@ func (p *snapParser) record(rec *SnapshotRecord) bool {
 			b, ok = p.Str()
 			rec.Expr = p.intern(b)
 		case "instance":
-			p.dims = p.dims[:0]
-			ok = p.Array(func() bool {
-				d, ok := p.Int()
-				p.dims = append(p.dims, d)
-				return ok
-			})
+			p.dims, ok = p.Ints(p.dims[:0])
 			rec.Instance = cjson.Cut(&p.ints, p.dims, arenaChunk)
 		case "outcomes":
 			p.outs = p.outs[:0]

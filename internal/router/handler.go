@@ -110,12 +110,8 @@ func parseQueryBody(data []byte, q *queryBody) bool {
 			v.Expr = string(b)
 		case "instance":
 			var buf [16]int
-			dims := buf[:0]
-			ok = p.Array(func() bool {
-				d, ok := p.Int()
-				dims = append(dims, d)
-				return ok
-			})
+			var dims []int
+			dims, ok = p.Ints(buf[:0])
 			v.Instance = slices.Clone(dims)
 		case "strategy":
 			b, ok = p.Str()
