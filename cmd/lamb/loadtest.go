@@ -23,6 +23,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -449,17 +450,10 @@ func writeStatsReport(w io.Writer, before, after targetStats) error {
 		})
 	}
 	d := statsDelta(before.engine, after.engine)
-	rows := [][]string{{"engine layer", "hits", "misses", "hit rate"}}
-	for _, l := range []struct {
-		name string
-		s    cache.Stats
-	}{
-		{"expressions", d.Expressions},
-		{"bindings", d.Bindings},
-	} {
-		rows = append(rows, []string{l.name, fmt.Sprint(l.s.Hits), fmt.Sprint(l.s.Misses), hitRate(l.s)})
-	}
-	if err := report.Table(w, rows); err != nil {
+	if err := report.Table(w, [][]string{
+		{"engine layer", "hits", "misses", "hit rate"},
+		{"bindings", fmt.Sprint(d.Bindings.Hits), fmt.Sprint(d.Bindings.Misses), hitRate(d.Bindings)},
+	}); err != nil {
 		return err
 	}
 	_, err := fmt.Fprintf(w, "\nqueries %d  deduped %d  coalesced %d  fused %d  degraded %d\n"+
@@ -473,7 +467,6 @@ func writeStatsReport(w io.Writer, before, after targetStats) error {
 // those sampled after, so the report reflects only this run's traffic.
 func statsDelta(before, after engine.Stats) engine.Stats {
 	d := after
-	d.Expressions = cacheDelta(before.Expressions, after.Expressions)
 	d.Bindings = cacheDelta(before.Bindings, after.Bindings)
 	d.Queries = after.Queries - before.Queries
 	d.Deduped = after.Deduped - before.Deduped
@@ -504,16 +497,14 @@ func hitRate(s cache.Stats) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(s.Hits)/float64(total))
 }
 
-// percentile reads the p-quantile from a sorted latency slice (nearest
-// rank; p = 1 is the maximum).
+// percentile reads the p-quantile from a sorted latency slice by
+// nearest rank: the ⌈p·n⌉-th smallest sample, so p = 1 is the maximum
+// and 99.9% of 1000 samples is the 999th, not the maximum.
 func percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	idx := int(p * float64(len(sorted)))
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
+	idx := min(max(int(math.Ceil(p*float64(len(sorted))))-1, 0), len(sorted)-1)
 	return sorted[idx]
 }
 

@@ -211,3 +211,34 @@ func TestLoadtestAgainstRouter(t *testing.T) {
 		t.Fatalf("serve stats sample %+v, %v", s, err)
 	}
 }
+
+// TestPercentileNearestRank pins percentile to the nearest rank
+// ⌈p·n⌉: a high quantile of a whole number of ranks is that rank, not
+// the maximum.
+func TestPercentileNearestRank(t *testing.T) {
+	seq := func(n int) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(i + 1)
+		}
+		return xs
+	}
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want float64
+	}{
+		{1000, 0.999, 999},
+		{100, 0.99, 99},
+		{10, 0.9, 9},
+		{2, 0.5, 1},
+		{1000, 1, 1000},
+		{1, 0.5, 1},
+		{1, 1, 1},
+		{0, 0.5, 0},
+	} {
+		if got := percentile(seq(c.n), c.p); got != c.want {
+			t.Errorf("percentile(1..%d, %v) = %v, want %v", c.n, c.p, got, c.want)
+		}
+	}
+}

@@ -5,9 +5,9 @@
 // It splits the selection pipeline into cacheable layers:
 //
 //   - symbolic layer: each expression's algorithm set is enumerated
-//     once, symbolically (lamb/internal/ir's SymbolicSet); the engine
-//     memoises the constructed expressions so repeated queries never
-//     re-enumerate.
+//     once per process, symbolically (lamb/internal/ir's SymbolicSet),
+//     behind the registry names resolve through (expr.Lookup), so
+//     repeated queries never re-enumerate.
 //   - binding layer: bound algorithm sets are memoised per
 //     (expression, instance) in a bounded LRU, so repeated instances
 //     skip even the cheap bind step — and, crucially, yield
@@ -35,7 +35,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -170,10 +169,6 @@ type Record struct {
 
 // Stats exposes the engine's per-layer cache counters.
 type Stats struct {
-	// Expressions counts symbolic-layer lookups: a hit means the
-	// expression (and its symbolic algorithm set) was already
-	// constructed.
-	Expressions cache.Stats `json:"expressions"`
 	// Bindings counts binding-layer lookups of bound algorithm sets.
 	Bindings cache.Stats `json:"bindings"`
 	// Queries counts answered queries; Deduped counts those answered by an
@@ -297,12 +292,9 @@ type flight struct {
 type Engine struct {
 	timer *exec.Timer
 
-	// mu guards the expression table, its counters, and the binding LRU.
-	mu       sync.Mutex
-	exprs    map[string]expr.Expression
-	exprHits uint64
-	exprMiss uint64
-	bind     *cache.LRU[bindKey, *boundSet]
+	// mu guards the binding LRU.
+	mu   sync.Mutex
+	bind *cache.LRU[bindKey, *boundSet]
 
 	// execMu serialises timing-based strategies: executors measure wall
 	// time, so concurrent measurement would contend for the cores being
@@ -449,7 +441,6 @@ func New(cfg Config) *Engine {
 	}
 	e := &Engine{
 		timer:    timer,
-		exprs:    make(map[string]expr.Expression),
 		bind:     cache.NewLRU[bindKey, *boundSet](bindEntries),
 		inflight: make(map[queryKey]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
@@ -494,63 +485,12 @@ func (e *Engine) Strategies() []string {
 	return []string{"adaptive", "min-flops", "min-predicted", "oracle"}
 }
 
-// Register makes a custom expression (e.g. one built with
-// lamb.DefineExpression) queryable under its name.
-func (e *Engine) Register(x expr.Expression) error {
-	if x == nil || x.Name() == "" {
-		return fmt.Errorf("engine: cannot register an unnamed expression")
-	}
-	key := strings.ToLower(x.Name())
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.exprs[key]; ok {
-		return fmt.Errorf("engine: expression %q already registered", x.Name())
-	}
-	e.exprs[key] = x
-	return nil
-}
-
-// lookup resolves an expression name through the symbolic-layer cache,
-// falling back to the built-in registry on first sight. counted says
-// whether the lookup belongs to query traffic: administrative callers
-// (ListExpressions) pass false so the hit/miss counters keep
-// reflecting queries only.
-func (e *Engine) lookup(name string, counted bool) (expr.Expression, error) {
-	key := strings.ToLower(name)
-	e.mu.Lock()
-	if x, ok := e.exprs[key]; ok {
-		if counted {
-			e.exprHits++
-		}
-		e.mu.Unlock()
-		return x, nil
-	}
-	if counted {
-		e.exprMiss++
-	}
-	e.mu.Unlock()
-	// Construct outside the lock: a built-in's first construction
-	// enumerates its symbolic set.
-	x, err := expr.Lookup(key)
-	if err != nil {
-		return nil, err
-	}
-	e.mu.Lock()
-	if prev, ok := e.exprs[key]; ok {
-		x = prev // a concurrent construction won
-	} else {
-		e.exprs[key] = x
-	}
-	e.mu.Unlock()
-	return x, nil
-}
-
 // Expression returns an engine-backed view of the named expression:
 // its Algorithms method binds through the engine's caches. The returned
 // sets are shared and must be treated as read-only — which every
 // runner in this repository already does.
 func (e *Engine) Expression(name string) (expr.Expression, error) {
-	x, err := e.lookup(name, true)
+	x, err := expr.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -560,7 +500,7 @@ func (e *Engine) Expression(name string) (expr.Expression, error) {
 // Algorithms returns the bound algorithm set for (expression name,
 // instance) through the binding-layer LRU.
 func (e *Engine) Algorithms(name string, inst expr.Instance) ([]expr.Algorithm, error) {
-	x, err := e.lookup(name, true)
+	x, err := expr.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
@@ -651,9 +591,8 @@ func (run strategyRun) degrade(reason string) strategyRun {
 // Compute request executes the pick without binding again.
 func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, b *boundSet, err error) {
 	defer func() {
-		// The expression layer panics on malformed custom expressions;
-		// a serving engine turns that into a query error instead of
-		// taking the process down.
+		// A panic below — an armed failpoint or a bug — becomes this
+		// query's error instead of taking a serving process down.
 		if r := recover(); r != nil {
 			rec, b, err = nil, nil, fmt.Errorf("engine: query %s%v failed: %v", q.Expr, q.Instance, r)
 		}
@@ -668,7 +607,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	if err != nil {
 		return nil, nil, err
 	}
-	x, err := e.lookup(q.Expr, true)
+	x, err := expr.Lookup(q.Expr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -817,10 +756,7 @@ func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm, widt
 // Stats returns the per-layer cache counters.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
-	s := Stats{
-		Expressions: cache.Stats{Hits: e.exprHits, Misses: e.exprMiss, Size: len(e.exprs)},
-		Bindings:    e.bind.Stats(),
-	}
+	s := Stats{Bindings: e.bind.Stats()}
 	e.mu.Unlock()
 	s.Queries = e.queries.Load()
 	s.Deduped = e.deduped.Load()
@@ -857,30 +793,15 @@ type ExpressionInfo struct {
 }
 
 // ListExpressions returns the queryable expressions — the built-in
-// registry plus anything registered on this engine — keyed by the name
-// a Query would use, sorted.
+// registry — keyed by the name a Query would use, sorted.
 func (e *Engine) ListExpressions() []ExpressionInfo {
-	seen := map[string]expr.Expression{}
-	for _, name := range expr.Names() {
-		if x, err := e.lookup(name, false); err == nil {
-			seen[name] = x
-		}
-	}
-	e.mu.Lock()
-	for key, x := range e.exprs {
-		if _, ok := seen[key]; !ok {
-			seen[key] = x
-		}
-	}
-	e.mu.Unlock()
-	names := make([]string, 0, len(seen))
-	for name := range seen {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := expr.Names()
 	out := make([]ExpressionInfo, 0, len(names))
 	for _, name := range names {
-		x := seen[name]
+		x, err := expr.Lookup(name)
+		if err != nil {
+			continue
+		}
 		out = append(out, ExpressionInfo{Name: name, Arity: x.Arity(), NumAlgorithms: x.NumAlgorithms()})
 	}
 	return out

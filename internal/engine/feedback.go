@@ -25,9 +25,9 @@ type Feedback struct {
 }
 
 // Feedback validates and records one outcome. The expression is
-// resolved through the symbolic layer queries use, and checkEvidence
-// validates the instance and the algorithm index without binding a set
-// — feedback never touches the bind LRU, whose entries stay the ones
+// resolved through the registry queries use (expr.Lookup), and
+// checkEvidence validates the instance and the algorithm index without
+// binding a set — feedback never touches the bind LRU, whose entries stay the ones
 // query traffic put there. An engine without profiles has no adaptive
 // strategy to ever consume outcomes, so it rejects them rather than
 // silently hoarding data that cannot influence any answer.
@@ -35,7 +35,7 @@ func (e *Engine) Feedback(fb Feedback) error {
 	if e.prof.Load() == nil {
 		return fmt.Errorf("engine: feedback has no consumer: the adaptive strategy needs a profile store (serve with -profile)")
 	}
-	x, err := e.lookup(fb.Expr, false)
+	x, err := expr.Lookup(fb.Expr)
 	if err != nil {
 		return err
 	}

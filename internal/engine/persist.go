@@ -34,15 +34,16 @@ func (e *Engine) SnapshotLocalOutcomes() *outcomes.Snapshot {
 }
 
 // resolveOutcome re-validates one snapshot record semantically against
-// this process's registry — the expression must resolve, and
-// checkEvidence must accept the instance and the algorithm index — and
-// re-keys it under the expression's canonical name, so a snapshot from
-// a boot with different custom expressions lands what it can and skips
-// the rest instead of failing or hoarding unreachable records. It binds
+// this process's registry — the expression must resolve through
+// expr.Lookup, and checkEvidence must accept the instance and the
+// algorithm index — and re-keys it under the expression's canonical
+// name, so a snapshot written by another build, or edited by hand, lands
+// what it can and skips the rest instead of failing or hoarding
+// unreachable records. It binds
 // no set, so a restore or a merge leaves the bind LRU as traffic left
 // it.
 func (e *Engine) resolveOutcome(name string, inst expr.Instance, alg int) (string, bool) {
-	x, err := e.lookup(name, false)
+	x, err := expr.Lookup(name)
 	if err != nil || checkEvidence(x, inst, alg) != nil {
 		return "", false
 	}

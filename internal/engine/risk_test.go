@@ -314,7 +314,7 @@ func TestEngineRiskConcurrentRace(t *testing.T) {
 // memoFor returns the bound set the engine holds for (name, inst).
 func memoFor(t *testing.T, e *Engine, name string, inst expr.Instance) *boundSet {
 	t.Helper()
-	x, err := e.lookup(name, false)
+	x, err := expr.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,13 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
-	"lamb/internal/ir"
+	"lamb/internal/faultinject"
 	"lamb/internal/kernels"
 	"lamb/internal/outcomes"
 	"lamb/internal/profile"
@@ -219,12 +220,11 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
 	)
 
-	// A custom expression resolves like a built-in: its algorithm 1
-	// restores, its algorithm 2 is skipped.
-	snap.Records = append(snap.Records, customRecords()...)
+	// A second expression's records resolve case-insensitively: chain's
+	// algorithm 1 restores, its algorithm 7 is skipped.
+	snap.Records = append(snap.Records, chainRecords()...)
 
 	e2 := profiledEngine(t, Config{})
-	registerCustom(t, e2)
 	restored, skipped := e2.RestoreOutcomes(snap)
 	if restored != base.NumAlgorithms+1 || skipped != 3 {
 		t.Fatalf("restored %d skipped %d, want %d/3", restored, skipped, base.NumAlgorithms+1)
@@ -243,27 +243,14 @@ func TestEngineSnapshotRestoreOutcomes(t *testing.T) {
 	}
 }
 
-// registerCustom registers "custom-ab", a one-algorithm expression
-// defined through the IR.
-func registerCustom(t *testing.T, e *Engine) {
-	t.Helper()
-	g, err := expr.NewGeneric(&ir.Def{Name: "custom-ab", Arity: 3, Root: ir.Mul(ir.NewOperand("A", 0, 1), ir.NewOperand("B", 1, 2))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Register(g); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// customRecords are snapshot records for registerCustom's expression:
-// algorithm 1 resolves, algorithm 2 is out of its one-algorithm set.
-func customRecords() []outcomes.SnapshotRecord {
+// chainRecords are snapshot records for the 4-term chain: algorithm 1
+// resolves, algorithm 7 is out of its six-algorithm set.
+func chainRecords() []outcomes.SnapshotRecord {
 	return []outcomes.SnapshotRecord{
-		{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5},
+		{Expr: "chain", Instance: expr.Instance{3, 4, 5, 6, 7},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
-		{Expr: "Custom-AB", Instance: expr.Instance{6, 7, 8},
-			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 2, Count: 1, Weight: 1, Mean: 0.5}}},
+		{Expr: "Chain", Instance: expr.Instance{6, 7, 8, 9, 10},
+			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 7, Count: 1, Weight: 1, Mean: 0.5}}},
 	}
 }
 
@@ -284,17 +271,17 @@ func checkEvidenceBindsNothing(t *testing.T, e *Engine) {
 			"expr: AATB instance (9,9) has 2 dims, want 3"},
 		{Feedback{Expr: "gls", Instance: expr.Instance{9, 0, 9, 9}, Algorithm: 1, Seconds: 1},
 			"expr: gls instance (9,0,9,9) has non-positive d1"},
-		{Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5}, Algorithm: 2, Seconds: 1},
-			"engine: feedback algorithm 2 out of range [1, 1] for custom-ab(3,4,5)"},
-		{Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4}, Algorithm: 1, Seconds: 1},
-			"ir: custom-ab instance (3,4) has 2 dims, want 3"},
+		{Feedback{Expr: "Chain", Instance: expr.Instance{3, 4, 5, 6, 7}, Algorithm: 7, Seconds: 1},
+			"engine: feedback algorithm 7 out of range [1, 6] for chain-ABCD(3,4,5,6,7)"},
+		{Feedback{Expr: "chain", Instance: expr.Instance{3, 4}, Algorithm: 1, Seconds: 1},
+			"expr: chain-ABCD instance (3,4) has 2 dims, want 5"},
 	} {
 		if err := e.Feedback(c.fb); err == nil || err.Error() != c.want {
 			t.Errorf("feedback %+v: error %v, want %q", c.fb, err, c.want)
 		}
 	}
-	if err := e.Feedback(Feedback{Expr: "custom-ab", Instance: expr.Instance{3, 4, 5}, Algorithm: 1, Seconds: 0.25}); err != nil {
-		t.Fatalf("feedback on a custom expression: %v", err)
+	if err := e.Feedback(Feedback{Expr: "chain", Instance: expr.Instance{3, 4, 5, 6, 7}, Algorithm: 1, Seconds: 0.25}); err != nil {
+		t.Fatalf("feedback on chain: %v", err)
 	}
 	if b := e.Stats().Bindings; b.Hits+b.Misses != 0 || b.Size != 0 {
 		t.Fatalf("evidence from outside a query used the bind LRU: %+v", b)
@@ -350,14 +337,13 @@ func TestEngineMergeOutcomes(t *testing.T) {
 	// records it cannot resolve are skipped, and neither the merge nor
 	// feedback binds a set.
 	poisoned := *snap
-	poisoned.Records = append(append(slices.Clone(snap.Records), customRecords()...),
+	poisoned.Records = append(append(slices.Clone(snap.Records), chainRecords()...),
 		outcomes.SnapshotRecord{Expr: "no-such-expr", Instance: expr.Instance{2, 3, 4},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 1, Count: 1, Weight: 1, Mean: 0.5}}},
 		outcomes.SnapshotRecord{Expr: "AATB", Instance: expr.Instance{9, 9, 9},
 			Outcomes: []outcomes.SnapshotOutcome{{Algorithm: 99, Count: 1, Weight: 1, Mean: 0.5}}},
 	)
 	c := profiledEngine(t, Config{})
-	registerCustom(t, c)
 	if merged, skipped := c.MergeOutcomes("http://peer-a", &poisoned, 1); merged != base.NumAlgorithms+1 || skipped != 3 {
 		t.Fatalf("poisoned merge: merged %d skipped %d, want %d/3", merged, skipped, base.NumAlgorithms+1)
 	}
@@ -389,5 +375,47 @@ func TestEngineMergeOutcomes(t *testing.T) {
 		if o.Source != "http://peer-a" {
 			t.Fatalf("merged outcome lost its source tag: %+v", o)
 		}
+	}
+}
+
+// TestEngineAnswerRecoversPanic arms the engine.query failpoint to
+// panic inside answer: the panic becomes the query's error, the
+// coalesced duplicate shares it, the singleflight entry is released so
+// the same query answers once the failpoint is reset, and both queries
+// are counted.
+func TestEngineAnswerRecoversPanic(t *testing.T) {
+	t.Cleanup(faultinject.Reset)
+	if err := faultinject.Arm("engine.query", "panic"); err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{})
+	q := Query{Expr: "aatb", Instance: expr.Instance{8, 6, 4}}
+	res := e.Do(context.Background(), Request{Queries: []Query{q, q}})
+	if err := res[0].Err; err == nil || !strings.Contains(err.Error(), "engine: query aatb(8,6,4) failed") {
+		t.Fatalf("panicking query: record %+v, error %v", res[0].Record, err)
+	}
+	if res[1].Err != res[0].Err || res[1].Record != nil {
+		t.Fatalf("coalesced duplicate: record %+v, error %v, want the first's error", res[1].Record, res[1].Err)
+	}
+	if hits := faultinject.Hits("engine.query"); hits != 1 {
+		t.Fatalf("failpoint fired %d times, want 1", hits)
+	}
+	if s := e.Stats(); s.Queries != 2 || s.Coalesced != 1 {
+		t.Fatalf("counters queries=%d coalesced=%d, want 2/1", s.Queries, s.Coalesced)
+	}
+	e.sfMu.Lock()
+	inflight := len(e.inflight)
+	e.sfMu.Unlock()
+	if inflight != 0 {
+		t.Fatalf("%d singleflight entries left after the panic", inflight)
+	}
+
+	faultinject.Reset()
+	rec, err := ask(context.Background(), e, q)
+	if err != nil {
+		t.Fatalf("query after reset: %v", err)
+	}
+	if rec.Selected.Index != 5 || rec.NumAlgorithms != 5 {
+		t.Fatalf("record after reset %+v", rec)
 	}
 }

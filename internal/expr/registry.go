@@ -11,14 +11,16 @@ import (
 
 // registry maps CLI/API names to the built-in expressions. The paper's
 // 4-term chain registers as "chain"; NewChain returns the chains of the
-// other term counts, built by the same definition.
+// other term counts, built by the same definition. Each entry converts
+// its Generic to an Expression once, so Lookup hands out the stored
+// interface value without allocating.
 var registry = map[string]func() Expression{
-	"chain": func() Expression { return NewChainABCD() },
-	"aatb":  func() Expression { return NewAATB() },
-	"atab":  func() Expression { return NewATAB() },
-	"lstsq": func() Expression { return NewLstSq() },
-	"aatbc": func() Expression { return NewAATBC() },
-	"gls":   func() Expression { return NewGLS() },
+	"chain": sync.OnceValue(func() Expression { return NewChainABCD() }),
+	"aatb":  sync.OnceValue(func() Expression { return NewAATB() }),
+	"atab":  sync.OnceValue(func() Expression { return NewATAB() }),
+	"lstsq": sync.OnceValue(func() Expression { return NewLstSq() }),
+	"aatbc": sync.OnceValue(func() Expression { return NewAATBC() }),
+	"gls":   sync.OnceValue(func() Expression { return NewGLS() }),
 }
 
 // builtin returns the constructor of a built-in expression: the first
@@ -130,7 +132,9 @@ func Names() []string {
 }
 
 // Lookup returns the built-in expression registered under name
-// (case-insensitive).
+// (case-insensitive). It is the one place a name becomes an
+// Expression: the engine, its feedback and its snapshot restores all
+// resolve through it.
 func Lookup(name string) (Expression, error) {
 	if mk, ok := registry[strings.ToLower(name)]; ok {
 		return mk(), nil

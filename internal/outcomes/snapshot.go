@@ -234,7 +234,7 @@ func (s *Snapshot) Validate() error {
 // record's expression name to its canonical store key and decides
 // semantic validity (nil keeps everything under the recorded name);
 // invalid records are skipped, not fatal — a snapshot may reference
-// custom expressions a particular boot did not register, and one stale
+// expressions or algorithms another build registered, and one stale
 // record must not discard the rest of the memory. Resolution runs
 // before the lock; the whole snapshot is then installed in one critical
 // section, as Merge does. The decay clock resumes from the snapshot's

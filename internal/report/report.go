@@ -1,5 +1,5 @@
 // Package report renders experiment results as ASCII tables and figures
-// (scatter plots, histograms, line plots) and exports raw data as CSV.
+// (scatter plots, line plots, quantile tables) and exports raw data as CSV.
 // Every table and figure in the paper has a textual counterpart here, so
 // the whole evaluation regenerates in a terminal or a CI log.
 package report
@@ -119,32 +119,6 @@ func clamp(x, lo, hi int) int {
 		return hi
 	}
 	return x
-}
-
-// Histogram renders counts as horizontal bars with labels.
-func Histogram(out io.Writer, labels []string, counts []int, maxBar int) error {
-	if len(labels) != len(counts) {
-		return fmt.Errorf("report: histogram with %d labels and %d counts", len(labels), len(counts))
-	}
-	peak := 0
-	for _, c := range counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	if peak == 0 {
-		peak = 1
-	}
-	for i := range labels {
-		bar := counts[i] * maxBar / peak
-		if counts[i] > 0 && bar == 0 {
-			bar = 1
-		}
-		if _, err := fmt.Fprintf(out, "%12s |%s %d\n", labels[i], strings.Repeat("█", bar), counts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ThicknessDistribution renders the paper's Figures 7/10: per dimension,

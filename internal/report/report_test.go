@@ -81,40 +81,6 @@ func TestScatterClampsOutliers(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, []string{"0-100", "100-200"}, []int{10, 5}, 20); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "0-100") || !strings.Contains(out, "10") {
-		t.Fatalf("histogram output:\n%s", out)
-	}
-	long := strings.Count(strings.Split(out, "\n")[0], "█")
-	short := strings.Count(strings.Split(out, "\n")[1], "█")
-	if long <= short {
-		t.Fatalf("bar lengths %d vs %d", long, short)
-	}
-}
-
-func TestHistogramSmallNonZeroGetsBar(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, []string{"a", "b"}, []int{1000, 1}, 10); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimRight(b.String(), "\n"), "\n")
-	if !strings.Contains(lines[1], "█") {
-		t.Fatal("non-zero count should render at least one bar cell")
-	}
-}
-
-func TestHistogramMismatch(t *testing.T) {
-	var b strings.Builder
-	if err := Histogram(&b, []string{"a"}, []int{1, 2}, 10); err == nil {
-		t.Fatal("mismatch accepted")
-	}
-}
-
 func TestThicknessDistribution(t *testing.T) {
 	var b strings.Builder
 	byDim := [][]int{

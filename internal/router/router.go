@@ -62,12 +62,11 @@ type Config struct {
 	Local *engine.Engine
 
 	// Breaker tuning: window is the sliding outcome window per backend
-	// (default 20), minSamples gates tripping (default 5), tripRatio is
-	// the failure fraction that opens it (default 0.5), openFor is the
-	// fail-fast period before a half-open trial (default 2s).
+	// (default 20), minSamples gates tripping (default 5), openFor is the
+	// fail-fast period before a half-open trial (default 2s). A breaker
+	// opens when half its window's outcomes are failures.
 	BreakerWindow     int
 	BreakerMinSamples int
-	BreakerTripRatio  float64
 	BreakerOpenFor    time.Duration
 }
 
@@ -216,9 +215,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.BreakerMinSamples <= 0 {
 		cfg.BreakerMinSamples = 5
 	}
-	if cfg.BreakerTripRatio <= 0 || cfg.BreakerTripRatio > 1 {
-		cfg.BreakerTripRatio = 0.5
-	}
 	if cfg.BreakerOpenFor <= 0 {
 		cfg.BreakerOpenFor = 2 * time.Second
 	}
@@ -240,7 +236,7 @@ func New(cfg Config) (*Router, error) {
 		b := &backendState{
 			url:   u,
 			conns: conns,
-			br:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerTripRatio, cfg.BreakerOpenFor),
+			br:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, 0.5, cfg.BreakerOpenFor),
 		}
 		b.up.Store(true)
 		rt.byURL[u] = b

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment drivers: medians and quantiles (the paper records the median
-// of 10 repetitions), histograms for the region-thickness figures, a
-// confusion matrix for Experiment 3, and running summaries.
+// experiment drivers: medians (the paper records the median of 10
+// repetitions), a confusion matrix for Experiment 3, and running
+// summaries.
 package stats
 
 import (
@@ -23,28 +23,6 @@ func Median(xs []float64) float64 {
 		return tmp[n/2]
 	}
 	return (tmp[n/2-1] + tmp[n/2]) / 2
-}
-
-// Quantile returns the q-quantile of xs (0 ≤ q ≤ 1) using linear
-// interpolation between order statistics. It panics on an empty slice or
-// q outside [0, 1] and does not modify xs.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: quantile of empty slice")
-	}
-	if q < 0 || q > 1 {
-		panic(fmt.Sprintf("stats: quantile %v outside [0,1]", q))
-	}
-	tmp := append([]float64(nil), xs...)
-	sort.Float64s(tmp)
-	pos := q * float64(len(tmp)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return tmp[lo]
-	}
-	frac := pos - float64(lo)
-	return tmp[lo]*(1-frac) + tmp[hi]*frac
 }
 
 // Summary holds running aggregate statistics.
@@ -87,45 +65,6 @@ func (s *Summary) StdDev() float64 {
 		v = 0
 	}
 	return math.Sqrt(v)
-}
-
-// Histogram counts values into equal-width bins over [Lo, Hi]; values
-// outside the range are clamped into the first/last bin.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram returns a histogram with bins equal-width bins on [lo, hi].
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins <= 0 || hi <= lo {
-		panic(fmt.Sprintf("stats: invalid histogram [%v, %v] with %d bins", lo, hi, bins))
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add counts x into its bin.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total returns the number of added values.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
 }
 
 // ConfusionMatrix accumulates binary classification outcomes, in the

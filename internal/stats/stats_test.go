@@ -63,36 +63,6 @@ func TestMedianBetweenMinAndMaxProperty(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4}
-	if Quantile(xs, 0) != 0 || Quantile(xs, 1) != 4 || Quantile(xs, 0.5) != 2 {
-		t.Fatal("basic quantiles wrong")
-	}
-	if got := Quantile(xs, 0.25); got != 1 {
-		t.Fatalf("q25 = %v", got)
-	}
-	if got := Quantile([]float64{1, 2}, 0.75); got != 1.75 {
-		t.Fatalf("interpolated quantile = %v, want 1.75", got)
-	}
-}
-
-func TestQuantilePanics(t *testing.T) {
-	for _, f := range []func(){
-		func() { Quantile(nil, 0.5) },
-		func() { Quantile([]float64{1}, -0.1) },
-		func() { Quantile([]float64{1}, 1.1) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestSummary(t *testing.T) {
 	var s Summary
 	if s.Mean() != 0 || s.StdDev() != 0 {
@@ -109,42 +79,6 @@ func TestSummary(t *testing.T) {
 	}
 	if math.Abs(s.StdDev()-2) > 1e-12 {
 		t.Fatalf("stddev = %v, want 2", s.StdDev())
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 5, 9.99, -3, 42} {
-		h.Add(x)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	// -3 clamps into bin 0; 42 clamps into bin 4.
-	if h.Counts[0] != 3 { // 0, 1.9, -3
-		t.Fatalf("bin 0 = %d, want 3", h.Counts[0])
-	}
-	if h.Counts[4] != 2 { // 9.99, 42
-		t.Fatalf("bin 4 = %d, want 2", h.Counts[4])
-	}
-	if h.BinCenter(0) != 1 || h.BinCenter(4) != 9 {
-		t.Fatalf("bin centers %v, %v", h.BinCenter(0), h.BinCenter(4))
-	}
-}
-
-func TestHistogramPanicsOnBadArgs(t *testing.T) {
-	for _, f := range []func(){
-		func() { NewHistogram(0, 0, 5) },
-		func() { NewHistogram(0, 1, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
-				}
-			}()
-			f()
-		}()
 	}
 }
 
