@@ -12,92 +12,72 @@ import (
 	"lamb/internal/cpu"
 	"lamb/internal/exec"
 	"lamb/internal/expr"
-	"lamb/internal/mat"
-	"lamb/internal/xrand"
 )
 
 // perQueryPins are SHA-256 digests of every output bit the per-query
-// path computes for each registered expression, recorded before that
-// path moved from private plans into the engine's slab. "sim" is a
-// request on the simulated backend, which has no batched path: two
-// queries of one instance (one default-filled, one with caller inputs)
-// form an unregistered bucket, and a third in another octave runs
-// alone. "blas" is a request on the measured backend whose two queries
-// sit in different octaves, so each is a singleton bucket. The digests
-// differ between the AVX2/FMA kernels and the portable ones, so both
-// are kept, keyed by cpu.HasAVX2FMA.
+// path computes for each registered expression, every operand filled by
+// the engine. "sim" is a request on the simulated backend, which has no
+// batched path: two distinct instances of one octave form an
+// unregistered bucket, and a third in another octave runs alone. "blas"
+// is a request on the measured backend whose two queries sit in
+// different octaves, so each is a singleton bucket. The digests differ
+// between the AVX2/FMA kernels and the portable ones, so both are kept,
+// keyed by cpu.HasAVX2FMA.
 var perQueryPins = map[bool]map[string]string{
 	true: {
-		"sim/aatb":   "28ea5ce5106106ae936195eb55befa983b9f97518fd3ead514ad5e8ae5d2a325",
-		"sim/aatbc":  "92ffcf4342cc09519a6e5a7a5f02f8d244510369d91467a0dd9ce148fc2ba5ac",
-		"sim/atab":   "1da37624e6821e134e5a896d879e7d605d4cd7436a9d3de4adedb5bcb31c9114",
-		"sim/chain":  "6eaf7aa67a2685b6d41e233286e965093b85fe1e85609341c13f2d58e4b80803",
-		"sim/gls":    "b210e865eb51953d16c016a69df5ce511e1cbab1bce1510b321bcc5795b50586",
-		"sim/lstsq":  "462d7f68438d2e6caa73869d185903dbd49d0fb5666f32a3c2dc69b01fb62b43",
-		"blas/aatb":  "e0e2003cd1e802f06631a819a6ba150a7fbe3155b7560505e50cb21e48ae0bc1",
-		"blas/aatbc": "b971e1f7d6a00baefbff6fb29745945884d5df6dec29c4f1e449f321b7e24e31",
-		"blas/atab":  "520760049f5b5f31da401667acc385c7c95d9f6b8f6950f0892f8e9fcd079488",
-		"blas/chain": "177069ded13c6790b35e0102904f46238cb0854967d1192f9d71fdded844d2eb",
-		"blas/gls":   "2b03150d48e73d429dd93a91bffdef1f99383b6f52118007de81eb45c08244d6",
-		"blas/lstsq": "d8cc4d7d71bfddfc14006d09ccc14da8924e48e2a9d275b56ab9c91545de9a5f",
+		"sim/aatb":   "af55aee978822e01c8fe91ea24754c824f2f5ba085f0f7861eff7650fe37c51a",
+		"sim/aatbc":  "522674a32aefac3ecf47544822fed679ea8e1c7f0b72d04dc2144c8bb19f8e9b",
+		"sim/atab":   "24b61577bd0551dd06a93d66e27f55b77b3e849637e8ddca0b933b4fed2dd8c0",
+		"sim/chain":  "3f32f983c3936c56edb85a3807ecde4e5418148608fcb7be002f15090b976fcf",
+		"sim/gls":    "3060a71b3406279cee031e13406f16a5c636473b91f10be3ef6320212e42bc7d",
+		"sim/lstsq":  "8dff34760cfbe6f5e9807c49a3393343b20c3f5731f325613e21e4c93532dccb",
+		"blas/aatb":  "fca90cf6ab1e5f065dd148a8f51ba1363538cbf4fc6ca88840e79d27e1ee45cb",
+		"blas/aatbc": "c788442dd3819a484e9b93a5b7c2903e5af747af1034aed40b13b8da0753007b",
+		"blas/atab":  "215f7e8131fe6cfc4e9bc47b43285d7b46e5b62f80c153cc30fce5745d644e3b",
+		"blas/chain": "b8d4fe16ecf7d4fe2674ad0402936e631a63c787d76e4bb96cb759c6642345f4",
+		"blas/gls":   "ea09e2abc86178d88a6c3398683c434123be4eb9b75a55883a54ba50745cf6f2",
+		"blas/lstsq": "78936495d15021dfc290aa12a9071dc4ae88ef6c79d998099a1214382da2aded",
 	},
 	false: {
-		"sim/aatb":   "dd88f472a4fbf7c6065fd67e41f305e43afeaec033c3b91a47c16c116f24e7e6",
-		"sim/aatbc":  "55d18df64c30a8a6b23641460ec5da7b37934028d7837eee74e6d38a8f2c0682",
-		"sim/atab":   "868e7681a4d16ae9dbaeca4d795ec42720f3ced51444513cb739c6020382e44e",
-		"sim/chain":  "6bf03bcc30c23476866433592c195c92da6e03738e61aa67a484e6f01b738602",
-		"sim/gls":    "ac8939d20cc54b19d7e76a6de193e9c79f616a5107cc9df5797f9fb5c2353265",
-		"sim/lstsq":  "1a6a2cf2b547ad8c23c94e53f4b4ba15f3c8b50c8f48514f3a620c956f4b04a2",
-		"blas/aatb":  "652dcac146e6f7145374035bfb5155bfb744000f31b89ca89451651ab3db9853",
-		"blas/aatbc": "a414442bb1951c540817b8ffac17ef6a967ef64099839792a8438e1a1c86e45b",
-		"blas/atab":  "2914182252c70e36d2847b4e906576ab15789bf680cd3de8f0bc2fca0f4762cf",
-		"blas/chain": "9fd1e34bd098bf29dc52d4497e8d8310b813d6d4c9e6594fb0d624b922dbc43c",
-		"blas/gls":   "2f683d5b5950c2ec22631093c09acbf1e68cdf137c141976db86591bde929b39",
-		"blas/lstsq": "44578d45e49020046853b0fd0b1e83a431f209e83c9c99e0ca8de6a22d4c97bf",
+		"sim/aatb":   "1686bd04073fa164159c2e5f4841d729f0b71bef58f00c22f8385a828c04fd97",
+		"sim/aatbc":  "2868c0c1a61541425b4a2654e7684fd7565977eb6d20dcb70040a618b9a6f7ad",
+		"sim/atab":   "bc69d4b97d3f804a462fbb7ace5433a288bb1139a3bc4865fc65a0e67e06b40d",
+		"sim/chain":  "576e6c8b15ea4cab37d18c2eb2ede9c9eb4997f670c8c236cd2c07b4eae871f2",
+		"sim/gls":    "5b71228fe736a19576175519693dc673794e07ba1090e9530320dc908ec0610f",
+		"sim/lstsq":  "4d98e314e6b68e5aad6abddc9234c326bded545bda1d57a70c5105b700bf6b82",
+		"blas/aatb":  "cb97a2cba1846f7800dea7402887a5a8befe2c3149dfb7d97df6395969badd00",
+		"blas/aatbc": "2fef189e144e2fb326f28647b2f47d2230c79e9d00b7ab73c750684eff2d64b8",
+		"blas/atab":  "17a0530b820e950d869508180d31f4f3594a8f887af267b9c64548354a1f0e2a",
+		"blas/chain": "abadf595e86cd86b149e93154378a3f91dc2399996602f3d87cbc5ee37795377",
+		"blas/gls":   "1ab9e4475ddf9ac3e0a665d852ef1c2ce9cc004cd974b2d2cae8cb9121298dd0",
+		"blas/lstsq": "203c776b72d83fbe14d4bf80afa5acb1f310b1ad6ec55af12b51a03dbb6725ea",
 	},
 }
 
 // perQueryRequest builds the pinned request of one mode for expression
-// name: every dimension of the first instance is 12 + its position,
-// of the second 40 + its position.
-func perQueryRequest(t *testing.T, e *Engine, name, mode string) Request {
+// name: every dimension of the small instance is 8 + its position, of
+// its octave neighbour 9 + its position, and of the large instance 40 +
+// its position.
+func perQueryRequest(t *testing.T, name, mode string) Request {
 	t.Helper()
 	x, err := expr.Lookup(name)
 	if err != nil {
 		t.Fatal(err)
 	}
 	small := make(expr.Instance, x.Arity())
+	near := make(expr.Instance, x.Arity())
 	large := make(expr.Instance, x.Arity())
 	for d := range small {
-		small[d], large[d] = 12+d, 40+d
+		small[d], near[d], large[d] = 8+d, 9+d, 40+d
 	}
-	algs, err := e.Algorithms(name, small)
-	if err != nil {
-		t.Fatal(err)
+	if small.Octaves() != near.Octaves() {
+		t.Fatalf("%s: %v and %v do not share an octave", name, small, near)
 	}
-	in := pinInputs(&algs[0], xrand.New(0x919))
+	qs := []Query{{Expr: name, Instance: small}, {Expr: name, Instance: large}}
 	if mode == "sim" {
-		return Request{
-			Queries: []Query{{Expr: name, Instance: small}, {Expr: name, Instance: small}, {Expr: name, Instance: large}},
-			Compute: true,
-			Inputs:  []map[string]*mat.Dense{1: in},
-		}
+		qs = append(qs, Query{Expr: name, Instance: near})
 	}
-	return Request{
-		Queries: []Query{{Expr: name, Instance: small}, {Expr: name, Instance: large}},
-		Compute: true,
-		Inputs:  []map[string]*mat.Dense{in},
-	}
-}
-
-// pinInputs builds a full input map for the algorithm from the rng,
-// with its SPD inputs symmetric positive definite.
-func pinInputs(alg *expr.Algorithm, rng *xrand.Rand) map[string]*mat.Dense {
-	in := randomInputs(alg, rng)
-	for _, id := range alg.SPDInputs {
-		in[id] = mat.NewSPDRandom(alg.Shapes[id].Rows, rng)
-	}
-	return in
+	return Request{Queries: qs, Compute: true}
 }
 
 // outputDigest hashes the shape and every bit of each result's output,
@@ -144,7 +124,10 @@ func TestPerQueryOutputPins(t *testing.T) {
 				cfg.Executor = exec.NewMeasured()
 			}
 			e := New(cfg)
-			got := outputDigest(t, e.Do(context.Background(), perQueryRequest(t, e, name, mode)))
+			got := outputDigest(t, e.Do(context.Background(), perQueryRequest(t, name, mode)))
+			if u := e.Stats().FuseRejected.Unregistered; mode == "sim" && u < 2 {
+				t.Errorf("%s: fuse_rejected.unregistered = %d; the octave neighbours did not share a bucket", name, u)
+			}
 			key := mode + "/" + name
 			if want, ok := pins[key]; !ok {
 				t.Errorf("%s: no pin recorded (digest %s)", key, got)
