@@ -31,8 +31,8 @@ import (
 	"lamb/internal/xrand"
 )
 
-// batchFillSeed seeds the deterministic stream that fills operands the
-// caller did not supply, so default-filled results are reproducible.
+// batchFillSeed seeds the deterministic stream that fills every
+// computed operand, so results are reproducible.
 const batchFillSeed = 0x5ab5
 
 // heteroPaddingMax is the padding-overhead gate for mixed buckets: a
@@ -53,10 +53,8 @@ type target struct {
 
 // compute executes each answered query's selected algorithm and stores
 // its output in out, in request order. sets[i] is the bound set query
-// i was answered from, so the pick needs no second bind. inputs[i],
-// when present, supplies query i's input operands by ID (shapes must
-// match the instance); missing operands are filled from a deterministic
-// stream. Queries that selected the same algorithm of the same
+// i was answered from, so the pick needs no second bind. Every input
+// operand is filled from a deterministic stream. Queries that selected the same algorithm of the same
 // expression at shapes within one power-of-two octave per dimension are
 // executed through one fused batch plan — identical instances bound to
 // the batched drivers, mixed instances through a padded heterogeneous
@@ -67,7 +65,7 @@ type target struct {
 // Every executable query's Output is set up front to a view into one
 // output slab for the whole request; execution copies the result into
 // it, and a query that fails has its Output cleared.
-func (e *Engine) compute(sets []*boundSet, inputs []map[string]*mat.Dense, out []Result) {
+func (e *Engine) compute(sets []*boundSet, out []Result) {
 	sel := make([]target, len(out))
 	slot := make(map[bucketKey]int)
 	var buckets [][]int // in order of first appearance
@@ -97,7 +95,7 @@ func (e *Engine) compute(sets []*boundSet, inputs []map[string]*mat.Dense, out [
 	}
 	outputSlab(sel, out)
 	for _, idxs := range buckets {
-		e.execBucket(idxs, inputs, sel, out)
+		e.execBucket(idxs, sel, out)
 	}
 }
 
@@ -144,15 +142,15 @@ func outputSlab(sel []target, out []Result) {
 // execBucket executes one bucket of answered queries, fused when the
 // executor and the regime allow, per query otherwise (with the reject
 // reason counted).
-func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
+func (e *Engine) execBucket(idxs []int, sel []target, out []Result) {
 	if len(idxs) < 2 {
-		e.execUnfused(idxs, inputs, sel, out)
+		e.execUnfused(idxs, sel, out)
 		return
 	}
 	be, ok := e.timer.Exec.(exec.BatchExecutor)
 	if !ok {
 		e.rejUnregistered.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, sel, out)
+		e.execUnfused(idxs, sel, out)
 		return
 	}
 	// One fused plan spans up to MaxFusedChunks chunks of the bucket's
@@ -172,7 +170,7 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []ta
 	width := minChunk * exec.MaxFusedChunks
 	if width < 2 {
 		e.rejTooBig.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, sel, out)
+		e.execUnfused(idxs, sel, out)
 		return
 	}
 	homog := true
@@ -184,27 +182,26 @@ func (e *Engine) execBucket(idxs []int, inputs []map[string]*mat.Dense, sel []ta
 	}
 	if !homog && maxChunk > heteroPaddingMax*minChunk {
 		e.rejHetero.Add(uint64(len(idxs)))
-		e.execUnfused(idxs, inputs, sel, out)
+		e.execUnfused(idxs, sel, out)
 		return
 	}
 	for lo := 0; lo < len(idxs); lo += width {
 		sub := idxs[lo:min(lo+width, len(idxs))]
 		if len(sub) < 2 {
-			e.execUnfused(sub, inputs, sel, out)
+			e.execUnfused(sub, sel, out)
 			continue
 		}
-		e.execFusedChunk(sub, inputs, sel, out)
+		e.execFusedChunk(sub, sel, out)
 	}
 }
 
 // execFusedChunk executes up to one fuse width of a bucket through one
-// fused plan. Any compile or execution failure (e.g. a non-SPD input to
-// a Cholesky-based algorithm poisoning the whole batched factorisation)
-// falls back to per-query execution, so one bad query cannot take its
-// bucket neighbours down.
-func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
-	if e.runChunk(idxs, inputs, sel, out) != nil {
-		e.execUnfused(idxs, inputs, sel, out)
+// fused plan. A chunk that fails to lay out or compile falls back to
+// per-query execution, so one bad query cannot take its bucket
+// neighbours down.
+func (e *Engine) execFusedChunk(idxs []int, sel []target, out []Result) {
+	if e.runChunk(idxs, sel, out) != nil {
+		e.execUnfused(idxs, sel, out)
 		return
 	}
 	for _, i := range idxs {
@@ -215,23 +212,27 @@ func (e *Engine) execFusedChunk(idxs []int, inputs []map[string]*mat.Dense, sel 
 
 // execUnfused executes each query alone, as a chunk of one. A query
 // that fails has its Output cleared.
-func (e *Engine) execUnfused(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) {
+func (e *Engine) execUnfused(idxs []int, sel []target, out []Result) {
 	for k, i := range idxs {
-		if out[i].Err = e.runChunk(idxs[k:k+1], inputs, sel, out); out[i].Err != nil {
+		if out[i].Err = e.runChunk(idxs[k:k+1], sel, out); out[i].Err != nil {
 			out[i].Output = nil
 		}
 	}
 }
 
 // runChunk compiles the chunk's plan into the engine's slab from the
-// chunk's memoised layouts and runs it. A chunk of one binds the serial
-// kernels; a longer chunk that repeats one layout pointer binds the
-// batched drivers. A target without a layout did not validate, and
-// exec.NewLayout reports why. Compile, run and release all happen under
-// the execution lock: execution must not contend with a concurrent
-// timed measurement, and the one slab serves one plan at a time. The
-// plan gives the slab back before the lock is released, on every path.
-func (e *Engine) runChunk(idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) error {
+// chunk's memoised layouts, fills every operand from the deterministic
+// stream, runs it, and copies each instance's output into the view
+// outputSlab set up as its query's Output. A chunk of one binds the
+// serial kernels; a longer chunk that repeats one layout pointer binds
+// the batched drivers. Only laying out and compiling can fail: a target
+// without a layout did not validate, and exec.NewLayout reports why;
+// the fill's SPD operands are ones the factorisations accept. Compile,
+// run and release all happen under the execution lock: execution must
+// not contend with a concurrent timed measurement, and the one slab
+// serves one plan at a time. The plan gives the slab back before the
+// lock is released.
+func (e *Engine) runChunk(idxs []int, sel []target, out []Result) error {
 	lays := make([]*exec.Layout, len(idxs))
 	for k, i := range idxs {
 		if sel[i].lay == nil {
@@ -247,40 +248,10 @@ func (e *Engine) runChunk(idxs []int, inputs []map[string]*mat.Dense, sel []targ
 		return err
 	}
 	defer p.Release()
-	return runPlan(p, idxs, inputs, sel, out)
-}
-
-// runPlan fills and executes one chunk's plan and copies each
-// instance's output into the view outputSlab set up as its query's
-// Output (a query loses that view only when its own run fails, and it
-// is never run again), converting kernel panics (shape mismatches,
-// non-SPD operands) into an error.
-func runPlan(p *exec.BatchPlan, idxs []int, inputs []map[string]*mat.Dense, sel []target, out []Result) (failed error) {
-	defer func() {
-		if r := recover(); r != nil {
-			failed = fmt.Errorf("engine: execution failed: %v", r)
-		}
-	}()
 	p.FillInputs(xrand.New(batchFillSeed))
-	for k, i := range idxs {
-		for id, src := range inputMap(inputs, i) {
-			if _, ok := sel[i].alg.Shapes[id]; ok {
-				p.SetInput(k, id, src)
-			}
-		}
-	}
 	p.Execute()
 	for k, i := range idxs {
 		mat.Copy(out[i].Output, p.Output(k))
-	}
-	return nil
-}
-
-// inputMap returns query i's input map, tolerating a short or nil
-// inputs slice.
-func inputMap(inputs []map[string]*mat.Dense, i int) map[string]*mat.Dense {
-	if i < len(inputs) {
-		return inputs[i]
 	}
 	return nil
 }

@@ -12,23 +12,37 @@ import (
 	"lamb/internal/xrand"
 )
 
-// randomInputs builds a full input map for the algorithm from the rng,
-// matching its declared shapes.
-func randomInputs(alg *expr.Algorithm, rng *xrand.Rand) map[string]*mat.Dense {
-	in := make(map[string]*mat.Dense, len(alg.Inputs))
-	for _, id := range alg.Inputs {
-		sh := alg.Shapes[id]
-		in[id] = mat.NewRandom(sh.Rows, sh.Cols, rng)
+// engineFilled evaluates the algorithm query q selected (r's record)
+// through a single-instance plan filled from rng. With rng one stream of
+// the engine's fill seed consumed in bucket order, this is what a fused
+// plan's instance-major fill computes for each of its queries.
+func engineFilled(t *testing.T, e *Engine, q Query, r Result, rng *xrand.Rand) *mat.Dense {
+	t.Helper()
+	algs, err := e.Algorithms(q.Expr, q.Instance)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return in
+	for i := range algs {
+		if algs[i].Index == r.Record.Selected.Index {
+			p, err := exec.CompilePlan(&algs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.FillInputs(rng)
+			p.Execute()
+			return p.Output()
+		}
+	}
+	t.Fatalf("selected algorithm %d not in the bound set", r.Record.Selected.Index)
+	return nil
 }
 
 // TestQueryBatchExecFusedHomogeneous pins the fused result path for
 // identical queries: same expression, same instance, min-flops — the
 // bucket executes through one homogeneous batch plan compiled into the
-// engine's slab, every result is marked fused, and each output is bitwise identical to
-// evaluating the selected algorithm on the same inputs through the
-// single-instance correctness path.
+// engine's slab, every result is marked fused, and each output is
+// bitwise identical to the selected algorithm's single-instance plan
+// filled from the engine's fill stream in bucket order.
 func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	const n = 4
@@ -36,19 +50,11 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	for i := range qs {
 		qs[i] = Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}}
 	}
-	algs, err := e.Algorithms("aatb", expr.Instance{12, 16, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(0xdead)
-	inputs := make([]map[string]*mat.Dense, n)
-	for i := range inputs {
-		inputs[i] = randomInputs(&algs[0], rng)
-	}
-	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
 	if len(res) != n {
 		t.Fatalf("got %d results, want %d", len(res), n)
 	}
+	rng := xrand.New(batchFillSeed)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
@@ -59,14 +65,7 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 		if r.Output == nil {
 			t.Fatalf("query %d: nil output", i)
 		}
-		var sel *expr.Algorithm
-		for j := range algs {
-			if algs[j].Index == r.Record.Selected.Index {
-				sel = &algs[j]
-			}
-		}
-		want := exec.EvaluateAlgorithm(sel, inputs[i])
-		if !mat.Equal(r.Output, want) {
+		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r, rng)) {
 			t.Errorf("query %d: fused output differs from single-instance evaluation", i)
 		}
 	}
@@ -84,58 +83,39 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 // queries of one expression at different shapes within one octave per
 // dimension share a bucket, execute through one padded mixed plan, and
 // each per-instance output is bitwise identical to its single-instance
-// evaluation.
+// plan filled from the engine's fill stream in bucket order.
 func TestQueryBatchExecFusedMixed(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	insts := []expr.Instance{{12, 16, 8}, {14, 18, 10}, {13, 17, 9}}
 	qs := make([]Query, len(insts))
-	inputs := make([]map[string]*mat.Dense, len(insts))
-	sels := make([][]expr.Algorithm, len(insts))
-	rng := xrand.New(0x317ed)
 	for i, inst := range insts {
 		qs[i] = Query{Expr: "aatb", Instance: inst}
-		algs, err := e.Algorithms("aatb", inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sels[i] = algs
-		inputs[i] = randomInputs(&algs[0], rng)
 	}
-	res := e.Do(context.Background(), Request{Queries: qs, Compute: true, Inputs: inputs})
-	sameIdx := true
-	for _, r := range res[1:] {
-		if r.Err == nil && r.Record.Selected.Index != res[0].Record.Selected.Index {
-			sameIdx = false
-		}
-	}
+	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
+	rng := xrand.New(batchFillSeed)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		if sameIdx && !r.Fused {
+		if r.Record.Selected.Index != res[0].Record.Selected.Index {
+			t.Fatalf("query %d left the bucket; the test needs one mixed bucket", i)
+		}
+		if !r.Fused {
 			t.Errorf("query %d not fused despite one bucket", i)
 		}
-		var sel *expr.Algorithm
-		for j := range sels[i] {
-			if sels[i][j].Index == r.Record.Selected.Index {
-				sel = &sels[i][j]
-			}
-		}
-		want := exec.EvaluateAlgorithm(sel, inputs[i])
-		if !mat.Equal(r.Output, want) {
+		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r, rng)) {
 			t.Errorf("query %d: mixed fused output differs from single-instance evaluation", i)
 		}
 	}
-	if sameIdx {
-		if s := e.Stats(); s.FusedQueries != uint64(len(insts)) {
-			t.Errorf("fused_queries = %d, want %d", s.FusedQueries, len(insts))
-		}
+	if s := e.Stats(); s.FusedQueries != uint64(len(insts)) {
+		t.Errorf("fused_queries = %d, want %d", s.FusedQueries, len(insts))
 	}
+	checkSlab(t, e)
 }
 
-// TestQueryBatchExecDefaultFillDeterministic pins that queries without
-// caller inputs are filled from a deterministic stream: two identical
-// batches produce bitwise-identical outputs.
+// TestQueryBatchExecDefaultFillDeterministic pins that computed operands
+// are filled from a deterministic stream: two identical batches produce
+// bitwise-identical outputs.
 func TestQueryBatchExecDefaultFillDeterministic(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	qs := []Query{
@@ -248,7 +228,7 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	}
 	out := make([]Result, 2)
 	outputSlab(sel, out) // as compute does before any bucket runs
-	e.execBucket([]int{0, 1}, nil, sel, out)
+	e.execBucket([]int{0, 1}, sel, out)
 	for i, r := range out {
 		if r.Err != nil {
 			t.Fatalf("instance %d: %v", i, r.Err)
@@ -265,60 +245,39 @@ func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
 	}
 }
 
-// TestQueryBatchExecFusedFailureReleasesArena pins the failure path of
-// the engine's slab: a mixed bucket whose fused plan panics on one
-// non-SPD supplied input falls back to per-query execution (the bad
-// query fails, its neighbours succeed unfused), the failed plan gives
-// the slab back, and a clean request after it — computed on the reused,
-// unzeroed slab — returns outputs bit-identical to a fresh engine's.
-func TestQueryBatchExecFusedFailureReleasesArena(t *testing.T) {
+// TestComputeOnUsedSlabMatchesFresh pins that the engine's slab is
+// reused unzeroed without leaking into results: a mixed fused bucket
+// computed on a slab that earlier requests filled returns outputs
+// bit-identical to a fresh engine's.
+func TestComputeOnUsedSlabMatchesFresh(t *testing.T) {
 	ctx := context.Background()
+	earlier := []Query{
+		{Expr: "gls", Instance: expr.Instance{40, 30, 36, 20}},
+		{Expr: "gls", Instance: expr.Instance{41, 31, 37, 21}},
+		{Expr: "aatb", Instance: expr.Instance{60, 50, 40}},
+	}
 	insts := []expr.Instance{{12, 16, 8}, {13, 17, 9}, {14, 18, 10}, {15, 20, 12}}
 	qs := make([]Query, len(insts))
 	for i, inst := range insts {
 		qs[i] = Query{Expr: "lstsq", Instance: inst}
 	}
 	e := New(Config{Executor: exec.NewMeasured()})
-	// R = −100·I makes A·Aᵀ + R indefinite, so the batched Cholesky of
-	// the whole bucket fails.
-	r := insts[1][0]
-	bad := mat.New(r, r)
-	for i := 0; i < r; i++ {
-		bad.Data[i+i*r] = -100
-	}
-	inputs := []map[string]*mat.Dense{1: {"R": bad}}
-	res := e.Do(ctx, Request{Queries: qs, Compute: true, Inputs: inputs})
-	for i, r := range res {
-		if r.Record == nil || r.Record.Selected.Index != res[0].Record.Selected.Index {
-			t.Fatalf("query %d left the bucket; the test needs one mixed bucket", i)
-		}
-		if r.Fused {
-			t.Errorf("query %d marked fused after the fused plan failed", i)
-		}
-		if i == 1 {
-			if r.Err == nil || r.Output != nil {
-				t.Errorf("non-SPD query: err %v, output %v; want an error and no output", r.Err, r.Output)
-			}
-		} else if r.Err != nil || r.Output == nil {
-			t.Errorf("query %d: %v", i, r.Err)
+	for i, r := range e.Do(ctx, Request{Queries: earlier, Compute: true}) {
+		if r.Err != nil || r.Output == nil {
+			t.Fatalf("earlier query %d: output %v, err %v", i, r.Output != nil, r.Err)
 		}
 	}
-	if s := e.Stats(); s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d after the fallback, want 0", s.FusedQueries)
-	}
-	checkSlab(t, e)
-
-	clean := e.Do(ctx, Request{Queries: qs, Compute: true})
+	used := e.Do(ctx, Request{Queries: qs, Compute: true})
 	fresh := New(Config{Executor: exec.NewMeasured()}).Do(ctx, Request{Queries: qs, Compute: true})
 	for i := range qs {
-		if clean[i].Err != nil || fresh[i].Err != nil {
-			t.Fatalf("query %d: clean %v, fresh %v", i, clean[i].Err, fresh[i].Err)
+		if used[i].Err != nil || fresh[i].Err != nil {
+			t.Fatalf("query %d: used %v, fresh %v", i, used[i].Err, fresh[i].Err)
 		}
-		if !clean[i].Fused {
-			t.Errorf("query %d of the clean request not fused", i)
+		if !used[i].Fused {
+			t.Errorf("query %d on the used slab not fused", i)
 		}
-		if !bitEqual(clean[i].Output, fresh[i].Output) {
-			t.Errorf("query %d: output after the failure differs from a fresh engine's", i)
+		if !bitEqual(used[i].Output, fresh[i].Output) {
+			t.Errorf("query %d: output on the used slab differs from a fresh engine's", i)
 		}
 	}
 	checkSlab(t, e)
@@ -423,7 +382,7 @@ func TestExecUnlaidTargetReportsValidation(t *testing.T) {
 		t.Fatal("an algorithm without calls validated")
 	}
 	out := make([]Result, 1)
-	e.execBucket([]int{0}, nil, []target{{alg: alg}}, out)
+	e.execBucket([]int{0}, []target{{alg: alg}}, out)
 	if out[0].Err == nil || out[0].Err.Error() != want.Error() {
 		t.Errorf("err %v, want %v", out[0].Err, want)
 	}

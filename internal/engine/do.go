@@ -24,23 +24,20 @@ type Request struct {
 	// fused (see Stats.FusedQueries); a single query without Compute
 	// measures per instance.
 	Queries []Query
-	// Compute additionally executes each query's selected algorithm and
-	// returns its output, fusing same-bucket executions into shared batch
-	// plans where the regime allows.
+	// Compute additionally executes each query's selected algorithm on
+	// operands filled from the engine's deterministic stream and returns
+	// its output, fusing same-bucket executions into shared batch plans
+	// where the regime allows.
 	Compute bool
-	// Inputs supplies per-query input operands by ID for Compute
-	// (Inputs[i] belongs to Queries[i]; short or nil is fine — missing
-	// operands are filled from a deterministic stream). Ignored without
-	// Compute.
-	Inputs []map[string]*mat.Dense
 }
 
 // Result is one query's answer: its record, and — for Compute requests
 // — the computed output.
 type Result struct {
 	Record *Record
-	// Output is the selected algorithm's result (caller-owned copy);
-	// nil without Compute or when Err is set.
+	// Output is the selected algorithm's result on the engine-filled
+	// operands, a caller-owned view into one slab that the request's
+	// outputs share; nil without Compute or when Err is set.
 	Output *mat.Dense
 	Err    error
 	// Fused reports whether Output was computed through a fused batch
@@ -92,7 +89,7 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		}
 	}
 	if req.Compute {
-		e.compute(sets, req.Inputs, out)
+		e.compute(sets, out)
 	}
 	return out
 }

@@ -38,19 +38,17 @@ type RankEntry struct {
 
 // exploreInterval converts a configured exploration rate into the
 // deterministic pacing interval: every interval-th eligible adaptive
-// answer explores. 0 disables.
+// answer explores. 0 disables: any rate that is not above 0, NaN
+// included. A rate so small that its interval overflows paces at the
+// largest int32.
 func exploreInterval(rate float64) int {
-	if rate <= 0 {
+	if !(rate > 0) {
 		return 0
 	}
 	if rate >= 1 {
 		return 1
 	}
-	n := int(math.Round(1 / rate))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return int(math.Round(min(1/rate, math.MaxInt32)))
 }
 
 // exploreTick decides whether this adaptive answer explores, returning

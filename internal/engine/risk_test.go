@@ -221,6 +221,24 @@ func TestEngineThompsonExplorationFeedsBack(t *testing.T) {
 
 // TestEngineExplorationDisabledByDefault pins the opt-in: without
 // ExploreRate the engine never trades a best-known answer for an
+// TestExploreInterval pins the rate-to-interval conversion, including
+// the rates no interval fits: NaN and negative rates disable
+// exploration, and a vanishing rate paces at a large positive interval
+// rather than overflowing into exploring every answer.
+func TestExploreInterval(t *testing.T) {
+	for _, c := range []struct {
+		rate float64
+		want int
+	}{
+		{math.NaN(), 0}, {-1, 0}, {0, 0}, {math.Inf(-1), 0},
+		{math.Inf(1), 1}, {1, 1}, {0.5, 2}, {0.1, 10}, {1e-300, math.MaxInt32},
+	} {
+		if got := exploreInterval(c.rate); got != c.want {
+			t.Errorf("exploreInterval(%v) = %d, want %d", c.rate, got, c.want)
+		}
+	}
+}
+
 // experiment.
 func TestEngineExplorationDisabledByDefault(t *testing.T) {
 	e := profiledEngine(t, Config{})

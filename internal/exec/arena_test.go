@@ -66,13 +66,18 @@ func TestReleasedPlanPanics(t *testing.T) {
 	}
 	p.Release()
 	p.Release()
+	single, err := CompilePlan(&algs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	single.Release()
 	uses := map[string]func(){
 		"FillInputs":   func() { p.FillInputs(xrand.New(1)) },
 		"Execute":      func() { p.Execute() },
 		"ExecuteTimed": func() { p.ExecuteTimed() },
 		"Operand":      func() { p.Operand(0, "A") },
 		"Output":       func() { p.Output(0) },
-		"SetInput":     func() { p.SetInput(0, "A", mat.New(8, 8)) },
+		"SetInput":     func() { single.SetInput("A", mat.New(8, 8)) },
 	}
 	for name, use := range uses {
 		func() {

@@ -311,20 +311,6 @@ func (p *BatchPlan) Stride() int { return p.stride }
 // ArenaLen returns the length in float64s of the whole arena.
 func (p *BatchPlan) ArenaLen() int { return len(p.arena) }
 
-// SetInput copies src into instance inst's named operand slot. It panics
-// if the operand is unknown or the shapes disagree.
-func (p *BatchPlan) SetInput(inst int, id string, src *mat.Dense) {
-	dst := p.Operand(inst, id)
-	if dst == nil {
-		panic(fmt.Sprintf("exec: plan has no operand %q", id))
-	}
-	if src.Rows != dst.Rows || src.Cols != dst.Cols {
-		panic(fmt.Sprintf("exec: input %q is %dx%d, algorithm expects %dx%d",
-			id, src.Rows, src.Cols, dst.Rows, dst.Cols))
-	}
-	mat.Copy(dst, src)
-}
-
 // Operand returns instance inst's arena-backed matrix for the given
 // operand ID, or nil if that instance has no such operand.
 func (p *BatchPlan) Operand(inst int, id string) *mat.Dense {

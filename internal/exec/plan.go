@@ -393,7 +393,17 @@ func fillOperand(m *mat.Dense, kind kernels.FillKind, spdScratch []float64, rng 
 
 // SetInput copies src into the named operand slot. It panics if the
 // operand is unknown or the shapes disagree.
-func (p *Plan) SetInput(id string, src *mat.Dense) { p.BatchPlan.SetInput(0, id, src) }
+func (p *Plan) SetInput(id string, src *mat.Dense) {
+	dst := p.Operand(id)
+	if dst == nil {
+		panic(fmt.Sprintf("exec: plan has no operand %q", id))
+	}
+	if src.Rows != dst.Rows || src.Cols != dst.Cols {
+		panic(fmt.Sprintf("exec: input %q is %dx%d, algorithm expects %dx%d",
+			id, src.Rows, src.Cols, dst.Rows, dst.Cols))
+	}
+	mat.Copy(dst, src)
+}
 
 // Operand returns the arena-backed matrix for the given operand ID, or
 // nil if the plan has no such operand.

@@ -803,15 +803,3 @@ func EnumerateSymbolic(def *Def) (*SymbolicSet, error) {
 	}
 	return &SymbolicSet{def: def, algs: algs}, nil
 }
-
-// Enumerate generates the complete algorithm set of the definition for
-// one instance: a symbolic enumeration followed by a bind. Callers that
-// evaluate many instances of one expression should enumerate once with
-// EnumerateSymbolic and bind per instance instead.
-func Enumerate(def *Def, inst Instance) ([]Algorithm, error) {
-	set, err := EnumerateSymbolic(def)
-	if err != nil {
-		return nil, err
-	}
-	return set.Bind(inst)
-}

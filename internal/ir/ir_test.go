@@ -10,7 +10,7 @@ import (
 
 func mustEnum(t *testing.T, def *Def, inst Instance) []Algorithm {
 	t.Helper()
-	algs, err := Enumerate(def, inst)
+	algs, err := enumerate(def, inst)
 	if err != nil {
 		t.Fatalf("enumerate %s: %v", def.Name, err)
 	}
@@ -22,6 +22,16 @@ func mustEnum(t *testing.T, def *Def, inst Instance) []Algorithm {
 	return algs
 }
 
+// enumerate generates the definition's algorithm set for one instance:
+// a symbolic enumeration followed by a bind.
+func enumerate(def *Def, inst Instance) ([]Algorithm, error) {
+	set, err := EnumerateSymbolic(def)
+	if err != nil {
+		return nil, err
+	}
+	return set.Bind(inst)
+}
+
 func wantErr(t *testing.T, def *Def, inst Instance, frag string) {
 	t.Helper()
 	if err := def.Validate(); err != nil {
@@ -30,7 +40,7 @@ func wantErr(t *testing.T, def *Def, inst Instance, frag string) {
 		}
 		return
 	}
-	_, err := Enumerate(def, inst)
+	_, err := enumerate(def, inst)
 	if err == nil {
 		t.Fatalf("%s: expected error mentioning %q, got none", def.Name, frag)
 	}

@@ -60,14 +60,6 @@ type Config struct {
 	// when no backend can answer: selection keeps working on the
 	// profile-less min-flops discriminant, stamped Degraded "no-backend".
 	Local *engine.Engine
-
-	// Breaker tuning: window is the sliding outcome window per backend
-	// (default 20), minSamples gates tripping (default 5), openFor is the
-	// fail-fast period before a half-open trial (default 2s). A breaker
-	// opens when half its window's outcomes are failures.
-	BreakerWindow     int
-	BreakerMinSamples int
-	BreakerOpenFor    time.Duration
 }
 
 // DegradedNoBackend stamps records the router answered from its local
@@ -209,15 +201,6 @@ func New(cfg Config) (*Router, error) {
 	if cfg.MergeScale <= 0 || cfg.MergeScale > 1 {
 		cfg.MergeScale = 0.5
 	}
-	if cfg.BreakerWindow <= 0 {
-		cfg.BreakerWindow = 20
-	}
-	if cfg.BreakerMinSamples <= 0 {
-		cfg.BreakerMinSamples = 5
-	}
-	if cfg.BreakerOpenFor <= 0 {
-		cfg.BreakerOpenFor = 2 * time.Second
-	}
 	rt := &Router{
 		cfg:   cfg,
 		ring:  newRing(cfg.Backends, cfg.Replicas),
@@ -233,10 +216,13 @@ func New(cfg Config) (*Router, error) {
 		if err != nil {
 			return nil, err
 		}
+		// A backend's breaker opens once at least 5 of its last 20
+		// forwards are in and half of them failed, and fails fast for 2 s
+		// before a half-open trial.
 		b := &backendState{
 			url:   u,
 			conns: conns,
-			br:    newBreaker(cfg.BreakerWindow, cfg.BreakerMinSamples, 0.5, cfg.BreakerOpenFor),
+			br:    newBreaker(20, 5, 0.5, 2*time.Second),
 		}
 		b.up.Store(true)
 		rt.byURL[u] = b

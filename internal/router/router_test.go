@@ -296,11 +296,16 @@ func TestRouterBreakerOpensUnderFailureRate(t *testing.T) {
 	})
 	good := newFakeBackend(t, okRecord)
 	rt := testRouter(t, Config{
-		Backends:          []string{bad.srv.URL, good.srv.URL},
-		BackoffBase:       time.Millisecond,
-		BackoffMax:        2 * time.Millisecond,
-		BreakerMinSamples: 3, BreakerWindow: 5, BreakerOpenFor: time.Hour,
+		Backends:    []string{bad.srv.URL, good.srv.URL},
+		BackoffBase: time.Millisecond,
+		BackoffMax:  2 * time.Millisecond,
 	})
+	// Once open, the failing backend's breaker stays open for the rest
+	// of the test.
+	br := rt.byURL[bad.srv.URL].br
+	br.mu.Lock()
+	br.openFor = time.Hour
+	br.mu.Unlock()
 	h := rt.Handler()
 	// Spread queries over many shard keys so the failing backend owns
 	// some of them; every hit records a breaker failure. Ring positions

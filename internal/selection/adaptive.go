@@ -77,8 +77,8 @@ const DefaultPriorWeight = 1.0
 // over the observations o for algorithm i near the queried instance,
 // with Gaussian distance weights wₒ = massₒ·exp(−(dₒ/Radius)²) — massₒ
 // the observation's decayed Weight (or raw Count when the source keeps
-// no decay) — and the prior pseudo-count w₀ = PriorWeight. With no feedback it reduces to
-// the prior exactly; as outcomes accumulate in an instance region the
+// no decay) — and the prior pseudo-count w₀ = DefaultPriorWeight. With
+// no feedback it reduces to the prior exactly; as outcomes accumulate in an instance region the
 // measured times dominate and repeated traffic converges on the
 // empirically best algorithm there.
 type Adaptive struct {
@@ -90,12 +90,6 @@ type Adaptive struct {
 	Observe func(inst expr.Instance) []Observation
 	// Radius is the distance scale (default DefaultAdaptiveRadius).
 	Radius float64
-	// PriorWeight is the prior's pseudo-count (default DefaultPriorWeight).
-	PriorWeight float64
-	// PriorRelStd is the prior's relative spread (default
-	// DefaultPriorRelStd): the virtual prior observation carries a
-	// standard deviation of PriorRelStd times the predicted time.
-	PriorRelStd float64
 }
 
 // Name implements Strategy.
@@ -126,9 +120,9 @@ func (s Adaptive) Posterior(inst expr.Instance, algs []expr.Algorithm) []AlgPost
 }
 
 // Blend pools precomputed evidence into the per-algorithm posterior:
-// each algorithm's virtual prior observation (mass PriorWeight at its
-// predicted time prior[i], spread PriorRelStd·prior[i]) with its
-// distance-weighted observations. The pooled mean reproduces the blend
+// each algorithm's virtual prior observation (mass DefaultPriorWeight at
+// its predicted time prior[i], spread DefaultPriorRelStd·prior[i]) with
+// its distance-weighted observations. The pooled mean reproduces the blend
 // formula above exactly; the pooled variance mixes each stream's own
 // spread with the spread *between* stream means, so disagreeing
 // evidence widens the posterior instead of silently averaging away.
@@ -141,14 +135,7 @@ func (s Adaptive) Blend(prior []float64, obs []Observation, algs []expr.Algorith
 	if radius <= 0 {
 		radius = DefaultAdaptiveRadius
 	}
-	w0 := s.PriorWeight
-	if w0 <= 0 {
-		w0 = DefaultPriorWeight
-	}
-	relStd := s.PriorRelStd
-	if relStd <= 0 {
-		relStd = DefaultPriorRelStd
-	}
+	const w0, relStd = DefaultPriorWeight, DefaultPriorRelStd
 	// The first pass accumulates, per algorithm position, the evidence
 	// mass in Weight, the weighted first moment in Mean and the weighted
 	// second moment in StdErr; the second pass turns them into the

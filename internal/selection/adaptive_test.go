@@ -208,8 +208,6 @@ func randomBlendCase(rng *xrand.Rand) (Adaptive, stubPredictor, []expr.Algorithm
 	}
 	if rng.Intn(2) == 0 {
 		s.Radius = rng.Float64()
-		s.PriorWeight = rng.Float64() * 4
-		s.PriorRelStd = rng.Float64()
 	}
 	return s, prior, algs, obs
 }
@@ -252,14 +250,7 @@ func blendOracle(s Adaptive, prior []float64, obs []Observation, algs []expr.Alg
 	if radius <= 0 {
 		radius = DefaultAdaptiveRadius
 	}
-	w0 := s.PriorWeight
-	if w0 <= 0 {
-		w0 = DefaultPriorWeight
-	}
-	relStd := s.PriorRelStd
-	if relStd <= 0 {
-		relStd = DefaultPriorRelStd
-	}
+	const w0, relStd = DefaultPriorWeight, DefaultPriorRelStd
 	sumW := make([]float64, len(algs))
 	sumWM := make([]float64, len(algs))
 	sumWS := make([]float64, len(algs))
