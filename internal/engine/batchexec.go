@@ -54,13 +54,14 @@ type target struct {
 // compute executes each answered query's selected algorithm and stores
 // its output in out, in request order. sets[i] is the bound set query
 // i was answered from, so the pick needs no second bind. Every input
-// operand is filled from a deterministic stream. Queries that selected the same algorithm of the same
-// expression at shapes within one power-of-two octave per dimension are
-// executed through one fused batch plan — identical instances bound to
-// the batched drivers, mixed instances through a padded heterogeneous
-// plan — and marked Fused; each fused-executed query counts in
-// Stats.FusedQueries. Buckets outside the fused regime
-// execute per query and count in Stats.FuseRejected by reason.
+// operand is filled from a deterministic stream. Queries that selected
+// the same algorithm of the same expression at shapes within one
+// power-of-two octave per dimension are executed through one fused
+// batch plan — identical instances bound to the batched drivers, mixed
+// instances through a padded heterogeneous plan — and marked Fused;
+// each fused-executed query counts in Stats.FusedQueries. Buckets
+// outside the fused regime execute per query and count in
+// Stats.FuseRejected by reason.
 //
 // Every executable query's Output is set up front to a view into one
 // output slab for the whole request; execution copies the result into

@@ -219,8 +219,6 @@ func TestEngineThompsonExplorationFeedsBack(t *testing.T) {
 	}
 }
 
-// TestEngineExplorationDisabledByDefault pins the opt-in: without
-// ExploreRate the engine never trades a best-known answer for an
 // TestExploreInterval pins the rate-to-interval conversion, including
 // the rates no interval fits: NaN and negative rates disable
 // exploration, and a vanishing rate paces at a large positive interval
@@ -239,6 +237,8 @@ func TestExploreInterval(t *testing.T) {
 	}
 }
 
+// TestEngineExplorationDisabledByDefault pins the opt-in: without
+// ExploreRate the engine never trades a best-known answer for an
 // experiment.
 func TestEngineExplorationDisabledByDefault(t *testing.T) {
 	e := profiledEngine(t, Config{})
