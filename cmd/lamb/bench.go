@@ -77,28 +77,17 @@ func cmdBench(args []string) error {
 
 	if len(rep.Batches) > 0 {
 		fmt.Println()
-		header := []string{"expr", "inst", "alg", "batch", "seq q/s", "fused q/s", "speedup"}
-		for _, p := range rep.Batches[0].ParFused {
-			header = append(header, fmt.Sprintf("w%d q/s", p.Workers))
-		}
-		rows := [][]string{header}
+		rows := [][]string{{"expr", "inst", "alg", "batch", "seq q/s", "fused q/s", "speedup"}}
 		for _, b := range rep.Batches {
-			row := []string{
+			rows = append(rows, []string{
 				b.Expr, b.Inst, fmt.Sprint(b.Alg), fmt.Sprint(b.Count),
 				fmt.Sprintf("%.0f", b.SeqQPS),
 				fmt.Sprintf("%.0f", b.FusedQPS),
 				fmt.Sprintf("%.2fx", b.Speedup),
-			}
-			for _, p := range b.ParFused {
-				row = append(row, fmt.Sprintf("%.0f", p.QPS))
-			}
-			rows = append(rows, row)
+			})
 		}
 		if err := report.Table(os.Stdout, rows); err != nil {
 			return err
-		}
-		if note := rep.Meta["batch_note"]; note != "" {
-			fmt.Printf("\nnote: %s\n", note)
 		}
 	}
 

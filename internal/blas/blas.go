@@ -233,16 +233,6 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 // gemmSerial is the single-goroutine blocked implementation.
 func gemmSerial(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	bufA, bufB := bufAs.get(), bufBs.get()
-	gemmSerialBuf(bufA, bufB, transA, transB, alpha, a, b, beta, c)
-	bufAs.put(bufA)
-	bufBs.put(bufB)
-}
-
-// gemmSerialBuf is gemmSerial over caller-provided packing buffers (bufA
-// at least mc·kc floats, bufB at least kc·nc), so batched drivers can
-// hold one buffer pair across many small products instead of a pool
-// round-trip per product.
-func gemmSerialBuf(bufA, bufB []float64, transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
 	m, _ := opDims(a, transA)
 	k, n := opDims(b, transB)
 	for jc := 0; jc < n; jc += nc {
@@ -261,6 +251,8 @@ func gemmSerialBuf(bufA, bufB []float64, transA, transB bool, alpha float64, a, 
 			}
 		}
 	}
+	bufAs.put(bufA)
+	bufBs.put(bufB)
 }
 
 // scaleMatrix computes X := beta·X, treating beta == 0 as assignment

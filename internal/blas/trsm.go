@@ -77,7 +77,7 @@ func Trsm(uplo mat.Uplo, transL bool, alpha float64, l, b *mat.Dense) {
 }
 
 // trsmNB is the order of the largest triangle trsmSmall solves: the
-// diagonal block size of Trsm and the fused limit of TrsmBatch.
+// diagonal block size of Trsm.
 const trsmNB = 64
 
 // trsmSmall solves op(T)·X = B in place for a triangle of order

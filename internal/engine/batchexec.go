@@ -5,18 +5,13 @@ package engine
 // similar shape through one fused batch plan. Selection goes through
 // Do's one query path (coalescing, singleflight, fused timed
 // measurement); the execution step then buckets the answered queries by
-// (expression, selected algorithm index, shape octave) so that
-//
-//   - a bucket whose queries bound the exact same algorithm instance
-//     executes through a BatchPlan bound to the batched drivers, and
-//   - a bucket of mixed instances — same expression, same algorithm
-//     family, shapes within one power-of-two octave per dimension —
-//     executes through a mixed BatchPlan, padded to a common stride,
-//
-// both amortising the per-dispatch fixed costs that dominate the
-// small-instance regime. Buckets that cannot fuse (no batched executor,
-// instance arenas over the slab budget, padding overhead too high) fall
-// back to per-query execution and are counted, by reason, in
+// (expression, selected algorithm index, shape octave) so that a bucket
+// — queries of one expression and one algorithm family, shapes within
+// one power-of-two octave per dimension — executes through one
+// BatchPlan padded to a common stride, compiled, filled and released
+// once instead of once per query. Buckets that cannot fuse (no batched
+// executor, instance arenas over the slab budget, padding overhead too
+// high) fall back to per-query execution and are counted, by reason, in
 // Stats.FuseRejected. Every plan, fused or per query, is compiled into
 // the engine's one slab from the bound sets' memoised layouts, run and
 // released under the execution lock.
@@ -57,8 +52,7 @@ type target struct {
 // operand is filled from a deterministic stream. Queries that selected
 // the same algorithm of the same expression at shapes within one
 // power-of-two octave per dimension are executed through one fused
-// batch plan — identical instances bound to the batched drivers, mixed
-// instances through a padded heterogeneous plan — and marked Fused;
+// batch plan and marked Fused;
 // each fused-executed query counts in Stats.FusedQueries. Buckets
 // outside the fused regime execute per query and count in
 // Stats.FuseRejected by reason.
@@ -224,9 +218,7 @@ func (e *Engine) execUnfused(idxs []int, sel []target, out []Result) {
 // runChunk compiles the chunk's plan into the engine's slab from the
 // chunk's memoised layouts, fills every operand from the deterministic
 // stream, runs it, and copies each instance's output into the view
-// outputSlab set up as its query's Output. A chunk of one binds the
-// serial kernels; a longer chunk that repeats one layout pointer binds
-// the batched drivers. Only laying out and compiling can fail: a target
+// outputSlab set up as its query's Output. Only laying out and compiling can fail: a target
 // without a layout did not validate, and exec.NewLayout reports why;
 // the fill's SPD operands are ones the factorisations accept. Compile,
 // run and release all happen under the execution lock: execution must

@@ -33,10 +33,8 @@ type Slab struct {
 
 // Compile compiles one plan over lays, one layout per instance, into
 // the slab: every layout must be of the same algorithm family (see
-// CompileBatchPlanMixed). One layout binds the serial kernels, and a
-// layout repeated by pointer across a longer batch binds the batched
-// drivers. It panics if a plan compiled into the slab before has not
-// been released.
+// CompileBatchPlanMixed); every instance binds the serial kernels. It
+// panics if a plan compiled into the slab before has not been released.
 func (s *Slab) Compile(lays []*Layout) (*BatchPlan, error) {
 	return newBatchPlan(lays, s)
 }

@@ -3,17 +3,11 @@ package exec
 // This file implements the one compiled plan type: a BatchPlan is an
 // algorithm compiled over N per-instance layouts in one slab arena.
 // Each instance's operands sit at a fixed offset from its slab base;
-// slabs are padded to a common, cache-line-aligned stride. The compiler
-// picks the binding from its input:
-//
-//   - one instance (a Plan): every call binds to the serial kernels;
-//   - N instances of one bound algorithm: every call binds to one
-//     batched BLAS driver (blas.GemmBatch and friends) that strides
-//     through all N slabs with shared packing buffers, amortising the
-//     fixed per-dispatch costs that dominate small problems;
-//   - different instances of one algorithm family (same call structure,
-//     shapes free): each instance binds its own serial kernels, laid
-//     out by its own layout within its padded slab.
+// slabs are padded to a common, cache-line-aligned stride. The
+// instances are one bound algorithm, repeated, or different instances
+// of one algorithm family (same call structure, shapes free); either
+// way every instance binds each call to its own serial kernel, laid out
+// by its own layout within its slab.
 //
 // Execution is step-major — call s runs across all instances before
 // call s+1 — and fills consume the deterministic stream instance-major,
@@ -51,15 +45,14 @@ type BatchPlan struct {
 	lender *Slab
 	arena  []float64
 	insts  []planInstance
-	// steps[s] runs call s across every instance: one batched step, or
-	// one serial step per instance.
+	// steps[s] runs call s across every instance, one step per instance.
 	steps      [][]step
 	spdScratch []float64
 	times      []float64
 }
 
 // planInstance is one instance of a plan: its layout (shared between
-// the instances of a homogeneous plan) and its operand headers, carved
+// the instances of one bound algorithm) and its operand headers, carved
 // out of the arena at its slab base plus the layout's offsets.
 type planInstance struct {
 	lay *Layout
@@ -67,7 +60,7 @@ type planInstance struct {
 }
 
 // CompileBatchPlan lowers the algorithm into a BatchPlan over count
-// same-shape instances bound to the batched drivers. Compilation
+// same-shape instances. Compilation
 // allocates everything an execution will ever need, so Execute and
 // ExecuteTimed are allocation-free afterwards.
 func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
@@ -89,9 +82,7 @@ func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 // instances into one fused plan. Every element must be the same
 // algorithm of the same expression (same call structure: count, kinds,
 // transposes, operand IDs) bound at its own instance; shapes may differ
-// freely. Consecutive elements that are one pointer share one layout,
-// and a batch of one pointer binds the batched drivers, as
-// CompileBatchPlan does.
+// freely. Consecutive elements that are one pointer share one layout.
 func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
 	lays := make([]*Layout, len(algs))
 	for i, alg := range algs {
@@ -118,10 +109,8 @@ func newBatchPlan(lays []*Layout, slab *Slab) (*BatchPlan, error) {
 }
 
 // compile is the plan compiler: it takes one layout per instance,
-// carves their operand headers out of one arena, and binds the calls —
-// to the batched drivers when every instance shares one layout and
-// there is more than one, to per-instance serial kernels otherwise. The
-// arena comes from slab when one is given, unzeroed (operands are
+// carves their operand headers out of one arena, and binds every
+// instance's calls to the serial kernels. The arena comes from slab when one is given, unzeroed (operands are
 // written before they are read), and is allocated for the plan alone
 // otherwise.
 func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
@@ -129,7 +118,6 @@ func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 	if count < 1 {
 		return fmt.Errorf("exec: batch plan needs at least one instance")
 	}
-	homog := true
 	p.insts = make([]planInstance, count)
 	arenaLen, scratchLen := 0, 0
 	for i, lay := range lays {
@@ -138,7 +126,6 @@ func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 			continue
 		}
 		if i > 0 {
-			homog = false
 			if err := sameCallStructure(lays[0].alg, lay.alg); err != nil {
 				return fmt.Errorf("exec: mixed batch instance %d: %w", i, err)
 			}
@@ -164,23 +151,12 @@ func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 	p.spdScratch = buf[n:]
 	for inst := range p.insts {
 		pi := &p.insts[inst]
-		pi.ops = carveOperands(pi.lay, p.arena[inst*p.stride:], false)
+		pi.ops = carveOperands(pi.lay, p.arena[inst*p.stride:])
 	}
 
 	calls := lays[0].alg.Calls
 	p.steps = make([][]step, len(calls))
 	p.times = make([]float64, len(calls))
-	if homog && count > 1 {
-		// Batch-base headers: instance 0's operands with open-ended data,
-		// so the batched drivers can stride forward through the slab.
-		bases := carveOperands(lays[0], p.arena, true)
-		steps := make([]step, len(calls))
-		for s, c := range calls {
-			steps[s] = step{binders[c.Kind].batched, bind(c, lays[0], bases, p.stride, count)}
-			p.steps[s] = steps[s : s+1 : s+1]
-		}
-		return nil
-	}
 	steps := make([]step, len(calls)*count)
 	for s := range p.steps {
 		p.steps[s] = steps[s*count : (s+1)*count : (s+1)*count]
@@ -188,24 +164,20 @@ func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 	for inst := range p.insts {
 		pi := &p.insts[inst]
 		for s, c := range pi.lay.alg.Calls {
-			p.steps[s][inst] = step{binders[c.Kind].serial, bind(c, pi.lay, pi.ops, 0, 1)}
+			p.steps[s][inst] = step{binders[c.Kind], bind(c, pi.lay, pi.ops)}
 		}
 	}
 	return nil
 }
 
 // carveOperands returns the operand headers of one instance whose slab
-// starts at slab[0], in the layout's operand order. Open-ended headers
-// keep the rest of the slab in their Data, for the batched drivers.
-func carveOperands(lay *Layout, slab []float64, openEnded bool) []mat.Dense {
+// starts at slab[0], in the layout's operand order.
+func carveOperands(lay *Layout, slab []float64) []mat.Dense {
 	ops := make([]mat.Dense, len(lay.order))
 	for i, id := range lay.order {
 		sh := lay.alg.Shapes[id]
-		data := slab[lay.offsets[i]:]
-		if !openEnded {
-			data = data[:lay.sizes[i]]
-		}
-		ops[i] = mat.Dense{Rows: sh.Rows, Cols: sh.Cols, Stride: max(sh.Rows, 1), Data: data}
+		off := lay.offsets[i]
+		ops[i] = mat.Dense{Rows: sh.Rows, Cols: sh.Cols, Stride: max(sh.Rows, 1), Data: slab[off : off+lay.sizes[i]]}
 	}
 	return ops
 }

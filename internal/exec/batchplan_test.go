@@ -13,15 +13,13 @@ import (
 	"lamb/internal/xrand"
 )
 
-// TestBatchPlanMatchesSequential pins the tentpole equivalence: a fused
-// batch execution produces bitwise-identical results to running the
+// TestBatchPlanMatchesSequential pins the fused equivalence: a batch
+// execution produces bitwise-identical results to running the
 // single-instance plan once per instance from the same fill stream —
-// for a batch of one (serial kernels) and a homogeneous batch (batched
-// drivers) — for every algorithm of every registered expression at a
-// random small instance. It runs at blas worker caps 1, 2, and 4, so
-// the parallel batched drivers are held to the same bitwise standard as
-// the serial ones, and with a batch wider than one fused chunk
-// (72 > 64), so the chunked regime is covered too.
+// for a batch of one and a homogeneous batch — for every algorithm of
+// every registered expression at a random small instance. It runs at
+// blas worker caps 1, 2, and 4, and with a batch wider than one fused
+// chunk (72 > 64).
 func TestBatchPlanMatchesSequential(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(0))
 	for _, workers := range []int{1, 2, 4} {
@@ -212,13 +210,11 @@ func TestBatchPlanArenaLayout(t *testing.T) {
 }
 
 // TestMeasuredTimeAlgorithmBatchZeroAllocs extends the zero-alloc
-// guarantee to the fused batched paths: after the batch plan is
-// compiled (first repetition), a fused batch repetition — refill all
-// instances, flush, execute every batched call — performs zero heap
-// allocations, serial and through the parallel tier alike (the
-// persistent workers and the free-listed job descriptors keep the
-// dispatch alloc-free). A mixed plan's fill and Execute are held to the
-// same standard.
+// guarantee to fused batch plans: after the batch plan is compiled
+// (first repetition), a fused batch repetition — refill all instances,
+// flush, execute every call of every instance — performs zero heap
+// allocations at worker caps 1 and 2. A mixed plan's fill and Execute
+// are held to the same standard.
 func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
 	e := NewMeasured()
@@ -260,7 +256,7 @@ func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		blas.SetMaxWorkers(workers)
 		for _, c := range cases {
-			c.rep() // compile the plan, warm pools + workers
+			c.rep() // compile the plan, warm the pools
 			if allocs := testing.AllocsPerRun(10, c.rep); allocs != 0 {
 				t.Errorf("workers=%d %s: %v allocs per fused batch repetition, want 0", workers, c.label, allocs)
 			}

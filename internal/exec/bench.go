@@ -76,7 +76,7 @@ type AlgBenchResult struct {
 // min-FLOPs algorithm of an expression executed over a batch of small
 // instances, once as the engine's per-instance dispatch (fill, flush,
 // execute for every instance) and once fused through one BatchPlan (fill
-// all, one flush, batched drivers). Rates are aggregate across the whole
+// all, one flush, one execution). Rates are aggregate across the whole
 // batch; Speedup is the fused-over-sequential wall-time ratio.
 type BatchBenchResult struct {
 	// Expr and Inst identify the expression and the per-instance sizes.
@@ -99,23 +99,6 @@ type BatchBenchResult struct {
 	SeqQPS   float64 `json:"seq_qps"`
 	FusedQPS float64 `json:"fused_qps"`
 	// Speedup is SeqSeconds / FusedSeconds.
-	Speedup float64 `json:"speedup"`
-	// ParFused holds the parallel-tier points: the same fused batch
-	// executed with the blas worker cap at 1, 2, 4 (the workers=1 point
-	// is the serial-fused baseline re-measured through the same sweep).
-	// On a single-core host the parallel tier cannot beat serial and
-	// parity is the expected outcome (see BenchReport.Meta).
-	ParFused []ParFusedPoint `json:"par_fused,omitempty"`
-}
-
-// ParFusedPoint is one parallel-tier fused measurement of a batch bench
-// point at a fixed blas worker cap.
-type ParFusedPoint struct {
-	Workers int     `json:"workers"`
-	Seconds float64 `json:"seconds"`
-	GFlops  float64 `json:"gflops"`
-	QPS     float64 `json:"qps"`
-	// Speedup is the serial-fused median over this point's median.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -285,22 +268,15 @@ func minFlopsAlg(algs []expr.Algorithm) *expr.Algorithm {
 	return best
 }
 
-// benchParWorkers is the worker-cap sweep the batch grid measures its
-// parallel-fused points at.
-var benchParWorkers = []int{1, 2, 4}
-
 // BenchBatch times one fused-vs-sequential comparison point: count
 // instances of the expression's min-FLOPs algorithm, first dispatched
 // per instance exactly as the engine's sequential path does (refill,
 // cache flush, execute — per instance), then fused through one BatchPlan
-// (refill all, one flush, one batched execution). Both paths run the
-// full measurement protocol, so the gap is the fused design's win:
-// amortised flushes, shared packing buffers, and no per-dispatch setup.
-// The sequential and fused baselines run with the blas worker cap at 1
-// (serial fused kernels); each entry of parWorkers then re-times the
-// fused batch with the cap at that count, so the parallel batched tier
-// is measured against the serial-fused baseline at every width.
-func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps int, parWorkers []int) BatchBenchResult {
+// (refill all, one flush, one execution). Both paths run the full
+// measurement protocol, so the gap is what fusing saves: amortised
+// flushes and per-dispatch setup. Both run with the blas worker cap at
+// 1.
+func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps int) BatchBenchResult {
 	if reps < 1 {
 		reps = 1
 	}
@@ -332,7 +308,7 @@ func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps in
 	}
 	seqMed, fusedMed := stats.Median(seq), stats.Median(fused)
 	flops := float64(count) * alg.Flops()
-	res := BatchBenchResult{
+	return BatchBenchResult{
 		Expr:         exprName,
 		Inst:         inst.String(),
 		Alg:          alg.Index,
@@ -346,34 +322,13 @@ func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps in
 		FusedQPS:     float64(count) / fusedMed,
 		Speedup:      seqMed / fusedMed,
 	}
-	for _, w := range parWorkers {
-		blas.SetMaxWorkers(w)
-		e.TimeAlgorithmBatch(alg, count, 0) // warm the worker pool at this cap
-		par := make([]float64, reps)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			e.TimeAlgorithmBatch(alg, count, uint64(r))
-			par[r] = time.Since(start).Seconds()
-		}
-		med := stats.Median(par)
-		res.ParFused = append(res.ParFused, ParFusedPoint{
-			Workers: w,
-			Seconds: med,
-			GFlops:  flops / med / 1e9,
-			QPS:     float64(count) / med,
-			Speedup: fusedMed / med,
-		})
-		blas.SetMaxWorkers(1)
-	}
-	return res
 }
 
 // RunBatchBench runs the fused-batch comparison grid: every registered
 // expression at uniform instance dimensions 8 through 64, batch width 64
 // (one fused chunk). These are the serving-regime sizes the fused path
 // exists for — small instances whose measurement cost is dominated by
-// per-dispatch overheads rather than kernel arithmetic. Every point also
-// carries parallel-fused measurements at worker caps 1, 2, 4.
+// per-dispatch overheads rather than kernel arithmetic.
 func RunBatchBench(e *Measured, short bool, reps int) []BatchBenchResult {
 	dims, count := []int{8, 16, 32, 64}, 64
 	if short {
@@ -390,7 +345,7 @@ func RunBatchBench(e *Measured, short bool, reps int) []BatchBenchResult {
 			for i := range inst {
 				inst[i] = d
 			}
-			out = append(out, BenchBatch(e, name, inst, count, reps, benchParWorkers))
+			out = append(out, BenchBatch(e, name, inst, count, reps))
 		}
 	}
 	return out
@@ -460,9 +415,6 @@ func RunBenchGrid(short bool, reps int, algs, batch bool) BenchReport {
 		Workers:    blas.Workers(),
 		PeakGFlops: e.Peak() / 1e9,
 		Meta:       map[string]string{"ncpu": strconv.Itoa(runtime.NumCPU())},
-	}
-	if batch && runtime.NumCPU() == 1 {
-		rep.Meta["batch_note"] = "single-core host: parallel-fused points run the worker tier but cannot beat serial-fused; parity is the expected outcome"
 	}
 	for _, call := range benchGrid(short) {
 		rep.Results = append(rep.Results, BenchCall(call, reps, rng))

@@ -54,7 +54,7 @@ type Executor interface {
 // per-instance path.
 type BatchExecutor interface {
 	// LayoutChunk reports the chunk width of the algorithm laid out as
-	// lay: how many instances one packed sweep — and one fused
+	// lay: how many instances one fused plan — and one fused
 	// measurement repetition — should execute together, so the chunk's
 	// working set stays within the slab budget. 0 means out of the fused
 	// regime. One fused plan may span up to MaxFusedChunks chunks.

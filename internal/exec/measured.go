@@ -132,11 +132,10 @@ func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 // batchSlabFloats is the fused-batch slab budget in float64s (4 MiB).
 // Fusing exists to amortise fixed per-dispatch costs across instances
 // whose working sets are cache-resident; the budget applies per *chunk*
-// — the contiguous instance range one packed sweep works through — not
-// per batch, so wide batches execute as successive chunks (distributed
-// across workers by the parallel batched drivers) while each chunk's
-// working set stays cache-sized. Instances whose arena cannot fit at
-// least two slabs in the budget are not fused at all.
+// — the contiguous instance range one fused plan executes — not per
+// batch, so wide batches execute as successive chunks while each
+// chunk's working set stays cache-sized. Instances whose arena cannot
+// fit at least two slabs in the budget are not fused at all.
 const batchSlabFloats = (4 << 20) / 8
 
 // MaxFusedChunks bounds how many chunk widths one fused batch plan may
@@ -159,7 +158,7 @@ func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
 }
 
 // LayoutChunk implements BatchExecutor: the chunk width for the
-// algorithm laid out as lay — how many instances one packed sweep (and
+// algorithm laid out as lay — how many instances one fused plan (and
 // one fused measurement repetition) should execute together so the
 // chunk's arena fits the slab budget at least twice. 0 means the
 // algorithm is out of the fused regime (instance arena too large).

@@ -33,9 +33,8 @@ type planFill struct {
 	kind kernels.FillKind
 }
 
-// Layout is the shape-level stage of plan compilation, shared by the
-// single-instance and batched compilers: one bound algorithm's operand
-// table, liveness, arena offsets, and input-refill recipe. It holds no
+// Layout is the shape-level stage of plan compilation: one bound
+// algorithm's operand table, liveness, arena offsets, and input-refill recipe. It holds no
 // storage — only where everything goes — and is read-only once built,
 // so one Layout may serve any number of plans, concurrently compiled
 // or not (the engine keeps one per selected algorithm of a bound set).
@@ -284,64 +283,30 @@ func layoutArena(nsteps int, first, last, sizes []int) (offsets []int, arenaLen 
 
 // operands are one bound call's matrices: a and b are its first two
 // inputs (nil past len(In)) and out is its output, which an in-place kind
-// also finds among its inputs. A batched binding reaches count
-// instances, each operand's instances stride float64s apart.
+// also finds among its inputs.
 type operands struct {
 	a, b, out      *mat.Dense
 	transA, transB bool
 	outID          string
-	stride, count  int
 }
 
-// binder is one kind's row of the binder table: serial runs the call on
-// one instance with the serial BLAS kernels, batched on every instance
-// with the batched drivers. Per instance the two agree bit for bit, and
-// both match the map-based oracle the plan tests pin them against. A
-// plan of one keeps the serial column: the measured timings are those
-// of the serial kernels.
-type binder struct{ serial, batched func(o operands) }
-
-var binders = [kernels.NumKinds]binder{
-	kernels.Gemm: {
-		serial: func(o operands) { blas.Gemm(o.transA, o.transB, 1, o.a, o.b, 0, o.out) },
-		batched: func(o operands) {
-			blas.GemmBatch(o.transA, o.transB, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
-		},
+// binders holds one function per kind: each runs the call on one
+// instance with the serial BLAS kernels. The plan tests pin them
+// against the map-based oracle.
+var binders = [kernels.NumKinds]func(o operands){
+	kernels.Gemm: func(o operands) { blas.Gemm(o.transA, o.transB, 1, o.a, o.b, 0, o.out) },
+	kernels.Syrk: func(o operands) {
+		if o.transA {
+			blas.SyrkT(mat.Lower, 1, o.a, 0, o.out)
+		} else {
+			blas.Syrk(mat.Lower, 1, o.a, 0, o.out)
+		}
 	},
-	kernels.Syrk: {
-		serial: func(o operands) {
-			if o.transA {
-				blas.SyrkT(mat.Lower, 1, o.a, 0, o.out)
-			} else {
-				blas.Syrk(mat.Lower, 1, o.a, 0, o.out)
-			}
-		},
-		batched: func(o operands) {
-			blas.SyrkBatch(mat.Lower, o.transA, 1, o.a, o.stride, 0, o.out, o.stride, o.count)
-		},
-	},
-	kernels.Symm: {
-		serial: func(o operands) { blas.Symm(mat.Lower, 1, o.a, o.b, 0, o.out) },
-		batched: func(o operands) {
-			blas.SymmBatch(mat.Lower, 1, o.a, o.stride, o.b, o.stride, 0, o.out, o.stride, o.count)
-		},
-	},
-	kernels.Tri2Full: {
-		serial:  func(o operands) { blas.Tri2Full(mat.Lower, o.out) },
-		batched: func(o operands) { blas.Tri2FullBatch(mat.Lower, o.out, o.stride, o.count) },
-	},
-	kernels.Potrf: {
-		serial:  func(o operands) { mustBeSPD(blas.Potrf(o.out), o.outID) },
-		batched: func(o operands) { mustBeSPD(blas.PotrfBatch(o.out, o.stride, o.count), o.outID) },
-	},
-	kernels.Trsm: {
-		serial:  func(o operands) { blas.Trsm(mat.Lower, o.transA, 1, o.a, o.out) },
-		batched: func(o operands) { blas.TrsmBatch(mat.Lower, o.transA, 1, o.a, o.stride, o.out, o.stride, o.count) },
-	},
-	kernels.AddSym: {
-		serial:  func(o operands) { blas.AddSym(mat.Lower, o.out, o.b) },
-		batched: func(o operands) { blas.AddSymBatch(mat.Lower, o.out, o.stride, o.b, o.stride, o.count) },
-	},
+	kernels.Symm:     func(o operands) { blas.Symm(mat.Lower, 1, o.a, o.b, 0, o.out) },
+	kernels.Tri2Full: func(o operands) { blas.Tri2Full(mat.Lower, o.out) },
+	kernels.Potrf:    func(o operands) { mustBeSPD(blas.Potrf(o.out), o.outID) },
+	kernels.Trsm:     func(o operands) { blas.Trsm(mat.Lower, o.transA, 1, o.a, o.out) },
+	kernels.AddSym:   func(o operands) { blas.AddSym(mat.Lower, o.out, o.b) },
 }
 
 // mustBeSPD panics if the in-place Cholesky factorisation of operand id
@@ -352,8 +317,8 @@ func mustBeSPD(err error, id string) {
 	}
 }
 
-// step is one bound call of a plan: a binder column and the operands it
-// runs on.
+// step is one bound call of a plan: its kind's binder and the operands
+// it runs on.
 type step struct {
 	run func(operands)
 	o   operands
@@ -361,20 +326,19 @@ type step struct {
 
 // bind resolves the call's operands to the headers ops, laid out as
 // lay, once at compile time.
-func bind(c kernels.Call, lay *Layout, ops []mat.Dense, stride, count int) operands {
+func bind(c kernels.Call, lay *Layout, ops []mat.Dense) operands {
 	in := func(i int) *mat.Dense {
 		if i < len(c.In) {
 			return &ops[lay.index[c.In[i]]]
 		}
 		return nil
 	}
-	return operands{a: in(0), b: in(1), out: &ops[lay.index[c.Out]], transA: c.TransA, transB: c.TransB,
-		outID: c.Out, stride: stride, count: count}
+	return operands{a: in(0), b: in(1), out: &ops[lay.index[c.Out]], transA: c.TransA, transB: c.TransB, outID: c.Out}
 }
 
 // fillOperand refills one operand in place according to its fill kind.
-// Shared by the single-instance and batched fill loops; it performs no
-// heap allocations (the SPD scratch buffer is sized at compile time).
+// It performs no heap allocations (the SPD scratch buffer is sized at
+// compile time).
 func fillOperand(m *mat.Dense, kind kernels.FillKind, spdScratch []float64, rng *xrand.Rand) {
 	switch kind {
 	case kernels.FillRandom:
