@@ -142,7 +142,8 @@ subcommands:
 run 'lamb <subcommand> -h' for flags`)
 }
 
-// commonFlags holds the flags shared by experiment subcommands.
+// commonFlags holds the flags shared by experiment subcommands. serve
+// and route register only the ones they read.
 type commonFlags struct {
 	exprName string
 	backend  string
@@ -154,16 +155,27 @@ type commonFlags struct {
 }
 
 func registerCommon(fs *flag.FlagSet) *commonFlags {
-	c := &commonFlags{}
+	c := registerBackend(fs)
+	c.registerReps(fs)
 	fs.StringVar(&c.exprName, "expr", "chain",
 		"expression: "+strings.Join(lamb.Expressions(), ", "))
-	fs.StringVar(&c.backend, "backend", "sim", "backend: sim (simulated machine) or blas (measured pure-Go BLAS)")
 	fs.StringVar(&c.scale, "scale", "quick", "scale: quick or paper")
 	fs.Uint64Var(&c.seed, "seed", 42, "master seed")
-	fs.IntVar(&c.reps, "reps", 10, "timing repetitions per test")
 	fs.IntVar(&c.workers, "workers", 0, "parallel evaluation workers (sim backend only; 0 = GOMAXPROCS)")
 	fs.StringVar(&c.outDir, "out", "", "directory for raw CSV output (optional)")
 	return c
+}
+
+// registerBackend registers -backend alone.
+func registerBackend(fs *flag.FlagSet) *commonFlags {
+	c := &commonFlags{}
+	fs.StringVar(&c.backend, "backend", "sim", "backend: sim (simulated machine) or blas (measured pure-Go BLAS)")
+	return c
+}
+
+// registerReps registers -reps.
+func (c *commonFlags) registerReps(fs *flag.FlagSet) {
+	fs.IntVar(&c.reps, "reps", 10, "timing repetitions per test")
 }
 
 func (c *commonFlags) expression() (lamb.Expression, error) {

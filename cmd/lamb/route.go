@@ -33,10 +33,9 @@ import (
 // breaker state, retry/hedge/degradation/gossip counters).
 func cmdRoute(args []string) error {
 	fs := flag.NewFlagSet("route", flag.ExitOnError)
-	c := registerCommon(fs)
+	c := registerBackend(fs)
 	addr := fs.String("addr", "127.0.0.1:8373", "listen address (use :0 for an ephemeral port)")
 	backends := fs.String("backends", "", "comma-separated lamb serve base URLs (required)")
-	replicas := fs.Int("replicas", 64, "virtual nodes per backend on the hash ring")
 	probeEvery := fs.Duration("probe-every", time.Second, "health-probe interval")
 	probeTimeout := fs.Duration("probe-timeout", 500*time.Millisecond, "per-probe timeout")
 	downAfter := fs.Int("down-after", 2, "consecutive probe failures that mark a backend down")
@@ -46,7 +45,6 @@ func cmdRoute(args []string) error {
 	attemptTimeout := fs.Duration("attempt-timeout", 5*time.Second, "per-attempt forward timeout")
 	hedgeAfter := fs.Duration("hedge-after", 0, "hedge timed (oracle) queries after this delay (0 disables)")
 	mergeEvery := fs.Duration("merge-every", 0, "anti-entropy outcome-gossip interval (0 disables)")
-	mergeScale := fs.Float64("merge-scale", 0.5, "weight discount for gossiped outcomes, in (0, 1]")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -67,7 +65,6 @@ func cmdRoute(args []string) error {
 	}
 	rt, err := router.New(router.Config{
 		Backends:       urls,
-		Replicas:       *replicas,
 		ProbeEvery:     *probeEvery,
 		ProbeTimeout:   *probeTimeout,
 		DownAfter:      *downAfter,
@@ -77,7 +74,6 @@ func cmdRoute(args []string) error {
 		AttemptTimeout: *attemptTimeout,
 		HedgeAfter:     *hedgeAfter,
 		MergeEvery:     *mergeEvery,
-		MergeScale:     *mergeScale,
 		Local:          local,
 	})
 	if err != nil {

@@ -83,7 +83,8 @@ import (
 // alternative algorithms.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	c := registerCommon(fs)
+	c := registerBackend(fs)
+	c.registerReps(fs)
 	addr := fs.String("addr", "127.0.0.1:8374", "listen address (use :0 for an ephemeral port)")
 	bindEntries := fs.Int("bind-cache", engine.DefaultBindEntries, "binding-layer LRU entries")
 	profilePath := fs.String("profile", "", "persisted kernel-profile store (enables min-predicted and adaptive; SIGHUP re-reads it)")

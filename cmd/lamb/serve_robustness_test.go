@@ -495,3 +495,15 @@ func TestServeReloadRaceUnderTraffic(t *testing.T) {
 		t.Fatalf("generation %+v, want %d", stats.Profile, reloads+1)
 	}
 }
+
+// TestServeRejectsExperimentFlags checks that serve registers only the
+// flags it reads: each experiment flag fails at parse time instead of
+// being accepted and ignored.
+func TestServeRejectsExperimentFlags(t *testing.T) {
+	for _, name := range []string{"-expr", "-scale", "-seed", "-workers", "-out"} {
+		_, err := tryStartServeProc(t, nil, "-addr", "127.0.0.1:0", name, "1")
+		if want := "flag provided but not defined: " + name; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("serve %s 1: err %v, want %q", name, err, want)
+		}
+	}
+}

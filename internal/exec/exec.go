@@ -180,12 +180,3 @@ func Efficiency(call kernels.Call, seconds, peak float64) float64 {
 	}
 	return call.Flops() / (seconds * peak)
 }
-
-// AlgorithmEfficiency returns the efficiency of a whole algorithm run:
-// its total FLOP count over (total time × peak).
-func AlgorithmEfficiency(alg *expr.Algorithm, total, peak float64) float64 {
-	if total <= 0 || peak <= 0 {
-		return 0
-	}
-	return alg.Flops() / (total * peak)
-}

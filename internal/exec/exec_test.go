@@ -164,13 +164,6 @@ func TestEfficiencyHelpers(t *testing.T) {
 	if Efficiency(call, 0, 1) != 0 || Efficiency(call, 1, 0) != 0 {
 		t.Fatal("degenerate efficiency should be 0")
 	}
-	algs := expr.NewChainABCD().Algorithms(expr.Instance{10, 10, 10, 10, 10})
-	if AlgorithmEfficiency(&algs[0], 1e-6, 1e9) <= 0 {
-		t.Fatal("algorithm efficiency should be positive")
-	}
-	if AlgorithmEfficiency(&algs[0], 0, 1e9) != 0 {
-		t.Fatal("degenerate algorithm efficiency should be 0")
-	}
 }
 
 func TestEvaluateAlgorithmChainEquivalence(t *testing.T) {

@@ -14,13 +14,17 @@ import (
 // Anti-entropy gossip: every MergeEvery the router pulls each up
 // backend's local outcome snapshot (GET /api/v1/outcomes — firsthand
 // evidence only) and pushes it to every other up backend
-// (POST /api/v1/admin/merge), weights discounted by MergeScale. The merge
+// (POST /api/v1/admin/merge), weights discounted by mergeScale. The merge
 // endpoint is idempotent (replace-by-source), so overlapping rounds,
 // retries, and multiple routers gossiping the same fleet are all safe —
 // convergence without coordination. This is what turns N shard-local
 // feedback memories into fleet-wide learning: evidence measured where
 // an instance is owned still strengthens the replicas that would serve
 // it after a failover.
+
+// mergeScale is the weight discount gossip posts with every merge:
+// secondhand evidence counts half.
+const mergeScale = 0.5
 
 func (rt *Router) gossipLoop() {
 	t := time.NewTicker(rt.cfg.MergeEvery)
@@ -93,7 +97,7 @@ func (rt *Router) pushMerge(ctx context.Context, dst *backendState, source strin
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
 	path := "/api/v1/admin/merge?source=" + url.QueryEscape(source) +
-		"&scale=" + url.QueryEscape(fmt.Sprintf("%g", rt.cfg.MergeScale))
+		"&scale=" + url.QueryEscape(fmt.Sprintf("%g", mergeScale))
 	res := dst.conns.exchange(ctx, path, snap)
 	if res.err != nil {
 		return 0, res.err

@@ -37,14 +37,17 @@ type ringPoint struct {
 	backend int // index into backends
 }
 
-// newRing places vnodes virtual nodes per backend. More vnodes smooth
-// the load split at the cost of a longer sorted array; with the small
-// fleets a router fronts, 64 per backend keeps the imbalance within a
-// few percent.
-func newRing(backends []string, vnodes int) *ring {
-	r := &ring{backends: backends, points: make([]ringPoint, 0, len(backends)*vnodes)}
+// ringReplicas is the virtual-node count per backend. More virtual
+// nodes smooth the load split at the cost of a longer sorted array;
+// with the small fleets a router fronts, 64 per backend keeps the
+// imbalance within a few percent.
+const ringReplicas = 64
+
+// newRing places ringReplicas virtual nodes per backend.
+func newRing(backends []string) *ring {
+	r := &ring{backends: backends, points: make([]ringPoint, 0, len(backends)*ringReplicas)}
 	for i, b := range backends {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringReplicas; v++ {
 			r.points = append(r.points, ringPoint{hash: hash64([]byte(b + "#" + strconv.Itoa(v))), backend: i})
 		}
 	}

@@ -21,8 +21,6 @@ type Config struct {
 	// Backends are the `lamb serve` base URLs the ring shards over.
 	// At least one is required.
 	Backends []string
-	// Replicas is the virtual-node count per backend (default 64).
-	Replicas int
 
 	// ProbeEvery is the health-probe interval (default 1s); ProbeTimeout
 	// bounds one probe (default 500ms); DownAfter is the consecutive
@@ -51,10 +49,8 @@ type Config struct {
 
 	// MergeEvery, when positive, runs the anti-entropy gossip loop:
 	// each round pulls every up backend's local outcome snapshot and
-	// pushes it to the others, weights discounted by MergeScale
-	// (default 0.5 — secondhand evidence counts half).
+	// pushes it to the others, weights discounted by mergeScale.
 	MergeEvery time.Duration
-	MergeScale float64
 
 	// Local, when set, is the in-process engine the router degrades to
 	// when no backend can answer: selection keeps working on the
@@ -172,9 +168,6 @@ func New(cfg Config) (*Router, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("router: at least one backend is required")
 	}
-	if cfg.Replicas <= 0 {
-		cfg.Replicas = 64
-	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = time.Second
 	}
@@ -198,12 +191,9 @@ func New(cfg Config) (*Router, error) {
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 5 * time.Second
 	}
-	if cfg.MergeScale <= 0 || cfg.MergeScale > 1 {
-		cfg.MergeScale = 0.5
-	}
 	rt := &Router{
 		cfg:   cfg,
-		ring:  newRing(cfg.Backends, cfg.Replicas),
+		ring:  newRing(cfg.Backends),
 		byURL: make(map[string]*backendState, len(cfg.Backends)),
 		stop:  make(chan struct{}),
 		conf:  make(map[uint64]float64),

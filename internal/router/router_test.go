@@ -54,7 +54,7 @@ func fnvHash64(s string) uint64 {
 
 func TestRingCandidatesDistinctAndStable(t *testing.T) {
 	backends := []string{"http://a", "http://b", "http://c"}
-	r := newRing(backends, 64)
+	r := newRing(backends)
 	key := shardHash("AATB", []int{80, 514, 768})
 	cands := r.candidates(key)
 	if len(cands) != 3 {
@@ -568,7 +568,7 @@ func TestRouterGossipMergeRound(t *testing.T) {
 	}
 	a, aCalls := newGossipBackend()
 	b, bCalls := newGossipBackend()
-	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}, MergeScale: 0.5})
+	rt := testRouter(t, Config{Backends: []string{a.srv.URL, b.srv.URL}})
 	rt.MergeRound(context.Background())
 	if len(*aCalls) != 1 || len(*bCalls) != 1 {
 		t.Fatalf("merge calls a=%v b=%v", *aCalls, *bCalls)
