@@ -6,8 +6,8 @@ package exec
 // slabs are padded to a common, cache-line-aligned stride. The
 // instances are one bound algorithm, repeated, or different instances
 // of one algorithm family (same call structure, shapes free); either
-// way every instance binds each call to its own serial kernel, laid out
-// by its own layout within its slab.
+// way each instance binds every call to the serial kernels on its own
+// operands.
 //
 // Execution is step-major — call s runs across all instances before
 // call s+1 — and fills consume the deterministic stream instance-major,
@@ -60,9 +60,9 @@ type planInstance struct {
 }
 
 // CompileBatchPlan lowers the algorithm into a BatchPlan over count
-// same-shape instances. Compilation
-// allocates everything an execution will ever need, so Execute and
-// ExecuteTimed are allocation-free afterwards.
+// same-shape instances. Compilation allocates everything an execution
+// will ever need, so Execute and ExecuteTimed are allocation-free
+// afterwards.
 func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
 	if count < 1 {
 		return nil, fmt.Errorf("exec: batch plan needs count >= 1, got %d", count)
@@ -110,9 +110,9 @@ func newBatchPlan(lays []*Layout, slab *Slab) (*BatchPlan, error) {
 
 // compile is the plan compiler: it takes one layout per instance,
 // carves their operand headers out of one arena, and binds every
-// instance's calls to the serial kernels. The arena comes from slab when one is given, unzeroed (operands are
-// written before they are read), and is allocated for the plan alone
-// otherwise.
+// instance's calls to the serial kernels. The arena comes from slab
+// when one is given, unzeroed (operands are written before they are
+// read), and is allocated for the plan alone otherwise.
 func (p *BatchPlan) compile(lays []*Layout, slab *Slab) error {
 	count := len(lays)
 	if count < 1 {

@@ -34,10 +34,11 @@ type planFill struct {
 }
 
 // Layout is the shape-level stage of plan compilation: one bound
-// algorithm's operand table, liveness, arena offsets, and input-refill recipe. It holds no
-// storage — only where everything goes — and is read-only once built,
-// so one Layout may serve any number of plans, concurrently compiled
-// or not (the engine keeps one per selected algorithm of a bound set).
+// algorithm's operand table, liveness, arena offsets, and input-refill
+// recipe. It holds no storage — only where everything goes — and is
+// read-only once built, so one Layout may serve any number of plans,
+// concurrently compiled or not (the engine keeps one per selected
+// algorithm of a bound set).
 type Layout struct {
 	alg        *expr.Algorithm
 	order      []string
