@@ -168,14 +168,7 @@ func (e *Engine) execBucket(idxs []int, sel []target, out []Result) {
 		e.execUnfused(idxs, sel, out)
 		return
 	}
-	homog := true
-	for _, i := range idxs[1:] {
-		if sel[i].alg != sel[idxs[0]].alg {
-			homog = false
-			break
-		}
-	}
-	if !homog && maxChunk > heteroPaddingMax*minChunk {
+	if maxChunk > heteroPaddingMax*minChunk {
 		e.rejHetero.Add(uint64(len(idxs)))
 		e.execUnfused(idxs, sel, out)
 		return
