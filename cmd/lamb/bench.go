@@ -25,7 +25,6 @@ func cmdBench(args []string) error {
 	reps := fs.Int("reps", 5, "timed repetitions per grid point")
 	workersFlag := fs.Int("workers", 0, "kernel worker cap (0 = GOMAXPROCS)")
 	algs := fs.Bool("algs", false, "also time whole algorithms of every registered expression through compiled plans")
-	batch := fs.Bool("batch", false, "also run the fused-vs-sequential batch grid (small instances, batch width 64)")
 	compare := fs.Bool("compare", false, "compare two BENCH_<n>.json files: lamb bench -compare OLD.json NEW.json")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -40,7 +39,7 @@ func cmdBench(args []string) error {
 		defer blas.SetMaxWorkers(blas.SetMaxWorkers(*workersFlag))
 	}
 
-	rep := exec.RunBenchGrid(*short, *reps, *algs, *batch)
+	rep := exec.RunBenchGrid(*short, *reps, *algs)
 
 	fmt.Printf("lamb bench — backend %s, GOMAXPROCS %d, workers %d, peak %.2f GFLOP/s\n\n",
 		rep.Backend, rep.GoMaxProcs, rep.Workers, rep.PeakGFlops)
@@ -68,22 +67,6 @@ func cmdBench(args []string) error {
 				fmt.Sprintf("%.2f", a.GFlops),
 				fmt.Sprintf("%.2f", a.BestGFlops),
 				fmt.Sprint(a.AllocsPerRep),
-			})
-		}
-		if err := report.Table(os.Stdout, rows); err != nil {
-			return err
-		}
-	}
-
-	if len(rep.Batches) > 0 {
-		fmt.Println()
-		rows := [][]string{{"expr", "inst", "alg", "batch", "seq q/s", "fused q/s", "speedup"}}
-		for _, b := range rep.Batches {
-			rows = append(rows, []string{
-				b.Expr, b.Inst, fmt.Sprint(b.Alg), fmt.Sprint(b.Count),
-				fmt.Sprintf("%.0f", b.SeqQPS),
-				fmt.Sprintf("%.0f", b.FusedQPS),
-				fmt.Sprintf("%.2fx", b.Speedup),
 			})
 		}
 		if err := report.Table(os.Stdout, rows); err != nil {

@@ -33,14 +33,6 @@ type algPointKey struct {
 	Alg  int
 }
 
-// batchPointKey identifies a fused-batch point across reports.
-type batchPointKey struct {
-	Expr  string
-	Inst  string
-	Alg   int
-	Count int
-}
-
 func benchKey(r exec.BenchResult) benchPointKey {
 	return benchPointKey{Kernel: r.Kernel, M: r.M, N: r.N, K: r.K, TransA: r.TransA, TransB: r.TransB}
 }
@@ -60,6 +52,8 @@ func kernelLabel(r exec.BenchResult) string {
 	}
 }
 
+// loadBench reads a report. Sections BenchReport no longer has, such as
+// the fused-batch points BENCH_5 to BENCH_8 carry, are ignored.
 func loadBench(path string) (*exec.BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -164,37 +158,6 @@ func compareBench(w io.Writer, oldPath, newPath string) error {
 		if err := report.Table(w, rows); err != nil {
 			return err
 		}
-	}
-
-	// Fused-batch points, when both reports carry them. These deltas are
-	// informational only: fused throughput on small instances is noisy
-	// (and host-parallelism dependent), so batch points never make the
-	// comparison exit nonzero.
-	oldBatches := make(map[batchPointKey]exec.BatchBenchResult, len(oldRep.Batches))
-	for _, b := range oldRep.Batches {
-		oldBatches[batchPointKey{b.Expr, b.Inst, b.Alg, b.Count}] = b
-	}
-	if len(newRep.Batches) > 0 && len(oldBatches) > 0 {
-		fmt.Fprintln(w)
-		rows := [][]string{{"expr", "inst", "batch", "old fused q/s", "new fused q/s", "delta", "old speedup", "new speedup"}}
-		for _, nb := range newRep.Batches {
-			ob, ok := oldBatches[batchPointKey{nb.Expr, nb.Inst, nb.Alg, nb.Count}]
-			if !ok {
-				continue
-			}
-			common++
-			delta := "-"
-			if ob.FusedQPS > 0 {
-				delta = fmt.Sprintf("%+.1f%%", 100*(nb.FusedQPS/ob.FusedQPS-1))
-			}
-			rows = append(rows, []string{nb.Expr, nb.Inst, fmt.Sprint(nb.Count),
-				fmt.Sprintf("%.0f", ob.FusedQPS), fmt.Sprintf("%.0f", nb.FusedQPS), delta,
-				fmt.Sprintf("%.2fx", ob.Speedup), fmt.Sprintf("%.2fx", nb.Speedup)})
-		}
-		if err := report.Table(w, rows); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "(batch deltas are informational and never fail the comparison)")
 	}
 
 	if common == 0 {

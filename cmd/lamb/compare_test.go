@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -118,5 +119,37 @@ func TestCompareBenchNoCommonPoints(t *testing.T) {
 	var out strings.Builder
 	if err := compareBench(&out, oldPath, newPath); err == nil {
 		t.Fatal("disjoint reports must fail the comparison")
+	}
+}
+
+// TestCompareBenchIgnoresBatches pins that reports written while
+// `lamb bench` still had a fused-batch section (BENCH_5 to BENCH_8)
+// compare cleanly: the "batches" section is ignored, so neither its
+// points nor a collapse of its numbers count or fail the comparison.
+func TestCompareBenchIgnoresBatches(t *testing.T) {
+	committed := filepath.Join("..", "..", "BENCH_8.json")
+	var out strings.Builder
+	if err := compareBench(&out, committed, committed); err != nil {
+		t.Fatalf("BENCH_8.json against itself: %v\n%s", err, out.String())
+	}
+	if !strings.Contains(out.String(), "\n30 common point(s)") {
+		t.Errorf("want the 30 kernel points in common, batch points ignored:\n%s", out.String())
+	}
+	dir := t.TempDir()
+	report := func(name string, fusedQPS float64) string {
+		body := fmt.Sprintf(`{"results":[{"kernel":"gemm","m":64,"n":64,"k":64,"gflops":20}],`+
+			`"batches":[{"expr":"aatb","inst":"(8,8,8)","alg":1,"count":64,"fused_qps":%g,"speedup":2}]}`, fusedQPS)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	out.Reset()
+	if err := compareBench(&out, report("old.json", 1e5), report("new.json", 1)); err != nil {
+		t.Fatalf("a batch-only collapse failed the comparison: %v\n%s", err, out.String())
+	}
+	if strings.Contains(out.String(), "aatb") {
+		t.Errorf("batch points reported:\n%s", out.String())
 	}
 }

@@ -18,7 +18,7 @@ func cmdEnumerate(args []string) error {
 	c := registerCommon(fs)
 	instFlag := fs.String("inst", "", "instance sizes, e.g. 100,200,300 (default: paper example)")
 	terms := fs.Int("terms", 0, "general chain with this many terms (overrides -expr)")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 

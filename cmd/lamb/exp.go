@@ -218,7 +218,7 @@ func (p *pipeline) reportExp3(res lamb.Exp3Result) error {
 func cmdExp1(args []string) error {
 	fs := flag.NewFlagSet("exp1", flag.ExitOnError)
 	c := registerCommon(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	p, err := newPipeline(c)
@@ -232,7 +232,7 @@ func cmdExp2(args []string) error {
 	fs := flag.NewFlagSet("exp2", flag.ExitOnError)
 	c := registerCommon(fs)
 	lines := fs.Int("lines", 0, "render per-algorithm efficiency for this many lines (Figures 8/11)")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	p, err := newPipeline(c)
@@ -249,7 +249,7 @@ func cmdExp2(args []string) error {
 func cmdExp3(args []string) error {
 	fs := flag.NewFlagSet("exp3", flag.ExitOnError)
 	c := registerCommon(fs)
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	p, err := newPipeline(c)
@@ -271,7 +271,7 @@ func cmdAll(args []string) error {
 	fs := flag.NewFlagSet("all", flag.ExitOnError)
 	c := registerCommon(fs)
 	lines := fs.Int("lines", 2, "example lines to render per expression")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	for _, name := range []string{"chain", "aatb"} {

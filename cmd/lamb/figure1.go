@@ -20,7 +20,7 @@ func cmdFigure1(args []string) error {
 	step := fs.Int("step", 50, "size step")
 	kindList := fs.String("kinds", "gemm,syrk,symm",
 		"comma-separated kernel kinds to draw: "+strings.Join(flopKindNames(), ", "))
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	kinds, err := parseFlopKinds(*kindList)

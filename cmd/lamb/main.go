@@ -27,8 +27,7 @@
 //	           probes, circuit breakers, retries with backoff, optional
 //	           hedging (-hedge-after) and outcome gossip (-merge-every)
 //	bench      kernel benchmark grid (BENCH_<n>.json with -json; whole-
-//	           algorithm timings with -algs; fused-vs-sequential batch
-//	           grid with -batch; diff two reports with
+//	           algorithm timings with -algs; diff two reports with
 //	           -compare OLD.json NEW.json)
 //	loadtest   load generator against a running serve or route: closed
 //	           loop by default, coordinated-omission-free open loop with
@@ -47,7 +46,7 @@
 //	-backend sim|blas  simulated machine or measured pure-Go BLAS (default sim)
 //	-scale paper|quick paper-scale or smoke-test configuration (default quick)
 //	-seed N            master seed (default 42)
-//	-reps N            timing repetitions (default 10, the paper's value)
+//	-reps N            timing repetitions, at least 1 (default 10, the paper's value)
 //	-out DIR           also write raw CSV data into DIR
 package main
 
@@ -131,8 +130,8 @@ subcommands:
              hashing, health probes, breakers, retries, hedging, and
              outcome gossip; degrades to a local min-flops engine
   bench      kernel benchmark grid (writes BENCH_<n>.json with -json;
-             -algs times whole algorithms; -batch runs the fused-vs-
-             sequential batch grid; -compare OLD NEW diffs reports)
+             -algs times whole algorithms; -compare OLD NEW diffs
+             reports)
   loadtest   drive a running serve/route with query/batch traffic and
              report latency percentiles, throughput, and cache hit
              rates; -rate N switches to an open-loop arrival schedule
@@ -176,6 +175,19 @@ func registerBackend(fs *flag.FlagSet) *commonFlags {
 // registerReps registers -reps.
 func (c *commonFlags) registerReps(fs *flag.FlagSet) {
 	fs.IntVar(&c.reps, "reps", 10, "timing repetitions per test")
+}
+
+// parse parses the arguments of a command that registered -reps and
+// rejects a repetition count below 1, which would otherwise be
+// replaced by the default unseen while provenance records the flag.
+func (c *commonFlags) parse(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if c.reps < 1 {
+		return fmt.Errorf("-reps must be at least 1 (got %d)", c.reps)
+	}
+	return nil
 }
 
 func (c *commonFlags) expression() (lamb.Expression, error) {

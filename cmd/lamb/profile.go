@@ -21,7 +21,7 @@ func cmdProfile(args []string) error {
 	c := registerCommon(fs)
 	gridPoints := fs.Int("grid", 8, "profile grid points per dimension")
 	out := fs.String("o", "PROFILE.json", "output file")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	if *gridPoints < 2 {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -39,6 +40,31 @@ func TestCmdProfileRejectsDegenerateGrid(t *testing.T) {
 	for _, grid := range []string{"1", "0", "-3"} {
 		if err := cmdProfile([]string{"-backend", "sim", "-grid", grid, "-o", filepath.Join(t.TempDir(), "p.json")}); err == nil {
 			t.Errorf("-grid %s accepted", grid)
+		}
+	}
+}
+
+// TestCmdRejectsRepsBelowOne pins the shared -reps check: a command
+// that times refuses a repetition count below 1 before it measures,
+// serves or stamps provenance, instead of running the default count.
+func TestCmdRejectsRepsBelowOne(t *testing.T) {
+	cmds := map[string]func(reps string) error{
+		"profile": func(reps string) error {
+			return cmdProfile([]string{"-backend", "sim", "-reps", reps, "-grid", "2", "-o", filepath.Join(t.TempDir(), "p.json")})
+		},
+		"serve": func(reps string) error {
+			return cmdServe([]string{"-reps", reps, "-addr", "127.0.0.1:0"})
+		},
+		"select": func(reps string) error {
+			return cmdSelect([]string{"-expr", "aatb", "-instance", "8,8,8", "-strategy", "oracle", "-reps", reps})
+		},
+	}
+	for name, run := range cmds {
+		for _, reps := range []string{"0", "-3"} {
+			want := fmt.Sprintf("-reps must be at least 1 (got %s)", reps)
+			if err := run(reps); err == nil || err.Error() != want {
+				t.Errorf("%s -reps %s: err %v, want %q", name, reps, err, want)
+			}
 		}
 	}
 }

@@ -33,7 +33,7 @@ func cmdSelect(args []string) error {
 	profilePath := fs.String("profile", "", "persisted kernel-profile store (skips profile measurement)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable selection record (query mode)")
 	deadline := fs.Duration("deadline", 0, "query-mode deadline (0 = none; timed strategies degrade to min-flops when it expires)")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	if *instFlag != "" {

@@ -94,7 +94,7 @@ func cmdServe(args []string) error {
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = none; requests may set timeout_ms)")
 	maxInflight := fs.Int("max-inflight", defaultMaxInflight, "max concurrent query/batch requests before shedding with 503 (0 = unlimited)")
 	exploreRate := fs.Float64("explore-rate", 0, "fraction of adaptive queries answered by Thompson-sampling exploration (0 disables)")
-	if err := fs.Parse(args); err != nil {
+	if err := c.parse(fs, args); err != nil {
 		return err
 	}
 	eng, err := c.engineWithProfiles(*bindEntries, *profilePath, *halfLife, *exploreRate)

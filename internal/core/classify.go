@@ -111,7 +111,7 @@ func NewRunner(e expr.Expression, t *exec.Timer, threshold float64) *Runner {
 // Evaluate measures and classifies one instance.
 func (r *Runner) Evaluate(inst expr.Instance) InstanceResult {
 	algs := r.Expr.Algorithms(inst)
-	ms, err := r.Timer.MeasureSet(context.Background(), algs, 1)
+	ms, err := r.Timer.MeasureSet(context.Background(), algs)
 	if err != nil {
 		panic(err) // per-instance measurement under a background context cannot fail
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,11 +52,11 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 	}
 }
 
-// TestQueryBatchFusedMeasurement pins the fused-execute mode: a batch
-// query with a timed strategy in the small-instance regime measures
-// through fused batch plans, producing an ordinary oracle record (not
-// degraded, same candidate set as the per-instance path).
-func TestQueryBatchFusedMeasurement(t *testing.T) {
+// TestQueryBatchOracleMeasuresPerInstance pins that a batch oracle
+// query measures per instance: three identical queries coalesce into
+// one measurement, nothing counts as fused, and the record equals what
+// the same query asked alone produces (same candidates, undegraded).
+func TestQueryBatchOracleMeasuresPerInstance(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
 	res := e.Do(context.Background(), Request{Queries: []Query{q, q, q}})
@@ -66,58 +67,61 @@ func TestQueryBatchFusedMeasurement(t *testing.T) {
 	}
 	rec := res[0].Record
 	if rec.Strategy != "oracle" || rec.Degraded != "" {
-		t.Fatalf("fused batch record %+v, want an undegraded oracle answer", rec)
+		t.Fatalf("batch record %+v, want an undegraded oracle answer", rec)
 	}
 	if rec.NumAlgorithms != 5 || len(rec.Candidates) != 5 {
 		t.Fatalf("record %+v", rec)
 	}
 	s := e.Stats()
-	if s.FusedQueries != 1 {
-		t.Errorf("fused_queries = %d, want 1 (one representative measured fused)", s.FusedQueries)
+	if s.FusedQueries != 0 {
+		t.Errorf("fused_queries = %d, want 0 (oracle queries measure per instance)", s.FusedQueries)
 	}
 	if s.Coalesced != 2 {
 		t.Errorf("coalesced = %d, want 2", s.Coalesced)
 	}
 	checkSlab(t, e)
-	// The fused record's candidates agree with the per-instance path.
 	direct, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(direct.Candidates, rec.Candidates) {
-		t.Errorf("fused candidates differ from per-instance:\n%+v\n%+v", rec.Candidates, direct.Candidates)
-	}
-	// Out of the fused regime (huge instance), batch oracle queries fall
-	// back to per-instance measurement — but with the simulated-speed
-	// check skipped here (measuring a 1200-dim instance is too slow for a
-	// unit test), we only pin that the gate reports no width.
-	big := memoFor(t, e, "aatb", expr.Instance{1200, 1200, 1200})
-	if w := e.fuseWidth(big); w != 0 {
-		t.Errorf("fuseWidth(1200-dim set) = %d, want 0", w)
+		t.Errorf("batch candidates differ from a single query's:\n%+v\n%+v", rec.Candidates, direct.Candidates)
 	}
 }
 
-// TestEngineDoFusedRule pins the rule Do uses to choose the measurement
-// protocol for timed strategies: a request measures fused when it
-// carries two or more queries or asks for Compute, so a single query
-// without Compute measures per instance while a Compute batch of one
-// still measures fused. Distinct queries on a fresh engine, so nothing
-// is coalesced or deduplicated.
+// countingExecutor is the measured executor with its per-instance
+// repetitions counted.
+type countingExecutor struct {
+	*exec.Measured
+	reps atomic.Int64
+}
+
+func (c *countingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
+	c.reps.Add(1)
+	return c.Measured.TimeAlgorithm(alg, rep)
+}
+
+// TestEngineDoFusedRule pins that no request measures fused: a single
+// query, two distinct queries and a Compute batch of one each measure
+// every oracle query with Reps per-instance repetitions per algorithm,
+// and nothing counts as fused. Distinct queries on a fresh engine, so
+// nothing is coalesced or deduplicated.
 func TestEngineDoFusedRule(t *testing.T) {
+	const reps = 2
 	qa := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
 	qb := Query{Expr: "aatb", Instance: expr.Instance{16, 12, 8}, Strategy: "oracle"}
 	for _, tc := range []struct {
-		name  string
-		req   Request
-		fused uint64
+		name string
+		req  Request
 	}{
-		{"single query", Request{Queries: []Query{qa}}, 0},
-		{"two distinct queries", Request{Queries: []Query{qa, qb}}, 2},
-		// The measurement is fused; executing a bucket of one is not.
-		{"compute batch of one", Request{Queries: []Query{qa}, Compute: true}, 1},
+		{"single query", Request{Queries: []Query{qa}}},
+		{"two distinct queries", Request{Queries: []Query{qa, qb}}},
+		{"compute batch of one", Request{Queries: []Query{qa}, Compute: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
+			ce := &countingExecutor{Measured: exec.NewMeasured()}
+			e := New(Config{Executor: ce, Reps: reps})
+			want := int64(0)
 			for i, r := range e.Do(context.Background(), tc.req) {
 				if r.Err != nil {
 					t.Fatalf("query %d: %v", i, r.Err)
@@ -125,10 +129,14 @@ func TestEngineDoFusedRule(t *testing.T) {
 				if r.Record.Strategy != "oracle" || r.Record.Degraded != "" {
 					t.Fatalf("query %d: record %+v, want an undegraded oracle answer", i, r.Record)
 				}
+				want += int64(reps * r.Record.NumAlgorithms)
+			}
+			if got := ce.reps.Load(); got != want {
+				t.Errorf("%d per-instance repetitions, want reps × algorithms = %d", got, want)
 			}
 			s := e.Stats()
-			if s.FusedQueries != tc.fused {
-				t.Errorf("fused_queries = %d, want %d", s.FusedQueries, tc.fused)
+			if s.FusedQueries != 0 {
+				t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
 			}
 			if s.Coalesced != 0 || s.Deduped != 0 {
 				t.Errorf("coalesced = %d, deduped = %d, want 0 and 0", s.Coalesced, s.Deduped)
@@ -137,27 +145,15 @@ func TestEngineDoFusedRule(t *testing.T) {
 	}
 }
 
-// slowBatchExecutor delays every fused repetition, so tests can make a
-// deadline expire mid-fused-measurement.
-type slowBatchExecutor struct {
-	*exec.Measured
-	delay time.Duration
-}
-
-func (s slowBatchExecutor) TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64 {
-	time.Sleep(s.delay)
-	return s.Measured.TimeAlgorithmBatch(alg, count, rep)
-}
-
 // TestQueryBatchFusedDeadlineDegrades pins that the degradation ladder
-// survives the fused path: batch oracle queries whose deadline expires
-// mid-fused-measurement answer min-flops with the degradation stamped,
-// exactly like the per-instance path. Two distinct queries make the
-// request a batch, so it takes the fused measurement path.
+// holds for batched timed queries: two distinct oracle queries of one
+// request whose deadline expires mid-measurement both answer min-flops
+// with the degradation stamped, exactly like a single query. The slow
+// repetitions run on the measured backend (see slowExecutor).
 func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 	me := exec.NewMeasured()
 	me.FlushBytes = 1 << 20
-	e := New(Config{Executor: slowBatchExecutor{me, 30 * time.Millisecond}, Reps: 3})
+	e := New(Config{Executor: slowExecutor{me, 30 * time.Millisecond}, Reps: 3})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	res := e.Do(ctx, Request{Queries: []Query{
@@ -173,6 +169,6 @@ func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 		}
 	}
 	if s := e.Stats(); s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d, want 0 (degraded answer is not fused)", s.FusedQueries)
+		t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
 	}
 }

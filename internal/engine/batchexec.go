@@ -3,7 +3,7 @@ package engine
 // Fused result execution: Do with Compute answers a batch of queries
 // AND computes each query's result, routing same-algorithm queries of
 // similar shape through one fused batch plan. Selection goes through
-// Do's one query path (coalescing, singleflight, fused timed
+// Do's one query path (coalescing, singleflight, per-instance timed
 // measurement); the execution step then buckets the answered queries by
 // (expression, selected algorithm index, shape octave) so that a bucket
 // — queries of one expression and one algorithm family, shapes within
@@ -152,7 +152,10 @@ func (e *Engine) execBucket(idxs []int, sel []target, out []Result) {
 	// narrowest chunk width.
 	minChunk, maxChunk := 0, 0
 	for _, i := range idxs {
-		c := layoutChunk(be, sel[i].lay)
+		c := 0 // an algorithm that does not validate never fuses
+		if lay := sel[i].lay; lay != nil {
+			c = be.LayoutChunk(lay)
+		}
 		if c < 1 {
 			minChunk = 0
 			break

@@ -31,19 +31,24 @@ func computeBatchRequests(tb testing.TB) []Request {
 			tb.Fatal(err)
 		}
 		box := expr.UniformBox(x.Arity(), computeBatchOctave, 2*computeBatchOctave-1)
-		seen := map[string]bool{}
-		qs := make([]Query, 0, computeBatchWidth)
-		for len(qs) < computeBatchWidth {
-			inst := box.Sample(rng)
-			if seen[inst.String()] {
-				continue
-			}
-			seen[inst.String()] = true
-			qs = append(qs, Query{Expr: name, Instance: inst})
-		}
-		reqs = append(reqs, Request{Queries: qs, Compute: true})
+		reqs = append(reqs, Request{Queries: distinctQueries(rng, name, "", box, computeBatchWidth), Compute: true})
 	}
 	return reqs
+}
+
+// distinctQueries samples n queries of one expression and strategy at
+// distinct instances of box.
+func distinctQueries(rng *xrand.Rand, name, strategy string, box expr.Box, n int) []Query {
+	seen := map[string]bool{}
+	qs := make([]Query, 0, n)
+	for len(qs) < n {
+		inst := box.Sample(rng)
+		if !seen[inst.String()] {
+			seen[inst.String()] = true
+			qs = append(qs, Query{Expr: name, Instance: inst, Strategy: strategy})
+		}
+	}
+	return qs
 }
 
 // doCompute runs one Compute request and fails on any query error.
@@ -70,6 +75,23 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 	for b.Loop() {
 		doCompute(b, e, reqs[i%len(reqs)])
 		i++
+	}
+}
+
+// BenchmarkDoOracleBatch times one oracle request of 16 distinct aatb
+// queries with every dimension in [16, 32) on the blas backend at 3
+// repetitions: every query measures each of its algorithms per
+// instance, one cache flush and one execution per repetition.
+func BenchmarkDoOracleBatch(b *testing.B) {
+	req := Request{Queries: distinctQueries(xrand.New(0x04ac1e), "aatb", "oracle", expr.UniformBox(3, 16, 31), 16)}
+	e := New(Config{Executor: exec.NewMeasured(), Reps: 3})
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, r := range e.Do(context.Background(), req) {
+			if r.Err != nil || r.Record.Degraded != "" {
+				b.Fatalf("query %d: record %+v, err %v", i, r.Record, r.Err)
+			}
+		}
 	}
 }
 

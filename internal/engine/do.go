@@ -19,10 +19,9 @@ import (
 type Request struct {
 	// Queries are the selection requests; a query that names no
 	// strategy uses DefaultStrategy, the paper's min-FLOPs discriminant.
-	// Identical queries of one request are coalesced. A request of two
-	// or more queries, or any Compute request, measures timed strategies
-	// fused (see Stats.FusedQueries); a single query without Compute
-	// measures per instance.
+	// Identical queries of one request are coalesced. Timed strategies
+	// measure per instance whether a query arrives alone or in a batch,
+	// so a record never depends on the request that carried it.
 	Queries []Query
 	// Compute additionally executes each query's selected algorithm on
 	// operands filled from the engine's deterministic stream and returns
@@ -61,13 +60,12 @@ type Result struct {
 func (e *Engine) Do(ctx context.Context, req Request) []Result {
 	qs := req.Queries
 	out := make([]Result, len(qs))
-	fused := req.Compute || len(qs) > 1
 	keys := make([]queryKey, len(qs))
 	rep := make([]int, len(qs)) // rep[i] = index of i's representative
 	uniq := make([]int, 0, len(qs))
 	firstOf := make(map[queryKey]int, len(qs))
 	for i, q := range qs {
-		keys[i] = queryKey{expr: strings.ToLower(q.Expr), inst: q.Instance.Key(), strat: cmp.Or(q.Strategy, DefaultStrategy), fused: fused}
+		keys[i] = queryKey{expr: strings.ToLower(q.Expr), inst: q.Instance.Key(), strat: cmp.Or(q.Strategy, DefaultStrategy)}
 		j, ok := firstOf[keys[i]]
 		if !ok {
 			j = i
@@ -95,13 +93,11 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 }
 
 // queryKey identifies a query for coalescing and the singleflight: the
-// case-folded expression, the instance, the normalised strategy, and
-// whether timed strategies measure fused.
+// case-folded expression, the instance and the normalised strategy.
 type queryKey struct {
 	expr  string
 	inst  ir.Key
 	strat string
-	fused bool
 }
 
 // query answers one distinct query under the caller's context; key is
@@ -111,13 +107,8 @@ type queryKey struct {
 // slow leader cannot hold a cancelled request hostage. A context that
 // expires mid-measurement degrades timed strategies to a FLOPs-only
 // answer (see answer); a context that is already done fails
-// immediately.
-//
-// key.fused lets timed strategies measure through the fused batched
-// path (see answer). Fused and per-instance flights are kept apart in
-// the singleflight table by that field — they follow different
-// measurement protocols, and a record must reflect the protocol that
-// produced it.
+// immediately. One flight serves a query whether it came alone or in a
+// batch: timed strategies measure per instance either way.
 func (e *Engine) query(ctx context.Context, q Query, key queryKey) (*Record, *boundSet, error) {
 	e.queries.Add(1)
 	if err := ctx.Err(); err != nil {
@@ -138,7 +129,7 @@ func (e *Engine) query(ctx context.Context, q Query, key queryKey) (*Record, *bo
 	e.inflight[key] = f
 	e.sfMu.Unlock()
 
-	f.rec, f.set, f.err = e.answer(ctx, q, key.strat, key.fused)
+	f.rec, f.set, f.err = e.answer(ctx, q, key.strat)
 
 	e.sfMu.Lock()
 	delete(e.inflight, key)

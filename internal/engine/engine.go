@@ -179,13 +179,12 @@ type Stats struct {
 	// same Do request (within-request dedup, before the singleflight
 	// layer).
 	Coalesced uint64 `json:"coalesced"`
-	// FusedQueries counts queries that went through a fused plan: timed
-	// queries measured through fused plans (requests of two or more
-	// queries, or with Compute), and queries whose result was computed
-	// through a shared fused plan (Do with Compute).
+	// FusedQueries counts queries whose result was computed through a
+	// shared fused plan (Do with Compute). Timed strategies always
+	// measure per instance, so measurement never counts here.
 	FusedQueries uint64 `json:"fused_queries"`
-	// FuseRejected counts queries that could not take a fused path, by
-	// reason.
+	// FuseRejected counts computed queries that could not take a fused
+	// plan, by reason.
 	FuseRejected FuseRejects `json:"fuse_rejected"`
 	// Feedback counts outcomes recorded through Engine.Feedback;
 	// FeedbackInstances is the number of distinct (expression, instance)
@@ -225,14 +224,13 @@ type Stats struct {
 	Backend string `json:"backend"`
 }
 
-// FuseRejects breaks down, by reason, the queries that asked for a
-// fused path (fused timed measurement or fused result execution) but
-// could not take it:
+// FuseRejects breaks down, by reason, the computed queries of a
+// bucket of two or more that could not execute through a fused plan:
 //
 //   - Unregistered: the executor has no batched path (e.g. the
 //     simulated backend).
-//   - TooBigArena: some candidate's instance arena exceeds the fused
-//     slab budget, so the set is outside the fused regime.
+//   - TooBigArena: some query's instance arena exceeds the fused slab
+//     budget, so the bucket is outside the fused regime.
 //   - HeteroPrepadding: a mixed bucket's stride spread was too wide —
 //     padding every instance to the largest stride would waste most of
 //     the smaller instances' slabs.
@@ -366,8 +364,8 @@ type bindKey struct {
 // feedback changes the posterior and so invalidates it.
 //
 // lays memoises the plan layout of each algorithm the engine has
-// executed or measured fused, so a set's algorithm is validated and
-// laid out once, not once per request; the layouts die with the entry.
+// executed, so a set's algorithm is validated and laid out once, not
+// once per request; the layouts die with the entry.
 type boundSet struct {
 	algs     []expr.Algorithm
 	prior    atomic.Pointer[priorMemo]
@@ -589,7 +587,7 @@ func (run strategyRun) degrade(reason string) strategyRun {
 // record's profile tag, pick and ranking all come from one store. The
 // bound set the record was answered from is returned beside it, so a
 // Compute request executes the pick without binding again.
-func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) (rec *Record, b *boundSet, err error) {
+func (e *Engine) answer(ctx context.Context, q Query, strat string) (rec *Record, b *boundSet, err error) {
 	defer func() {
 		// A panic below — an armed failpoint or a bug — becomes this
 		// query's error instead of taking a serving process down.
@@ -647,11 +645,7 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 			explored = true
 		}
 	case "oracle":
-		width := 0
-		if fused {
-			width = e.fuseWidth(b)
-		}
-		pick, err = e.chooseMeasured(ctx, algs, width)
+		pick, err = e.chooseMeasured(ctx, algs)
 		if err != nil {
 			if ctx.Err() == nil {
 				return nil, nil, err
@@ -692,59 +686,16 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string, fused bool) 
 	return rec, b, nil
 }
 
-// fuseWidth returns the common fused measurement width for the set: the
-// smallest chunk width over its algorithms — one measurement repetition
-// executes one chunk, the packed-sweep width whose working set fits the
-// slab budget — so every candidate is measured under the same protocol.
-// The widths come from the set's memoised layouts. 0 when the executor
-// has no batched path or any algorithm is outside the fused regime —
-// the caller then uses the ordinary per-instance measurement, and the
-// reject is counted by reason in Stats.FuseRejected.
-func (e *Engine) fuseWidth(b *boundSet) int {
-	be, ok := e.timer.Exec.(exec.BatchExecutor)
-	if !ok {
-		e.rejUnregistered.Add(1)
-		return 0
-	}
-	width := 0
-	for i := range b.algs {
-		w := layoutChunk(be, b.layout(i))
-		if w < 2 {
-			e.rejTooBig.Add(1)
-			return 0
-		}
-		if width == 0 || w < width {
-			width = w
-		}
-	}
-	return width
-}
-
-// layoutChunk returns be's chunk width for a layout, 0 for none (an
-// algorithm that does not validate never fuses).
-func layoutChunk(be exec.BatchExecutor, lay *exec.Layout) int {
-	if lay == nil {
-		return 0
-	}
-	return be.LayoutChunk(lay)
-}
-
-// chooseMeasured is the oracle's pick: every algorithm is measured and
-// the lowest per-instance median wins (first on ties). At width 2 or
-// more each repetition executes width instances through one fused plan
-// (amortising the cache flush and per-dispatch fixed costs); below 2
-// each repetition runs one instance. Measurement is serialised on
-// execMu, and the context is honoured between repetitions on both
-// paths, so a deadline aborts within one repetition.
-func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm, width int) (int, error) {
+// chooseMeasured is the oracle's pick: every algorithm is measured one
+// instance per repetition and the lowest median wins (first on ties).
+// Measurement is serialised on execMu, and the context is honoured
+// between repetitions, so a deadline aborts within one repetition.
+func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm) (int, error) {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	ms, err := e.timer.MeasureSet(ctx, algs, width)
+	ms, err := e.timer.MeasureSet(ctx, algs)
 	if err != nil {
 		return -1, err
-	}
-	if width >= 2 {
-		e.fused.Add(1)
 	}
 	totals := make([]float64, len(ms))
 	for i := range ms {

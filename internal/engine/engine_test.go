@@ -305,7 +305,7 @@ func TestEngineSingleflightDedup(t *testing.T) {
 	default:
 	}
 
-	want, _, err := e.answer(context.Background(), q, "min-flops", false)
+	want, _, err := e.answer(context.Background(), q, "min-flops")
 	if err != nil {
 		t.Fatal(err)
 	}

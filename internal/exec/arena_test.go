@@ -19,7 +19,7 @@ func TestReleaseReusesArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	lays := []*Layout{lay, lay, lay}
-	fresh, err := CompileBatchPlan(&algs[0], 3)
+	fresh, err := CompileBatchPlanMixed(repeated(&algs[0], 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestReleaseReusesArena(t *testing.T) {
 // arena another plan may own.
 func TestReleasedPlanPanics(t *testing.T) {
 	algs := expr.NewAATB().Algorithms(expr.Instance{8, 8, 8})
-	p, err := CompileBatchPlan(&algs[0], 2)
+	p, err := CompileBatchPlanMixed(repeated(&algs[0], 2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,30 +59,14 @@ type planInstance struct {
 	ops []mat.Dense
 }
 
-// CompileBatchPlan lowers the algorithm into a BatchPlan over count
-// same-shape instances. Compilation allocates everything an execution
-// will ever need, so Execute and ExecuteTimed are allocation-free
-// afterwards.
-func CompileBatchPlan(alg *expr.Algorithm, count int) (*BatchPlan, error) {
-	if count < 1 {
-		return nil, fmt.Errorf("exec: batch plan needs count >= 1, got %d", count)
-	}
-	lay, err := NewLayout(alg)
-	if err != nil {
-		return nil, err
-	}
-	lays := make([]*Layout, count)
-	for i := range lays {
-		lays[i] = lay
-	}
-	return newBatchPlan(lays, nil)
-}
-
 // CompileBatchPlanMixed lowers one algorithm family bound at mixed
 // instances into one fused plan. Every element must be the same
 // algorithm of the same expression (same call structure: count, kinds,
 // transposes, operand IDs) bound at its own instance; shapes may differ
-// freely. Consecutive elements that are one pointer share one layout.
+// freely. Consecutive elements that are one pointer share one layout,
+// so a homogeneous plan is the one algorithm repeated. Compilation
+// allocates everything an execution will ever need, so Execute and
+// ExecuteTimed are allocation-free afterwards.
 func CompileBatchPlanMixed(algs []*expr.Algorithm) (*BatchPlan, error) {
 	lays := make([]*Layout, len(algs))
 	for i, alg := range algs {

@@ -1,14 +1,11 @@
 package exec
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"testing"
 
 	"lamb/internal/blas"
 	"lamb/internal/expr"
-	"lamb/internal/machine"
 	"lamb/internal/mat"
 	"lamb/internal/xrand"
 )
@@ -33,18 +30,15 @@ func TestBatchPlanMatchesSequential(t *testing.T) {
 			algs := randomAlgorithmSets(t, rng, name, 1)[0]
 			for ai := range algs {
 				alg := &algs[ai]
-				homog := make([]*expr.Algorithm, count)
-				for k := range homog {
-					homog[k] = alg
-				}
+				homog := repeated(alg, count)
 				label := fmt.Sprintf("%s/%s workers=%d", name, alg.Name, workers)
-				bp, err := CompileBatchPlan(alg, 1)
+				bp, err := CompileBatchPlanMixed(homog[:1])
 				if err != nil {
-					t.Fatalf("%s single: CompileBatchPlan: %v", label, err)
+					t.Fatalf("%s single: CompileBatchPlanMixed: %v", label, err)
 				}
 				checkBatchMatchesSequential(t, label+" single", bp, homog[:1])
-				if bp, err = CompileBatchPlan(alg, count); err != nil {
-					t.Fatalf("%s homogeneous: CompileBatchPlan: %v", label, err)
+				if bp, err = CompileBatchPlanMixed(homog); err != nil {
+					t.Fatalf("%s homogeneous: CompileBatchPlanMixed: %v", label, err)
 				}
 				checkBatchMatchesSequential(t, label+" homogeneous", bp, homog)
 			}
@@ -152,7 +146,7 @@ func TestBatchPlanFillMatchesSequentialStream(t *testing.T) {
 	algs := expr.NewLstSq().Algorithms(expr.Instance{32, 16, 8})
 	alg := &algs[0]
 	const count = 4
-	bp, err := CompileBatchPlan(alg, count)
+	bp, err := CompileBatchPlanMixed(repeated(alg, count))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +173,7 @@ func TestBatchPlanArenaLayout(t *testing.T) {
 	algs := expr.NewAATB().Algorithms(expr.Instance{24, 16, 8})
 	alg := &algs[0]
 	const count = 5
-	bp, err := CompileBatchPlan(alg, count)
+	bp, err := CompileBatchPlanMixed(repeated(alg, count))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +203,22 @@ func TestBatchPlanArenaLayout(t *testing.T) {
 	}
 }
 
-// TestMeasuredTimeAlgorithmBatchZeroAllocs extends the zero-alloc
-// guarantee to fused batch plans: after the batch plan is compiled
-// (first repetition), a fused batch repetition — refill all instances,
-// flush, execute every call of every instance — performs zero heap
-// allocations at worker caps 1 and 2. A mixed plan's fill and Execute
-// are held to the same standard.
-func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
+// repeated returns count pointers to alg: the homogeneous batch that
+// CompileBatchPlanMixed lays out once.
+func repeated(alg *expr.Algorithm, count int) []*expr.Algorithm {
+	algs := make([]*expr.Algorithm, count)
+	for i := range algs {
+		algs[i] = alg
+	}
+	return algs
+}
+
+// TestBatchPlanFillExecuteZeroAllocs extends the zero-alloc guarantee
+// to fused batch plans: once compiled, a homogeneous plan's and a mixed
+// plan's fill and Execute — every call of every instance — perform
+// zero heap allocations at worker caps 1 and 2.
+func TestBatchPlanFillExecuteZeroAllocs(t *testing.T) {
 	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
-	e := NewMeasured()
-	e.FlushBytes = 1 << 20
 	type allocCase struct {
 		label string
 		rep   func()
@@ -237,28 +237,32 @@ func TestMeasuredTimeAlgorithmBatchZeroAllocs(t *testing.T) {
 			expr.NewLstSq().Algorithms(expr.Instance{28, 12, 8}), 8},
 	} {
 		for i := range tc.algs {
-			alg, count := &tc.algs[i], tc.count
-			cases = append(cases, allocCase{
-				fmt.Sprintf("%s algorithm %d (%s)", tc.name, alg.Index, alg.Name),
-				func() { e.TimeAlgorithmBatch(alg, count, 1) },
-			})
-			mp, err := CompileBatchPlanMixed([]*expr.Algorithm{alg, &tc.alt[i], alg})
-			if err != nil {
-				t.Fatalf("%s algorithm %d: CompileBatchPlanMixed: %v", tc.name, alg.Index, err)
+			alg := &tc.algs[i]
+			for _, c := range []struct {
+				kind string
+				algs []*expr.Algorithm
+			}{
+				{"homogeneous", repeated(alg, tc.count)},
+				{"mixed", []*expr.Algorithm{alg, &tc.alt[i], alg}},
+			} {
+				p, err := CompileBatchPlanMixed(c.algs)
+				if err != nil {
+					t.Fatalf("%s algorithm %d %s: CompileBatchPlanMixed: %v", tc.name, alg.Index, c.kind, err)
+				}
+				rng := xrand.New(0x3417ed)
+				cases = append(cases, allocCase{
+					fmt.Sprintf("%s algorithm %d (%s) %s fill+execute", tc.name, alg.Index, alg.Name, c.kind),
+					func() { p.FillInputs(rng); p.Execute() },
+				})
 			}
-			rng := xrand.New(0x3417ed)
-			cases = append(cases, allocCase{
-				fmt.Sprintf("%s algorithm %d (%s) mixed fill+execute", tc.name, alg.Index, alg.Name),
-				func() { mp.FillInputs(rng); mp.Execute() },
-			})
 		}
 	}
 	for _, workers := range []int{1, 2} {
 		blas.SetMaxWorkers(workers)
 		for _, c := range cases {
-			c.rep() // compile the plan, warm the pools
+			c.rep() // warm the pools
 			if allocs := testing.AllocsPerRun(10, c.rep); allocs != 0 {
-				t.Errorf("workers=%d %s: %v allocs per fused batch repetition, want 0", workers, c.label, allocs)
+				t.Errorf("workers=%d %s: %v allocs per fill and execution, want 0", workers, c.label, allocs)
 			}
 		}
 	}
@@ -283,41 +287,5 @@ func TestMeasuredFuseWidth(t *testing.T) {
 	}
 	if w := e.FuseWidth(&big[0]); w != 0 {
 		t.Errorf("FuseWidth(1200-dim aatb) = %d, want 0 (outside the fused regime)", w)
-	}
-}
-
-// TestMeasureSetFusedPath checks the fused measurement protocol: one
-// per-instance measurement per algorithm, rejection of a negative
-// width, context cancellation between repetitions, and rejection of
-// executors without a batched path.
-func TestMeasureSetFusedPath(t *testing.T) {
-	e := NewMeasured()
-	e.FlushBytes = 1 << 20
-	timer := &Timer{Exec: e, Reps: 2}
-	algs := expr.NewAATB().Algorithms(expr.Instance{16, 8, 8})[:2]
-	ms, err := timer.MeasureSet(context.Background(), algs, 8)
-	if err != nil {
-		t.Fatalf("MeasureSet: %v", err)
-	}
-	if len(ms) != len(algs) {
-		t.Fatalf("%d measurements for %d algorithms", len(ms), len(algs))
-	}
-	for i, m := range ms {
-		if m.Total <= 0 || len(m.PerCall) != len(algs[i].Calls) {
-			t.Errorf("measurement %d %+v malformed", i, m)
-		}
-	}
-	if _, err := timer.MeasureSet(context.Background(), algs, -1); err == nil {
-		t.Error("negative measurement width accepted")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := timer.MeasureSet(ctx, algs, 8); !errors.Is(err, context.Canceled) {
-		t.Errorf("cancelled context: err %v, want context.Canceled", err)
-	}
-	simTimer := &Timer{Exec: NewSimulated(machine.NewDefault()), Reps: 2}
-	want := fmt.Sprintf("exec: %s cannot execute fused batches", simTimer.Exec.Name())
-	if _, err := simTimer.MeasureSet(context.Background(), algs, 8); err == nil || err.Error() != want {
-		t.Errorf("simulated executor fused measurement: err %v, want %q", err, want)
 	}
 }

@@ -72,36 +72,6 @@ type AlgBenchResult struct {
 	AllocsPerRep uint64 `json:"allocs_per_rep"`
 }
 
-// BatchBenchResult is one fused-vs-sequential comparison point: the
-// min-FLOPs algorithm of an expression executed over a batch of small
-// instances, once as the engine's per-instance dispatch (fill, flush,
-// execute for every instance) and once fused through one BatchPlan (fill
-// all, one flush, one execution). Rates are aggregate across the whole
-// batch; Speedup is the fused-over-sequential wall-time ratio.
-type BatchBenchResult struct {
-	// Expr and Inst identify the expression and the per-instance sizes.
-	Expr string `json:"expr"`
-	Inst string `json:"inst"`
-	// Alg is the timed algorithm's 1-based index (the min-FLOPs one).
-	Alg int `json:"alg"`
-	// Count is the batch width.
-	Count int `json:"count"`
-	// Reps is the number of timed repetitions behind the medians.
-	Reps int `json:"reps"`
-	// SeqSeconds and FusedSeconds are median whole-batch wall times,
-	// dispatch overheads (refill, cache flush) included.
-	SeqSeconds   float64 `json:"seq_seconds"`
-	FusedSeconds float64 `json:"fused_seconds"`
-	// SeqGFlops and FusedGFlops are the aggregate rates over the batch.
-	SeqGFlops   float64 `json:"seq_gflops"`
-	FusedGFlops float64 `json:"fused_gflops"`
-	// SeqQPS and FusedQPS are instances answered per second.
-	SeqQPS   float64 `json:"seq_qps"`
-	FusedQPS float64 `json:"fused_qps"`
-	// Speedup is SeqSeconds / FusedSeconds.
-	Speedup float64 `json:"speedup"`
-}
-
 // BenchReport is a full benchmark-grid run, serialised to BENCH_<n>.json
 // by the lamb bench subcommand.
 type BenchReport struct {
@@ -117,15 +87,8 @@ type BenchReport struct {
 	// Algorithms holds the whole-algorithm timing points (lamb bench
 	// -algs); absent from kernel-only runs.
 	Algorithms []AlgBenchResult `json:"algorithms,omitempty"`
-	// Batches holds the fused-vs-sequential batch points (lamb bench
-	// -batch); absent from kernel-only runs. The compare subcommand
-	// reports deltas on this section informationally only (fused
-	// speedups are a headline, not a regression gate).
-	Batches []BatchBenchResult `json:"batches,omitempty"`
-	// Meta carries free-form provenance notes about the run — in
-	// particular the host's CPU count, and on single-core hosts the note
-	// that parallel-fused points are expected at parity with
-	// serial-fused.
+	// Meta carries free-form provenance notes about the run, in
+	// particular the host's CPU count.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
@@ -255,102 +218,6 @@ func RunAlgBench(e *Measured, reps int) []AlgBenchResult {
 	return out
 }
 
-// minFlopsAlg returns the algorithm with the smallest attributed FLOP
-// count — the one a min-flops selection would execute, and therefore the
-// representative workload for dispatch-overhead comparisons.
-func minFlopsAlg(algs []expr.Algorithm) *expr.Algorithm {
-	best := &algs[0]
-	for i := range algs[1:] {
-		if algs[i+1].Flops() < best.Flops() {
-			best = &algs[i+1]
-		}
-	}
-	return best
-}
-
-// BenchBatch times one fused-vs-sequential comparison point: count
-// instances of the expression's min-FLOPs algorithm, first dispatched
-// per instance exactly as the engine's sequential path does (refill,
-// cache flush, execute — per instance), then fused through one BatchPlan
-// (refill all, one flush, one execution). Both paths run the full
-// measurement protocol, so the gap is what fusing saves: amortised
-// flushes and per-dispatch setup. Both run with the blas worker cap at
-// 1.
-func BenchBatch(e *Measured, exprName string, inst expr.Instance, count, reps int) BatchBenchResult {
-	if reps < 1 {
-		reps = 1
-	}
-	ex, err := expr.Lookup(exprName)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
-	}
-	algs := ex.Algorithms(inst)
-	alg := minFlopsAlg(algs)
-
-	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
-
-	// Warm both paths: compile plans, populate pools.
-	e.TimeAlgorithm(alg, 0)
-	e.TimeAlgorithmBatch(alg, count, 0)
-
-	seq := make([]float64, reps)
-	fused := make([]float64, reps)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		for i := 0; i < count; i++ {
-			e.TimeAlgorithm(alg, uint64(r))
-		}
-		seq[r] = time.Since(start).Seconds()
-
-		start = time.Now()
-		e.TimeAlgorithmBatch(alg, count, uint64(r))
-		fused[r] = time.Since(start).Seconds()
-	}
-	seqMed, fusedMed := stats.Median(seq), stats.Median(fused)
-	flops := float64(count) * alg.Flops()
-	return BatchBenchResult{
-		Expr:         exprName,
-		Inst:         inst.String(),
-		Alg:          alg.Index,
-		Count:        count,
-		Reps:         reps,
-		SeqSeconds:   seqMed,
-		FusedSeconds: fusedMed,
-		SeqGFlops:    flops / seqMed / 1e9,
-		FusedGFlops:  flops / fusedMed / 1e9,
-		SeqQPS:       float64(count) / seqMed,
-		FusedQPS:     float64(count) / fusedMed,
-		Speedup:      seqMed / fusedMed,
-	}
-}
-
-// RunBatchBench runs the fused-batch comparison grid: every registered
-// expression at uniform instance dimensions 8 through 64, batch width 64
-// (one fused chunk). These are the serving-regime sizes the fused path
-// exists for — small instances whose measurement cost is dominated by
-// per-dispatch overheads rather than kernel arithmetic.
-func RunBatchBench(e *Measured, short bool, reps int) []BatchBenchResult {
-	dims, count := []int{8, 16, 32, 64}, 64
-	if short {
-		dims, count = []int{8, 32}, 16
-	}
-	var out []BatchBenchResult
-	for _, name := range expr.Names() {
-		ex, err := expr.Lookup(name)
-		if err != nil {
-			panic(err)
-		}
-		for _, d := range dims {
-			inst := make(expr.Instance, ex.Arity())
-			for i := range inst {
-				inst[i] = d
-			}
-			out = append(out, BenchBatch(e, name, inst, count, reps))
-		}
-	}
-	return out
-}
-
 // benchGrid returns the fixed kernel/shape grid: square and skinny GEMMs,
 // one or two shapes of each remaining kernel, and the small TRSM and
 // POTRF shapes of fused compute requests, small enough to finish in
@@ -404,9 +271,9 @@ func benchGrid(short bool) []kernels.Call {
 
 // RunBenchGrid runs the fixed benchmark grid on the measured backend and
 // assembles the report. With algs set, every algorithm of every
-// registered expression is also timed end to end through compiled plans;
-// with batch set, the fused-vs-sequential batch grid runs too.
-func RunBenchGrid(short bool, reps int, algs, batch bool) BenchReport {
+// registered expression is also timed end to end through compiled
+// plans.
+func RunBenchGrid(short bool, reps int, algs bool) BenchReport {
 	e := NewMeasured()
 	rng := xrand.New(0xbe9c4)
 	rep := BenchReport{
@@ -421,9 +288,6 @@ func RunBenchGrid(short bool, reps int, algs, batch bool) BenchReport {
 	}
 	if algs {
 		rep.Algorithms = RunAlgBench(e, reps)
-	}
-	if batch {
-		rep.Batches = RunBatchBench(e, short, reps)
 	}
 	return rep
 }

@@ -40,7 +40,7 @@ func TestBenchCallInPlaceKernels(t *testing.T) {
 }
 
 func TestRunBenchGridShort(t *testing.T) {
-	rep := RunBenchGrid(true, 1, false, false)
+	rep := RunBenchGrid(true, 1, false)
 	if rep.Backend == "" || rep.GoMaxProcs < 1 || rep.Workers < 1 {
 		t.Fatalf("bad report metadata: %+v", rep)
 	}

@@ -16,7 +16,6 @@ package exec
 
 import (
 	"context"
-	"fmt"
 
 	"lamb/internal/expr"
 	"lamb/internal/kernels"
@@ -48,21 +47,17 @@ type Executor interface {
 }
 
 // BatchExecutor is implemented by executors that can run an algorithm
-// fused over many same-shape instances (see BatchPlan). The simulated
-// backend does not implement it — its model has no per-dispatch fixed
-// costs to amortise — so callers type-assert and fall back to the
-// per-instance path.
+// fused over many instances (see BatchPlan). The simulated backend does
+// not implement it — its model has no per-dispatch fixed costs to
+// amortise — so callers type-assert and fall back to per-instance
+// execution.
 type BatchExecutor interface {
 	// LayoutChunk reports the chunk width of the algorithm laid out as
-	// lay: how many instances one fused plan — and one fused
-	// measurement repetition — should execute together, so the chunk's
-	// working set stays within the slab budget. 0 means out of the fused
-	// regime. One fused plan may span up to MaxFusedChunks chunks.
+	// lay: how many instances one fused plan should execute together,
+	// so the chunk's working set stays within the slab budget. 0 means
+	// out of the fused regime. One fused plan may span up to
+	// MaxFusedChunks chunks.
 	LayoutChunk(lay *Layout) int
-	// TimeAlgorithmBatch runs one fused repetition of the algorithm over
-	// count instances after a cache flush and returns per-call times
-	// covering all count instances of each call.
-	TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64
 }
 
 // Measurement is the result of timing one algorithm with repetitions.
@@ -86,36 +81,17 @@ type Timer struct {
 func NewTimer(e Executor) *Timer { return &Timer{Exec: e, Reps: 10} }
 
 // MeasureSet times every algorithm of a set under the paper's protocol
-// and returns one measurement per algorithm, in set order. At width 2 or
-// more each repetition executes width instances through one fused plan
-// (the executor must implement BatchExecutor, and width should be within
-// one fused plan's width, LayoutChunk × MaxFusedChunks), and the
-// measurement is per instance — batch times divided by width — so it is
-// directly comparable to the per-instance path. Below 2 each repetition
-// runs one instance. The context is checked between repetitions, never
-// inside one (a repetition's timed region stays allocation- and
-// branch-identical to the paper's protocol), so a deadline aborts within
-// one repetition's duration; on cancellation the partial measurements
-// are discarded and ctx.Err() returned.
-func (t *Timer) MeasureSet(ctx context.Context, algs []expr.Algorithm, width int) ([]Measurement, error) {
-	if width < 0 {
-		return nil, fmt.Errorf("exec: measurement width must be non-negative, got %d", width)
-	}
-	var be BatchExecutor
-	if width >= 2 {
-		var ok bool
-		if be, ok = t.Exec.(BatchExecutor); !ok {
-			return nil, fmt.Errorf("exec: %s cannot execute fused batches", t.Exec.Name())
-		}
-	}
+// — Reps repetitions of one instance each, reduced to medians — and
+// returns one measurement per algorithm, in set order. The context is
+// checked between repetitions, never inside one (a repetition's timed
+// region stays allocation- and branch-identical to the paper's
+// protocol), so a deadline aborts within one repetition's duration; on
+// cancellation the partial measurements are discarded and ctx.Err()
+// returned.
+func (t *Timer) MeasureSet(ctx context.Context, algs []expr.Algorithm) ([]Measurement, error) {
 	out := make([]Measurement, len(algs))
 	for i := range algs {
-		alg := &algs[i]
-		count, rep := 1, func(r int) []float64 { return t.Exec.TimeAlgorithm(alg, uint64(r)) }
-		if be != nil {
-			count, rep = width, func(r int) []float64 { return be.TimeAlgorithmBatch(alg, width, uint64(r)) }
-		}
-		m, err := t.measure(ctx, alg, count, rep)
+		m, err := t.measure(ctx, &algs[i])
 		if err != nil {
 			return nil, err
 		}
@@ -124,26 +100,24 @@ func (t *Timer) MeasureSet(ctx context.Context, algs []expr.Algorithm, width int
 	return out, nil
 }
 
-// measure is the paper's protocol over one repetition function: Reps
-// repetitions, each returning per-call times covering count instances,
-// reduced to per-instance medians. The context is checked between
-// repetitions.
-func (t *Timer) measure(ctx context.Context, alg *expr.Algorithm, count int, rep func(r int) []float64) (Measurement, error) {
+// measure is the paper's protocol for one algorithm: Reps repetitions,
+// each returning per-call times, reduced to medians. The context is
+// checked between repetitions.
+func (t *Timer) measure(ctx context.Context, alg *expr.Algorithm) (Measurement, error) {
 	reps := t.reps()
 	totals := make([]float64, reps)
 	perCall := make([][]float64, len(alg.Calls))
 	for i := range perCall {
 		perCall[i] = make([]float64, reps)
 	}
-	inv := 1 / float64(count)
 	for r := 0; r < reps; r++ {
 		if err := ctx.Err(); err != nil {
 			return Measurement{}, err
 		}
 		var sum float64
-		for i, ct := range rep(r) {
-			perCall[i][r] = ct * inv
-			sum += ct * inv
+		for i, ct := range t.Exec.TimeAlgorithm(alg, uint64(r)) {
+			perCall[i][r] = ct
+			sum += ct
 		}
 		totals[r] = sum
 	}

@@ -80,11 +80,11 @@ func TestTimerMedianProtocol(t *testing.T) {
 	}
 }
 
-// measureSet is MeasureSet one instance per repetition under a
-// background context, which cannot fail.
+// measureSet is MeasureSet under a background context, which cannot
+// fail.
 func measureSet(t *testing.T, timer *Timer, algs []expr.Algorithm) []Measurement {
 	t.Helper()
-	ms, err := timer.MeasureSet(context.Background(), algs, 1)
+	ms, err := timer.MeasureSet(context.Background(), algs)
 	if err != nil {
 		t.Fatalf("MeasureSet: %v", err)
 	}
@@ -132,19 +132,22 @@ func (c *cancellingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []fl
 // TestMeasureSetCancelledWithinOneRepetition checks the context is
 // honoured between repetitions: cancelled during the first repetition
 // of the first algorithm, MeasureSet runs no second one and returns
-// ctx.Err().
+// ctx.Err(); cancelled before the call, it runs none.
 func TestMeasureSetCancelledWithinOneRepetition(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	ce := &cancellingExecutor{Simulated: NewDefaultSimulated(), cancel: cancel}
 	timer := &Timer{Exec: ce, Reps: 10}
 	algs := expr.NewAATB().Algorithms(expr.Instance{150, 60, 700})
-	ms, err := timer.MeasureSet(ctx, algs, 1)
-	if !errors.Is(err, context.Canceled) || ms != nil {
-		t.Fatalf("MeasureSet = %v, %v; want nil, context.Canceled", ms, err)
-	}
-	if ce.reps != 1 {
-		t.Fatalf("%d repetitions ran after cancellation, want 1", ce.reps)
+	for _, want := range []int{1, 0} {
+		ce.reps = 0
+		ms, err := timer.MeasureSet(ctx, algs)
+		if !errors.Is(err, context.Canceled) || ms != nil {
+			t.Fatalf("MeasureSet = %v, %v; want nil, context.Canceled", ms, err)
+		}
+		if ce.reps != want {
+			t.Fatalf("%d repetitions ran after cancellation, want %d", ce.reps, want)
+		}
 	}
 }
 

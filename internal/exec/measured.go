@@ -34,22 +34,12 @@ type Measured struct {
 	// The protocol runs one measurement's repetitions back to back, so
 	// each timing method keeps the plan of its last measurement only,
 	// keyed by what it measured, and compiles afresh when that changes.
-	// One plan per method, not one for all three, lets a caller
-	// alternate TimeAlgorithm and TimeAlgorithmBatch on one algorithm
-	// (as BenchBatch does) without recompiling.
-	algKey    *expr.Algorithm
-	algPlan   *Plan
-	batchKey  batchKey
-	batchPlan *BatchPlan
-	callKey   kernels.Key
-	callPlan  *Plan
-}
-
-// batchKey identifies a fused batch plan: the bound algorithm plus the
-// number of instances it was compiled for.
-type batchKey struct {
-	alg   *expr.Algorithm
-	count int
+	// One plan per method, not one for both, lets a caller alternate
+	// TimeAlgorithm and TimeCallCold without recompiling.
+	algKey   *expr.Algorithm
+	algPlan  *Plan
+	callKey  kernels.Key
+	callPlan *Plan
 }
 
 // NewMeasured returns a measured executor with default settings.
@@ -158,9 +148,9 @@ func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
 }
 
 // LayoutChunk implements BatchExecutor: the chunk width for the
-// algorithm laid out as lay — how many instances one fused plan (and
-// one fused measurement repetition) should execute together so the
-// chunk's arena fits the slab budget at least twice. 0 means the
+// algorithm laid out as lay — how many instances one fused plan should
+// execute together so the chunk's arena fits the slab budget at least
+// twice. 0 means the
 // algorithm is out of the fused regime (instance arena too large).
 func (e *Measured) LayoutChunk(lay *Layout) int {
 	w := batchSlabFloats / slabStride(lay.arenaLen)
@@ -175,21 +165,6 @@ func (e *Measured) LayoutChunk(lay *Layout) int {
 // the algorithm is out of the fused regime.
 func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
 	return e.FuseChunk(alg) * MaxFusedChunks
-}
-
-// TimeAlgorithmBatch implements BatchExecutor: one fused repetition over
-// count instances — all instances refilled, one cache flush, one fused
-// plan execution. The returned per-call times cover all count instances
-// of each call. The batch plan is compiled on the first repetition of
-// (alg, count); after that nothing on this path allocates. The returned
-// slice is owned by the executor and reused by the next call.
-func (e *Measured) TimeAlgorithmBatch(alg *expr.Algorithm, count int, rep uint64) []float64 {
-	if key := (batchKey{alg, count}); e.batchPlan == nil || e.batchKey != key {
-		e.batchPlan, e.batchKey = mustCompile(CompileBatchPlan(alg, count)), key
-	}
-	e.batchPlan.FillInputs(e.fillRng)
-	e.flushCache()
-	return e.batchPlan.ExecuteTimed()
 }
 
 // TimeCallCold implements Executor: the call runs through a compiled

@@ -217,10 +217,6 @@ func TestMeasuredPlanSwitchZeroAllocs(t *testing.T) {
 			[2]func(){func() { e.TimeAlgorithm(a, 1) }, func() { e.TimeAlgorithm(b, 1) }},
 			[2]any{a, b},
 			func() (any, any) { return e.algKey, e.algPlan }},
-		{"TimeAlgorithmBatch",
-			[2]func(){func() { e.TimeAlgorithmBatch(a, 8, 1) }, func() { e.TimeAlgorithmBatch(b, 8, 1) }},
-			[2]any{batchKey{a, 8}, batchKey{b, 8}},
-			func() (any, any) { return e.batchKey, e.batchPlan }},
 		{"TimeCallCold",
 			[2]func(){func() { e.TimeCallCold(gemm, 1) }, func() { e.TimeCallCold(syrk, 1) }},
 			[2]any{gemm.MemoKey(), syrk.MemoKey()},

@@ -116,7 +116,7 @@ func (s Oracle) Choose(algs []expr.Algorithm) int {
 // measuredTotals measures every algorithm one instance per repetition
 // and returns the median totals, in set order.
 func measuredTotals(t *exec.Timer, algs []expr.Algorithm) []float64 {
-	ms, err := t.MeasureSet(context.Background(), algs, 1)
+	ms, err := t.MeasureSet(context.Background(), algs)
 	if err != nil {
 		panic(err) // per-instance measurement under a background context cannot fail
 	}

@@ -42,7 +42,7 @@ func TestOracleAgreesWithExhaustiveTiming(t *testing.T) {
 	timer := simTimer()
 	algs := expr.NewAATB().Algorithms(expr.Instance{150, 90, 800})
 	pick := Oracle{Timer: timer}.Choose(algs)
-	ms, err := timer.MeasureSet(context.Background(), algs, 1)
+	ms, err := timer.MeasureSet(context.Background(), algs)
 	if err != nil {
 		t.Fatal(err)
 	}
