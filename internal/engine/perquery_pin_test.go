@@ -20,10 +20,10 @@ import (
 // batched path: two distinct instances of one octave form an
 // unregistered bucket, and a third in another octave runs alone. "blas"
 // is a request on the measured backend whose two queries sit in
-// different octaves, so each is a singleton bucket. "homog" is a
-// request on the measured backend that repeats one instance four times,
-// so its queries form one homogeneous fused chunk; it is pinned for the
-// expressions in homogPinned. The digests differ between the AVX2/FMA
+// different octaves, so each is a singleton bucket. "homog" is one
+// instance computed four times on the measured backend, each copy in a
+// request of its own, so every copy is the per-query output of that
+// instance; it is pinned for the expressions in homogPinned. The digests differ between the AVX2/FMA
 // kernels and the portable ones, so both are kept, keyed by
 // cpu.HasAVX2FMA.
 var perQueryPins = map[bool]map[string]string{
@@ -40,9 +40,9 @@ var perQueryPins = map[bool]map[string]string{
 		"blas/chain":  "b8d4fe16ecf7d4fe2674ad0402936e631a63c787d76e4bb96cb759c6642345f4",
 		"blas/gls":    "ea09e2abc86178d88a6c3398683c434123be4eb9b75a55883a54ba50745cf6f2",
 		"blas/lstsq":  "78936495d15021dfc290aa12a9071dc4ae88ef6c79d998099a1214382da2aded",
-		"homog/aatb":  "2c6197fb7c4c7b10ff2a0654bb8fc23a0e006f4587301575b4a34c77e819e53a",
-		"homog/gls":   "0303f8d1584c00076baa88a44d510d35544839c2d12121094c13f78663dd033f",
-		"homog/lstsq": "f719464d6b7a588ff6b4a0e0bf8c7d8e3e8d7b703d106a8c63b80780c0e73e80",
+		"homog/aatb":  "a8be5bc58d73924d7209e0b41fb023748bda7cdce73f423ad63a664fd42d9a8d",
+		"homog/gls":   "46c5982628baa10a69948d5283b775511692eb6715c27fcfad8684b289d6903f",
+		"homog/lstsq": "fe8a45b9d5cf2b57916b245995bf1d9a7b0291697f9f3d9ff605e18f99c3cf47",
 	},
 	false: {
 		"sim/aatb":    "1686bd04073fa164159c2e5f4841d729f0b71bef58f00c22f8385a828c04fd97",
@@ -57,9 +57,9 @@ var perQueryPins = map[bool]map[string]string{
 		"blas/chain":  "abadf595e86cd86b149e93154378a3f91dc2399996602f3d87cbc5ee37795377",
 		"blas/gls":    "1ab9e4475ddf9ac3e0a665d852ef1c2ce9cc004cd974b2d2cae8cb9121298dd0",
 		"blas/lstsq":  "203c776b72d83fbe14d4bf80afa5acb1f310b1ad6ec55af12b51a03dbb6725ea",
-		"homog/aatb":  "ba78f762298b8289fb7da8a703455a450f6735a90bd5b571e9410c526dbcf063",
-		"homog/gls":   "eccaeaac0075591d707a05236122f5e27dc6436338c3ff35d1ee46a55d520827",
-		"homog/lstsq": "26171f4e82c5515e9acb2358c8b63cff7c41d6881b777960b1c961dd7ccef347",
+		"homog/aatb":  "78a07c71973a0095a7617f9f87afa3b4e2f108756c158db3989b71d782797dcd",
+		"homog/gls":   "2f30b01aaba3e872dc8e74e4fac3299002f8c9e6be43f8679f7a87795f1d03c8",
+		"homog/lstsq": "350ce92577f49fea85f8649987350fa788c3773a101b73fa41f3d19423781116",
 	},
 }
 
@@ -135,7 +135,8 @@ func outputDigest(t *testing.T, res []Result, fused bool) string {
 // TestPerQueryOutputPins pins the per-query path bit for bit: every
 // registered expression's unregistered bucket on the simulated backend
 // and its singleton buckets on the measured one. It also pins the
-// homogeneous fused chunks of the expressions in homogPinned.
+// per-query outputs of one instance computed four times, for the
+// expressions in homogPinned.
 func TestPerQueryOutputPins(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the pins were recorded on amd64; other compilers may fuse multiply-adds")
@@ -151,7 +152,16 @@ func TestPerQueryOutputPins(t *testing.T) {
 				cfg.Executor = exec.NewMeasured()
 			}
 			e := New(cfg)
-			got := outputDigest(t, e.Do(context.Background(), perQueryRequest(t, name, mode)), mode == "homog")
+			req := perQueryRequest(t, name, mode)
+			var res []Result
+			if mode == "homog" {
+				for _, q := range req.Queries {
+					res = append(res, e.Do(context.Background(), Request{Queries: []Query{q}, Compute: true})...)
+				}
+			} else {
+				res = e.Do(context.Background(), req)
+			}
+			got := outputDigest(t, res, false)
 			if u := e.Stats().FuseRejected.Unregistered; mode == "sim" && u < 2 {
 				t.Errorf("%s: fuse_rejected.unregistered = %d; the octave neighbours did not share a bucket", name, u)
 			}
