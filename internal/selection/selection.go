@@ -162,7 +162,9 @@ type Config struct {
 
 // Evaluate measures the regret of each strategy on uniformly sampled
 // instances: for every instance all algorithms are measured with the
-// timer, and each strategy's pick is compared with the fastest.
+// timer, and each strategy's pick is compared with the fastest. An
+// Oracle on the same timer picks from those totals rather than
+// measuring the instance a second time.
 func Evaluate(e expr.Expression, t *exec.Timer, strategies []Strategy, cfg Config) []Report {
 	if err := cfg.Box.Validate(); err != nil {
 		panic(err)
@@ -185,7 +187,12 @@ func Evaluate(e expr.Expression, t *exec.Timer, strategies []Strategy, cfg Confi
 		times := measuredTotals(t, algs)
 		bestT := times[ArgMin(times)]
 		for i, s := range strategies {
-			pick := s.Choose(algs)
+			var pick int
+			if o, ok := s.(Oracle); ok && o.Timer == t {
+				pick = ArgMin(times)
+			} else {
+				pick = s.Choose(algs)
+			}
 			regret := (times[pick] - bestT) / bestT
 			if regret < 0 {
 				regret = 0

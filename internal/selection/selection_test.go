@@ -165,3 +165,39 @@ func TestStrategiesOnLstSq(t *testing.T) {
 		t.Fatalf("instances %d", mf.Instances)
 	}
 }
+
+// countingExecutor is the measured executor with its TimeAlgorithm
+// calls counted.
+type countingExecutor struct {
+	*exec.Measured
+	calls int
+}
+
+func (c *countingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
+	c.calls++
+	return c.Measured.TimeAlgorithm(alg, rep)
+}
+
+// TestEvaluateMeasuresEachInstanceOnce pins that Evaluate measures every
+// instance once, an Oracle on its own timer included: the oracle picks
+// from the totals Evaluate measured, so it makes no TimeAlgorithm calls
+// of its own and its regret is exactly 0, even on the noisy measured
+// backend.
+func TestEvaluateMeasuresEachInstanceOnce(t *testing.T) {
+	const reps, instances = 3, 4
+	ce := &countingExecutor{Measured: exec.NewMeasured()}
+	ce.FlushBytes = 1 << 20
+	timer := &exec.Timer{Exec: ce, Reps: reps}
+	x := expr.NewAATB()
+	reports := Evaluate(x, timer, []Strategy{MinFlops{}, Oracle{Timer: timer}}, Config{
+		Box:       expr.UniformBox(3, 8, 24),
+		Instances: instances,
+		Seed:      5,
+	})
+	if want := reps * x.NumAlgorithms() * instances; ce.calls != want {
+		t.Errorf("%d TimeAlgorithm calls, want reps × algorithms × instances = %d", ce.calls, want)
+	}
+	if o := reports[1]; o.Regret.Max != 0 || o.OptimalPicks != instances {
+		t.Errorf("oracle regret max %g with %d/%d optimal picks, want 0 and all", o.Regret.Max, o.OptimalPicks, instances)
+	}
+}
