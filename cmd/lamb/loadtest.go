@@ -14,8 +14,8 @@ package main
 // shedding server with an immediate retry storm; shed and retry counts
 // surface in the report. The /api/v1/stats counters are sampled before and
 // after, so the report can attribute throughput to cache layers (hit
-// rates) and to the fused batched path (coalesced / fused counters) or,
-// against a router, to its forwards, retries, hedges and degradations.
+// rates) and to the batched path (coalesced counter) or, against a
+// router, to its forwards, retries, hedges and degradations.
 
 import (
 	"bytes"
@@ -49,7 +49,7 @@ func cmdLoadtest(args []string) error {
 	duration := fs.Duration("duration", 5*time.Second, "how long to generate load")
 	concurrency := fs.Int("concurrency", 4, "closed-loop workers, one request in flight each (ignored when -rate > 0)")
 	batch := fs.Int("batch", 0, "queries per request: 0/1 = POST /api/v1/query, >1 = POST /api/v1/batch")
-	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results, so batches exercise the heterogeneous fused execution path")
+	batchMix := fs.Bool("batch-mix", false, "with -batch > 1: sample each query's dimensions within the base instance's power-of-two octave and request computed results")
 	exprName := fs.String("expr", "aatb", "expression to query")
 	instStr := fs.String("instance", "24,16,8", "instance dimensions, e.g. 24,16,8")
 	strategy := fs.String("strategy", "", "selection strategy (empty = server default)")
@@ -88,11 +88,10 @@ func cmdLoadtest(args []string) error {
 
 	// The query mix: -spread distinct instances. By default the first
 	// dimension is stepped; a batch over them still coalesces duplicates
-	// (batch width > spread), which is exactly the serving pattern the
-	// fused path exists for. With -batch-mix every dimension is instead
+	// (batch width > spread), which is exactly the serving pattern
+	// coalescing exists for. With -batch-mix every dimension is instead
 	// sampled uniformly within its power-of-two octave (ir.Octave of the
-	// base instance's), so computed batches land in one shape-octave
-	// bucket and exercise the heterogeneous (padded) fused plan.
+	// base instance's), and every batch asks for computed results.
 	if *spread < 1 {
 		*spread = 1
 	}
@@ -456,10 +455,8 @@ func writeStatsReport(w io.Writer, before, after targetStats) error {
 	}); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "\nqueries %d  deduped %d  coalesced %d  fused %d  degraded %d\n"+
-		"fuse rejected: too_big_arena %d  unregistered %d  hetero_prepadding %d\n",
-		d.Queries, d.Deduped, d.Coalesced, d.FusedQueries, d.DegradedQueries,
-		d.FuseRejected.TooBigArena, d.FuseRejected.Unregistered, d.FuseRejected.HeteroPrepadding)
+	_, err := fmt.Fprintf(w, "\nqueries %d  deduped %d  coalesced %d  degraded %d\n",
+		d.Queries, d.Deduped, d.Coalesced, d.DegradedQueries)
 	return err
 }
 
@@ -471,13 +468,7 @@ func statsDelta(before, after engine.Stats) engine.Stats {
 	d.Queries = after.Queries - before.Queries
 	d.Deduped = after.Deduped - before.Deduped
 	d.Coalesced = after.Coalesced - before.Coalesced
-	d.FusedQueries = after.FusedQueries - before.FusedQueries
 	d.DegradedQueries = after.DegradedQueries - before.DegradedQueries
-	d.FuseRejected = engine.FuseRejects{
-		TooBigArena:      after.FuseRejected.TooBigArena - before.FuseRejected.TooBigArena,
-		Unregistered:     after.FuseRejected.Unregistered - before.FuseRejected.Unregistered,
-		HeteroPrepadding: after.FuseRejected.HeteroPrepadding - before.FuseRejected.HeteroPrepadding,
-	}
 	return d
 }
 

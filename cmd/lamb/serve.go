@@ -58,10 +58,8 @@ import (
 //	                           when the degradation ladder was walked.
 //	POST /api/v1/batch         {"queries": [...]} -> {"results": [...]};
 //	                           "compute": true additionally executes each
-//	                           query's selected algorithm — same-
-//	                           algorithm queries of similar shape through
-//	                           one fused batch plan — and attaches a
-//	                           result block
+//	                           query's selected algorithm, each query
+//	                           alone, and attaches a result block
 //	POST /api/v1/feedback      one engine.Feedback measured outcome
 //	GET  /api/v1/outcomes      schema-versioned snapshot of this
 //	                           process's own (firsthand) outcome evidence
@@ -301,15 +299,15 @@ type batchRequest struct {
 	TimeoutMs int            `json:"timeout_ms,omitempty"`
 	// Compute additionally executes each query's selected algorithm on
 	// deterministically filled inputs and attaches a result block per
-	// item. Same-algorithm queries of similar shape are executed through
-	// one fused batch plan (see engine.Request.Compute).
+	// item. Every query runs alone, so its result does not depend on the
+	// rest of the batch (see engine.Request.Compute).
 	Compute bool `json:"compute,omitempty"`
 }
 
-// batchResult summarises one computed result: its shape, whether it was
-// produced through a fused batch plan, and a checksum (the sum of the
-// result's elements) so a client can confirm determinism without
-// shipping the whole matrix.
+// batchResult summarises one computed result: its shape and a checksum
+// (the sum of the result's elements), so a client can confirm
+// determinism without shipping the whole matrix. Fused is always false
+// and keeps the v1 batch body's shape.
 type batchResult struct {
 	Rows     int     `json:"rows"`
 	Cols     int     `json:"cols"`
@@ -508,7 +506,6 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = batchItem{Record: res.Record, Result: &batchResult{
 				Rows:     res.Output.Rows,
 				Cols:     res.Output.Cols,
-				Fused:    res.Fused,
 				Checksum: denseChecksum(res.Output),
 			}}
 		default:

@@ -406,9 +406,9 @@ func stdoutCapture(t *testing.T) func() []byte {
 }
 
 func TestServeBatchCompute(t *testing.T) {
-	// compute mode on a measured backend: identical queries execute
-	// through one fused batch plan, each item carries a result block,
-	// and checksums are deterministic across requests.
+	// compute mode on a measured backend: each item carries a result
+	// block, every query runs alone, so identical queries of one batch
+	// get one checksum, and checksums are deterministic across requests.
 	srv := httptest.NewServer(serveMux(engine.New(engine.Config{Executor: exec.NewMeasured()})))
 	t.Cleanup(srv.Close)
 	req := batchRequest{Compute: true}
@@ -433,13 +433,14 @@ func TestServeBatchCompute(t *testing.T) {
 		if item.Result.Rows <= 0 || item.Result.Cols <= 0 {
 			t.Errorf("item %d: degenerate result shape %+v", i, item.Result)
 		}
-		if !item.Result.Fused {
-			t.Errorf("item %d not fused", i)
+		if item.Result.Checksum != out.Results[0].Result.Checksum {
+			t.Errorf("item %d: checksum %v, item 0's %v; one query computes one result", i, item.Result.Checksum, out.Results[0].Result.Checksum)
 		}
 	}
-	// Default fills are drawn instance-major from one deterministic
-	// stream, so items differ within a batch but every item reproduces
-	// exactly on a repeated request.
+	// The v1 batch body keeps its "fused" key, always false.
+	if n := bytes.Count(body, []byte(`"fused":false`)); n != len(req.Queries) {
+		t.Errorf(`%d items carry "fused":false, want %d`, n, len(req.Queries))
+	}
 	resp, body2 := postJSON(t, srv.URL+"/api/batch", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("second request status %d", resp.StatusCode)
@@ -453,18 +454,25 @@ func TestServeBatchCompute(t *testing.T) {
 			t.Errorf("item %d not deterministic across requests", i)
 		}
 	}
-	// The fused path and its counters are visible through /api/stats.
+	// The stats body keeps its fused keys, always zero.
 	sresp, err := http.Get(srv.URL + "/api/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var s engine.Stats
+	var s struct {
+		FusedQueries *uint64           `json:"fused_queries"`
+		FuseRejected map[string]uint64 `json:"fuse_rejected"`
+	}
 	if err := json.NewDecoder(sresp.Body).Decode(&s); err != nil {
 		t.Fatal(err)
 	}
 	sresp.Body.Close()
-	if s.FusedQueries < uint64(2*len(req.Queries)) {
-		t.Errorf("fused_queries = %d, want >= %d", s.FusedQueries, 2*len(req.Queries))
+	if s.FusedQueries == nil || *s.FusedQueries != 0 {
+		t.Errorf("fused_queries = %v, want 0", s.FusedQueries)
+	}
+	want := map[string]uint64{"too_big_arena": 0, "unregistered": 0, "hetero_prepadding": 0}
+	if !reflect.DeepEqual(s.FuseRejected, want) {
+		t.Errorf("fuse_rejected = %v, want %v", s.FuseRejected, want)
 	}
 }
 

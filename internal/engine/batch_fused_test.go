@@ -54,8 +54,8 @@ func TestQueryBatchCoalescesDuplicates(t *testing.T) {
 
 // TestQueryBatchOracleMeasuresPerInstance pins that a batch oracle
 // query measures per instance: three identical queries coalesce into
-// one measurement, nothing counts as fused, and the record equals what
-// the same query asked alone produces (same candidates, undegraded).
+// one measurement, and the record equals what the same query asked
+// alone produces (same candidates, undegraded).
 func TestQueryBatchOracleMeasuresPerInstance(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured(), Reps: 2})
 	q := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
@@ -73,9 +73,6 @@ func TestQueryBatchOracleMeasuresPerInstance(t *testing.T) {
 		t.Fatalf("record %+v", rec)
 	}
 	s := e.Stats()
-	if s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d, want 0 (oracle queries measure per instance)", s.FusedQueries)
-	}
 	if s.Coalesced != 2 {
 		t.Errorf("coalesced = %d, want 2", s.Coalesced)
 	}
@@ -103,9 +100,9 @@ func (c *countingExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []floa
 
 // TestEngineDoFusedRule pins that no request measures fused: a single
 // query, two distinct queries and a Compute batch of one each measure
-// every oracle query with Reps per-instance repetitions per algorithm,
-// and nothing counts as fused. Distinct queries on a fresh engine, so
-// nothing is coalesced or deduplicated.
+// every oracle query with Reps per-instance repetitions per algorithm.
+// Distinct queries on a fresh engine, so nothing is coalesced or
+// deduplicated.
 func TestEngineDoFusedRule(t *testing.T) {
 	const reps = 2
 	qa := Query{Expr: "aatb", Instance: expr.Instance{12, 16, 8}, Strategy: "oracle"}
@@ -135,9 +132,6 @@ func TestEngineDoFusedRule(t *testing.T) {
 				t.Errorf("%d per-instance repetitions, want reps × algorithms = %d", got, want)
 			}
 			s := e.Stats()
-			if s.FusedQueries != 0 {
-				t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
-			}
 			if s.Coalesced != 0 || s.Deduped != 0 {
 				t.Errorf("coalesced = %d, deduped = %d, want 0 and 0", s.Coalesced, s.Deduped)
 			}
@@ -167,8 +161,5 @@ func TestQueryBatchFusedDeadlineDegrades(t *testing.T) {
 		if rec := r.Record; rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
 			t.Fatalf("query %d: degraded record not stamped: %+v", i, rec)
 		}
-	}
-	if s := e.Stats(); s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
 	}
 }

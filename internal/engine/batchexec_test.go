@@ -13,10 +13,9 @@ import (
 )
 
 // engineFilled evaluates the algorithm query q selected (r's record)
-// through a single-instance plan filled from rng. With rng one stream of
-// the engine's fill seed consumed in bucket order, this is what a fused
-// plan's instance-major fill computes for each of its queries.
-func engineFilled(t *testing.T, e *Engine, q Query, r Result, rng *xrand.Rand) *mat.Dense {
+// through a plan of its own filled from a fresh stream of the engine's
+// fill seed: what the engine computes for q, whatever its request.
+func engineFilled(t *testing.T, e *Engine, q Query, r Result) *mat.Dense {
 	t.Helper()
 	algs, err := e.Algorithms(q.Expr, q.Instance)
 	if err != nil {
@@ -28,7 +27,7 @@ func engineFilled(t *testing.T, e *Engine, q Query, r Result, rng *xrand.Rand) *
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.FillInputs(rng)
+			p.FillInputs(xrand.New(batchFillSeed))
 			p.Execute()
 			return p.Output()
 		}
@@ -37,12 +36,11 @@ func engineFilled(t *testing.T, e *Engine, q Query, r Result, rng *xrand.Rand) *
 	return nil
 }
 
-// TestQueryBatchExecFusedHomogeneous pins the fused result path for
-// identical queries: same expression, same instance, min-flops — the
-// bucket executes through one homogeneous batch plan compiled into the
-// engine's slab, every result is marked fused, and each output is
-// bitwise identical to the selected algorithm's single-instance plan
-// filled from the engine's fill stream in bucket order.
+// TestQueryBatchExecFusedHomogeneous pins the result path for identical
+// queries — same expression, same instance, min-flops — which once
+// shared a fused plan: each query runs alone in the engine's slab, and
+// each output is bitwise identical to the selected algorithm's own plan
+// filled from a fresh stream of the engine's fill seed.
 func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	const n = 4
@@ -54,36 +52,28 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 	if len(res) != n {
 		t.Fatalf("got %d results, want %d", len(res), n)
 	}
-	rng := xrand.New(batchFillSeed)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
-		if !r.Fused {
-			t.Errorf("query %d not fused", i)
-		}
 		if r.Output == nil {
 			t.Fatalf("query %d: nil output", i)
 		}
-		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r, rng)) {
-			t.Errorf("query %d: fused output differs from single-instance evaluation", i)
+		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r)) {
+			t.Errorf("query %d: output differs from single-instance evaluation", i)
 		}
 	}
-	s := e.Stats()
-	if s.FusedQueries != n {
-		t.Errorf("fused_queries = %d, want %d", s.FusedQueries, n)
-	}
 	if e.slab.Cap() == 0 {
-		t.Error("the homogeneous bucket compiled no plan into the engine's slab")
+		t.Error("the request compiled no plan into the engine's slab")
 	}
 	checkSlab(t, e)
 }
 
-// TestQueryBatchExecFusedMixed pins the heterogeneous result path:
-// queries of one expression at different shapes within one octave per
-// dimension share a bucket, execute through one padded mixed plan, and
-// each per-instance output is bitwise identical to its single-instance
-// plan filled from the engine's fill stream in bucket order.
+// TestQueryBatchExecFusedMixed pins the result path for queries of one
+// expression and one selected algorithm at different shapes within one
+// octave per dimension, which once shared a padded fused plan: each
+// output is bitwise identical to its own plan filled from a fresh
+// stream of the engine's fill seed.
 func TestQueryBatchExecFusedMixed(t *testing.T) {
 	e := New(Config{Executor: exec.NewMeasured()})
 	insts := []expr.Instance{{12, 16, 8}, {14, 18, 10}, {13, 17, 9}}
@@ -92,23 +82,16 @@ func TestQueryBatchExecFusedMixed(t *testing.T) {
 		qs[i] = Query{Expr: "aatb", Instance: inst}
 	}
 	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
-	rng := xrand.New(batchFillSeed)
 	for i, r := range res {
 		if r.Err != nil {
 			t.Fatalf("query %d: %v", i, r.Err)
 		}
 		if r.Record.Selected.Index != res[0].Record.Selected.Index {
-			t.Fatalf("query %d left the bucket; the test needs one mixed bucket", i)
+			t.Fatalf("query %d selected another algorithm; the test needs one", i)
 		}
-		if !r.Fused {
-			t.Errorf("query %d not fused despite one bucket", i)
+		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r)) {
+			t.Errorf("query %d: output differs from single-instance evaluation", i)
 		}
-		if !bitEqual(r.Output, engineFilled(t, e, qs[i], r, rng)) {
-			t.Errorf("query %d: mixed fused output differs from single-instance evaluation", i)
-		}
-	}
-	if s := e.Stats(); s.FusedQueries != uint64(len(insts)) {
-		t.Errorf("fused_queries = %d, want %d", s.FusedQueries, len(insts))
 	}
 	checkSlab(t, e)
 }
@@ -134,120 +117,9 @@ func TestQueryBatchExecDefaultFillDeterministic(t *testing.T) {
 	}
 }
 
-// TestQueryBatchExecRejectUnregistered pins the Unregistered reject:
-// the simulated backend has no batched path, so a fusable-looking
-// bucket executes per query and is counted.
-func TestQueryBatchExecRejectUnregistered(t *testing.T) {
-	e := New(Config{}) // simulated backend
-	qs := []Query{
-		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
-		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
-	}
-	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		if r.Fused {
-			t.Errorf("query %d fused on an executor without a batched path", i)
-		}
-		if r.Output == nil {
-			t.Errorf("query %d: nil output on the unfused fallback", i)
-		}
-	}
-	s := e.Stats()
-	if s.FuseRejected.Unregistered < 2 {
-		t.Errorf("fuse_rejected.unregistered = %d, want >= 2", s.FuseRejected.Unregistered)
-	}
-	if s.FusedQueries != 0 {
-		t.Errorf("fused_queries = %d, want 0", s.FusedQueries)
-	}
-}
-
-// TestQueryBatchExecRejectTooBigArena pins the TooBigArena reject: a
-// bucket whose instance arenas exceed the fused slab budget executes
-// per query and is counted.
-func TestQueryBatchExecRejectTooBigArena(t *testing.T) {
-	e := New(Config{Executor: exec.NewMeasured()})
-	inst := expr.Instance{512, 512, 4}
-	me := e.timer.Exec.(*exec.Measured)
-	algs, err := e.Algorithms("aatb", inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range algs {
-		if w := me.FuseChunk(&algs[i]); w >= 2 {
-			t.Skipf("instance %v unexpectedly inside the fused regime (chunk %d)", inst, w)
-		}
-	}
-	qs := []Query{
-		{Expr: "aatb", Instance: inst},
-		{Expr: "aatb", Instance: inst},
-	}
-	res := e.Do(context.Background(), Request{Queries: qs, Compute: true})
-	for i, r := range res {
-		if r.Err != nil {
-			t.Fatalf("query %d: %v", i, r.Err)
-		}
-		if r.Fused {
-			t.Errorf("query %d fused outside the fused regime", i)
-		}
-	}
-	if s := e.Stats(); s.FuseRejected.TooBigArena < 2 {
-		t.Errorf("fuse_rejected.too_big_arena = %d, want >= 2", s.FuseRejected.TooBigArena)
-	}
-}
-
-// TestQueryBatchExecRejectHeteroPrepadding drives execBucket directly
-// with two instances whose chunk widths are more than the padding gate
-// apart: the bucket must execute unfused and count the reject. (End to
-// end such pairs rarely share an octave bucket, which is the point of
-// octave bucketing; the gate is the second line of defence.)
-func TestQueryBatchExecRejectHeteroPrepadding(t *testing.T) {
-	e := New(Config{Executor: exec.NewMeasured()})
-	be := e.timer.Exec.(exec.BatchExecutor)
-	small, err := e.Algorithms("aatb", expr.Instance{8, 8, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	large, err := e.Algorithms("aatb", expr.Instance{100, 100, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sel []target
-	for _, alg := range []*expr.Algorithm{&small[0], &large[0]} {
-		lay, err := exec.NewLayout(alg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sel = append(sel, target{alg: alg, lay: lay})
-	}
-	wa, wb := be.LayoutChunk(sel[0].lay), be.LayoutChunk(sel[1].lay)
-	if wa < 2 || wb < 2 || wa <= heteroPaddingMax*wb {
-		t.Skipf("chunk widths %d/%d do not exercise the padding gate", wa, wb)
-	}
-	out := make([]Result, 2)
-	outputSlab(sel, out) // as compute does before any bucket runs
-	e.execBucket([]int{0, 1}, sel, out)
-	for i, r := range out {
-		if r.Err != nil {
-			t.Fatalf("instance %d: %v", i, r.Err)
-		}
-		if r.Fused {
-			t.Errorf("instance %d fused across the padding gate", i)
-		}
-		if r.Output == nil {
-			t.Errorf("instance %d: nil output on the unfused fallback", i)
-		}
-	}
-	if s := e.Stats(); s.FuseRejected.HeteroPrepadding != 2 {
-		t.Errorf("fuse_rejected.hetero_prepadding = %d, want 2", s.FuseRejected.HeteroPrepadding)
-	}
-}
-
 // TestComputeOnUsedSlabMatchesFresh pins that the engine's slab is
-// reused unzeroed without leaking into results: a mixed fused bucket
-// computed on a slab that earlier requests filled returns outputs
+// reused unzeroed without leaking into results: queries computed on a
+// slab that earlier, larger requests filled return outputs
 // bit-identical to a fresh engine's.
 func TestComputeOnUsedSlabMatchesFresh(t *testing.T) {
 	ctx := context.Background()
@@ -272,9 +144,6 @@ func TestComputeOnUsedSlabMatchesFresh(t *testing.T) {
 	for i := range qs {
 		if used[i].Err != nil || fresh[i].Err != nil {
 			t.Fatalf("query %d: used %v, fresh %v", i, used[i].Err, fresh[i].Err)
-		}
-		if !used[i].Fused {
-			t.Errorf("query %d on the used slab not fused", i)
 		}
 		if !bitEqual(used[i].Output, fresh[i].Output) {
 			t.Errorf("query %d: output on the used slab differs from a fresh engine's", i)
@@ -382,12 +251,76 @@ func TestExecUnlaidTargetReportsValidation(t *testing.T) {
 		t.Fatal("an algorithm without calls validated")
 	}
 	out := make([]Result, 1)
-	e.execBucket([]int{0}, []target{{alg: alg}}, out)
+	e.execTargets([]target{{alg: alg}}, out)
 	if out[0].Err == nil || out[0].Err.Error() != want.Error() {
 		t.Errorf("err %v, want %v", out[0].Err, want)
 	}
-	if out[0].Output != nil || out[0].Fused {
-		t.Errorf("output %v, fused %v; want neither", out[0].Output, out[0].Fused)
+	if out[0].Output != nil {
+		t.Errorf("output %v, want none", out[0].Output)
+	}
+	checkSlab(t, e)
+}
+
+// TestComputedOutputIndependentOfRequest pins that a computed output is
+// a function of (expression, instance, selected algorithm) alone: for
+// every registered expression, a query's output bits are the same
+// computed alone, inside a request of instances of its octave that
+// selected its algorithm, and inside a request of the other
+// expressions' queries.
+func TestComputedOutputIndependentOfRequest(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Executor: exec.NewMeasured()})
+	names := expr.Names()
+	at := func(name string, base int) Query {
+		x, err := expr.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := make(expr.Instance, x.Arity())
+		for d := range inst {
+			inst[d] = base + d
+		}
+		return Query{Expr: name, Instance: inst}
+	}
+	computed := func(req Request, i int) Result {
+		t.Helper()
+		r := e.Do(ctx, req)[i]
+		if r.Err != nil || r.Output == nil {
+			t.Fatalf("%s %v: output %v, err %v", req.Queries[i].Expr, req.Queries[i].Instance, r.Output != nil, r.Err)
+		}
+		return r
+	}
+	for _, name := range names {
+		q := at(name, 10)
+		alone := computed(Request{Queries: []Query{q}, Compute: true}, 0)
+
+		mixed := []Query{q}
+		for _, base := range []int{8, 9, 11} {
+			n := at(name, base)
+			if n.Instance.Octaves() != q.Instance.Octaves() {
+				t.Fatalf("%s: %v and %v do not share an octave", name, n.Instance, q.Instance)
+			}
+			if computed(Request{Queries: []Query{n}, Compute: true}, 0).Record.Selected.Index == alone.Record.Selected.Index {
+				mixed = append([]Query{n}, mixed...)
+			}
+		}
+		if len(mixed) < 3 {
+			t.Fatalf("%s: only %d octave neighbours of %v select its algorithm", name, len(mixed)-1, q.Instance)
+		}
+		if !bitEqual(computed(Request{Queries: mixed, Compute: true}, len(mixed)-1).Output, alone.Output) {
+			t.Errorf("%s: output inside a request of its octave and algorithm differs from the output alone", name)
+		}
+
+		var others []Query
+		for _, other := range names {
+			if other != name {
+				others = append(others, at(other, 12))
+			}
+		}
+		among := append(append(others[:len(others)/2:len(others)/2], q), others[len(others)/2:]...)
+		if !bitEqual(computed(Request{Queries: among, Compute: true}, len(others)/2).Output, alone.Output) {
+			t.Errorf("%s: output inside a request of other expressions differs from the output alone", name)
+		}
 	}
 	checkSlab(t, e)
 }

@@ -25,8 +25,8 @@ type Request struct {
 	Queries []Query
 	// Compute additionally executes each query's selected algorithm on
 	// operands filled from the engine's deterministic stream and returns
-	// its output, fusing same-bucket executions into shared batch plans
-	// where the regime allows.
+	// its output. Every query runs alone, so its output does not depend
+	// on the other queries of the request.
 	Compute bool
 }
 
@@ -39,8 +39,8 @@ type Result struct {
 	// outputs share; nil without Compute or when Err is set.
 	Output *mat.Dense
 	Err    error
-	// Fused reports whether Output was computed through a fused batch
-	// plan shared with other queries of the same bucket.
+	// Fused is always false: every computed query runs alone. It exists
+	// only for perfbench's replay.
 	Fused bool
 }
 

@@ -17,9 +17,8 @@
 //   - execution layer: timing-based strategies measure through the
 //     executor, which compiles one plan per measurement
 //     (lamb/internal/exec.Measured keeps it for that measurement's
-//     repetitions); compute compiles every plan, fused chunk or single
-//     query, into one engine-owned slab from the bound set's memoised
-//     layouts.
+//     repetitions); compute runs every computed query alone, compiled
+//     into one engine-owned slab from the bound set's memoised layout.
 //   - serving layer: Do deduplicates concurrent identical queries with
 //     a singleflight and answers each from one posterior — prior
 //     predictions blended with nearby feedback (lamb/internal/selection)
@@ -179,13 +178,15 @@ type Stats struct {
 	// same Do request (within-request dedup, before the singleflight
 	// layer).
 	Coalesced uint64 `json:"coalesced"`
-	// FusedQueries counts queries whose result was computed through a
-	// shared fused plan (Do with Compute). Timed strategies always
-	// measure per instance, so measurement never counts here.
+	// FusedQueries and FuseRejected are always zero: every computed
+	// query runs alone. They keep the stats body's shape and exist
+	// only for perfbench's replay.
 	FusedQueries uint64 `json:"fused_queries"`
-	// FuseRejected counts computed queries that could not take a fused
-	// plan, by reason.
-	FuseRejected FuseRejects `json:"fuse_rejected"`
+	FuseRejected struct {
+		TooBigArena      uint64 `json:"too_big_arena"`
+		Unregistered     uint64 `json:"unregistered"`
+		HeteroPrepadding uint64 `json:"hetero_prepadding"`
+	} `json:"fuse_rejected"`
 	// Feedback counts outcomes recorded through Engine.Feedback;
 	// FeedbackInstances is the number of distinct (expression, instance)
 	// points those outcomes cover.
@@ -222,22 +223,6 @@ type Stats struct {
 	Enumerations uint64 `json:"enumerations"`
 	// Backend names the executor.
 	Backend string `json:"backend"`
-}
-
-// FuseRejects breaks down, by reason, the computed queries of a
-// bucket of two or more that could not execute through a fused plan:
-//
-//   - Unregistered: the executor has no batched path (e.g. the
-//     simulated backend).
-//   - TooBigArena: some query's instance arena exceeds the fused slab
-//     budget, so the bucket is outside the fused regime.
-//   - HeteroPrepadding: a mixed bucket's stride spread was too wide —
-//     padding every instance to the largest stride would waste most of
-//     the smaller instances' slabs.
-type FuseRejects struct {
-	TooBigArena      uint64 `json:"too_big_arena"`
-	Unregistered     uint64 `json:"unregistered"`
-	HeteroPrepadding uint64 `json:"hetero_prepadding"`
 }
 
 // ProfileInfo is the provenance block Stats carries for a loaded
@@ -297,8 +282,8 @@ type Engine struct {
 	// execMu serialises timing-based strategies: executors measure wall
 	// time, so concurrent measurement would contend for the cores being
 	// measured (and the measured executor is single-threaded anyway).
-	// It also guards slab, the arena every fused chunk plan of a
-	// Compute request is compiled into, run on and released from.
+	// It also guards slab, the arena every computed query's plan is
+	// compiled into, run on and released from.
 	execMu sync.Mutex
 	slab   exec.Slab
 
@@ -309,12 +294,6 @@ type Engine struct {
 	queries   atomic.Uint64
 	deduped   atomic.Uint64
 	coalesced atomic.Uint64
-	fused     atomic.Uint64
-
-	// Fused-path reject counters, by reason (see FuseRejects).
-	rejTooBig       atomic.Uint64
-	rejUnregistered atomic.Uint64
-	rejHetero       atomic.Uint64
 
 	// The feedback path: measured outcomes recorded per (expression,
 	// instance), searched by log-shape distance for adaptive queries,
@@ -515,8 +494,8 @@ func (e *Engine) Algorithms(name string, inst expr.Instance) ([]expr.Algorithm, 
 // unrelated queries. Concurrent misses of the same key may both bind,
 // but the double-check keeps one winner in the cache and everyone
 // returns it, so the sets stay pointer-stable — the layouts memoised
-// in a set, fused compute's homogeneous chunks and the measured
-// executor's per-measurement plan all key by those pointers.
+// in a set and the measured executor's per-measurement plan both key
+// by those pointers.
 func (e *Engine) bound(x expr.Expression, inst expr.Instance) (*boundSet, error) {
 	if err := x.Validate(inst); err != nil {
 		return nil, err
@@ -712,12 +691,6 @@ func (e *Engine) Stats() Stats {
 	s.Queries = e.queries.Load()
 	s.Deduped = e.deduped.Load()
 	s.Coalesced = e.coalesced.Load()
-	s.FusedQueries = e.fused.Load()
-	s.FuseRejected = FuseRejects{
-		TooBigArena:      e.rejTooBig.Load(),
-		Unregistered:     e.rejUnregistered.Load(),
-		HeteroPrepadding: e.rejHetero.Load(),
-	}
 	s.Feedback = e.feedback.Load()
 	s.FeedbackInstances = e.outcomes.Size()
 	s.AdaptiveQueries = e.adaptiveQueries.Load()

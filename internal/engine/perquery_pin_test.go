@@ -14,16 +14,15 @@ import (
 	"lamb/internal/expr"
 )
 
-// perQueryPins are SHA-256 digests of every output bit the per-query
-// path computes for each registered expression, every operand filled by
-// the engine. "sim" is a request on the simulated backend, which has no
-// batched path: two distinct instances of one octave form an
-// unregistered bucket, and a third in another octave runs alone. "blas"
-// is a request on the measured backend whose two queries sit in
-// different octaves, so each is a singleton bucket. "homog" is one
-// instance computed four times on the measured backend, each copy in a
-// request of its own, so every copy is the per-query output of that
-// instance; it is pinned for the expressions in homogPinned. The digests differ between the AVX2/FMA
+// perQueryPins are SHA-256 digests of every output bit the compute path
+// computes for each registered expression, every operand filled by the
+// engine. "sim" is a request on the simulated backend with two distinct
+// instances of one octave and a third in another octave. "blas" is a
+// request on the measured backend whose two queries sit in different
+// octaves. "homog" is a request on the measured backend that repeats
+// one instance four times; it is pinned for the expressions in
+// homogPinned. Every query runs alone, so each output is the per-query
+// output of its instance, whatever else its request carries. The digests differ between the AVX2/FMA
 // kernels and the portable ones, so both are kept, keyed by
 // cpu.HasAVX2FMA.
 var perQueryPins = map[bool]map[string]string{
@@ -104,8 +103,8 @@ func perQueryRequest(t *testing.T, name, mode string) Request {
 }
 
 // outputDigest hashes the shape and every bit of each result's output,
-// in request order. Every result must be fused, or none, as fused says.
-func outputDigest(t *testing.T, res []Result, fused bool) string {
+// in request order.
+func outputDigest(t *testing.T, res []Result) string {
 	t.Helper()
 	h := sha256.New()
 	var buf [8]byte
@@ -116,9 +115,6 @@ func outputDigest(t *testing.T, res []Result, fused bool) string {
 	for i, r := range res {
 		if r.Err != nil || r.Output == nil {
 			t.Fatalf("query %d: output %v, err %v", i, r.Output != nil, r.Err)
-		}
-		if r.Fused != fused {
-			t.Fatalf("query %d: fused %v, want %v", i, r.Fused, fused)
 		}
 		o := r.Output
 		put(uint64(o.Rows))
@@ -132,11 +128,11 @@ func outputDigest(t *testing.T, res []Result, fused bool) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestPerQueryOutputPins pins the per-query path bit for bit: every
-// registered expression's unregistered bucket on the simulated backend
-// and its singleton buckets on the measured one. It also pins the
-// per-query outputs of one instance computed four times, for the
-// expressions in homogPinned.
+// TestPerQueryOutputPins pins the compute path bit for bit: every
+// registered expression's octave neighbours on the simulated backend
+// and its instances of two octaves on the measured one. It also pins
+// one instance computed four times in one request, for the expressions
+// in homogPinned.
 func TestPerQueryOutputPins(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the pins were recorded on amd64; other compilers may fuse multiply-adds")
@@ -152,19 +148,7 @@ func TestPerQueryOutputPins(t *testing.T) {
 				cfg.Executor = exec.NewMeasured()
 			}
 			e := New(cfg)
-			req := perQueryRequest(t, name, mode)
-			var res []Result
-			if mode == "homog" {
-				for _, q := range req.Queries {
-					res = append(res, e.Do(context.Background(), Request{Queries: []Query{q}, Compute: true})...)
-				}
-			} else {
-				res = e.Do(context.Background(), req)
-			}
-			got := outputDigest(t, res, false)
-			if u := e.Stats().FuseRejected.Unregistered; mode == "sim" && u < 2 {
-				t.Errorf("%s: fuse_rejected.unregistered = %d; the octave neighbours did not share a bucket", name, u)
-			}
+			got := outputDigest(t, e.Do(context.Background(), perQueryRequest(t, name, mode)))
 			key := mode + "/" + name
 			if want, ok := pins[key]; !ok {
 				t.Errorf("%s: no pin recorded (digest %s)", key, got)

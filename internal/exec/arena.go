@@ -1,25 +1,24 @@
 package exec
 
-// This file implements the plan slab: one reusable buffer for plans
-// that are compiled, run and released one at a time, such as the
-// engine's compute plans under its execution lock. A slab hands its
-// buffer out unzeroed: every operand of a plan is filled, copied in or
-// written by a kernel before any kernel reads it, so stale contents of
-// an earlier plan never reach a result. Builds tagged arenapoison
-// NaN-fill every plan arena, slab or not, at every hand-out
-// (arena_poison.go), which turns any read-before-write into NaNs the
-// equivalence tests reject.
+// This file implements the plan slab: one reusable buffer, and one
+// reusable plan, for plans that are compiled, run and released one at a
+// time, such as the engine's computed queries under its execution lock.
+// A slab hands its buffer out unzeroed: every operand of a plan is
+// filled, copied in or written by a kernel before any kernel reads it,
+// so stale contents of an earlier plan never reach a result. Builds
+// tagged arenapoison NaN-fill every plan arena, slab or not, at every
+// hand-out (arena_poison.go), which turns any read-before-write into
+// NaNs the equivalence tests reject.
 //
 // A slab is held strongly by its owner and grows to the largest plan
 // compiled into it, so after its first requests a serving engine
-// compiles its plans with neither an arena allocation nor a zeroing
-// pass. Plans compiled without a slab allocate their own arena, which
-// the collector frees with the plan.
+// compiles its plans with neither an allocation nor a zeroing pass.
+// Plans compiled without a slab allocate their own arena, which the
+// collector frees with the plan.
 
-// MaxRetainedArenaBytes bounds the bytes a Slab keeps: one fused plan's
-// worth of chunk arenas (the 4 MiB slab budget times MaxFusedChunks). A
-// plan over it gets an arena of its own, which the slab does not keep.
-const MaxRetainedArenaBytes = batchSlabFloats * MaxFusedChunks * 8
+// MaxRetainedArenaBytes bounds the bytes a Slab keeps (32 MiB). A plan
+// over it gets an arena of its own, which the slab does not keep.
+const MaxRetainedArenaBytes = 32 << 20
 
 // Slab is a reusable plan arena. A plan compiled into it with Compile
 // borrows its buffer (operand arena plus SPD fill scratch) until the
@@ -29,14 +28,17 @@ const MaxRetainedArenaBytes = batchSlabFloats * MaxFusedChunks * 8
 type Slab struct {
 	buf  []float64
 	lent bool
+	plan Plan
 }
 
-// Compile compiles one plan over lays, one layout per instance, into
-// the slab: every layout must be of the same algorithm family (see
-// CompileBatchPlanMixed); every instance binds the serial kernels. It
-// panics if a plan compiled into the slab before has not been released.
-func (s *Slab) Compile(lays []*Layout) (*BatchPlan, error) {
-	return newBatchPlan(lays, s)
+// Compile compiles the plan of one instance laid out as lay into the
+// slab, binding the serial kernels. The plan is the slab's own: every
+// Compile returns the same *Plan, recompiled over the new layout with
+// the operand headers and steps of the last one reused. It panics if a
+// plan compiled into the slab before has not been released.
+func (s *Slab) Compile(lay *Layout) *Plan {
+	s.plan.compile(lay, s)
+	return &s.plan
 }
 
 // lend returns a buffer of n float64s, cut from the slab's buffer,

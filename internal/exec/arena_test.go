@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"testing"
+
+	"lamb/internal/blas"
 
 	"lamb/internal/expr"
 	"lamb/internal/mat"
@@ -9,17 +12,16 @@ import (
 )
 
 // TestReleaseReusesArena checks the slab round trip: a released plan's
-// arena is what the next plan compiled into the slab takes, unzeroed,
-// and a plan on the reused arena computes what one on a fresh arena
-// does.
+// arena and headers are what the next plan compiled into the slab
+// takes, unzeroed, and a plan on the reused arena computes what one on
+// a fresh arena does.
 func TestReleaseReusesArena(t *testing.T) {
 	algs := expr.NewLstSq().Algorithms(expr.Instance{24, 16, 8})
 	lay, err := NewLayout(&algs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	lays := []*Layout{lay, lay, lay}
-	fresh, err := CompileBatchPlanMixed(repeated(&algs[0], 3))
+	fresh, err := CompilePlan(&algs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,67 +29,61 @@ func TestReleaseReusesArena(t *testing.T) {
 	fresh.Execute()
 
 	var slab Slab
-	p, err := slab.Compile(lays)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := slab.Compile(lay)
 	p.FillInputs(xrand.New(3)) // leaves other values in the arena
 	p.Execute()
-	first := &p.arena[0]
+	first, ops := &p.arena[0], &p.ops[0]
 	p.Release()
 	if slab.Lent() {
 		t.Fatal("the slab is still lent after Release")
 	}
-	q, err := slab.Compile(lays)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := slab.Compile(lay)
 	defer q.Release()
-	if &q.arena[0] != first {
-		t.Fatal("a plan of the same size did not reuse the released arena")
+	if &q.arena[0] != first || &q.ops[0] != ops {
+		t.Fatal("a plan of the same size did not reuse the released arena and headers")
 	}
 	q.FillInputs(xrand.New(7))
 	q.Execute()
-	for i := 0; i < 3; i++ {
-		if !mat.Equal(q.Output(i), fresh.Output(i)) {
-			t.Errorf("instance %d: a plan on a reused arena computed a different result", i)
-		}
+	if !mat.Equal(q.Output(), fresh.Output()) {
+		t.Error("a plan on a reused arena computed a different result")
 	}
 }
 
 // TestReleasedPlanPanics pins Release's contract: releasing twice is a
-// no-op, and any use of a released plan panics instead of touching an
-// arena another plan may own.
+// no-op, and any use of a released plan, its own arena's or a slab's,
+// panics instead of touching an arena another plan may own.
 func TestReleasedPlanPanics(t *testing.T) {
 	algs := expr.NewAATB().Algorithms(expr.Instance{8, 8, 8})
-	p, err := CompileBatchPlanMixed(repeated(&algs[0], 2))
+	lay, err := NewLayout(&algs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Release()
-	p.Release()
-	single, err := CompilePlan(&algs[0])
+	own, err := CompilePlan(&algs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	single.Release()
-	uses := map[string]func(){
-		"FillInputs":   func() { p.FillInputs(xrand.New(1)) },
-		"Execute":      func() { p.Execute() },
-		"ExecuteTimed": func() { p.ExecuteTimed() },
-		"Operand":      func() { p.Operand(0, "A") },
-		"Output":       func() { p.Output(0) },
-		"SetInput":     func() { single.SetInput("A", mat.New(8, 8)) },
-	}
-	for name, use := range uses {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a released plan did not panic", name)
-				}
+	var slab Slab
+	for name, p := range map[string]*Plan{"own": own, "slab": slab.Compile(lay)} {
+		p.Release()
+		p.Release()
+		uses := map[string]func(){
+			"FillInputs":   func() { p.FillInputs(xrand.New(1)) },
+			"Execute":      func() { p.Execute() },
+			"ExecuteTimed": func() { p.ExecuteTimed() },
+			"Operand":      func() { p.Operand("A") },
+			"Output":       func() { p.Output() },
+			"SetInput":     func() { p.SetInput("A", mat.New(8, 8)) },
+		}
+		for use, f := range uses {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s on a released %s plan did not panic", use, name)
+					}
+				}()
+				f()
 			}()
-			use()
-		}()
+		}
 	}
 }
 
@@ -105,22 +101,14 @@ func TestSlabBounds(t *testing.T) {
 		return lay
 	}
 	var slab Slab
-	compile := func(lays ...*Layout) *BatchPlan {
-		t.Helper()
-		p, err := slab.Compile(lays)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
 	small, large := layOf(expr.Instance{8, 8, 8}), layOf(expr.Instance{40, 40, 40})
-	p := compile(small, small)
+	p := slab.Compile(small)
 	smallBytes := 8 * cap(slab.buf)
 	p.Release()
-	p = compile(large, large)
+	p = slab.Compile(large)
 	largeBytes := 8 * cap(slab.buf)
-	if largeBytes <= smallBytes || largeBytes < 8*p.ArenaLen() {
-		t.Fatalf("slab of %d bytes after a %d-float plan (%d bytes before)", largeBytes, p.ArenaLen(), smallBytes)
+	if largeBytes <= smallBytes || largeBytes < 8*len(p.arena) {
+		t.Fatalf("slab of %d bytes after a %d-float plan (%d bytes before)", largeBytes, len(p.arena), smallBytes)
 	}
 	func() {
 		defer func() {
@@ -128,25 +116,76 @@ func TestSlabBounds(t *testing.T) {
 				t.Error("compiling into a lent slab did not panic")
 			}
 		}()
-		compile(small)
+		slab.Compile(small)
 	}()
+	if p.Output().Rows != 40 {
+		t.Error("the refused compile changed the lent plan")
+	}
 	p.Release()
-	compile(small).Release()
+	slab.Compile(small).Release()
 	if 8*cap(slab.buf) != largeBytes {
 		t.Errorf("slab shrank from %d to %d bytes for a smaller plan", largeBytes, 8*cap(slab.buf))
 	}
 
-	huge := make([]*Layout, MaxRetainedArenaBytes/(8*slabStride(large.arenaLen))+1)
-	for i := range huge {
-		huge[i] = large
-	}
-	p = compile(huge...)
-	if p.ArenaLen()*8 <= MaxRetainedArenaBytes {
-		t.Fatalf("plan of %d bytes is not over the cap", p.ArenaLen()*8)
+	p = slab.Compile(layOf(expr.Instance{1200, 1200, 1200}))
+	if len(p.arena)*8 <= MaxRetainedArenaBytes {
+		t.Fatalf("plan of %d bytes is not over the cap", len(p.arena)*8)
 	}
 	p.Release()
 	if 8*cap(slab.buf) != largeBytes {
 		t.Errorf("slab kept a %d-byte buffer over the cap", 8*cap(slab.buf))
+	}
+}
+
+// TestSlabChunkZeroAllocs extends the zero-alloc guarantee to the
+// compute path: once a slab has compiled a plan as large, compiling a
+// chunk of one into it, filling it from a fresh stream, executing it
+// and releasing it perform zero heap allocations, for every algorithm
+// of three expressions at worker caps 1 and 2.
+func TestSlabChunkZeroAllocs(t *testing.T) {
+	defer blas.SetMaxWorkers(blas.SetMaxWorkers(1))
+	var slab Slab
+	type allocCase struct {
+		label string
+		rep   func()
+	}
+	var cases []allocCase
+	for _, tc := range []struct {
+		name string
+		x    expr.Expression
+		inst expr.Instance
+	}{
+		{"chain", expr.NewChainABCD(), expr.Instance{24, 16, 20, 12, 8}},
+		{"aatb", expr.NewAATB(), expr.Instance{24, 16, 8}},
+		{"lstsq", expr.NewLstSq(), expr.Instance{32, 16, 8}},
+	} {
+		algs := tc.x.Algorithms(tc.inst)
+		for i := range algs {
+			lay, err := NewLayout(&algs[i])
+			if err != nil {
+				t.Fatalf("%s algorithm %d: NewLayout: %v", tc.name, algs[i].Index, err)
+			}
+			cases = append(cases, allocCase{
+				fmt.Sprintf("%s algorithm %d (%s)", tc.name, algs[i].Index, algs[i].Name),
+				func() {
+					p := slab.Compile(lay)
+					p.FillInputs(xrand.New(0x5ab5))
+					p.Execute()
+					p.Release()
+				},
+			})
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		blas.SetMaxWorkers(workers)
+		for _, c := range cases {
+			c.rep() // grow the slab, warm the pools
+		}
+		for _, c := range cases {
+			if allocs := testing.AllocsPerRun(10, c.rep); allocs != 0 {
+				t.Errorf("workers=%d %s: %v allocs per compile, fill, execution and release, want 0", workers, c.label, allocs)
+			}
+		}
 	}
 }
 

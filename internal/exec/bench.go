@@ -220,7 +220,7 @@ func RunAlgBench(e *Measured, reps int) []AlgBenchResult {
 
 // benchGrid returns the fixed kernel/shape grid: square and skinny GEMMs,
 // one or two shapes of each remaining kernel, and the small TRSM and
-// POTRF shapes of fused compute requests, small enough to finish in
+// POTRF shapes of small compute requests, small enough to finish in
 // seconds on the pure-Go backend.
 func benchGrid(short bool) []kernels.Call {
 	if short {
@@ -253,7 +253,7 @@ func benchGrid(short bool) []kernels.Call {
 		kernels.NewPotrf(256, "S"),
 		kernels.NewPotrf(512, "S"),
 	}
-	// The small solves and factorisations fused compute requests run:
+	// The small solves and factorisations small compute requests run:
 	// one diagonal block of the small-triangle TRSM kernel (n = m and a
 	// narrow n = 8, both orientations) and single-block POTRFs.
 	for _, m := range []int{32, 48, 64} {

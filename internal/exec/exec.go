@@ -46,20 +46,6 @@ type Executor interface {
 	Name() string
 }
 
-// BatchExecutor is implemented by executors that can run an algorithm
-// fused over many instances (see BatchPlan). The simulated backend does
-// not implement it — its model has no per-dispatch fixed costs to
-// amortise — so callers type-assert and fall back to per-instance
-// execution.
-type BatchExecutor interface {
-	// LayoutChunk reports the chunk width of the algorithm laid out as
-	// lay: how many instances one fused plan should execute together,
-	// so the chunk's working set stays within the slab budget. 0 means
-	// out of the fused regime. One fused plan may span up to
-	// MaxFusedChunks chunks.
-	LayoutChunk(lay *Layout) int
-}
-
 // Measurement is the result of timing one algorithm with repetitions.
 type Measurement struct {
 	// Total is the median over repetitions of the summed per-call times —

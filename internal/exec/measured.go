@@ -82,10 +82,7 @@ func mustCompile[P any](p P, err error) P {
 // not supply read as zero. This is the correctness path: all algorithms
 // of an expression must produce (numerically) the same result.
 func EvaluateAlgorithm(alg *expr.Algorithm, inputs map[string]*mat.Dense) *mat.Dense {
-	p, err := CompilePlan(alg)
-	if err != nil {
-		panic(fmt.Sprintf("exec: %v", err))
-	}
+	p := mustCompile(CompilePlan(alg))
 	for _, id := range alg.Inputs {
 		if _, ok := inputs[id]; !ok {
 			if m := p.Operand(id); m != nil {
@@ -117,54 +114,6 @@ func (e *Measured) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
 	e.algPlan.FillInputs(e.fillRng)
 	e.flushCache()
 	return e.algPlan.ExecuteTimed()
-}
-
-// batchSlabFloats is the fused-batch slab budget in float64s (4 MiB).
-// Fusing exists to amortise fixed per-dispatch costs across instances
-// whose working sets are cache-resident; the budget applies per *chunk*
-// — the contiguous instance range one fused plan executes — not per
-// batch, so wide batches execute as successive chunks while each
-// chunk's working set stays cache-sized. Instances whose arena cannot
-// fit at least two slabs in the budget are not fused at all.
-const batchSlabFloats = (4 << 20) / 8
-
-// MaxFusedChunks bounds how many chunk widths one fused batch plan may
-// span: N instances execute as ⌈N/chunk⌉ chunks, so the total fusable
-// width is FuseChunk × MaxFusedChunks (up to 512 instances for the
-// smallest strides). The cap keeps one plan's arena bounded (≤ 8 slab
-// budgets).
-const MaxFusedChunks = 8
-
-// FuseChunk returns the chunk width for alg (see LayoutChunk), laying
-// alg out first. 0 means the algorithm is out of the fused regime, or
-// not compilable, which the caller will surface through the ordinary
-// per-instance path.
-func (e *Measured) FuseChunk(alg *expr.Algorithm) int {
-	lay, err := NewLayout(alg)
-	if err != nil {
-		return 0
-	}
-	return e.LayoutChunk(lay)
-}
-
-// LayoutChunk implements BatchExecutor: the chunk width for the
-// algorithm laid out as lay — how many instances one fused plan should
-// execute together so the chunk's arena fits the slab budget at least
-// twice. 0 means the
-// algorithm is out of the fused regime (instance arena too large).
-func (e *Measured) LayoutChunk(lay *Layout) int {
-	w := batchSlabFloats / slabStride(lay.arenaLen)
-	if w < 2 {
-		return 0
-	}
-	return min(w, 64)
-}
-
-// FuseWidth returns the total number of instances of alg one fused
-// batch plan may carry — the chunk width times MaxFusedChunks. 0 means
-// the algorithm is out of the fused regime.
-func (e *Measured) FuseWidth(alg *expr.Algorithm) int {
-	return e.FuseChunk(alg) * MaxFusedChunks
 }
 
 // TimeCallCold implements Executor: the call runs through a compiled

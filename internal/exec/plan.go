@@ -1,18 +1,20 @@
 package exec
 
-// This file implements the per-instance stage of plan compilation: an
-// expr.Algorithm's layout — operand IDs resolved to indices into a flat
-// operand table, and every temporary placed into one arena buffer with
-// liveness-based slot reuse — and the binding of each call to its
+// This file implements the one compiled plan type. Compilation has two
+// stages: an expr.Algorithm's layout — operand IDs resolved to indices
+// into a flat operand table, and every temporary placed into one arena
+// buffer with liveness-based slot reuse — and the Plan, which carves
+// the operand headers out of an arena and binds each call to its serial
 // kernel and its concrete matrices, so that running a repetition
 // performs no map lookups, no dispatch switches, and no heap
-// allocations. Plan, the
-// single-instance BatchPlan, is what the Measured executor, the
-// isolated-call benchmark, and EvaluateAlgorithm execute through.
+// allocations. The Measured executor, the isolated-call benchmark,
+// EvaluateAlgorithm and the engine's compute path all execute through
+// a Plan.
 
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"lamb/internal/blas"
 	"lamb/internal/expr"
@@ -21,11 +23,22 @@ import (
 	"lamb/internal/xrand"
 )
 
-// Plan is a compiled algorithm over one instance: a BatchPlan of one,
-// bound to the serial kernels, with instance-free accessors. Compile
-// once, execute many times; like BatchPlan it is not safe for
-// concurrent use.
-type Plan struct{ BatchPlan }
+// Plan is a compiled algorithm over one instance, bound to the serial
+// kernels. Compile once, execute many times. A Plan is not safe for
+// concurrent use (its operands and timing buffer are shared state).
+type Plan struct {
+	lay *Layout
+	// lender is the Slab the arena and the SPD fill scratch are cut
+	// from, nil for a plan that allocated its own; Release gives it back.
+	lender     *Slab
+	arena      []float64
+	spdScratch []float64
+	// ops are the operand headers, in the layout's operand order, and
+	// steps[s] runs call s on them.
+	ops   []mat.Dense
+	steps []step
+	times []float64
+}
 
 // planFill records how one input slot is refilled before a repetition.
 type planFill struct {
@@ -46,7 +59,6 @@ type Layout struct {
 	offsets    []int
 	sizes      []int
 	arenaLen   int
-	operandLen int
 	output     int
 	fills      []planFill
 	scratchLen int
@@ -132,7 +144,6 @@ func NewLayout(alg *expr.Algorithm) (*Layout, error) {
 	for i, id := range lay.order {
 		sh := alg.Shapes[id]
 		lay.sizes[i] = max(sh.Rows, 1) * sh.Cols
-		lay.operandLen += lay.sizes[i]
 	}
 	lay.offsets, lay.arenaLen = layoutArena(nsteps, first, last, lay.sizes)
 
@@ -167,16 +178,48 @@ func CompilePlan(alg *expr.Algorithm) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileLayout(lay)
+	p := &Plan{}
+	p.compile(lay, nil)
+	return p, nil
 }
 
-// compileLayout compiles the Plan of one laid-out instance.
-func compileLayout(lay *Layout) (*Plan, error) {
-	p := &Plan{}
-	if err := p.compile([]*Layout{lay}, nil); err != nil {
-		return nil, err
+// compile carves the plan's operand headers out of an arena laid out
+// as lay and binds every call to its serial kernel. The arena comes
+// from slab when one is given, unzeroed (operands are written before
+// they are read), and is allocated for the plan alone otherwise. The
+// header slices are reused when they are long enough, so a slab's plan
+// compiles without allocating once it has compiled a plan as large.
+func (p *Plan) compile(lay *Layout, slab *Slab) {
+	n := lay.arenaLen
+	var buf []float64
+	if slab != nil {
+		buf = slab.lend(n + lay.scratchLen)
+	} else {
+		buf = poisonArena(make([]float64, n+lay.scratchLen))
 	}
-	return p, nil
+	p.lay, p.lender = lay, slab
+	p.arena, p.spdScratch = buf[:n:n], buf[n:]
+	p.ops = resize(p.ops, len(lay.order))
+	for i, id := range lay.order {
+		sh := lay.alg.Shapes[id]
+		off := lay.offsets[i]
+		p.ops[i] = mat.Dense{Rows: sh.Rows, Cols: sh.Cols, Stride: max(sh.Rows, 1), Data: p.arena[off : off+lay.sizes[i]]}
+	}
+	calls := lay.alg.Calls
+	p.steps = resize(p.steps, len(calls))
+	for s, c := range calls {
+		p.steps[s] = step{binders[c.Kind], bind(c, lay, p.ops)}
+	}
+	p.times = resize(p.times, len(calls))
+}
+
+// resize returns s with length n, reusing its array when it is long
+// enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // CompileCallPlan compiles a single-call plan for isolated benchmarking:
@@ -222,7 +265,9 @@ func CompileCallPlan(call kernels.Call) (*Plan, error) {
 			}
 		}
 	}
-	return compileLayout(lay)
+	p := &Plan{}
+	p.compile(lay, nil)
+	return p, nil
 }
 
 // layoutArena assigns arena offsets with a first-fit free list driven by
@@ -370,14 +415,76 @@ func (p *Plan) SetInput(id string, src *mat.Dense) {
 	mat.Copy(dst, src)
 }
 
+// FillInputs refills the input operands in place from rng, in the
+// algorithm's declared input order. It performs no heap allocations:
+// the SPD scratch buffer was sized at compile time.
+func (p *Plan) FillInputs(rng *xrand.Rand) {
+	p.live()
+	for _, f := range p.lay.fills {
+		fillOperand(&p.ops[f.idx], f.kind, p.spdScratch, rng)
+	}
+}
+
+// Execute runs the call sequence once. It performs no heap allocations
+// (the kernels' packing buffers are pooled; parallel kernel paths may
+// still spawn goroutines on multi-core hosts).
+func (p *Plan) Execute() {
+	p.live()
+	for _, st := range p.steps {
+		st.run(st.o)
+	}
+}
+
+// ExecuteTimed runs the sequence, timing each call with the monotonic
+// clock. The returned slice is owned by the plan and reused by the next
+// ExecuteTimed; it performs no heap allocations.
+func (p *Plan) ExecuteTimed() []float64 {
+	p.live()
+	for s, st := range p.steps {
+		start := time.Now()
+		st.run(st.o)
+		p.times[s] = time.Since(start).Seconds()
+	}
+	return p.times
+}
+
+// Release ends the plan: a plan compiled into a Slab gives the slab
+// back, so the next plan may be compiled into it. The plan is unusable
+// afterwards — filling, executing or reading it panics instead of
+// touching an arena another plan now owns — until its slab compiles
+// into it again, and operand matrices obtained from it before must not
+// be used either. Releasing twice is a no-op. A plan that allocated its
+// own arena needs no Release: the collector frees it with the plan.
+func (p *Plan) Release() {
+	if p.lay == nil {
+		return
+	}
+	if p.lender != nil {
+		p.lender.lent = false
+	}
+	clear(p.ops) // drop the arena references; the slices stay for reuse
+	p.lay, p.lender, p.arena, p.spdScratch = nil, nil, nil, nil
+}
+
+// live panics if the plan has been released.
+func (p *Plan) live() {
+	if p.lay == nil {
+		panic("exec: use of a released plan")
+	}
+}
+
 // Operand returns the arena-backed matrix for the given operand ID, or
 // nil if the plan has no such operand.
-func (p *Plan) Operand(id string) *mat.Dense { return p.BatchPlan.Operand(0, id) }
+func (p *Plan) Operand(id string) *mat.Dense {
+	p.live()
+	if i, ok := p.lay.index[id]; ok {
+		return &p.ops[i]
+	}
+	return nil
+}
 
 // Output returns the arena-backed result operand.
-func (p *Plan) Output() *mat.Dense { return p.BatchPlan.Output(0) }
-
-// OperandLen returns the summed operand sizes — the arena length a
-// layout without liveness-based slot reuse would need. ArenaLen smaller
-// than OperandLen is slot reuse at work.
-func (p *Plan) OperandLen() int { return p.insts[0].lay.operandLen }
+func (p *Plan) Output() *mat.Dense {
+	p.live()
+	return &p.ops[p.lay.output]
+}

@@ -351,7 +351,7 @@ func TestKernelTableComplete(t *testing.T) {
 			t.Errorf("%v: %v", kind, err)
 			continue
 		}
-		if o := bind(call, p.insts[0].lay, p.insts[0].ops); o.out == nil || (len(call.In) > 0 && o.a == nil) {
+		if o := bind(call, p.lay, p.ops); o.out == nil || (len(call.In) > 0 && o.a == nil) {
 			t.Errorf("%v: bind resolved no operands: %+v", kind, o)
 		}
 		p.FillInputs(xrand.New(0x7ab1e))
@@ -375,11 +375,15 @@ func TestPlanArenaSlotReuse(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s algorithm %d: %v", name, i+1, err)
 			}
-			if p.ArenaLen() > p.OperandLen() {
-				t.Errorf("%s algorithm %d: arena %d floats exceeds no-reuse total %d",
-					name, i+1, p.ArenaLen(), p.OperandLen())
+			operandLen := 0 // the arena length without slot reuse
+			for _, size := range p.lay.sizes {
+				operandLen += size
 			}
-			if p.ArenaLen() < p.OperandLen() {
+			if len(p.arena) > operandLen {
+				t.Errorf("%s algorithm %d: arena %d floats exceeds no-reuse total %d",
+					name, i+1, len(p.arena), operandLen)
+			}
+			if len(p.arena) < operandLen {
 				reused = true
 			}
 		}

@@ -57,7 +57,7 @@ func (in Instance) Key() Key {
 
 // Octave returns d's power-of-two octave, ⌊log2 max(d,1)⌋. Instances
 // whose dimensions share their octaves differ by less than 2× in every
-// dimension: the fused-execution bucket and the router's shard both
+// dimension: the router's shard and lamb loadtest -batch-mix both
 // group queries by it.
 func Octave(d int) int { return bits.Len(uint(max(d, 1))) - 1 }
 

@@ -251,8 +251,8 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := requestCtx(r, req.TimeoutMs)
 	defer cancel()
 
-	// Split the batch by shard owner — each sub-batch rides the owning
-	// backend's fused execution path — then reassemble in order.
+	// Split the batch by shard owner — each sub-batch is one request to
+	// the owning backend — then reassemble in order.
 	type group struct {
 		cands   []string
 		indices []int
