@@ -18,7 +18,6 @@ import (
 
 	"lamb/internal/engine"
 	"lamb/internal/faultinject"
-	"lamb/internal/mat"
 	"lamb/internal/outcomes"
 	"lamb/internal/router"
 )
@@ -494,7 +493,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	ctx, cancel := s.requestCtx(r, req.TimeoutMs)
 	defer cancel()
-	results := s.eng.Do(ctx, engine.Request{Queries: req.Queries, Compute: req.Compute})
+	results := s.eng.Do(ctx, engine.Request{Queries: req.Queries, Compute: req.Compute, OmitOutput: true})
 	resp := batchResponse{Results: make([]batchItem, len(results))}
 	for i, res := range results {
 		switch {
@@ -504,27 +503,15 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = batchItem{Error: res.Err.Error()}
 		case req.Compute:
 			resp.Results[i] = batchItem{Record: res.Record, Result: &batchResult{
-				Rows:     res.Output.Rows,
-				Cols:     res.Output.Cols,
-				Checksum: denseChecksum(res.Output),
+				Rows:     res.Rows,
+				Cols:     res.Cols,
+				Checksum: res.Checksum,
 			}}
 		default:
 			resp.Results[i] = batchItem{Record: res.Record}
 		}
 	}
 	writeAppended(w, buf, &resp, func(b []byte) ([]byte, bool) { return appendBatchResponse(b, &resp) })
-}
-
-// denseChecksum sums a matrix's elements (stride-aware).
-func denseChecksum(d *mat.Dense) float64 {
-	var sum float64
-	for c := 0; c < d.Cols; c++ {
-		col := d.Data[c*d.Stride : c*d.Stride+d.Rows]
-		for _, v := range col {
-			sum += v
-		}
-	}
-	return sum
 }
 
 func (s *server) handleFeedback(w http.ResponseWriter, r *http.Request) {

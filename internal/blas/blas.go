@@ -47,11 +47,23 @@ const (
 
 // Packing buffers are kept on free lists so steady-state kernel calls do
 // not allocate: a Gemm used to allocate a 256 KiB bufA and a 4 MiB bufB
-// on every call.
+// on every call. A buffer is sized to the call that grows it (packBuf),
+// so small products, which pack a few KiB, keep no full-block buffers
+// alive; only the parallel driver asks for full blocks.
 var (
-	bufAs = newFreeList(func() []float64 { return make([]float64, mc*kc) })
-	bufBs = newFreeList(func() []float64 { return make([]float64, kc*nc) })
+	bufAs = newFreeList(func() []float64 { return nil })
+	bufBs = newFreeList(func() []float64 { return nil })
 )
+
+// packBuf returns a buffer of n float64s from f: an idle one, grown
+// first if it is shorter than n. Its contents are unspecified.
+func packBuf(f *freeList[[]float64], n int) []float64 {
+	buf := f.get()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	return buf[:n]
+}
 
 // freeListCap bounds the idle buffers each free list keeps.
 const freeListCap = 8
@@ -120,6 +132,9 @@ func workers() int {
 	}
 	return w
 }
+
+// roundUp rounds n up to a multiple of q.
+func roundUp(n, q int) int { return (n + q - 1) / q * q }
 
 // opDims returns the dimensions of op(X) given trans.
 func opDims(x *mat.Dense, trans bool) (r, c int) {
@@ -196,7 +211,7 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 	a, b, c := &av, &bv, &cv
 	m, _ := opDims(a, transA)
 	k, n := opDims(b, transB)
-	bufB := bufBs.get()
+	bufB := packBuf(bufBs, kc*nc)
 	defer bufBs.put(bufB)
 	nblkA := (m + mc - 1) / mc
 	for jc := 0; jc < n; jc += nc {
@@ -212,7 +227,7 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 				par.For(nblkA, nw, func(blk int) {
 					ic := blk * mc
 					mcb := min(mc, m-ic)
-					bufA := bufAs.get()
+					bufA := packBuf(bufAs, mc*kc)
 					packA(bufA, a, transA, ic, ic+mcb, pc, pc+kcb)
 					macroKernel(bufA, bufB, mcb, kcb, alpha, betaEff, c, ic, jc, 0, ncb)
 					bufAs.put(bufA)
@@ -220,7 +235,7 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 				continue
 			}
 			// Single row block: pack A once, split the jr loop.
-			bufA := bufAs.get()
+			bufA := packBuf(bufAs, mc*kc)
 			packA(bufA, a, transA, 0, m, pc, pc+kcb)
 			parallelCols(nw, ncb, func(q0, q1 int) {
 				macroKernel(bufA, bufB, m, kcb, alpha, betaEff, c, 0, jc, q0, q1)
@@ -232,9 +247,13 @@ func gemmParallel(nw int, transA, transB bool, alpha float64, aArg, bArg *mat.De
 
 // gemmSerial is the single-goroutine blocked implementation.
 func gemmSerial(transA, transB bool, alpha float64, a, b *mat.Dense, beta float64, c *mat.Dense) {
-	bufA, bufB := bufAs.get(), bufBs.get()
 	m, _ := opDims(a, transA)
 	k, n := opDims(b, transB)
+	// The largest blocks this call packs; ragged panels pad to the
+	// micro-kernel's mr rows and nr columns.
+	kb := min(k, kc)
+	bufA := packBuf(bufAs, min(roundUp(m, mr), mc)*kb)
+	bufB := packBuf(bufBs, kb*min(roundUp(n, nr), nc))
 	for jc := 0; jc < n; jc += nc {
 		ncb := min(nc, n-jc)
 		for pc := 0; pc < k; pc += kc {

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -387,5 +388,52 @@ func TestSetMaxWorkers(t *testing.T) {
 	SetMaxWorkers(0)
 	if workers() < 1 {
 		t.Fatal("workers() must be at least 1")
+	}
+}
+
+// TestPackBuffersSizedToCall pins that the serial GEMM's pack buffers
+// are sized to the call: from empty free lists, a warm 64×64×64 Gemm
+// leaves no idle buffer longer than that call packs (64·64 floats of A
+// and of B), where full blocks would be mc·kc and kc·nc; and a
+// following 512³ call, which must grow them, still matches the
+// reference serially and in parallel.
+func TestPackBuffersSizedToCall(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1))
+	for _, f := range []*freeList[[]float64]{bufAs, bufBs} {
+		f.mu.Lock()
+		f.idle = f.idle[:0]
+		f.mu.Unlock()
+	}
+	rng := xrand.New(0x9ac4)
+	a, b, c := mat.NewRandom(64, 64, rng), mat.NewRandom(64, 64, rng), mat.New(64, 64)
+	for range 2 {
+		Gemm(false, false, 1, a, b, 0, c)
+	}
+	for _, l := range []struct {
+		name string
+		f    *freeList[[]float64]
+	}{{"A", bufAs}, {"B", bufBs}} {
+		l.f.mu.Lock()
+		idle := slices.Clone(l.f.idle)
+		l.f.mu.Unlock()
+		if len(idle) == 0 {
+			t.Errorf("no idle pack buffer of %s after the call", l.name)
+		}
+		for _, buf := range idle {
+			if cap(buf) > 64*64 {
+				t.Errorf("idle pack buffer of %s holds %d floats after a 64³ call, want at most %d", l.name, cap(buf), 64*64)
+			}
+		}
+	}
+	a, b = mat.NewRandom(512, 512, rng), mat.NewRandom(512, 512, rng)
+	want := mat.New(512, 512)
+	NaiveGemm(false, false, 1, a, b, 0, want)
+	for _, workers := range []int{1, 2} {
+		SetMaxWorkers(workers)
+		got := mat.New(512, 512)
+		Gemm(false, false, 1, a, b, 0, got)
+		if d := mat.MaxAbsDiff(got, want); d > tol(512) {
+			t.Errorf("workers=%d: 512³ Gemm after a 64³ one differs from the reference by %g", workers, d)
+		}
 	}
 }

@@ -76,7 +76,7 @@ func TestQueryBatchOracleMeasuresPerInstance(t *testing.T) {
 	if s.Coalesced != 2 {
 		t.Errorf("coalesced = %d, want 2", s.Coalesced)
 	}
-	checkSlab(t, e)
+	checkSlabs(t, e)
 	direct, err := ask(context.Background(), e, q)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,13 @@ package engine
 // computes each query's result. Selection goes through Do's one query
 // path (coalescing, singleflight, per-instance timed measurement); the
 // execution step then runs every answered query alone, as a chunk of
-// one: its selected algorithm is compiled into the engine's one slab
-// from the bound set's memoised layout, filled from a fresh stream of
-// the engine's fill seed, run, copied out and released. A computed
-// output is therefore a function of (expression, instance, selected
-// algorithm) alone, whatever else its request carries.
+// one: its selected algorithm is compiled from the bound set's
+// memoised layout into a slab the request borrows from the engine,
+// filled from a fresh stream of the engine's fill seed, run, summed
+// (and, unless the request omits outputs, copied out) and released. A
+// computed output is therefore a function of (expression, instance,
+// selected algorithm) alone, whatever else its request carries and
+// whichever slab ran it.
 
 import (
 	"fmt"
@@ -35,10 +37,11 @@ type target struct {
 // its output in out, in request order. sets[i] is the bound set query
 // i was answered from, so the pick needs no second bind.
 //
-// Every executable query's Output is set up front to a view into one
-// output slab for the whole request; execution copies the result into
-// it, and a query that fails has its Output cleared.
-func (e *Engine) compute(sets []*boundSet, out []Result) {
+// Unless omit is set, every executable query's Output is set up front
+// to a view into one output slab for the whole request; execution
+// copies the result into it, and a query that fails has its Output
+// cleared.
+func (e *Engine) compute(sets []*boundSet, out []Result, omit bool) {
 	sel := make([]target, len(out))
 	for i := range out {
 		if out[i].Err != nil || out[i].Record == nil {
@@ -55,7 +58,9 @@ func (e *Engine) compute(sets []*boundSet, out []Result) {
 			out[i].Err = fmt.Errorf("engine: selected algorithm %d not in bound set", rec.Selected.Index)
 		}
 	}
-	outputSlab(sel, out)
+	if !omit {
+		outputSlab(sel, out)
+	}
 	e.execTargets(sel, out)
 }
 
@@ -88,17 +93,24 @@ func outputSlab(sel []target, out []Result) {
 	}
 }
 
-// execTargets runs every query with a target alone, under one hold of
-// the execution lock for the whole request: execution must not contend
-// with a concurrent timed measurement, and the engine's one slab serves
-// one plan at a time. Each plan is compiled into the slab from its
-// memoised layout, filled from a fresh stream, run, copied into the
-// view outputSlab set up as its query's Output, and released. A target
-// without a layout did not validate: its query fails with the error
-// exec.NewLayout reports and has its Output cleared.
+// execTargets runs every query with a target alone, in one slab
+// borrowed for the whole request, under a shared hold of the execution
+// lock: compute requests run side by side, each in a slab of its own,
+// but never beside a timed measurement. Each plan is compiled into the
+// slab from its memoised layout, filled from a fresh stream, run,
+// summed, copied into its query's Output if outputSlab set one, and
+// released. A target without a layout did not validate: its query
+// fails with the error exec.NewLayout reports and has its Output
+// cleared.
 func (e *Engine) execTargets(sel []target, out []Result) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
+	e.execMu.RLock()
+	defer e.execMu.RUnlock()
+	// The wait for a slab cannot deadlock: every slab out is held by a
+	// request that already holds the shared lock and gives it back
+	// without waiting for anything. Taking the lock first means a slab
+	// out implies an execution that no measurement may overlap.
+	slab := <-e.free
+	defer func() { e.free <- slab }()
 	for i, t := range sel {
 		if t.alg == nil {
 			continue
@@ -108,17 +120,34 @@ func (e *Engine) execTargets(sel []target, out []Result) {
 			out[i].Output = nil
 			continue
 		}
-		e.runChunk(t.lay, out[i].Output)
+		runChunk(slab, t.lay, &out[i])
 	}
 }
 
-// runChunk runs one query's plan in the engine's slab and copies its
-// output into dst. The plan gives the slab back even if a kernel
-// panics, so the slab stays usable for the next request.
-func (e *Engine) runChunk(lay *exec.Layout, dst *mat.Dense) {
-	p := e.slab.Compile(lay)
+// runChunk runs one query's plan in slab, records its output's shape
+// and checksum in res and copies the output into res.Output if set.
+// The plan gives the slab back even if a kernel panics, so the slab
+// stays usable for the next request.
+func runChunk(slab *exec.Slab, lay *exec.Layout, res *Result) {
+	p := slab.Compile(lay)
 	defer p.Release()
 	p.FillInputs(xrand.New(batchFillSeed))
 	p.Execute()
-	mat.Copy(dst, p.Output())
+	o := p.Output()
+	res.Rows, res.Cols, res.Checksum = o.Rows, o.Cols, checksum(o)
+	if res.Output != nil {
+		mat.Copy(res.Output, o)
+	}
+}
+
+// checksum sums a matrix's elements column by column, rows in order
+// (stride-aware), so equal bits give equal sums.
+func checksum(d *mat.Dense) float64 {
+	var sum float64
+	for c := 0; c < d.Cols; c++ {
+		for _, v := range d.Data[c*d.Stride : c*d.Stride+d.Rows] {
+			sum += v
+		}
+	}
+	return sum
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -63,10 +64,16 @@ func TestQueryBatchExecFusedHomogeneous(t *testing.T) {
 			t.Errorf("query %d: output differs from single-instance evaluation", i)
 		}
 	}
-	if e.slab.Cap() == 0 {
-		t.Error("the request compiled no plan into the engine's slab")
+	grown := 0
+	for i := range e.slabs {
+		if e.slabs[i].Cap() > 0 {
+			grown++
+		}
 	}
-	checkSlab(t, e)
+	if grown != 1 {
+		t.Errorf("the request compiled plans into %d of the engine's slabs, want 1", grown)
+	}
+	checkSlabs(t, e)
 }
 
 // TestQueryBatchExecFusedMixed pins the result path for queries of one
@@ -93,7 +100,7 @@ func TestQueryBatchExecFusedMixed(t *testing.T) {
 			t.Errorf("query %d: output differs from single-instance evaluation", i)
 		}
 	}
-	checkSlab(t, e)
+	checkSlabs(t, e)
 }
 
 // TestQueryBatchExecDefaultFillDeterministic pins that computed operands
@@ -149,18 +156,68 @@ func TestComputeOnUsedSlabMatchesFresh(t *testing.T) {
 			t.Errorf("query %d: output on the used slab differs from a fresh engine's", i)
 		}
 	}
-	checkSlab(t, e)
+	checkSlabs(t, e)
+
+	// The same from several goroutines at once on one engine: each
+	// request runs in whichever slab it borrows, used or not, and must
+	// still match the fresh engine.
+	shared := New(Config{Executor: exec.NewMeasured()})
+	concurrently(computeGoroutines, func(g int) {
+		for pass := range 3 {
+			req := Request{Queries: qs, Compute: true}
+			if (g+pass)%2 == 0 {
+				req.Queries = earlier
+			}
+			for i, r := range shared.Do(ctx, req) {
+				switch {
+				case r.Err != nil || r.Output == nil:
+					t.Errorf("goroutine %d pass %d query %d: output %v, err %v", g, pass, i, r.Output != nil, r.Err)
+				case (g+pass)%2 != 0 && !bitEqual(r.Output, fresh[i].Output):
+					t.Errorf("goroutine %d pass %d query %d: output beside concurrent requests differs from a fresh engine's", g, pass, i)
+				}
+			}
+		}
+	})
+	checkSlabs(t, shared)
 }
 
-// checkSlab fails the test if the engine's slab is still lent to a plan.
-func checkSlab(t *testing.T, e *Engine) {
+// checkSlabs fails the test unless every one of the engine's slabs is
+// back in its free channel and none is still lent to a plan.
+func checkSlabs(t *testing.T, e *Engine) {
 	t.Helper()
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
-	if e.slab.Lent() {
-		t.Error("the engine's slab is still lent after the request")
+	if len(e.slabs) != runtime.GOMAXPROCS(0) {
+		t.Errorf("the engine has %d slabs, want one per core (%d)", len(e.slabs), runtime.GOMAXPROCS(0))
+	}
+	if n := len(e.free); n != len(e.slabs) {
+		t.Errorf("%d of the engine's %d slabs are back after the request", n, len(e.slabs))
+	}
+	for i := range e.slabs {
+		if e.slabs[i].Lent() {
+			t.Errorf("slab %d is still lent after the request", i)
+		}
 	}
 }
+
+// concurrently runs f(g) for g in [0, n) on n goroutines and waits for
+// them all. f reports failures with t.Errorf, not t.Fatalf.
+func concurrently(n int, f func(g int)) {
+	var wg sync.WaitGroup
+	for g := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(g)
+		}()
+	}
+	wg.Wait()
+}
+
+// computeGoroutines is how many goroutines the concurrent compute tests
+// send requests from: more than the slabs of a two-core engine, so
+// requests also wait for a slab.
+const computeGoroutines = 4
 
 // bitEqual reports whether a and b have the same shape and the same
 // bits in every element.
@@ -258,7 +315,7 @@ func TestExecUnlaidTargetReportsValidation(t *testing.T) {
 	if out[0].Output != nil {
 		t.Errorf("output %v, want none", out[0].Output)
 	}
-	checkSlab(t, e)
+	checkSlabs(t, e)
 }
 
 // TestComputedOutputIndependentOfRequest pins that a computed output is
@@ -290,6 +347,7 @@ func TestComputedOutputIndependentOfRequest(t *testing.T) {
 		}
 		return r
 	}
+	var cases []placed
 	for _, name := range names {
 		q := at(name, 10)
 		alone := computed(Request{Queries: []Query{q}, Compute: true}, 0)
@@ -321,6 +379,70 @@ func TestComputedOutputIndependentOfRequest(t *testing.T) {
 		if !bitEqual(computed(Request{Queries: among, Compute: true}, len(others)/2).Output, alone.Output) {
 			t.Errorf("%s: output inside a request of other expressions differs from the output alone", name)
 		}
+		cases = append(cases,
+			placed{name + " among its octave", mixed, len(mixed) - 1, alone.Output},
+			placed{name + " among other expressions", among, len(others) / 2, alone.Output})
 	}
-	checkSlab(t, e)
+	checkSlabs(t, e)
+
+	// The same requests again from several goroutines at once, each
+	// starting at another case, so requests of different expressions run
+	// side by side in the engine's slabs.
+	concurrently(computeGoroutines, func(g int) {
+		for k := range cases {
+			c := cases[(k+g*len(cases)/computeGoroutines)%len(cases)]
+			r := e.Do(ctx, Request{Queries: c.qs, Compute: true})[c.at]
+			if r.Err != nil || !bitEqual(r.Output, c.want) {
+				t.Errorf("goroutine %d, %s: err %v or output beside concurrent requests differs from the output alone", g, c.label, r.Err)
+			}
+		}
+	})
+	checkSlabs(t, e)
+}
+
+// placed is a query placed at index at of a request of queries qs, and
+// the output it computes alone.
+type placed struct {
+	label string
+	qs    []Query
+	at    int
+	want  *mat.Dense
+}
+
+// TestOmitOutputChecksumMatchesOutput pins the checksum path: for every
+// registered expression, a request with OmitOutput returns no outputs,
+// and each query's shape and checksum equal, bit for bit, the default
+// path's Output shape and a sum over that Output column by column, rows
+// in order.
+func TestOmitOutputChecksumMatchesOutput(t *testing.T) {
+	ctx := context.Background()
+	e := New(Config{Executor: exec.NewMeasured()})
+	for _, req := range computeBatchRequests(t) {
+		req.Queries = req.Queries[:8]
+		full := e.Do(ctx, req)
+		req.OmitOutput = true
+		sums := e.Do(ctx, req)
+		for i, q := range req.Queries {
+			f, s := full[i], sums[i]
+			if f.Err != nil || s.Err != nil {
+				t.Fatalf("%s %v: default err %v, checksum err %v", q.Expr, q.Instance, f.Err, s.Err)
+			}
+			if s.Output != nil {
+				t.Errorf("%s %v: OmitOutput returned an output", q.Expr, q.Instance)
+			}
+			var want float64
+			for j := 0; j < f.Output.Cols; j++ {
+				for r := 0; r < f.Output.Rows; r++ {
+					want += f.Output.At(r, j)
+				}
+			}
+			if s.Rows != f.Output.Rows || s.Cols != f.Output.Cols {
+				t.Errorf("%s %v: checksum path shape %dx%d, output %dx%d", q.Expr, q.Instance, s.Rows, s.Cols, f.Output.Rows, f.Output.Cols)
+			}
+			if math.Float64bits(s.Checksum) != math.Float64bits(want) || math.Float64bits(f.Checksum) != math.Float64bits(want) {
+				t.Errorf("%s %v: checksums %v (omitted) and %v (default), column-order sum of the output %v", q.Expr, q.Instance, s.Checksum, f.Checksum, want)
+			}
+		}
+	}
+	checkSlabs(t, e)
 }

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"lamb/internal/exec"
 	"lamb/internal/expr"
+	"lamb/internal/par"
 	"lamb/internal/xrand"
 )
 
@@ -51,13 +54,23 @@ func distinctQueries(rng *xrand.Rand, name, strategy string, box expr.Box, n int
 	return qs
 }
 
-// doCompute runs one Compute request and fails on any query error.
+// doCompute runs one Compute request and fails on any query error, or
+// on an output that OmitOutput should have left out or not.
 func doCompute(tb testing.TB, e *Engine, req Request) {
+	if err := computeErr(e, req); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// computeErr runs one Compute request and reports its first query
+// error, or an output that OmitOutput should have left out or not.
+func computeErr(e *Engine, req Request) error {
 	for i, r := range e.Do(context.Background(), req) {
-		if r.Err != nil || r.Output == nil {
-			tb.Fatalf("%s query %d: output %v, err %v", req.Queries[i].Expr, i, r.Output != nil, r.Err)
+		if r.Err != nil || (r.Output == nil) != req.OmitOutput {
+			return fmt.Errorf("%s query %d: output %v, err %v", req.Queries[i].Expr, i, r.Output != nil, r.Err)
 		}
 	}
+	return nil
 }
 
 // BenchmarkDoComputeBatch times what serve's batch-compute path does per
@@ -76,6 +89,33 @@ func BenchmarkDoComputeBatch(b *testing.B) {
 		doCompute(b, e, reqs[i%len(reqs)])
 		i++
 	}
+}
+
+// BenchmarkDoComputeBatchParallel is BenchmarkDoComputeBatch sent from
+// GOMAXPROCS goroutines at once (b.RunParallel), so ms/op at -cpu 2
+// against -cpu 1 is how much a second core adds to compute throughput:
+// each request borrows a slab of its own. parallel_ratio is the core
+// check (par.ParallelRatio), taken before the timed loop; a speedup
+// reads as one only where it is near 2 at -cpu 2.
+func BenchmarkDoComputeBatchParallel(b *testing.B) {
+	reqs := computeBatchRequests(b)
+	e := New(Config{Executor: exec.NewMeasured()})
+	for _, req := range reqs {
+		doCompute(b, e, req)
+	}
+	ratio := par.ParallelRatio()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if err := computeErr(e, reqs[int(next.Add(1))%len(reqs)]); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	b.ReportMetric(ratio, "parallel_ratio")
 }
 
 // BenchmarkDoOracleBatch times one oracle request of 16 distinct aatb
@@ -109,42 +149,62 @@ func BenchmarkDoOracleBatch(b *testing.B) {
 // per blend, 1215; with one closure per bound call, 1467; before the
 // slab and the layout memo it allocated 1445789 bytes and 4047
 // allocations; before pooled arenas and the output slab, 12.0 MB.
+// computeChecksumBytesBudget bounds the same request with OmitOutput,
+// serve's setting, the largest of six runs plus 10%: without the
+// output slab and its copies a request allocates about 88 KB (1.26 MB
+// with them) in 400 allocations (402 to 404 with them).
 const (
-	computeBatchBytesBudget  = 1293744 * 11 / 10
-	computeBatchAllocsBudget = 564 * 11 / 10
+	computeBatchBytesBudget    = 1293744 * 11 / 10
+	computeBatchAllocsBudget   = 564 * 11 / 10
+	computeChecksumBytesBudget = 88317 * 11 / 10
 )
 
 // TestDoComputeBatchBytesBudget pins the allocation volume and count of
 // warm compute requests: plan arenas and headers come from the
-// engine's slab, layouts from the bound sets, and outputs share one
+// engine's slabs, layouts from the bound sets, and outputs share one
 // slab per request, so what a request allocates is mostly its records
-// and its output slab.
+// and its output slab. With OmitOutput, serve's setting, there is no
+// output slab and the request is held to its own byte budget.
 func TestDoComputeBatchBytesBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocation volume")
 	}
-	reqs := computeBatchRequests(t)
-	e := New(Config{Executor: exec.NewMeasured()})
-	for _, req := range reqs {
-		doCompute(t, e, req)
-	}
-	for _, req := range reqs {
-		doCompute(t, e, req) // grows the slab to the largest plan
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, req := range reqs {
-		doCompute(t, e, req)
-	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(len(reqs))
-	allocs := (after.Mallocs - before.Mallocs) / uint64(len(reqs))
-	t.Logf("%d bytes and %d allocations per warm compute request", bytes, allocs)
-	if bytes > computeBatchBytesBudget {
-		t.Errorf("warm compute request allocates %d bytes, budget %d", bytes, computeBatchBytesBudget)
-	}
-	if allocs > computeBatchAllocsBudget {
-		t.Errorf("warm compute request makes %d allocations, budget %d", allocs, computeBatchAllocsBudget)
+	for _, tc := range []struct {
+		name         string
+		omit         bool
+		bytes, count uint64
+	}{
+		{"outputs", false, computeBatchBytesBudget, computeBatchAllocsBudget},
+		{"checksums", true, computeChecksumBytesBudget, computeBatchAllocsBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reqs := computeBatchRequests(t)
+			for i := range reqs {
+				reqs[i].OmitOutput = tc.omit
+			}
+			e := New(Config{Executor: exec.NewMeasured()})
+			for _, req := range reqs {
+				doCompute(t, e, req)
+			}
+			for _, req := range reqs {
+				doCompute(t, e, req) // grows the slab to the largest plan
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for _, req := range reqs {
+				doCompute(t, e, req)
+			}
+			runtime.ReadMemStats(&after)
+			bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(len(reqs))
+			allocs := (after.Mallocs - before.Mallocs) / uint64(len(reqs))
+			t.Logf("%d bytes and %d allocations per warm compute request", bytes, allocs)
+			if bytes > tc.bytes {
+				t.Errorf("warm compute request allocates %d bytes, budget %d", bytes, tc.bytes)
+			}
+			if allocs > tc.count {
+				t.Errorf("warm compute request makes %d allocations, budget %d", allocs, tc.count)
+			}
+		})
 	}
 }
 

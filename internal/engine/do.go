@@ -28,6 +28,11 @@ type Request struct {
 	// its output. Every query runs alone, so its output does not depend
 	// on the other queries of the request.
 	Compute bool
+	// OmitOutput, with Compute, returns each computed output's shape and
+	// checksum without the output itself: the sums are taken from the
+	// plan's own output before it is released, so the request neither
+	// allocates room for its outputs nor copies them. Output is then nil.
+	OmitOutput bool
 }
 
 // Result is one query's answer: its record, and — for Compute requests
@@ -36,9 +41,16 @@ type Result struct {
 	Record *Record
 	// Output is the selected algorithm's result on the engine-filled
 	// operands, a caller-owned view into one slab that the request's
-	// outputs share; nil without Compute or when Err is set.
+	// outputs share; nil without Compute, with OmitOutput or when Err is
+	// set.
 	Output *mat.Dense
-	Err    error
+	// Rows and Cols are the computed output's shape and Checksum the sum
+	// of its elements, column by column with rows in order, so a caller
+	// can confirm determinism without the matrix. They are set whenever
+	// the query computed, with or without OmitOutput.
+	Rows, Cols int
+	Checksum   float64
+	Err        error
 	// Fused is always false: every computed query runs alone. It exists
 	// only for perfbench's replay.
 	Fused bool
@@ -87,7 +99,7 @@ func (e *Engine) Do(ctx context.Context, req Request) []Result {
 		}
 	}
 	if req.Compute {
-		e.compute(sets, out)
+		e.compute(sets, out, req.OmitOutput)
 	}
 	return out
 }

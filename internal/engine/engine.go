@@ -18,7 +18,8 @@
 //     executor, which compiles one plan per measurement
 //     (lamb/internal/exec.Measured keeps it for that measurement's
 //     repetitions); compute runs every computed query alone, compiled
-//     into one engine-owned slab from the bound set's memoised layout.
+//     from the bound set's memoised layout into one of the engine's
+//     slabs, one per core, so compute requests run side by side.
 //   - serving layer: Do deduplicates concurrent identical queries with
 //     a singleflight and answers each from one posterior — prior
 //     predictions blended with nearby feedback (lamb/internal/selection)
@@ -34,6 +35,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -279,13 +281,20 @@ type Engine struct {
 	mu   sync.Mutex
 	bind *cache.LRU[bindKey, *boundSet]
 
-	// execMu serialises timing-based strategies: executors measure wall
-	// time, so concurrent measurement would contend for the cores being
-	// measured (and the measured executor is single-threaded anyway).
-	// It also guards slab, the arena every computed query's plan is
-	// compiled into, run on and released from.
-	execMu sync.Mutex
-	slab   exec.Slab
+	// execMu orders timing against execution. Timing-based strategies
+	// hold it exclusively: executors measure wall time, so a timing must
+	// not share the machine with another timing or with a computed
+	// query. Compute requests hold it shared, so they run side by side,
+	// each on a slab of its own.
+	execMu sync.RWMutex
+	// slabs are the arenas computed queries' plans are compiled into,
+	// run on and released from: one per core (GOMAXPROCS at New), so as
+	// many compute requests as cores run at once, and one more waits for
+	// a slab. free hands them out (its buffer holds every slab); a
+	// compute request borrows one for its whole run of chunks and gives
+	// it back.
+	slabs []exec.Slab
+	free  chan *exec.Slab
 
 	// sfMu guards the singleflight table.
 	sfMu     sync.Mutex
@@ -421,6 +430,11 @@ func New(cfg Config) *Engine {
 		bind:     cache.NewLRU[bindKey, *boundSet](bindEntries),
 		inflight: make(map[queryKey]*flight),
 		outcomes: outcomes.NewStore(feedbackEntries, cfg.OutcomeHalfLife),
+	}
+	e.slabs = make([]exec.Slab, runtime.GOMAXPROCS(0))
+	e.free = make(chan *exec.Slab, len(e.slabs))
+	for i := range e.slabs {
+		e.free <- &e.slabs[i]
 	}
 	e.exploreEvery = exploreInterval(cfg.ExploreRate)
 	if cfg.Profiles != nil {
@@ -667,8 +681,10 @@ func (e *Engine) answer(ctx context.Context, q Query, strat string) (rec *Record
 
 // chooseMeasured is the oracle's pick: every algorithm is measured one
 // instance per repetition and the lowest median wins (first on ties).
-// Measurement is serialised on execMu, and the context is honoured
-// between repetitions, so a deadline aborts within one repetition.
+// Measurement holds execMu exclusively, so it shares the machine with
+// neither another measurement nor a compute request, and the context
+// is honoured between repetitions, so a deadline aborts within one
+// repetition.
 func (e *Engine) chooseMeasured(ctx context.Context, algs []expr.Algorithm) (int, error) {
 	e.execMu.Lock()
 	defer e.execMu.Unlock()

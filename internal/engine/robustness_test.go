@@ -5,6 +5,8 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -418,4 +420,101 @@ func TestEngineAnswerRecoversPanic(t *testing.T) {
 	if rec.Selected.Index != 5 || rec.NumAlgorithms != 5 {
 		t.Fatalf("record after reset %+v", rec)
 	}
+}
+
+// overlapExecutor is slowExecutor that counts its timed repetitions and
+// those that overlapped a computed query. A compute request holds one
+// of the engine's slabs for its whole run, so a repetition overlapped
+// one if a slab was out of the engine's free channel when it started or
+// when it ended.
+type overlapExecutor struct {
+	slowExecutor
+	e        *Engine
+	reps     atomic.Int64
+	overlaps atomic.Int64
+}
+
+func (o *overlapExecutor) TimeAlgorithm(alg *expr.Algorithm, rep uint64) []float64 {
+	o.reps.Add(1)
+	computing := func() bool { return len(o.e.free) < cap(o.e.free) }
+	before := computing()
+	times := o.slowExecutor.TimeAlgorithm(alg, rep)
+	if before || computing() {
+		o.overlaps.Add(1)
+	}
+	return times
+}
+
+// TestComputeBesideDeadlineOracle pins the execution lock's two modes:
+// while compute requests run side by side from two goroutines, oracle
+// queries under a deadline too tight to measure still degrade to
+// min-flops with the reason stamped, no timed repetition overlaps a
+// computed query, and every computed result matches the same request
+// run alone.
+func TestComputeBesideDeadlineOracle(t *testing.T) {
+	ex := &overlapExecutor{slowExecutor: slowExecutor{exec.NewDefaultSimulated(), 30 * time.Millisecond}}
+	e := New(Config{Executor: ex, Reps: 3})
+	ex.e = e
+	ctx := context.Background()
+	compute := Request{Compute: true, Queries: []Query{
+		{Expr: "aatb", Instance: expr.Instance{12, 16, 8}},
+		{Expr: "lstsq", Instance: expr.Instance{20, 12, 8}},
+		{Expr: "gls", Instance: expr.Instance{16, 12, 14, 8}},
+	}}
+	want := e.Do(ctx, compute)
+	for i, r := range want {
+		if r.Err != nil {
+			t.Fatalf("compute query %d alone: %v", i, r.Err)
+		}
+	}
+	stop := make(chan struct{})
+	var computed atomic.Int64
+	var wg sync.WaitGroup
+	for g := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i, r := range e.Do(ctx, compute) {
+					if r.Err != nil || !bitEqual(r.Output, want[i].Output) || r.Checksum != want[i].Checksum {
+						t.Errorf("goroutine %d, compute query %d: err %v or result differs from the request alone", g, i, r.Err)
+					}
+				}
+				computed.Add(1)
+			}
+		}()
+	}
+	const oracles = 6
+	for i := range oracles {
+		dctx, cancel := context.WithTimeout(ctx, 15*time.Millisecond)
+		rec, err := ask(dctx, e, Query{Expr: "aatb", Instance: expr.Instance{10 + i, 20, 30}, Strategy: "oracle"})
+		cancel()
+		if err != nil {
+			t.Errorf("oracle query %d: %v, want a degraded answer", i, err)
+			continue
+		}
+		if rec.Strategy != "min-flops" || rec.Requested != "oracle" || rec.Degraded != DegradedDeadline {
+			t.Errorf("oracle query %d: record not degraded: %+v", i, rec)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := e.Stats().DegradedQueries; got != oracles {
+		t.Errorf("degraded_queries %d, want %d", got, oracles)
+	}
+	if ex.reps.Load() == 0 {
+		t.Error("no oracle query measured before its deadline; the overlap check saw nothing")
+	}
+	if computed.Load() == 0 {
+		t.Error("no compute request ran beside the oracle queries")
+	}
+	if n := ex.overlaps.Load(); n != 0 {
+		t.Errorf("%d of %d timed repetitions overlapped a computed query", n, ex.reps.Load())
+	}
+	checkSlabs(t, e)
 }

@@ -5,8 +5,11 @@
 package par
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // For runs f(0), …, f(n-1) on at most w goroutines and returns when all
@@ -37,4 +40,43 @@ func For(n, w int, f func(i int)) {
 		}()
 	}
 	wg.Wait()
+}
+
+// ParallelRatio is a core check: it times a fixed ALU spin on one
+// goroutine and the same work split over two, and returns the first
+// time over the second, each the best of five runs taken in turn. Near
+// 2, two cores ran the halves at once; near 1, the process had one
+// (GOMAXPROCS 1, or a host whose second core was busy elsewhere). A
+// multi-core speedup means something only where this check passes on
+// both sides of the comparison. It collects garbage first, so no
+// background marking shares the spin, and takes a few tens of
+// milliseconds.
+func ParallelRatio() float64 {
+	runtime.GC()
+	one, two := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+	for range 5 {
+		one = min(one, spin(1))
+		two = min(two, spin(2))
+	}
+	return one.Seconds() / two.Seconds()
+}
+
+// spinIters is the ALU work ParallelRatio times: one dependent
+// multiply-add chain, a few milliseconds on one core.
+const spinIters = 1 << 21
+
+// spinSink keeps the spin's result live.
+var spinSink atomic.Uint64
+
+// spin times spinIters iterations split over w goroutines.
+func spin(w int) time.Duration {
+	start := time.Now()
+	For(w, w, func(int) {
+		x := uint64(1)
+		for range spinIters / w {
+			x = x*6364136223846793005 + 1442695040888963407
+		}
+		spinSink.Add(x)
+	})
+	return time.Since(start)
 }

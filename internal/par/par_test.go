@@ -1,6 +1,8 @@
 package par
 
 import (
+	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,5 +38,15 @@ func TestParallelForBoundsConcurrency(t *testing.T) {
 		if limit := int32(max(tc.w, 1)); peak.Load() > limit {
 			t.Errorf("n=%d w=%d: peak concurrency %d exceeds %d", tc.n, tc.w, peak.Load(), limit)
 		}
+	}
+}
+
+// TestParallelRatioIsPositive checks that the core check returns a
+// finite positive ratio; its value depends on the host's cores.
+func TestParallelRatioIsPositive(t *testing.T) {
+	r := ParallelRatio()
+	t.Logf("parallel_ratio %.2f at GOMAXPROCS %d", r, runtime.GOMAXPROCS(0))
+	if !(r > 0) || math.IsInf(r, 0) {
+		t.Errorf("ParallelRatio() = %v, want a finite positive ratio", r)
 	}
 }
