@@ -187,7 +187,7 @@ func TestDoComputeBatchBytesBudget(t *testing.T) {
 				doCompute(t, e, req)
 			}
 			for _, req := range reqs {
-				doCompute(t, e, req) // grows the slab to the largest plan
+				doCompute(t, e, req) // grows each slab to the largest plan it runs
 			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
